@@ -93,7 +93,7 @@ WORKLOADS = {
         dataclasses.replace(_PAPER_DATA, vocab=22222, n_train=60, n_heldout=60, block=2,
                             table_dims=(200, 150, 100, 100, 50)),
         H=800, l=800, L=32, d_neu=128, dropout=0.5, score_k=6, batch=2,
-        from_checkpoint=True, warmup_steps=1, shares=(0.05, 0.05, 0.9),
+        from_checkpoint=True, warmup_steps=1, shares=(0.2, 0.2, 0.6),
         trace_ops=(2, 5, 1)),
 }
 
