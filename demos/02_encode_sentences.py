@@ -38,5 +38,5 @@ print("  LSTM halves differ by:",
 print("\nreduced encoders used by the ablation harness:")
 for kind in ("word_avg", "proj_avg", "lstm_only", "maxcnn_only"):
     p = init_encoder(kind, lex.total_dim, H=8, l=8, rng=stream(7, "init"))
-    out = encode(p, lex, ["dogs", "eats", "food"])
+    out = encode(p, lex, [["dogs", "eats", "food"]])[0]
     print(f"  {kind:12s} -> sentence vector of length {len(np.asarray(out.e_s))}")

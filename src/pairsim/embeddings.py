@@ -13,13 +13,14 @@ writes to them after load.
 
 File format: optional first header line of two integers "count dim",
 then one word per line: ``word v1 v2 ... v_dim`` with ASCII decimal
-floats, whitespace separated, UTF-8 words.
+floats (finite: nan and inf are rejected), whitespace separated, UTF-8 words.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,6 +69,8 @@ def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read embedding file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"embedding file {path} is not UTF-8: {exc}") from exc
 
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
@@ -87,9 +90,14 @@ def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
         fields = line.split()
         word = normalize_word(fields[0])
         try:
-            vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+            values = list(map(float, fields[1:]))
         except ValueError as exc:
             raise DataError(f"{path} line {lineno}: non-numeric field ({exc})") from exc
+        # one sum screens the line: it is finite only if every value is,
+        # and an infinite sum of finite values is an overflow
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise DataError(f"{path} line {lineno}: non-finite value (nan or inf)")
+        vec = np.array(values, dtype=np.float64)
         if dim is None:
             dim = vec.shape[0]
         if vec.shape[0] != dim:

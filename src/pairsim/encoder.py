@@ -138,37 +138,44 @@ def multi_aspect(params: EncoderParams, e_concat):
     return nc.sigmoid(nc.linear(e_concat, params.R, params.b_r))
 
 
-def encode(params: EncoderParams, lex: FusedLexicon, tokens) -> SentenceEncoding:
-    """Encode a token sequence with whichever encoder ``params`` holds."""
-    if not tokens:
+def encode(params: EncoderParams, lex: FusedLexicon, token_seqs) -> list[SentenceEncoding]:
+    """Encode token sequences with whichever encoder ``params`` holds.
+
+    Returns one ``SentenceEncoding`` per sequence, in order.  The LSTM
+    runs over all of the sequences in one batched call; the filters and
+    the max pooling run per sentence.
+    """
+    if not all(token_seqs):
         raise DataError("cannot encode an empty token sequence")
-    E = lex.lookup_all(tokens)  # (n, total_dim), fixed data
+    Es = [lex.lookup_all(tokens) for tokens in token_seqs]  # (n, total_dim), fixed data
     kind = params.kind
 
     if kind == "word_avg":
-        e_s = E.mean(axis=0)
-        return SentenceEncoding(e_s=e_s)
+        return [SentenceEncoding(e_s=E.mean(axis=0)) for E in Es]
     if kind == "proj_avg":
-        e_s = nc.sigmoid(nc.linear(E.mean(axis=0), params.W_proj, params.b_proj))
-        return SentenceEncoding(e_s=e_s)
+        return [SentenceEncoding(e_s=nc.sigmoid(nc.linear(E.mean(axis=0), params.W_proj,
+                                                         params.b_proj)))
+                for E in Es]
     if kind == "lstm_only":
-        h = nc.lstm_last_state(E, *params.lstm.gate_tuples())
-        return SentenceEncoding(e_lstm=h, e_s=h)
+        hs = nc.lstm_last_state(Es, *params.lstm.gate_tuples())
+        return [SentenceEncoding(e_lstm=h, e_s=h) for h in hs]
 
-    s_multi = nc.sigmoid(nc.affine_rows(E, params.R, params.b_r))
-    e_max = nc.max_over_time(s_multi)
+    s_multis = [nc.sigmoid(nc.affine_rows(E, params.R, params.b_r)) for E in Es]
+    e_maxs = [nc.max_over_time(s_multi) for s_multi in s_multis]
     if kind == "maxcnn_only":
-        return SentenceEncoding(s_multi=s_multi, e_max=e_max, e_s=e_max)
-    e_lstm = nc.lstm_last_state(s_multi, *params.lstm.gate_tuples())
-    e_s = nc.concat(e_max, e_lstm)
-    return SentenceEncoding(s_multi=s_multi, e_max=e_max, e_lstm=e_lstm, e_s=e_s)
+        return [SentenceEncoding(s_multi=s_multi, e_max=e_max, e_s=e_max)
+                for s_multi, e_max in zip(s_multis, e_maxs)]
+    hs = nc.lstm_last_state(s_multis, *params.lstm.gate_tuples())
+    return [SentenceEncoding(s_multi=s_multi, e_max=e_max, e_lstm=h,
+                             e_s=nc.concat(e_max, h))
+            for s_multi, e_max, h in zip(s_multis, e_maxs, hs)]
 
 
 def encode_sentence(params: EncoderParams, lex: FusedLexicon, tokens) -> SentenceEncoding:
     """Full max-pool + LSTM encoding; requires a ``maxlstm`` encoder."""
     if params.kind != "maxlstm":
         raise ConfigError(f"encode_sentence needs a maxlstm encoder, got {params.kind!r}")
-    return encode(params, lex, tokens)
+    return encode(params, lex, [tokens])[0]
 
 
 def encode_baseline(kind: str, params: EncoderParams, lex: FusedLexicon, tokens):
@@ -177,4 +184,4 @@ def encode_baseline(kind: str, params: EncoderParams, lex: FusedLexicon, tokens)
         raise ConfigError(f"not a baseline encoder kind: {kind!r}")
     if params.kind != kind:
         raise ConfigError(f"params are for {params.kind!r}, requested {kind!r}")
-    return encode(params, lex, tokens).e_s
+    return encode(params, lex, [tokens])[0].e_s

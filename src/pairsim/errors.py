@@ -22,7 +22,7 @@ class CheckpointError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite value encountered during training."""
+    """Non-finite value encountered during training or inference."""
 
     def __init__(self, message, batch_index=None):
         super().__init__(message)

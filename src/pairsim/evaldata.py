@@ -108,6 +108,8 @@ def load_pairs(path, task: str, lenient: bool = False) -> PairDataset:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset {path} is not UTF-8: {exc}") from exc
 
     examples = []
     vocab = set()

@@ -22,7 +22,7 @@ from . import numcore as nc
 from . import objectives as obj
 from .encoder import (ENCODER_KINDS, EncoderParams, LstmParams, encode,
                       init_encoder)
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .evaldata import PairDataset, SentencePairExample
 from .rng import stream
 
@@ -157,8 +157,9 @@ def with_leaves(params: ModelParams, leaves) -> ModelParams:
 
 
 def encode_pair(params: ModelParams, lex, tokens1, tokens2):
-    return (encode(params.encoder, lex, tokens1),
-            encode(params.encoder, lex, tokens2))
+    """Encodings of both sentences of a pair, from one batched encoder call."""
+    e1, e2 = encode(params.encoder, lex, [tokens1, tokens2])
+    return e1, e2
 
 
 def pair_sims(params: ModelParams, e1, e2) -> tuple:
@@ -212,17 +213,32 @@ def example_loss(params: ModelParams, lex, ex: SentencePairExample,
 
 
 def batch_loss(params: ModelParams, lex, batch, training: bool = False, rng=None):
-    """Mean example loss over a batch."""
-    total = example_loss(params, lex, batch[0], training, rng)
-    for ex in batch[1:]:
-        total = nc.add(total, example_loss(params, lex, ex, training, rng))
+    """Mean example loss over a batch.
+
+    All 2B sentences are encoded in one call.  Comparison, head, dropout
+    and loss then run per pair in example order, so the dropout stream
+    is drawn exactly as ``example_loss`` over the examples would draw it.
+    """
+    encs = encode(params.encoder, lex,
+                  [tokens for ex in batch for tokens in (ex.tokens1, ex.tokens2)])
+    total = None
+    for ex, e1, e2 in zip(batch, encs[0::2], encs[1::2]):
+        loss = loss_from_logits(
+            params, logits_from_encodings(params, e1, e2, training, rng), ex)
+        total = loss if total is None else nc.add(total, loss)
     return nc.scale(total, 1.0 / len(batch))
 
 
 def predict_example(params: ModelParams, lex, tokens1, tokens2):
-    """Inference: decoded raw-range score (sts) or class index."""
+    """Inference: decoded raw-range score (sts) or class index.
+
+    Raises NumericError when a logit is not finite, instead of returning
+    a nan score or an arbitrary class.
+    """
     logits = np.asarray(nc._value(
         pair_logits(params, lex, tokens1, tokens2, training=False)))
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite logits {logits.tolist()}")
     if params.spec.task == "sts":
         return obj.decode_score(logits, params.spec.score)
     return int(np.argmax(logits))

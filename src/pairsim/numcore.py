@@ -15,6 +15,11 @@ execution order, accumulating gradients into ``Node.grad``.  Any node
 read by a recorded primitive ends up with a gradient array (possibly
 all zeros).
 
+``lstm_last_state`` is batch-major: it takes a list of matrices and
+returns one output per matrix, each with its own tape record.  Those
+records share one batched backward, run by the record the reverse
+replay reaches first (see its docstring).
+
 This is deliberately not a general autodiff system: only the primitives
 the sentence-pair model needs exist, and only scalar roots can be
 differentiated.
@@ -516,12 +521,14 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None):
 _GATES = ("i", "f", "o", "u")
 
 
-def lstm_last_state(S, W, U, b):
-    """Final hidden state of an LSTM run over the rows of S.
+def lstm_last_state(Ss, W, U, b):
+    """Final hidden states of an LSTM run over each matrix of a batch.
 
-    S is (n, k); W, U, b are 4-tuples of per-gate parameters in the order
-    (input, forget, output, candidate): W_* (l, k), U_* (l, l), b_* (l,).
-    The gates at step t are
+    Ss is a nonempty list of (n_j, k) matrices, n_j >= 1, whose lengths
+    may differ; a single sentence is a batch of one.  W, U, b are
+    4-tuples of per-gate parameters in the order (input, forget, output,
+    candidate): W_* (l, k), U_* (l, l), b_* (l,).  The gates at step t
+    of each matrix are
 
         i_t = sigmoid(W_i x_t + U_i h_{t-1} + b_i)
         f_t = sigmoid(W_f x_t + U_f h_{t-1} + b_f)
@@ -530,92 +537,135 @@ def lstm_last_state(S, W, U, b):
         c_t = f_t * c_{t-1} + i_t * u_t
         h_t = o_t * tanh(c_t)
 
-    with h_0 = c_0 = 0, returning h_n.  Forward and backward walk the
-    steps as one fused primitive (one tape record), with the backward
-    pass replaying the recurrence in reverse.
+    with h_0 = c_0 = 0.  Returns a list holding h_{n_j} of every matrix,
+    in input order.
+
+    The batch runs as Appleyard et al. 2016 (arXiv:1604.01946) describe.
+    The per-gate arrays are stacked once per call, and the input
+    projection of every row of every matrix is one GEMM.  The matrices
+    run longest-first, so step t is one (k_t, l) @ (l, 4l) GEMM over the
+    k_t matrices with n_j > t.  Rows are packed time-major: step t owns
+    rows off[t] .. off[t] + k_t - 1, in longest-first order.  The
+    backward pass walks the steps in reverse the same way, then forms
+    dW, dU and db as one GEMM each.
+
+    Recording mode appends one tape record per output.  The records
+    share one batched backward, which only the last of them runs; the
+    others do nothing.  The reverse replay reaches that record first,
+    after the record of every consumer of every output, since consumers
+    are recorded after this call; so each output's gradient is complete
+    when the shared backward reads it.
     """
-    Sv = _value(S)
-    if Sv.ndim != 2 or Sv.shape[0] < 1:
-        raise ShapeError(f"lstm_last_state: need a nonempty matrix, got shape {Sv.shape}")
+    Svs = [_value(S) for S in Ss]
+    if not Svs:
+        raise ShapeError("lstm_last_state: need at least one matrix")
+    k_in = Svs[0].shape[1] if Svs[0].ndim == 2 else None
+    for Sv in Svs:
+        if Sv.ndim != 2 or Sv.shape[0] < 1 or Sv.shape[1] != k_in:
+            raise ShapeError(f"lstm_last_state: need nonempty (n, {k_in}) matrices, "
+                             f"got shape {Sv.shape}")
     Wv = [_value(w) for w in W]
     Uv = [_value(u) for u in U]
     bv = [_value(x) for x in b]
     l = Wv[0].shape[0]
     for g, w, u, x in zip(_GATES, Wv, Uv, bv):
-        if w.shape != (l, Sv.shape[1]) or u.shape != (l, l) or x.shape != (l,):
+        if w.shape != (l, k_in) or u.shape != (l, l) or x.shape != (l,):
             raise ShapeError(
                 f"lstm_last_state: gate {g} shapes W {w.shape}, U {u.shape}, b {x.shape} "
-                f"inconsistent with input {Sv.shape}")
-    n = Sv.shape[0]
+                f"inconsistent with input width {k_in}")
     Wall = np.vstack(Wv)            # (4l, k)
     Uall = np.vstack(Uv)            # (4l, l)
     ball = np.concatenate(bv)       # (4l,)
-    X = Sv @ Wall.T + ball          # (n, 4l)
 
-    recording = _ACTIVE is not None and len(_nodes(S, *W, *U, *b)) > 0
-    if recording:
-        gates = np.empty((n, 4 * l))
-        cells = np.empty((n, l))
-        tanhc = np.empty((n, l))
-        hprev = np.zeros((n, l))    # row t holds h_{t-1}
+    # longest first; step t runs the first ks[t] of them
+    B = len(Svs)
+    order = sorted(range(B), key=lambda j: -Svs[j].shape[0])
+    ns = [Svs[j].shape[0] for j in order]
+    ks = [sum(n > t for n in ns) for t in range(ns[0])]
+    off = [0]
+    for k in ks:
+        off.append(off[-1] + k)
+    rows = [np.array(off[:n]) + p for p, n in enumerate(ns)]   # packed rows of each
 
-    h = np.zeros(l)
-    c = np.zeros(l)
-    for t in range(n):
-        act = X[t] + Uall @ h
-        expit(act[: 3 * l], out=act[: 3 * l])
-        np.tanh(act[3 * l:], out=act[3 * l:])
-        i, f, o, u = act[:l], act[l:2 * l], act[2 * l:3 * l], act[3 * l:]
-        if recording:
-            if t > 0:
-                hprev[t] = h
-            gates[t] = act
-            c = f * c + i * u
-            cells[t] = c
-            tc = np.tanh(c)
-            tanhc[t] = tc
-        else:
-            c = f * c + i * u
-            tc = np.tanh(c)
-        h = o * tc
+    P = np.empty((off[-1], k_in))   # the inputs, packed time-major
+    for p, j in enumerate(order):
+        P[rows[p]] = Svs[j]
+    X = P @ Wall.T + ball           # (N, 4l)
 
-    if not recording:
-        return h
+    # A step's GEMM yields (k, 4l) rows, the layout BLAS fills fastest;
+    # one transposed copy makes it gate-major, so that the elementwise
+    # work runs on contiguous (l, k) gate blocks, which matters at small l.
+    Z, C, Tc, H = [], [], [], []    # gate activations, cells, tanh(cells), states
+    for t, k in enumerate(ks):
+        zr = X[off[t]:off[t + 1]]
+        if t:
+            zr = zr + H[-1][:, :k].T @ Uall.T
+        z = np.ascontiguousarray(zr.T)
+        expit(z[:3 * l], out=z[:3 * l])
+        np.tanh(z[3 * l:], out=z[3 * l:])
+        i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
+        c = f * C[-1][:, :k] + i * u if t else i * u
+        tc = np.tanh(c)
+        Z.append(z)
+        C.append(c)
+        Tc.append(tc)
+        H.append(o * tc)
 
-    def backward(out):
-        def run(g):
-            dh = g.copy()
-            dc = np.zeros(l)
-            dZ = np.empty((n, 4 * l))
-            for t in range(n - 1, -1, -1):
-                act = gates[t]
-                i, f, o, u = act[:l], act[l:2 * l], act[2 * l:3 * l], act[3 * l:]
-                tc = tanhc[t]
-                do = dh * tc
-                dc = dc + dh * o * (1.0 - tc * tc)
-                cprev = cells[t - 1] if t > 0 else 0.0
-                dz = dZ[t]
-                dz[:l] = (dc * u) * i * (1.0 - i)
-                dz[l:2 * l] = (dc * cprev) * f * (1.0 - f)
-                dz[2 * l:3 * l] = do * o * (1.0 - o)
-                dz[3 * l:] = (dc * i) * (1.0 - u * u)
-                dh = Uall.T @ dz
-                dc = dc * f
-            if isinstance(S, Node):
-                S.grad += dZ @ Wall
-            dWall = dZ.T @ Sv
-            dUall = dZ.T @ hprev
-            dball = dZ.sum(axis=0)
-            for j in range(4):
-                if isinstance(W[j], Node):
-                    W[j].grad += dWall[j * l:(j + 1) * l]
-                if isinstance(U[j], Node):
-                    U[j].grad += dUall[j * l:(j + 1) * l]
-                if isinstance(b[j], Node):
-                    b[j].grad += dball[j * l:(j + 1) * l]
-        return run
+    hs = [None] * B
+    for p, j in enumerate(order):
+        hs[j] = H[ns[p] - 1][:, p].copy()
 
-    return _finish(h, (S, *W, *U, *b), backward)
+    tape = _ACTIVE
+    params = _nodes(*W, *U, *b)
+    if tape is None or not (params or _nodes(*Ss)):
+        return hs
+    outs = [Node(h) for h in hs]
+
+    def run(_g):
+        G = np.array([outs[j].grad for j in order]).T     # (l, B)
+        dh = dc = np.zeros((l, 0))
+        dZ = [None] * len(ks)
+        for t in range(len(ks) - 1, -1, -1):
+            k = ks[t]
+            if dh.shape[1] < k:     # the matrices whose last step is t join
+                dh = np.hstack([dh, G[:, dh.shape[1]:k]])
+                dc = np.hstack([dc, np.zeros((l, k - dc.shape[1]))])
+            z = Z[t]
+            i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
+            tc = Tc[t]
+            do = dh * tc
+            dc = dc + dh * o * (1.0 - tc * tc)
+            dz = dZ[t] = np.empty((4 * l, k))
+            dz[:l] = (dc * u) * i * (1.0 - i)
+            dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
+            dz[2 * l:3 * l] = do * o * (1.0 - o)
+            dz[3 * l:] = (dc * i) * (1.0 - u * u)
+            dh = np.ascontiguousarray((dz.T @ Uall).T)     # rows GEMM, as above
+            dc = dc * f
+        dZ = np.hstack(dZ)                                  # (4l, N), packed
+        if any(type(S) is Node for S in Ss):
+            dP = dZ.T @ Wall
+            for p, j in enumerate(order):
+                if type(Ss[j]) is Node:
+                    Ss[j].grad += dP[rows[p]]
+        dWall = dZ @ P
+        # h_t of the matrices running at step t + 1, packed like dZ[:, ks[0]:]
+        Hprev = np.hstack([np.zeros((l, 0)), *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
+        dUall = dZ[:, ks[0]:] @ Hprev.T
+        dball = dZ.sum(axis=1)
+        for g in range(4):
+            gates = slice(g * l, (g + 1) * l)
+            for node, grad in ((W[g], dWall), (U[g], dUall), (b[g], dball)):
+                if type(node) is Node:
+                    node.grad += grad[gates]
+
+    def skip(_g):
+        pass
+
+    for j, out in enumerate(outs):
+        inputs = (Ss[j], *params) if type(Ss[j]) is Node else params
+        tape.record(out, inputs, run if j == B - 1 else skip)
+    return outs
 
 
 # ---------------------------------------------------------------------------

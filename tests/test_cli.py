@@ -200,6 +200,47 @@ def test_paraphrase_end_to_end(workdir, capsys, tmp_path):
     assert out.splitlines()[-1] in ("0", "1")
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+def test_train_nonfinite_embedding_exits_2(workdir, capsys, tmp_path, value):
+    table = tmp_path / "bad.txt"
+    table.write_text(f"bob 0.5 1.0\nmary 0.25 {value}\n", encoding="utf-8")
+    code, out, err = run(capsys, "train", workdir / "sts.tsv",
+                         "--config", workdir / "desk.cfg", "--out", tmp_path / "x.ckpt",
+                         "--embeddings", table)
+    assert code == 2
+    assert f"{table} line 2" in err
+
+
+def test_train_non_utf8_inputs_exit_2(workdir, capsys, tmp_path):
+    table = tmp_path / "latin1.txt"
+    table.write_bytes("bob 0.5 1.0\ncaf\u00e9 0.25 0.75\n".encode("latin-1"))
+    code, out, err = run(capsys, "train", workdir / "sts.tsv",
+                         "--config", workdir / "desk.cfg", "--out", tmp_path / "x.ckpt",
+                         "--embeddings", table)
+    assert code == 2
+    assert str(table) in err and "position 15" in err
+    data = tmp_path / "latin1.tsv"
+    data.write_bytes("caf\u00e9 au lait\tbob likes mary\t3.0\n".encode("latin-1"))
+    code, out, err = run(capsys, "train", data,
+                         "--config", workdir / "desk.cfg", "--out", tmp_path / "x.ckpt")
+    assert code == 2
+    assert str(data) in err and "position 3" in err
+
+
+def test_nonfinite_logits_exit_3(workdir, trained_ckpt, capsys, tmp_path):
+    from pairsim import training as tr
+    params, state, meta = tr.load_checkpoint(trained_ckpt)
+    params.head.W_l2[0, 0] = float("nan")
+    ckpt = tmp_path / "nan.ckpt"
+    tr.save_checkpoint(ckpt, params, state, meta)
+    code, out, err = run(capsys, "score", ckpt, "bob likes mary", "bob likes mary")
+    assert code == 3
+    assert "nan" not in out and "non-finite" in err
+    code, out, err = run(capsys, "eval", ckpt, workdir / "sts.tsv")
+    assert code == 3
+    assert "pearson" not in out
+
+
 # ---------------------------------------------------------------------------
 # coverage
 

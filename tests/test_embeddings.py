@@ -39,6 +39,11 @@ def test_load_table_non_numeric(tmp_path):
         load_table(p)
 
 
+def test_load_table_keeps_finite_values_whose_sum_overflows(tmp_path):
+    p = write(tmp_path, "t.txt", "a 1e308 1e308\n")
+    np.testing.assert_array_equal(load_table(p).vectors["a"], [1e308, 1e308])
+
+
 def test_load_table_expected_dim(tmp_path):
     p = write(tmp_path, "t.txt", "a 1 2 3\n")
     with pytest.raises(DataError):

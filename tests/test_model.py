@@ -137,3 +137,57 @@ def test_training_flag_engages_dropout(lex):
     dropped = md.pair_logits(params, lex, t1, t2, training=True,
                              rng=stream(9, "dropout"))
     assert np.any(np.asarray(plain) != np.asarray(dropped))
+
+
+# lengths 1, 2, 2 and 5 > L = 3: a tie, a single word and a truncated sentence
+MIXED_BATCH = [
+    SentencePairExample(["bob", "likes", "mary", "and", "cats"], ["dogs"], gold_score=1.0),
+    SentencePairExample(["cats", "runs"], ["dogs", "eats"], gold_score=4.0),
+    SentencePairExample(["mary"], ["the", "red", "car", "runs", "fast"], gold_score=2.5),
+]
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def test_batch_loss_matches_example_losses_in_order(lex):
+    from pairsim.rng import stream
+    params = md.build_model(sts_spec(dropout_p=0.5), seed=6)
+
+    def run(loss_fn):
+        with nc.GradTape() as tape:
+            leaves = {n: tape.leaf(a) for n, a in md.leaf_arrays(params).items()}
+            loss = loss_fn(md.with_leaves(params, leaves), stream(21, "dropout"))
+            tape.backward(loss)
+        return float(loss.value), {n: leaf.grad for n, leaf in leaves.items()}
+
+    def summed(m, rng):
+        losses = [md.example_loss(m, lex, ex, True, rng) for ex in MIXED_BATCH]
+        total = losses[0]
+        for loss in losses[1:]:
+            total = nc.add(total, loss)
+        return nc.scale(total, 1.0 / len(MIXED_BATCH))
+
+    got_loss, got = run(lambda m, rng: md.batch_loss(m, lex, MIXED_BATCH, True, rng))
+    want_loss, want = run(summed)
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name in want:
+        assert rel_err(got[name], want[name]) <= 1e-12, name
+
+
+@pytest.mark.parametrize("encoder", ["maxlstm", "lstm_only"])
+def test_encode_batch_matches_single_sentences(lex, encoder):
+    from pairsim.encoder import encode
+    comparison = "multi" if encoder == "maxlstm" else "sent"
+    params = md.build_model(sts_spec(encoder=encoder, comparison=comparison), seed=7)
+    seqs = [t for ex in MIXED_BATCH for t in (ex.tokens1, ex.tokens2)]
+    batched = encode(params.encoder, lex, seqs)
+    assert len(batched) == len(seqs)
+    for tokens, got in zip(seqs, batched):
+        want = encode(params.encoder, lex, [tokens])[0]
+        for field in ("s_multi", "e_max", "e_lstm", "e_s"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g is None) == (w is None), field
+            if w is not None:
+                assert rel_err(np.asarray(g), np.asarray(w)) <= 1e-12, field

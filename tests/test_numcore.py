@@ -207,7 +207,7 @@ def test_lstm_last_state_matches_scalar_loop():
     rng = stream(11, "test")
     W, U, b = lstm_param_arrays(rng, 3, 2)
     S = rng.normal(size=(5, 2))
-    got = nc.lstm_last_state(S, W, U, b)
+    got = nc.lstm_last_state([S], W, U, b)[0]
     names = dict(zip("ifou", range(4)))
     want = scalar_lstm_last(
         S.tolist(),
@@ -222,7 +222,79 @@ def test_lstm_zero_params_give_zero_state():
     S = stream(12, "test").normal(size=(4, 3))
     z = [np.zeros((2, 3)) for _ in range(4)], [np.zeros((2, 2)) for _ in range(4)], \
         [np.zeros(2) for _ in range(4)]
-    np.testing.assert_array_equal(nc.lstm_last_state(S, *z), np.zeros(2))
+    np.testing.assert_array_equal(nc.lstm_last_state([S], *z)[0], np.zeros(2))
+
+
+# a batch with n = 1, two equal lengths and n > L = 4 (the desk max_len)
+MIXED_LENGTHS = (3, 1, 6, 3)
+
+
+def rel_err(a, b):
+    """Largest entry difference relative to the largest entry of b."""
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def mixed_batch(seed, l=3, k=2):
+    rng = stream(seed, "test")
+    W, U, b = lstm_param_arrays(rng, l, k)
+    Ss = [rng.normal(size=(n, k)) for n in MIXED_LENGTHS]
+    ws = [rng.normal(size=l) for _ in MIXED_LENGTHS]
+    return Ss, W, U, b, ws
+
+
+def test_lstm_batch_matches_scalar_loop():
+    Ss, W, U, b, _ = mixed_batch(13)
+    names = dict(zip("ifou", range(4)))
+    got = nc.lstm_last_state(Ss, W, U, b)
+    assert len(got) == len(Ss)
+    for S, h in zip(Ss, got):
+        want = scalar_lstm_last(
+            S.tolist(),
+            {g: W[j].tolist() for g, j in names.items()},
+            {g: U[j].tolist() for g, j in names.items()},
+            {g: b[j].tolist() for g, j in names.items()},
+        )
+        np.testing.assert_allclose(h, want, rtol=0, atol=1e-12)
+
+
+def test_lstm_batch_matches_one_at_a_time():
+    Ss, W, U, b, ws = mixed_batch(14)
+
+    def run(batched):
+        with nc.GradTape() as tape:
+            S_ = [tape.leaf(S) for S in Ss]
+            W_, U_, b_ = ([tape.leaf(x) for x in group] for group in (W, U, b))
+            if batched:
+                hs = nc.lstm_last_state(S_, W_, U_, b_)
+            else:
+                hs = [nc.lstm_last_state([S], W_, U_, b_)[0] for S in S_]
+            loss = nc.vsum(nc.concat(*(nc.elementwise_mul(h, w) for h, w in zip(hs, ws))))
+            tape.backward(loss)
+        return [h.value for h in hs], [x.grad for x in (*S_, *W_, *U_, *b_)]
+
+    states, grads = run(batched=True)
+    want_states, want_grads = run(batched=False)
+    for h, want in zip(states, want_states):
+        assert rel_err(h, want) <= 1e-12
+    assert len(grads) == len(Ss) + 12
+    for g, want in zip(grads, want_grads):
+        assert rel_err(g, want) <= 1e-12
+
+
+def test_backward_lstm_batch_unused_and_shared_outputs():
+    Ss, W, U, b, ws = mixed_batch(15)
+    B = len(Ss)
+
+    def loss(*arrays):
+        S_, (W_, U_, b_) = arrays[:B], (arrays[B:B + 4], arrays[B + 4:B + 8], arrays[B + 8:])
+        hs = nc.lstm_last_state(list(S_), W_, U_, b_)
+        # hs[1] is unused; hs[2] feeds two consumers
+        parts = [nc.elementwise_mul(hs[0], ws[0]), nc.elementwise_mul(hs[2], ws[2]),
+                 nc.elementwise_mul(hs[2], hs[3])]
+        return nc.vsum(nc.concat(*parts))
+
+    assert_grads_close(loss, [*Ss, *W, *U, *b])
+    assert not np.any(tape_grads(loss, [*Ss, *W, *U, *b])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +418,7 @@ def test_backward_lstm_last_state():
 
     def loss(S, *flat):
         W_, U_, b_ = flat[0:4], flat[4:8], flat[8:12]
-        return nc.vsum(nc.elementwise_mul(nc.lstm_last_state(S, W_, U_, b_), w))
+        return nc.vsum(nc.elementwise_mul(nc.lstm_last_state([S], W_, U_, b_)[0], w))
 
     assert_grads_close(loss, [S, *W, *U, *b])
 
