@@ -10,7 +10,7 @@ the max half untouched and moves the LSTM half.
 import numpy as np
 
 from pairsim.embeddings import EmbeddingTable, FusedLexicon
-from pairsim.encoder import encode, encode_sentence, init_encoder
+from pairsim.encoder import encode, init_encoder
 from pairsim.rng import stream
 
 words = ["bob", "mary", "likes", "dogs", "eats", "food"]
@@ -21,14 +21,14 @@ lex = FusedLexicon(tables=[EmbeddingTable(
 
 enc = init_encoder("maxlstm", lex.total_dim, H=8, l=8, rng=stream(7, "init"))
 
-sent = encode_sentence(enc, lex, ["bob", "likes", "mary"])
+sent = encode(enc, lex, [["bob", "likes", "mary"]])[0]
 print("per-word feature rows (n x H), all in (0, 1):")
 print(np.round(np.asarray(sent.s_multi), 3))
 print("\nmax-pooled half  :", np.round(sent.e_max, 3))
 print("LSTM half        :", np.round(sent.e_lstm, 3))
 print("sentence embedding = concat of both, length", len(sent.e_s))
 
-swapped = encode_sentence(enc, lex, ["mary", "likes", "bob"])
+swapped = encode(enc, lex, [["mary", "likes", "bob"]])[0]
 print("\nword order flipped:")
 print("  max halves identical :",
       bool(np.array_equal(sent.e_max, swapped.e_max)))

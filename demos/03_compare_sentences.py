@@ -12,7 +12,7 @@ import numpy as np
 
 from pairsim import comparison as cmp
 from pairsim.embeddings import EmbeddingTable, FusedLexicon
-from pairsim.encoder import encode_sentence, init_encoder
+from pairsim.encoder import encode, init_encoder
 from pairsim.rng import stream
 
 words = ["bob", "mary", "likes", "hates", "dogs", "cats"]
@@ -29,8 +29,7 @@ comp = cmp.init_comparison("multi", e_dim=H + l, word_dim=H, L=L, d_neu=4,
 head = cmp.init_head(cmp.head_input_dim("multi"), C=3, dropout_p=0.0,
                      rng=stream(11, "init-head"))
 
-e1 = encode_sentence(enc, lex, ["bob", "likes", "mary"])
-e2 = encode_sentence(enc, lex, ["mary", "hates", "dogs", "cats"])
+e1, e2 = encode(enc, lex, [["bob", "likes", "mary"], ["mary", "hates", "dogs", "cats"]])
 s1 = cmp.pad_or_truncate(e1.s_multi, L)
 s2 = cmp.pad_or_truncate(e2.s_multi, L)
 

@@ -19,7 +19,7 @@ spec = md.ModelSpec(task="sts", encoder="maxlstm", comparison="multi",
                     dropout_p=0.0, score=ScoreSpec(5, 0.0, 5.0))
 params, batch = build_check_fixture(spec, lex, seed=13)
 
-groups = ["encoder.R", "encoder.lstm.U_f", "comparison.W_sent",
+groups = ["encoder.R", "encoder.U_lstm", "comparison.W_sent",
           "comparison.b_ws2", "head.W_l2"]
 report = model_grad_check(params, lex, batch, only=groups)
 print("group                    max relative error")

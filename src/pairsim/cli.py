@@ -62,8 +62,7 @@ def _config_dict(cfg: RunConfig) -> dict:
 def _train_config(cfg: RunConfig) -> tr.TrainConfig:
     return tr.TrainConfig(batch_size=cfg.batch_size, epochs=cfg.epochs,
                           rho=cfg.rho, epsilon=cfg.epsilon, seed=cfg.seed,
-                          patience=cfg.patience, shuffle=cfg.shuffle,
-                          weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
+                          patience=cfg.patience, shuffle=cfg.shuffle)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +103,11 @@ def _load_for_inference(ckpt_path):
     if "config" not in meta:
         raise CheckpointError(
             f"{ckpt_path}: checkpoint carries no configuration block")
-    cfg = RunConfig(**meta["config"])
-    cfg.validate()
+    try:
+        cfg = RunConfig(**meta["config"]).validate()
+    except TypeError as exc:
+        raise CheckpointError(
+            f"{ckpt_path}: malformed configuration block ({exc})") from None
     return params, cfg, meta
 
 

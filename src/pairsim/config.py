@@ -54,8 +54,6 @@ class RunConfig:
     patience: int = 10
     rho: float = 0.95
     epsilon: float = 1e-6
-    weight_decay: float = 0.0
-    clip_norm: float = 0.0
     shuffle: bool = True
     # data handling
     lenient: bool = False

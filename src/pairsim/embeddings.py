@@ -191,14 +191,6 @@ class FusedLexicon:
         return digest.hexdigest()
 
 
-def fuse_lookup(lex: FusedLexicon, word: str) -> np.ndarray:
-    return lex.lookup(word)
-
-
-def coverage(lex: FusedLexicon, vocab) -> CoverageReport:
-    return lex.coverage(vocab)
-
-
 def load_lexicon(paths, oov_scale: float = 0.1, seed: int = 0,
                  expected_dims=None) -> FusedLexicon:
     """Load tables from a sequence of paths into one fused lexicon."""

@@ -16,6 +16,12 @@ comparison and objective stack can be reused unchanged for ablations:
 
 Only ``maxcnn_only`` and ``maxlstm`` produce per-word feature matrices,
 so only they can feed word-level comparison.
+
+The LSTM is stored as three fused arrays, ``W_lstm`` (4l, k),
+``U_lstm`` (4l, l) and ``b_lstm`` (4l,): each holds the input, forget,
+output and candidate gates as consecutive blocks of l rows, the layout
+``numcore.lstm_last_state`` computes with.  k is H for ``maxlstm`` and
+the fused word-vector width for ``lstm_only``.
 """
 
 from __future__ import annotations
@@ -31,36 +37,6 @@ from .errors import ConfigError, DataError
 
 ENCODER_KINDS = ("word_avg", "proj_avg", "lstm_only", "maxcnn_only", "maxlstm")
 
-GATE_ORDER = ("i", "f", "o", "u")
-
-
-@dataclass
-class LstmParams:
-    """Gate weights for one LSTM unit with l-dimensional memory.
-
-    W_* map the k-dimensional input, U_* map the previous hidden state,
-    b_* are biases; gate order is input, forget, output, candidate.
-    """
-
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_u: np.ndarray
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_u: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_u: np.ndarray
-
-    def gate_tuples(self):
-        W = (self.W_i, self.W_f, self.W_o, self.W_u)
-        U = (self.U_i, self.U_f, self.U_o, self.U_u)
-        b = (self.b_i, self.b_f, self.b_o, self.b_u)
-        return W, U, b
-
 
 @dataclass
 class EncoderParams:
@@ -72,7 +48,9 @@ class EncoderParams:
     l: int
     R: Optional[np.ndarray] = None        # (H, total_dim) sigmoid filters
     b_r: Optional[np.ndarray] = None      # (H,)
-    lstm: Optional[LstmParams] = None
+    W_lstm: Optional[np.ndarray] = None   # (4l, k) LSTM input weights, gates i/f/o/u
+    U_lstm: Optional[np.ndarray] = None   # (4l, l) LSTM recurrent weights
+    b_lstm: Optional[np.ndarray] = None   # (4l,) LSTM biases
     W_proj: Optional[np.ndarray] = None   # (total_dim, total_dim), proj_avg only
     b_proj: Optional[np.ndarray] = None
 
@@ -99,18 +77,11 @@ class SentenceEncoding:
     e_s: object = None       # sentence embedding fed to comparisons
 
 
-def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def glorot(rng: np.random.Generator, rows: int, cols: int, blocks: int = 1) -> np.ndarray:
+    """Glorot-uniform (rows, cols) matrix; with blocks > 1, that many
+    independent draws stacked row-wise, equal to drawing them in turn."""
     limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
-
-
-def init_lstm(rng: np.random.Generator, l: int, in_dim: int) -> LstmParams:
-    """Glorot-uniform gate matrices, zero biases except forget bias = 1."""
-    W = [glorot(rng, l, in_dim) for _ in GATE_ORDER]
-    U = [glorot(rng, l, l) for _ in GATE_ORDER]
-    b = [np.zeros(l) for _ in GATE_ORDER]
-    b[1] = np.ones(l)
-    return LstmParams(*W, *U, *b)
+    return rng.uniform(-limit, limit, size=(blocks * rows, cols))
 
 
 def init_encoder(kind: str, total_dim: int, H: int, l: int,
@@ -123,19 +94,17 @@ def init_encoder(kind: str, total_dim: int, H: int, l: int,
     if kind in ("maxcnn_only", "maxlstm"):
         p.R = glorot(rng, H, total_dim)
         p.b_r = np.zeros(H)
-    if kind == "maxlstm":
-        p.lstm = init_lstm(rng, l, H)
-    elif kind == "lstm_only":
-        p.lstm = init_lstm(rng, l, total_dim)
+    lstm_in = {"maxlstm": H, "lstm_only": total_dim}.get(kind)
+    if lstm_in is not None:
+        # one Glorot block per gate, drawn in i/f/o/u order, W before U
+        p.W_lstm = glorot(rng, l, lstm_in, blocks=4)
+        p.U_lstm = glorot(rng, l, l, blocks=4)
+        p.b_lstm = np.zeros(4 * l)
+        p.b_lstm[l:2 * l] = 1.0     # forget gate
     elif kind == "proj_avg":
         p.W_proj = glorot(rng, total_dim, total_dim)
         p.b_proj = np.zeros(total_dim)
     return p
-
-
-def multi_aspect(params: EncoderParams, e_concat):
-    """Feature vector of one word: sigmoid(R @ e_concat + b_r)."""
-    return nc.sigmoid(nc.linear(e_concat, params.R, params.b_r))
 
 
 def encode(params: EncoderParams, lex: FusedLexicon, token_seqs) -> list[SentenceEncoding]:
@@ -157,7 +126,7 @@ def encode(params: EncoderParams, lex: FusedLexicon, token_seqs) -> list[Sentenc
                                                          params.b_proj)))
                 for E in Es]
     if kind == "lstm_only":
-        hs = nc.lstm_last_state(Es, *params.lstm.gate_tuples())
+        hs = nc.lstm_last_state(Es, params.W_lstm, params.U_lstm, params.b_lstm)
         return [SentenceEncoding(e_lstm=h, e_s=h) for h in hs]
 
     s_multis = [nc.sigmoid(nc.affine_rows(E, params.R, params.b_r)) for E in Es]
@@ -165,23 +134,7 @@ def encode(params: EncoderParams, lex: FusedLexicon, token_seqs) -> list[Sentenc
     if kind == "maxcnn_only":
         return [SentenceEncoding(s_multi=s_multi, e_max=e_max, e_s=e_max)
                 for s_multi, e_max in zip(s_multis, e_maxs)]
-    hs = nc.lstm_last_state(s_multis, *params.lstm.gate_tuples())
+    hs = nc.lstm_last_state(s_multis, params.W_lstm, params.U_lstm, params.b_lstm)
     return [SentenceEncoding(s_multi=s_multi, e_max=e_max, e_lstm=h,
                              e_s=nc.concat(e_max, h))
             for s_multi, e_max, h in zip(s_multis, e_maxs, hs)]
-
-
-def encode_sentence(params: EncoderParams, lex: FusedLexicon, tokens) -> SentenceEncoding:
-    """Full max-pool + LSTM encoding; requires a ``maxlstm`` encoder."""
-    if params.kind != "maxlstm":
-        raise ConfigError(f"encode_sentence needs a maxlstm encoder, got {params.kind!r}")
-    return encode(params, lex, [tokens])[0]
-
-
-def encode_baseline(kind: str, params: EncoderParams, lex: FusedLexicon, tokens):
-    """Sentence vector of one of the reduced encoders."""
-    if kind not in ENCODER_KINDS or kind == "maxlstm":
-        raise ConfigError(f"not a baseline encoder kind: {kind!r}")
-    if params.kind != kind:
-        raise ConfigError(f"params are for {params.kind!r}, requested {kind!r}")
-    return encode(params, lex, [tokens])[0].e_s

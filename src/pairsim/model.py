@@ -5,7 +5,10 @@ a frozen ``ModelSpec`` describing the architecture.  All trainable
 arrays are reachable through ``named_parameters`` in a fixed canonical
 order (encoder, comparison, head; field order as listed below); that
 order defines both parameter initialization draws and the checkpoint
-layout.
+layout.  Every parameter is one plain array named ``<part>.<field>``;
+the LSTM is the three fused arrays ``encoder.W_lstm``,
+``encoder.U_lstm`` and ``encoder.b_lstm`` (gate blocks in i/f/o/u
+order, see ``encoder``).
 
 Word embeddings are data owned by the lexicon, never parameters.
 """
@@ -20,19 +23,18 @@ import numpy as np
 from . import comparison as cmp
 from . import numcore as nc
 from . import objectives as obj
-from .encoder import (ENCODER_KINDS, EncoderParams, LstmParams, encode,
-                      init_encoder)
+from .encoder import ENCODER_KINDS, EncoderParams, encode, init_encoder
 from .errors import ConfigError, NumericError
 from .evaldata import PairDataset, SentencePairExample
 from .rng import stream
 
-_ENC_FIELDS = ("R", "b_r")
-_LSTM_FIELDS = ("W_i", "W_f", "W_o", "W_u", "U_i", "U_f", "U_o", "U_u",
-                "b_i", "b_f", "b_o", "b_u")
-_PROJ_FIELDS = ("W_proj", "b_proj")
-_CMP_FIELDS = ("W_word", "b_word", "W_neu", "b_neu", "W_sent", "b_sent",
-               "W_ws", "b_ws", "W_ws2", "b_ws2")
-_HEAD_FIELDS = ("W_l1", "b_l1", "W_l2", "b_l2")
+# (part, fields) in canonical order
+_FIELDS = (
+    ("encoder", ("R", "b_r", "W_lstm", "U_lstm", "b_lstm", "W_proj", "b_proj")),
+    ("comparison", ("W_word", "b_word", "W_neu", "b_neu", "W_sent", "b_sent",
+                    "W_ws", "b_ws", "W_ws2", "b_ws2")),
+    ("head", ("W_l1", "b_l1", "W_l2", "b_l2")),
+)
 
 
 @dataclass(frozen=True)
@@ -102,34 +104,22 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     """Initialize all parameters from the seed's "init" stream."""
     rng = stream(seed, "init")
     enc = init_encoder(spec.encoder, spec.total_dim, spec.H, spec.l, rng)
-    comp = init_comparison_for(spec, enc, rng)
+    comp = cmp.init_comparison(spec.comparison, enc.out_dim, enc.word_dim,
+                               spec.L, spec.d_neu, rng)
     head = cmp.init_head(cmp.head_input_dim(spec.comparison), spec.C,
                          spec.dropout_p, rng)
     return ModelParams(spec=spec, encoder=enc, comparison=comp, head=head)
 
 
-def init_comparison_for(spec: ModelSpec, enc: EncoderParams,
-                        rng: np.random.Generator) -> cmp.ComparisonParams:
-    return cmp.init_comparison(spec.comparison, enc.out_dim, enc.word_dim,
-                               spec.L, spec.d_neu, rng)
-
-
 def named_parameters(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """(name, array) pairs in the canonical checkpoint order."""
     out = []
-
-    def grab(prefix, obj, fields):
+    for part, fields in _FIELDS:
+        obj_ = getattr(params, part)
         for f in fields:
-            v = getattr(obj, f)
+            v = getattr(obj_, f)
             if v is not None:
-                out.append((f"{prefix}.{f}", v))
-
-    grab("encoder", params.encoder, _ENC_FIELDS)
-    if params.encoder.lstm is not None:
-        grab("encoder.lstm", params.encoder.lstm, _LSTM_FIELDS)
-    grab("encoder", params.encoder, _PROJ_FIELDS)
-    grab("comparison", params.comparison, _CMP_FIELDS)
-    grab("head", params.head, _HEAD_FIELDS)
+                out.append((f"{part}.{f}", v))
     return out
 
 
@@ -139,17 +129,12 @@ def leaf_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 def with_leaves(params: ModelParams, leaves) -> ModelParams:
     """Same structure with leaf arrays swapped for the mapping's values."""
-    def pick(prefix, obj, fields):
-        return {f: leaves.get(f"{prefix}.{f}", getattr(obj, f)) for f in fields}
-
-    lstm = params.encoder.lstm
-    if lstm is not None:
-        lstm = LstmParams(**pick("encoder.lstm", lstm, _LSTM_FIELDS))
-    enc = replace(params.encoder, lstm=lstm,
-                  **pick("encoder", params.encoder, _ENC_FIELDS + _PROJ_FIELDS))
-    comp = replace(params.comparison, **pick("comparison", params.comparison, _CMP_FIELDS))
-    head = replace(params.head, **pick("head", params.head, _HEAD_FIELDS))
-    return ModelParams(spec=params.spec, encoder=enc, comparison=comp, head=head)
+    parts = {}
+    for part, fields in _FIELDS:
+        obj_ = getattr(params, part)
+        parts[part] = replace(obj_, **{f: leaves.get(f"{part}.{f}", getattr(obj_, f))
+                                       for f in fields})
+    return ModelParams(spec=params.spec, **parts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ all zeros).
 ``lstm_last_state`` is batch-major: it takes a list of matrices and
 returns one output per matrix, each with its own tape record.  Those
 records share one batched backward, run by the record the reverse
-replay reaches first (see its docstring).
+replay reaches first (see its docstring).  Its weights are three fused
+arrays, W (4l, k), U (4l, l) and b (4l,), with the four gates as row
+blocks in i/f/o/u order, so neither direction restacks or slices them.
 
 This is deliberately not a general autodiff system: only the primitives
 the sentence-pair model needs exist, and only scalar roots can be
@@ -204,33 +206,6 @@ def sigmoid(x):
     return _finish(y, (x,), backward)
 
 
-def tanh_op(x):
-    y = np.tanh(_value(x))
-
-    def backward(out):
-        def run(g):
-            x.grad += g * (1.0 - y * y)
-        return run
-
-    return _finish(y, (x,), backward)
-
-
-def softmax(x):
-    """Stable softmax of a vector: nonnegative, sums to one."""
-    xv = _value(x)
-    if xv.ndim != 1 or xv.shape[0] < 1:
-        raise ShapeError(f"softmax: need a nonempty vector, got shape {xv.shape}")
-    e = np.exp(xv - xv.max())
-    y = e / e.sum()
-
-    def backward(out):
-        def run(g):
-            x.grad += y * (g - np.dot(g, y))
-        return run
-
-    return _finish(y, (x,), backward)
-
-
 def add(a, b):
     av, bv = _value(a), _value(b)
     if av.shape != bv.shape:
@@ -334,36 +309,6 @@ def concat(*parts):
         return run
 
     return _finish(y, parts, backward)
-
-
-def stack_rows(rows):
-    """Stack equal-length vectors into a (n, k) matrix."""
-    vals = [_value(r) for r in rows]
-    if not vals:
-        raise ShapeError("stack_rows: need at least one row")
-    Y = np.stack(vals, axis=0)
-
-    def backward(out):
-        def run(G):
-            for i, r in enumerate(rows):
-                if isinstance(r, Node):
-                    r.grad += G[i]
-        return run
-
-    return _finish(Y, tuple(rows), backward)
-
-
-def row(M, i: int):
-    """Copy of row i of a matrix."""
-    Mv = _value(M)
-    y = Mv[i].copy()
-
-    def backward(out):
-        def run(g):
-            M.grad[i] += g
-        return run
-
-    return _finish(y, (M,), backward)
 
 
 def flatten(M):
@@ -518,17 +463,15 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None):
 # ---------------------------------------------------------------------------
 # recurrent unit
 
-_GATES = ("i", "f", "o", "u")
-
-
 def lstm_last_state(Ss, W, U, b):
     """Final hidden states of an LSTM run over each matrix of a batch.
 
     Ss is a nonempty list of (n_j, k) matrices, n_j >= 1, whose lengths
-    may differ; a single sentence is a batch of one.  W, U, b are
-    4-tuples of per-gate parameters in the order (input, forget, output,
-    candidate): W_* (l, k), U_* (l, l), b_* (l,).  The gates at step t
-    of each matrix are
+    may differ; a single sentence is a batch of one.  W (4l, k), U (4l, l)
+    and b (4l,) hold the four gates as row blocks of l rows each, in the
+    order input, forget, output, candidate: rows 0..l-1 of W are W_i,
+    rows l..2l-1 are W_f, and so on.  The gates at step t of each matrix
+    are
 
         i_t = sigmoid(W_i x_t + U_i h_{t-1} + b_i)
         f_t = sigmoid(W_f x_t + U_f h_{t-1} + b_f)
@@ -541,12 +484,11 @@ def lstm_last_state(Ss, W, U, b):
     in input order.
 
     The batch runs as Appleyard et al. 2016 (arXiv:1604.01946) describe.
-    The per-gate arrays are stacked once per call, and the input
-    projection of every row of every matrix is one GEMM.  The matrices
-    run longest-first, so step t is one (k_t, l) @ (l, 4l) GEMM over the
-    k_t matrices with n_j > t.  Rows are packed time-major: step t owns
-    rows off[t] .. off[t] + k_t - 1, in longest-first order.  The
-    backward pass walks the steps in reverse the same way, then forms
+    The input projection of every row of every matrix is one GEMM.  The
+    matrices run longest-first, so step t is one (k_t, l) @ (l, 4l) GEMM
+    over the k_t matrices with n_j > t.  Rows are packed time-major:
+    step t owns rows off[t] .. off[t] + k_t - 1, in longest-first order.
+    The backward pass walks the steps in reverse the same way, then forms
     dW, dU and db as one GEMM each.
 
     Recording mode appends one tape record per output.  The records
@@ -564,18 +506,12 @@ def lstm_last_state(Ss, W, U, b):
         if Sv.ndim != 2 or Sv.shape[0] < 1 or Sv.shape[1] != k_in:
             raise ShapeError(f"lstm_last_state: need nonempty (n, {k_in}) matrices, "
                              f"got shape {Sv.shape}")
-    Wv = [_value(w) for w in W]
-    Uv = [_value(u) for u in U]
-    bv = [_value(x) for x in b]
-    l = Wv[0].shape[0]
-    for g, w, u, x in zip(_GATES, Wv, Uv, bv):
-        if w.shape != (l, k_in) or u.shape != (l, l) or x.shape != (l,):
-            raise ShapeError(
-                f"lstm_last_state: gate {g} shapes W {w.shape}, U {u.shape}, b {x.shape} "
-                f"inconsistent with input width {k_in}")
-    Wall = np.vstack(Wv)            # (4l, k)
-    Uall = np.vstack(Uv)            # (4l, l)
-    ball = np.concatenate(bv)       # (4l,)
+    Wv, Uv, bv = _value(W), _value(U), _value(b)
+    l = Uv.shape[1] if Uv.ndim == 2 else 0
+    if l < 1 or Wv.shape != (4 * l, k_in) or Uv.shape != (4 * l, l) or bv.shape != (4 * l,):
+        raise ShapeError(
+            f"lstm_last_state: W {Wv.shape}, U {Uv.shape}, b {bv.shape} are not "
+            f"(4l, {k_in}), (4l, l), (4l,) for one l >= 1")
 
     # longest first; step t runs the first ks[t] of them
     B = len(Svs)
@@ -590,7 +526,7 @@ def lstm_last_state(Ss, W, U, b):
     P = np.empty((off[-1], k_in))   # the inputs, packed time-major
     for p, j in enumerate(order):
         P[rows[p]] = Svs[j]
-    X = P @ Wall.T + ball           # (N, 4l)
+    X = P @ Wv.T + bv               # (N, 4l)
 
     # A step's GEMM yields (k, 4l) rows, the layout BLAS fills fastest;
     # one transposed copy makes it gate-major, so that the elementwise
@@ -599,7 +535,7 @@ def lstm_last_state(Ss, W, U, b):
     for t, k in enumerate(ks):
         zr = X[off[t]:off[t + 1]]
         if t:
-            zr = zr + H[-1][:, :k].T @ Uall.T
+            zr = zr + H[-1][:, :k].T @ Uv.T
         z = np.ascontiguousarray(zr.T)
         expit(z[:3 * l], out=z[:3 * l])
         np.tanh(z[3 * l:], out=z[3 * l:])
@@ -616,7 +552,7 @@ def lstm_last_state(Ss, W, U, b):
         hs[j] = H[ns[p] - 1][:, p].copy()
 
     tape = _ACTIVE
-    params = _nodes(*W, *U, *b)
+    params = _nodes(W, U, b)
     if tape is None or not (params or _nodes(*Ss)):
         return hs
     outs = [Node(h) for h in hs]
@@ -640,24 +576,22 @@ def lstm_last_state(Ss, W, U, b):
             dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
             dz[2 * l:3 * l] = do * o * (1.0 - o)
             dz[3 * l:] = (dc * i) * (1.0 - u * u)
-            dh = np.ascontiguousarray((dz.T @ Uall).T)     # rows GEMM, as above
+            dh = np.ascontiguousarray((dz.T @ Uv).T)       # rows GEMM, as above
             dc = dc * f
         dZ = np.hstack(dZ)                                  # (4l, N), packed
         if any(type(S) is Node for S in Ss):
-            dP = dZ.T @ Wall
+            dP = dZ.T @ Wv
             for p, j in enumerate(order):
                 if type(Ss[j]) is Node:
                     Ss[j].grad += dP[rows[p]]
-        dWall = dZ @ P
-        # h_t of the matrices running at step t + 1, packed like dZ[:, ks[0]:]
-        Hprev = np.hstack([np.zeros((l, 0)), *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
-        dUall = dZ[:, ks[0]:] @ Hprev.T
-        dball = dZ.sum(axis=1)
-        for g in range(4):
-            gates = slice(g * l, (g + 1) * l)
-            for node, grad in ((W[g], dWall), (U[g], dUall), (b[g], dball)):
-                if type(node) is Node:
-                    node.grad += grad[gates]
+        if type(W) is Node:
+            W.grad += dZ @ P
+        if type(U) is Node:
+            # h_t of the matrices running at step t + 1, packed like dZ[:, ks[0]:]
+            Hprev = np.hstack([np.zeros((l, 0)), *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
+            U.grad += dZ[:, ks[0]:] @ Hprev.T
+        if type(b) is Node:
+            b.grad += dZ.sum(axis=1)
 
     def skip(_g):
         pass

@@ -18,7 +18,10 @@ format version, a uint64-length-prefixed canonical JSON metadata block
 (model spec, parameter shapes, config echo, epoch, rng states), then
 every parameter array as little-endian float64 in the canonical order
 of ``model.named_parameters``, then optionally the two optimizer
-accumulators per parameter in the same order.
+accumulators per parameter in the same order.  Format version 2 stores
+the LSTM as the fused ``encoder.W_lstm``/``U_lstm``/``b_lstm`` arrays;
+the loader rejects any other version, and any header whose parameter
+names, order or shapes differ from the model its spec builds.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .evaldata import PairDataset
 from .rng import stream
 
 MAGIC = b"PSIM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -62,17 +65,10 @@ class AdaDeltaState:
 
 
 def adadelta_step(state: AdaDeltaState, params: md.ModelParams,
-                  grads: dict[str, np.ndarray], weight_decay: float = 0.0,
-                  clip_norm: float = 0.0):
+                  grads: dict[str, np.ndarray]):
     """One in-place update of every parameter array."""
-    named = md.named_parameters(params)
-    if clip_norm > 0.0:
-        sq = sum(float((grads[n] ** 2).sum()) for n, _ in named if n in grads)
-        norm = np.sqrt(sq)
-        if norm > clip_norm:
-            grads = {k: g * (clip_norm / norm) for k, g in grads.items()}
     rho, eps = state.rho, state.epsilon
-    for name, arr in named:
+    for name, arr in md.named_parameters(params):
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(arr)
@@ -80,8 +76,6 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams,
             raise ConfigError(
                 f"gradient shape {g.shape} does not match parameter "
                 f"{name} {arr.shape}")
-        if weight_decay > 0.0:
-            g = g + weight_decay * arr
         Eg2, Edx2 = state.Eg2[name], state.Edx2[name]
         Eg2 *= rho
         Eg2 += (1.0 - rho) * g * g
@@ -100,8 +94,6 @@ class TrainConfig:
     seed: int = 13
     patience: int = 10
     shuffle: bool = True
-    weight_decay: float = 0.0
-    clip_norm: float = 0.0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -138,8 +130,7 @@ def _snapshot_state(state: AdaDeltaState) -> AdaDeltaState:
 
 
 def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
-               dropout_rng, weight_decay: float = 0.0,
-               clip_norm: float = 0.0) -> float:
+               dropout_rng) -> float:
     """Forward, backward, and one AdaDelta update; returns the batch loss."""
     with nc.GradTape() as tape:
         leaves = {n: tape.leaf(a) for n, a in md.named_parameters(params)}
@@ -151,7 +142,7 @@ def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
     if not np.isfinite(loss_value):
         raise NumericError(f"non-finite loss {loss_value}", batch_index=None)
     grads = {n: leaf.grad for n, leaf in leaves.items() if leaf.grad is not None}
-    adadelta_step(state, params, grads, weight_decay, clip_norm)
+    adadelta_step(state, params, grads)
     return loss_value
 
 
@@ -181,8 +172,7 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: TrainConfig,
         for bi, lo in enumerate(range(0, n, cfg.batch_size)):
             batch = [data.examples[i] for i in order[lo:lo + cfg.batch_size]]
             try:
-                losses.append(train_step(params, state, lex, batch, dropout_rng,
-                                         cfg.weight_decay, cfg.clip_norm))
+                losses.append(train_step(params, state, lex, batch, dropout_rng))
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {bi}: {exc}",
                                    batch_index=bi) from None
@@ -314,31 +304,46 @@ def load_checkpoint(path, cfg=None):
     except ValueError as exc:
         raise CheckpointError(f"{path}: corrupt metadata ({exc})") from exc
 
-    spec = _spec_from_meta(meta["spec"])
+    try:
+        params = md.build_model(_spec_from_meta(meta["spec"]), seed=0)
+        shapes = meta["param_shapes"]
+        have = [(name, shapes.get(name)) for name in meta["param_order"]]
+        state = (AdaDeltaState(rho=meta["rho"], epsilon=meta["epsilon"])
+                 if meta.get("has_state") else None)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed metadata ({exc})") from None
     if cfg is not None:
         problem = _config_mismatch(meta["spec"], cfg)
         if problem:
             raise CheckpointError(f"{path}: {problem}")
+    # the stored names and shapes must be exactly those of the spec's model
+    named = md.named_parameters(params)
+    want = [(name, list(arr.shape)) for name, arr in named]
+    if have != want:
+        i = next(i for i in range(max(len(have), len(want)))
+                 if have[i:i + 1] != want[i:i + 1])
+        got = f"{have[i][0]} {have[i][1]}" if i < len(have) else "missing"
+        need = f"{want[i][0]} {want[i][1]}" if i < len(want) else "nothing"
+        raise CheckpointError(f"{path}: parameter {i} is {got}, the model spec needs {need}")
 
     def take(shape):
+        """Read-only view of the next array in the file."""
         nonlocal ofs
-        size = int(np.prod(shape)) if shape else 1
-        end = ofs + 8 * size
-        if len(raw) < end:
+        size = int(np.prod(shape))
+        if len(raw) < ofs + 8 * size:
             raise CheckpointError(f"{path}: truncated parameter data")
-        arr = np.frombuffer(raw[ofs:end], dtype="<f8").reshape(shape).copy()
-        ofs = end
+        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=ofs).reshape(shape)
+        ofs += 8 * size
         return arr
 
-    shapes = meta["param_shapes"]
-    leaves = {name: take(shapes[name]) for name in meta["param_order"]}
-    params = md.with_leaves(md.build_model(spec, seed=0), leaves)
-
-    state = None
-    if meta.get("has_state"):
-        state = AdaDeltaState(rho=meta["rho"], epsilon=meta["epsilon"])
-        state.Eg2 = {name: take(shapes[name]) for name in meta["param_order"]}
-        state.Edx2 = {name: take(shapes[name]) for name in meta["param_order"]}
+    # overwrite the seed-0 arrays in place: no second copy of the model
+    for _, arr in named:
+        arr[...] = take(arr.shape)
+    if state is not None:
+        state.Eg2 = {name: take(shape).copy() for name, shape in want}
+        state.Edx2 = {name: take(shape).copy() for name, shape in want}
     if ofs != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - ofs} trailing bytes")
     return params, state, meta

@@ -43,6 +43,16 @@ def scalar_lstm_last(S, W, U, b):
     return h
 
 
+def gate_dicts(W, U, b):
+    """Fused (4l, .) LSTM arrays as scalar_lstm_last's per-gate dicts.
+
+    Rows [j*l, (j+1)*l) of each array belong to gate j of i, f, o, u.
+    """
+    l = len(b) // 4
+    return tuple({g: x[j * l:(j + 1) * l].tolist() for j, g in enumerate("ifou")}
+                 for x in (W, U, b))
+
+
 def scalar_adadelta_steps(grads, rho, eps):
     """Sequence of updates for one scalar parameter, per the accumulator rule."""
     eg2 = 0.0

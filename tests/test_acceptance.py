@@ -19,10 +19,10 @@ from pairsim import numcore as nc
 from pairsim import objectives as obj
 from pairsim import training as tr
 from pairsim.cli import main
-from pairsim.encoder import init_encoder, encode_sentence
+from pairsim.encoder import encode, init_encoder
 from pairsim.rng import stream
 
-from oracles import scalar_adadelta_steps, scalar_lstm_last
+from oracles import gate_dicts, scalar_adadelta_steps, scalar_lstm_last
 from toys import (cls3_dataset, order_probe_dataset, sts_overfit_dataset,
                   toy_lexicon, write_lexicon_files)
 
@@ -129,10 +129,8 @@ def test_03_kl_properties():
 
 def test_04_lstm_oracle_equivalence(lex):
     enc = init_encoder("maxlstm", lex.total_dim, 2, 2, stream(5, "init"))
-    out = encode_sentence(enc, lex, ["bob", "likes", "mary"])
-    W = {g: getattr(enc.lstm, f"W_{g}").tolist() for g in "ifou"}
-    U = {g: getattr(enc.lstm, f"U_{g}").tolist() for g in "ifou"}
-    b = {g: getattr(enc.lstm, f"b_{g}").tolist() for g in "ifou"}
+    out = encode(enc, lex, [["bob", "likes", "mary"]])[0]
+    W, U, b = gate_dicts(enc.W_lstm, enc.U_lstm, enc.b_lstm)
     want = scalar_lstm_last(np.asarray(out.s_multi).tolist(), W, U, b)
     err = float(np.max(np.abs(np.asarray(out.e_lstm) - np.asarray(want))))
     check(4, "lstm-oracle-equivalence", err < 1e-10, f"(max err {err:.2e})")
@@ -142,15 +140,15 @@ def test_05_order_properties(lex):
     enc = init_encoder("maxlstm", lex.total_dim, TOY["H"], TOY["l"],
                        stream(33, "init"))
     tokens = ["bob", "likes", "mary"]
-    base = encode_sentence(enc, lex, tokens)
+    base = encode(enc, lex, [tokens])[0]
     rng = stream(3, "perm")
     invariant = True
     for _ in range(100):
         order = rng.permutation(len(tokens))
         shuffled = [tokens[i] for i in order]
         invariant &= bool(np.array_equal(
-            encode_sentence(enc, lex, shuffled).e_max, base.e_max))
-    other = encode_sentence(enc, lex, ["mary", "likes", "bob"])
+            encode(enc, lex, [shuffled])[0].e_max, base.e_max))
+    other = encode(enc, lex, [["mary", "likes", "bob"]])[0]
     gap = float(np.max(np.abs(np.asarray(base.e_s) - np.asarray(other.e_s))))
     check(5, "order-properties", invariant and gap > 1e-6,
           f"(e_max invariant, L_inf(e_s diff) = {gap:.2e})")

@@ -5,8 +5,8 @@ from pairsim.cli import main
 from pairsim.config import fingerprint, load_config
 from pairsim.errors import ConfigError
 
-from toys import (cls3_dataset, sts_overfit_dataset, toy_lexicon,
-                  write_lexicon_files)
+from toys import (cls3_dataset, edit_checkpoint_header, sts_overfit_dataset,
+                  toy_lexicon, write_lexicon_files)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +239,23 @@ def test_nonfinite_logits_exit_3(workdir, trained_ckpt, capsys, tmp_path):
     code, out, err = run(capsys, "eval", ckpt, workdir / "sts.tsv")
     assert code == 3
     assert "pearson" not in out
+
+
+@pytest.mark.parametrize("edit, version, message", [
+    (lambda m: m["spec"].pop("d_neu"), None, "metadata lacks key 'd_neu'"),
+    (lambda m: m["config"].update(weight_decay=0.0), None, "weight_decay"),
+    (lambda m: m.update(spec=[1, 2]), None, "malformed metadata"),
+    (lambda m: m.update(param_order=m["param_order"][::-1]), None, "parameter 0 is head.b_l2"),
+    (None, 1, "format version 1"),
+], ids=["spec-key", "config-key", "spec-type", "param-order", "version-1"])
+def test_malformed_checkpoint_exits_1(trained_ckpt, capsys, tmp_path, edit, version,
+                                      message):
+    bad = tmp_path / "bad.ckpt"
+    edit_checkpoint_header(trained_ckpt, bad, edit, version)
+    code, out, err = run(capsys, "score", bad, "bob likes mary", "bob likes mary")
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pairsim import numcore as nc
 from pairsim.errors import ConfigError, DataError
 from pairsim.rng import stream
 
-from oracles import scalar_lstm_last, scalar_sigmoid
+from oracles import gate_dicts, scalar_lstm_last, scalar_sigmoid
 from toys import toy_lexicon
 
 
@@ -19,27 +19,33 @@ def make_encoder(kind, lex, H=4, l=3, seed=21):
     return enc.init_encoder(kind, lex.total_dim, H, l, stream(seed, "init"))
 
 
+def encode_one(p, lex, tokens):
+    return enc.encode(p, lex, [tokens])[0]
+
+
 def test_multi_aspect_zero_params_give_half(lex):
     p = make_encoder("maxlstm", lex)
     p.R = np.zeros_like(p.R)
     p.b_r = np.zeros_like(p.b_r)
-    y = enc.multi_aspect(p, lex.lookup("bob"))
+    y = encode_one(p, lex, ["bob"]).s_multi[0]
     np.testing.assert_array_equal(y, np.full(4, 0.5))
 
 
 def test_multi_aspect_single_filter(lex):
-    p = enc.EncoderParams(kind="maxlstm", total_dim=lex.total_dim, H=1, l=1)
+    p = make_encoder("maxlstm", lex, H=1, l=1)
     p.R = np.zeros((1, lex.total_dim))
     p.R[0, 0] = 1.0
     p.b_r = np.zeros(1)
-    e = np.zeros(lex.total_dim)
-    np.testing.assert_array_equal(enc.multi_aspect(p, e), [0.5])
+    import pairsim.embeddings as em
+    zero = em.FusedLexicon(tables=[em.EmbeddingTable("z", lex.total_dim,
+                                                     {"zero": np.zeros(lex.total_dim)})])
+    np.testing.assert_array_equal(encode_one(p, zero, ["zero"]).s_multi[0], [0.5])
 
 
 def test_multi_aspect_matches_scalar_arithmetic(lex):
     p = make_encoder("maxlstm", lex, H=2)
     e = lex.lookup("dogs")
-    got = enc.multi_aspect(p, e)
+    got = encode_one(p, lex, ["dogs"]).s_multi[0]
     for i in range(2):
         want = scalar_sigmoid(sum(p.R[i, j] * e[j] for j in range(lex.total_dim))
                               + p.b_r[i])
@@ -48,35 +54,34 @@ def test_multi_aspect_matches_scalar_arithmetic(lex):
 
 def test_encode_sentence_zero_lstm_params(lex):
     p = make_encoder("maxlstm", lex)
-    for name in ("W_i", "W_f", "W_o", "W_u", "U_i", "U_f", "U_o", "U_u",
-                 "b_i", "b_f", "b_o", "b_u"):
-        setattr(p.lstm, name, np.zeros_like(getattr(p.lstm, name)))
-    out = enc.encode_sentence(p, lex, ["bob", "likes", "mary"])
+    for name in ("W_lstm", "U_lstm", "b_lstm"):
+        setattr(p, name, np.zeros_like(getattr(p, name)))
+    out = encode_one(p, lex, ["bob", "likes", "mary"])
     np.testing.assert_array_equal(out.e_lstm, np.zeros(3))
 
 
 def test_encode_single_word_max_equals_word_features(lex):
     p = make_encoder("maxlstm", lex)
-    out = enc.encode_sentence(p, lex, ["cats"])
-    np.testing.assert_array_equal(out.e_max, enc.multi_aspect(p, lex.lookup("cats")))
+    out = encode_one(p, lex, ["cats"])
+    e = lex.lookup("cats")
+    want = [scalar_sigmoid(sum(p.R[i, j] * e[j] for j in range(lex.total_dim)) + p.b_r[i])
+            for i in range(p.H)]
+    np.testing.assert_allclose(out.e_max, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(out.e_max, out.s_multi[0])
 
 
 def test_encode_lstm_matches_scalar_oracle(lex):
     p = make_encoder("maxlstm", lex, H=2, l=2, seed=5)
     tokens = ["bob", "likes", "mary"]
-    out = enc.encode_sentence(p, lex, tokens)
+    out = encode_one(p, lex, tokens)
     s_multi = np.asarray(out.s_multi)
-    names = {"i": "i", "f": "f", "o": "o", "u": "u"}
-    W = {g: getattr(p.lstm, f"W_{g}").tolist() for g in names}
-    U = {g: getattr(p.lstm, f"U_{g}").tolist() for g in names}
-    b = {g: getattr(p.lstm, f"b_{g}").tolist() for g in names}
-    want = scalar_lstm_last(s_multi.tolist(), W, U, b)
+    want = scalar_lstm_last(s_multi.tolist(), *gate_dicts(p.W_lstm, p.U_lstm, p.b_lstm))
     np.testing.assert_allclose(out.e_lstm, want, rtol=0, atol=1e-10)
 
 
 def test_encode_structure_and_ranges(lex):
     p = make_encoder("maxlstm", lex)
-    out = enc.encode_sentence(p, lex, ["the", "red", "car", "runs"])
+    out = encode_one(p, lex, ["the", "red", "car", "runs"])
     assert np.asarray(out.s_multi).shape == (4, 4)
     assert out.e_s.shape == (7,)
     np.testing.assert_array_equal(out.e_s, np.concatenate([out.e_max, out.e_lstm]))
@@ -90,8 +95,8 @@ def test_encode_structure_and_ranges(lex):
 
 def test_max_pool_permutation_invariant_full_encoding_not(lex):
     p = make_encoder("maxlstm", lex, H=6, l=6, seed=33)
-    a = enc.encode_sentence(p, lex, ["bob", "likes", "mary"])
-    b = enc.encode_sentence(p, lex, ["mary", "likes", "bob"])
+    a = encode_one(p, lex, ["bob", "likes", "mary"])
+    b = encode_one(p, lex, ["mary", "likes", "bob"])
     np.testing.assert_array_equal(a.e_max, b.e_max)
     assert np.max(np.abs(a.e_s - b.e_s)) > 1e-6
 
@@ -99,17 +104,17 @@ def test_max_pool_permutation_invariant_full_encoding_not(lex):
 def test_max_pool_invariant_over_random_permutations(lex):
     p = make_encoder("maxlstm", lex)
     tokens = ["the", "red", "car", "runs", "fast"]
-    base = enc.encode_sentence(p, lex, tokens).e_max
+    base = encode_one(p, lex, tokens).e_max
     rng = stream(3, "perm")
     for _ in range(100):
         order = rng.permutation(len(tokens))
         shuffled = [tokens[i] for i in order]
-        np.testing.assert_array_equal(enc.encode_sentence(p, lex, shuffled).e_max, base)
+        np.testing.assert_array_equal(encode_one(p, lex, shuffled).e_max, base)
 
 
 def test_word_avg_cases(lex):
     p = make_encoder("word_avg", lex)
-    one = enc.encode_baseline("word_avg", p, lex, ["dogs"])
+    one = encode_one(p, lex, ["dogs"]).e_s
     np.testing.assert_array_equal(one, lex.lookup("dogs"))
     # symmetric pair of opposite vectors averages to zero
     v = lex.lookup("dogs")
@@ -117,8 +122,7 @@ def test_word_avg_cases(lex):
     t = em.EmbeddingTable("pm", v.shape[0], {"plus": v, "minus": -v})
     mirror = em.FusedLexicon(tables=[t], seed=0)
     p2 = enc.init_encoder("word_avg", v.shape[0], 4, 3, stream(21, "init"))
-    np.testing.assert_allclose(enc.encode_baseline("word_avg", p2, mirror,
-                                                   ["plus", "minus"]),
+    np.testing.assert_allclose(encode_one(p2, mirror, ["plus", "minus"]).e_s,
                                np.zeros(v.shape[0]), atol=1e-15)
 
 
@@ -126,7 +130,7 @@ def test_proj_avg_zero_params(lex):
     p = make_encoder("proj_avg", lex)
     p.W_proj = np.zeros_like(p.W_proj)
     p.b_proj = np.zeros_like(p.b_proj)
-    out = enc.encode_baseline("proj_avg", p, lex, ["bob", "cats"])
+    out = encode_one(p, lex, ["bob", "cats"]).e_s
     np.testing.assert_array_equal(out, np.full(lex.total_dim, 0.5))
 
 
@@ -135,46 +139,34 @@ def test_baseline_out_dims(lex):
                       ("maxcnn_only", 4)]:
         p = make_encoder(kind, lex)
         assert p.out_dim == dim
-        out = enc.encode_baseline(kind, p, lex, ["bob", "likes", "mary"])
+        out = encode_one(p, lex, ["bob", "likes", "mary"]).e_s
         assert np.asarray(out).shape == (dim,)
 
 
 def test_encode_empty_tokens_error(lex):
     p = make_encoder("maxlstm", lex)
     with pytest.raises(DataError):
-        enc.encode_sentence(p, lex, [])
+        encode_one(p, lex, [])
 
 
 def test_encoder_kind_validation(lex):
     with pytest.raises(ConfigError):
         enc.init_encoder("fancy", lex.total_dim, 4, 3, stream(0, "init"))
-    p = make_encoder("maxcnn_only", lex)
-    with pytest.raises(ConfigError):
-        enc.encode_sentence(p, lex, ["bob"])
-    with pytest.raises(ConfigError):
-        enc.encode_baseline("maxlstm", p, lex, ["bob"])
 
 
 def test_encode_gradients_flow_through_sentence(lex):
     p = make_encoder("maxlstm", lex, H=3, l=2, seed=11)
     tokens = ["bob", "likes", "mary"]
-    arrays = {
-        "R": p.R, "b_r": p.b_r,
-        **{f"W_{g}": getattr(p.lstm, f"W_{g}") for g in "ifou"},
-        **{f"U_{g}": getattr(p.lstm, f"U_{g}") for g in "ifou"},
-        **{f"b_{g}": getattr(p.lstm, f"b_{g}") for g in "ifou"},
-    }
+    names = ("R", "b_r", "W_lstm", "U_lstm", "b_lstm")
+    arrays = {n: getattr(p, n) for n in names}
     w = stream(12, "w").normal(size=5)
 
     def loss(leaves):
         q = enc.EncoderParams(kind="maxlstm", total_dim=lex.total_dim, H=3, l=2,
-                              R=leaves["R"], b_r=leaves["b_r"],
-                              lstm=enc.LstmParams(
-                                  *[leaves[f"W_{g}"] for g in "ifou"],
-                                  *[leaves[f"U_{g}"] for g in "ifou"],
-                                  *[leaves[f"b_{g}"] for g in "ifou"]))
-        out = enc.encode_sentence(q, lex, tokens)
+                              **{n: leaves[n] for n in names})
+        out = encode_one(q, lex, tokens)
         return nc.vsum(nc.elementwise_mul(out.e_s, w))
 
     report = nc.grad_check(loss, arrays)
     assert report.max_rel_err < 1e-6
+

@@ -26,7 +26,7 @@ def lex():
 
 # one group from each tier keeps the probe count small; the acceptance
 # suite runs every entry of every group at the toy dimensions
-SPOT_GROUPS = ["encoder.R", "encoder.lstm.U_f", "encoder.lstm.b_u",
+SPOT_GROUPS = ["encoder.R", "encoder.U_lstm", "encoder.b_lstm",
                "comparison.W_word", "comparison.W_sent", "comparison.b_ws2",
                "head.W_l2", "head.b_l1"]
 

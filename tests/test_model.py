@@ -4,8 +4,10 @@ import pytest
 from pairsim import model as md
 from pairsim import numcore as nc
 from pairsim import objectives as obj
+from pairsim.encoder import glorot
 from pairsim.errors import ConfigError
 from pairsim.evaldata import SentencePairExample
+from pairsim.rng import stream
 
 from toys import toy_lexicon
 
@@ -36,10 +38,7 @@ def test_named_parameters_order_and_shapes(lex):
     names = [n for n, _ in md.named_parameters(params)]
     assert names == [
         "encoder.R", "encoder.b_r",
-        "encoder.lstm.W_i", "encoder.lstm.W_f", "encoder.lstm.W_o",
-        "encoder.lstm.W_u", "encoder.lstm.U_i", "encoder.lstm.U_f",
-        "encoder.lstm.U_o", "encoder.lstm.U_u", "encoder.lstm.b_i",
-        "encoder.lstm.b_f", "encoder.lstm.b_o", "encoder.lstm.b_u",
+        "encoder.W_lstm", "encoder.U_lstm", "encoder.b_lstm",
         "comparison.W_word", "comparison.b_word", "comparison.W_neu",
         "comparison.b_neu", "comparison.W_sent", "comparison.b_sent",
         "comparison.W_ws", "comparison.b_ws", "comparison.W_ws2",
@@ -53,13 +52,37 @@ def test_named_parameters_order_and_shapes(lex):
     assert arrays["comparison.W_ws2"].shape == (100, 30)       # 2 * L * 5
     assert arrays["head.W_l1"].shape == (250, 155)
     assert arrays["head.W_l2"].shape == (5, 250)
-    assert arrays["encoder.lstm.W_i"].shape == (4, 6)
+    assert arrays["encoder.W_lstm"].shape == (16, 6)           # (4l, H)
+    assert arrays["encoder.U_lstm"].shape == (16, 4)           # (4l, l)
+    assert arrays["encoder.b_lstm"].shape == (16,)
 
 
 def test_forget_gate_bias_is_one(lex):
     params = md.build_model(sts_spec(), seed=1)
-    np.testing.assert_array_equal(params.encoder.lstm.b_f, np.ones(4))
-    np.testing.assert_array_equal(params.encoder.lstm.b_i, np.zeros(4))
+    np.testing.assert_array_equal(params.encoder.b_lstm[4:8], np.ones(4))
+    np.testing.assert_array_equal(params.encoder.b_lstm[0:4], np.zeros(4))
+
+
+@pytest.mark.parametrize("encoder", ["maxlstm", "lstm_only"])
+def test_fused_lstm_layout(encoder):
+    """W_lstm and U_lstm are four per-gate Glorot draws from the init
+    stream, stacked in i/f/o/u order; only the forget rows of b are 1."""
+    comparison = "multi" if encoder == "maxlstm" else "sent"
+    spec = sts_spec(encoder=encoder, comparison=comparison)
+    enc = md.build_model(spec, seed=9).encoder
+    l = spec.l
+    k = spec.H if encoder == "maxlstm" else spec.total_dim
+    rng = stream(9, "init")
+    if encoder == "maxlstm":
+        glorot(rng, spec.H, spec.total_dim)    # the filters are drawn first
+    W = [glorot(rng, l, k) for _ in "ifou"]
+    U = [glorot(rng, l, l) for _ in "ifou"]
+    assert enc.W_lstm.shape == (4 * l, k) and enc.U_lstm.shape == (4 * l, l)
+    for g in range(4):
+        np.testing.assert_array_equal(enc.W_lstm[g * l:(g + 1) * l], W[g])
+        np.testing.assert_array_equal(enc.U_lstm[g * l:(g + 1) * l], U[g])
+    np.testing.assert_array_equal(enc.b_lstm[l:2 * l], np.ones(l))
+    np.testing.assert_array_equal(np.delete(enc.b_lstm, np.s_[l:2 * l]), np.zeros(3 * l))
 
 
 def test_build_model_deterministic(lex):
@@ -128,7 +151,6 @@ def test_predict_example_range(lex):
 
 
 def test_training_flag_engages_dropout(lex):
-    from pairsim.rng import stream
     spec = sts_spec(dropout_p=0.5)
     params = md.build_model(spec, seed=5)
     t1 = ["bob", "likes", "mary"]
@@ -152,7 +174,6 @@ def rel_err(a, b):
 
 
 def test_batch_loss_matches_example_losses_in_order(lex):
-    from pairsim.rng import stream
     params = md.build_model(sts_spec(dropout_p=0.5), seed=6)
 
     def run(loss_fn):

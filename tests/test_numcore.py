@@ -5,7 +5,7 @@ from pairsim import numcore as nc
 from pairsim.errors import ConfigError, ShapeError
 from pairsim.rng import stream
 
-from oracles import scalar_lstm_last
+from oracles import gate_dicts, scalar_lstm_last
 
 
 def tape_grads(build_loss, arrays):
@@ -69,7 +69,6 @@ def test_linear_shape_error_names_both_shapes():
 
 def test_sigmoid_tanh_at_zero():
     assert float(nc.sigmoid(np.zeros(1))[0]) == 0.5
-    assert float(nc.tanh_op(np.zeros(1))[0]) == 0.0
 
 
 def test_sigmoid_saturates_without_nan():
@@ -77,23 +76,6 @@ def test_sigmoid_saturates_without_nan():
     assert np.all(np.isfinite(y))
     assert 0.0 <= y[0] <= 1e-300
     assert y[1] == 1.0
-
-
-def test_softmax_trivial_cases():
-    np.testing.assert_allclose(nc.softmax(np.zeros(2)), [0.5, 0.5])
-    np.testing.assert_allclose(nc.softmax(np.full(3, 7.3)), np.full(3, 1 / 3))
-    y = nc.softmax(np.array([1000.0, 0.0]))
-    assert np.all(np.isfinite(y))
-    assert y[0] > 1 - 1e-12
-
-
-def test_softmax_sum_and_shift_invariance():
-    rng = stream(7, "test")
-    for _ in range(50):
-        x = rng.normal(size=rng.integers(1, 9))
-        y = nc.softmax(x)
-        assert abs(float(y.sum()) - 1.0) < 1e-12
-        np.testing.assert_allclose(nc.softmax(x + 123.456), y, atol=1e-12)
 
 
 def test_mul_absdiff_concat():
@@ -197,9 +179,10 @@ def test_seeded_forward_is_bit_identical():
 
 
 def lstm_param_arrays(rng, l, k):
-    W = [rng.uniform(-0.5, 0.5, size=(l, k)) for _ in range(4)]
-    U = [rng.uniform(-0.5, 0.5, size=(l, l)) for _ in range(4)]
-    b = [rng.uniform(-0.5, 0.5, size=l) for _ in range(4)]
+    """Fused W (4l, k), U (4l, l), b (4l,), drawn one gate block at a time."""
+    W = np.concatenate([rng.uniform(-0.5, 0.5, size=(l, k)) for _ in range(4)])
+    U = np.concatenate([rng.uniform(-0.5, 0.5, size=(l, l)) for _ in range(4)])
+    b = np.concatenate([rng.uniform(-0.5, 0.5, size=l) for _ in range(4)])
     return W, U, b
 
 
@@ -208,21 +191,23 @@ def test_lstm_last_state_matches_scalar_loop():
     W, U, b = lstm_param_arrays(rng, 3, 2)
     S = rng.normal(size=(5, 2))
     got = nc.lstm_last_state([S], W, U, b)[0]
-    names = dict(zip("ifou", range(4)))
-    want = scalar_lstm_last(
-        S.tolist(),
-        {g: W[j].tolist() for g, j in names.items()},
-        {g: U[j].tolist() for g, j in names.items()},
-        {g: b[j].tolist() for g, j in names.items()},
-    )
+    want = scalar_lstm_last(S.tolist(), *gate_dicts(W, U, b))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_lstm_zero_params_give_zero_state():
     S = stream(12, "test").normal(size=(4, 3))
-    z = [np.zeros((2, 3)) for _ in range(4)], [np.zeros((2, 2)) for _ in range(4)], \
-        [np.zeros(2) for _ in range(4)]
+    z = np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8)
     np.testing.assert_array_equal(nc.lstm_last_state([S], *z)[0], np.zeros(2))
+
+
+def test_lstm_shape_check_names_fused_shapes():
+    S = np.zeros((2, 3))
+    W, U, b = np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8)
+    for bad in ((np.zeros((7, 3)), U, b), (W, np.zeros((8, 3)), b), (W, U, np.zeros(6)),
+                (np.zeros((8, 2)), U, b)):
+        with pytest.raises(ShapeError, match=r"lstm_last_state: W \(\d+, \d+\)"):
+            nc.lstm_last_state([S], *bad)
 
 
 # a batch with n = 1, two equal lengths and n > L = 4 (the desk max_len)
@@ -244,16 +229,10 @@ def mixed_batch(seed, l=3, k=2):
 
 def test_lstm_batch_matches_scalar_loop():
     Ss, W, U, b, _ = mixed_batch(13)
-    names = dict(zip("ifou", range(4)))
     got = nc.lstm_last_state(Ss, W, U, b)
     assert len(got) == len(Ss)
     for S, h in zip(Ss, got):
-        want = scalar_lstm_last(
-            S.tolist(),
-            {g: W[j].tolist() for g, j in names.items()},
-            {g: U[j].tolist() for g, j in names.items()},
-            {g: b[j].tolist() for g, j in names.items()},
-        )
+        want = scalar_lstm_last(S.tolist(), *gate_dicts(W, U, b))
         np.testing.assert_allclose(h, want, rtol=0, atol=1e-12)
 
 
@@ -263,20 +242,20 @@ def test_lstm_batch_matches_one_at_a_time():
     def run(batched):
         with nc.GradTape() as tape:
             S_ = [tape.leaf(S) for S in Ss]
-            W_, U_, b_ = ([tape.leaf(x) for x in group] for group in (W, U, b))
+            W_, U_, b_ = (tape.leaf(x) for x in (W, U, b))
             if batched:
                 hs = nc.lstm_last_state(S_, W_, U_, b_)
             else:
                 hs = [nc.lstm_last_state([S], W_, U_, b_)[0] for S in S_]
             loss = nc.vsum(nc.concat(*(nc.elementwise_mul(h, w) for h, w in zip(hs, ws))))
             tape.backward(loss)
-        return [h.value for h in hs], [x.grad for x in (*S_, *W_, *U_, *b_)]
+        return [h.value for h in hs], [x.grad for x in (*S_, W_, U_, b_)]
 
     states, grads = run(batched=True)
     want_states, want_grads = run(batched=False)
     for h, want in zip(states, want_states):
         assert rel_err(h, want) <= 1e-12
-    assert len(grads) == len(Ss) + 12
+    assert len(grads) == len(Ss) + 3
     for g, want in zip(grads, want_grads):
         assert rel_err(g, want) <= 1e-12
 
@@ -286,15 +265,15 @@ def test_backward_lstm_batch_unused_and_shared_outputs():
     B = len(Ss)
 
     def loss(*arrays):
-        S_, (W_, U_, b_) = arrays[:B], (arrays[B:B + 4], arrays[B + 4:B + 8], arrays[B + 8:])
+        S_, (W_, U_, b_) = arrays[:B], arrays[B:]
         hs = nc.lstm_last_state(list(S_), W_, U_, b_)
         # hs[1] is unused; hs[2] feeds two consumers
         parts = [nc.elementwise_mul(hs[0], ws[0]), nc.elementwise_mul(hs[2], ws[2]),
                  nc.elementwise_mul(hs[2], hs[3])]
         return nc.vsum(nc.concat(*parts))
 
-    assert_grads_close(loss, [*Ss, *W, *U, *b])
-    assert not np.any(tape_grads(loss, [*Ss, *W, *U, *b])[1])
+    assert_grads_close(loss, [*Ss, W, U, b])
+    assert not np.any(tape_grads(loss, [*Ss, W, U, b])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +304,6 @@ def test_backward_elementwise_and_activations():
     y = rng.normal(size=6)
     w = rng.normal(size=6)
     assert_grads_close(lambda x: nc.vsum(nc.elementwise_mul(nc.sigmoid(x), w)), [x.copy()])
-    assert_grads_close(lambda x: nc.vsum(nc.elementwise_mul(nc.tanh_op(x), w)), [x.copy()])
-    assert_grads_close(lambda x: nc.vsum(nc.elementwise_mul(nc.softmax(x), w)), [x.copy()])
     assert_grads_close(lambda x, y: nc.vsum(nc.elementwise_mul(nc.elementwise_mul(x, y), w)),
                        [x.copy(), y.copy()])
 
@@ -352,13 +329,6 @@ def test_backward_concat_stack_pad_row_flatten():
     w3 = rng.normal(size=(5 * 4,))
     assert_grads_close(
         lambda M: nc.vsum(nc.elementwise_mul(nc.flatten(nc.pad_rows(M, 5)), w3)), [M])
-    w4 = rng.normal(size=4)
-    assert_grads_close(lambda M: nc.vsum(nc.elementwise_mul(nc.row(M, 1), w4)), [M])
-    r0, r1 = rng.normal(size=4), rng.normal(size=4)
-    w5 = rng.normal(size=8)
-    assert_grads_close(
-        lambda r0, r1: nc.vsum(nc.elementwise_mul(nc.flatten(nc.stack_rows([r0, r1])), w5)),
-        [r0, r1])
 
 
 def test_backward_prepend_to_rows():
@@ -416,11 +386,10 @@ def test_backward_lstm_last_state():
     S = rng.normal(size=(4, 2))
     w = rng.normal(size=3)
 
-    def loss(S, *flat):
-        W_, U_, b_ = flat[0:4], flat[4:8], flat[8:12]
+    def loss(S, W_, U_, b_):
         return nc.vsum(nc.elementwise_mul(nc.lstm_last_state([S], W_, U_, b_)[0], w))
 
-    assert_grads_close(loss, [S, *W, *U, *b])
+    assert_grads_close(loss, [S, W, U, b])
 
 
 def test_backward_losses():

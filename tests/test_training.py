@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from pairsim import training as tr
 from pairsim.errors import CheckpointError, NumericError
 
 from oracles import scalar_adadelta_steps
-from toys import sts_overfit_dataset, toy_lexicon
+from pairsim.rng import stream
+
+from toys import edit_checkpoint_header, sts_overfit_dataset, toy_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +251,62 @@ def test_checkpoint_truncated_and_bad_magic(tmp_path, lex):
     bad.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(CheckpointError):
         tr.load_checkpoint(bad)
+
+
+def test_checkpoint_version_1_rejected(tmp_path, lex):
+    path, old = tmp_path / "model.ckpt", tmp_path / "v1.ckpt"
+    tr.save_checkpoint(path, md.build_model(maxlstm_spec(), seed=1))
+    edit_checkpoint_header(path, old, version=1)
+    with pytest.raises(CheckpointError, match="format version 1, this build reads 2"):
+        tr.load_checkpoint(old)
+
+
+def rename(meta, old, new):
+    meta["param_order"] = [new if n == old else n for n in meta["param_order"]]
+    meta["param_shapes"][new] = meta["param_shapes"].pop(old)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: rename(m, "encoder.W_lstm", "encoder.lstm.W_i"),
+     r"parameter 2 is encoder.lstm.W_i \[24, 6\], the model spec needs "
+     r"encoder.W_lstm \[24, 6\]"),
+    (lambda m: m["param_shapes"].update({"head.b_l2": [1, 5]}),
+     r"head.b_l2 \[1, 5\], the model spec needs head.b_l2 \[5\]"),
+    (lambda m: m["param_order"].pop(), r"is missing, the model spec needs head.b_l2"),
+    (lambda m: m["param_order"].append("head.b_l3"), r"is head.b_l3 None, .* needs nothing"),
+], ids=["renamed", "reshaped", "dropped", "extra"])
+def test_checkpoint_names_and_shapes_must_match_spec(tmp_path, lex, edit, message):
+    path, bad = tmp_path / "model.ckpt", tmp_path / "bad.ckpt"
+    tr.save_checkpoint(path, md.build_model(maxlstm_spec(), seed=1))
+    edit_checkpoint_header(path, bad, edit)
+    with pytest.raises(CheckpointError, match=message):
+        tr.load_checkpoint(bad)
+
+
+# SHA-256 of everything after the JSON header (the parameters, then both
+# AdaDelta accumulators) after three dropout-0.5 steps.  The digests were
+# recorded while the LSTM was still twelve per-gate arrays; the three
+# fused arrays hold the same bytes in the same order.
+PINNED = {
+    "maxlstm": "c771a4da34eed9646a0a6180f3a9dc61dccaaf9ca8429d9d6043d76f7e60e787",
+    "lstm_only": "f80bf15d8019b3ed53343a4593ffd22ff071d07edcacad5c906161eba54a3028",
+}
+
+
+@pytest.mark.parametrize("encoder", sorted(PINNED))
+def test_checkpoint_bytes_pinned(tmp_path, lex, encoder):
+    comparison = "multi" if encoder == "maxlstm" else "sent"
+    spec = md.ModelSpec(task="sts", encoder=encoder, comparison=comparison,
+                        total_dim=8, H=6, l=6, L=4, d_neu=4, C=5, dropout_p=0.5,
+                        score=obj.ScoreSpec(5, 0, 5))
+    params = md.build_model(spec, seed=17)
+    state = tr.AdaDeltaState.zeros(params)
+    rng = stream(17, "dropout")
+    examples = sts_overfit_dataset().examples
+    for k in range(3):
+        tr.train_step(params, state, lex, examples[4 * k:4 * k + 4], rng)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, params, state)
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    assert hashlib.sha256(raw[16 + n:]).hexdigest() == PINNED[encoder]

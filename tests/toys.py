@@ -126,3 +126,18 @@ def write_lexicon_files(lex: FusedLexicon, directory):
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(p)
     return paths
+
+
+def edit_checkpoint_header(src, dst, edit=None, version=None):
+    """Copy checkpoint src to dst with its JSON header passed through
+    edit(meta) and, optionally, another uint32 format version."""
+    import json
+    import struct
+    raw = src.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16:16 + n])
+    if edit is not None:
+        edit(meta)
+    blob = json.dumps(meta).encode("utf-8")
+    head = raw[:4] + (raw[4:8] if version is None else struct.pack("<I", version))
+    dst.write_bytes(head + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
