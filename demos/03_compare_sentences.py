@@ -11,6 +11,7 @@ embedding, both directions, squashed to 100 features).  The fused
 import numpy as np
 
 from pairsim import comparison as cmp
+from pairsim import numcore as nc
 from pairsim.embeddings import EmbeddingTable, FusedLexicon
 from pairsim.encoder import encode, init_encoder
 from pairsim.rng import stream
@@ -30,10 +31,10 @@ head = cmp.init_head(cmp.head_input_dim("multi"), C=3, dropout_p=0.0,
                      rng=stream(11, "init-head"))
 
 e1, e2 = encode(enc, lex, [["bob", "likes", "mary"], ["mary", "hates", "dogs", "cats"]])
-s1 = cmp.pad_or_truncate(e1.s_multi, L)
-s2 = cmp.pad_or_truncate(e2.s_multi, L)
+s1 = nc.pad_rows(e1.s_multi, L)
+s2 = nc.pad_rows(e2.s_multi, L)
 
-A = cmp.word_alignment_matrix(s1, s2)
+A = nc.cosine_rows(s1, s2)
 print("word-word cosine table (rows: sentence 1, cols: sentence 2);")
 print("row 4 is padding for the 3-word sentence, hence exactly zero:")
 print(np.round(np.asarray(A), 3))

@@ -19,6 +19,7 @@ from dataclasses import fields
 from . import model as md
 from . import training as tr
 from .config import RunConfig, echo_lines, fingerprint, load_config
+from .config import _set as set_value
 from .embeddings import load_lexicon
 from .errors import (CheckpointError, ConfigError, DataError, NumericError)
 from .evaldata import classification_metrics, load_pairs, pearson, tokenize
@@ -117,8 +118,7 @@ def cmd_eval(args, overrides) -> int:
         if key not in ("embeddings", "lenient"):
             raise ConfigError(f"eval accepts only --embeddings/--lenient "
                               f"overrides, got --{key}")
-        setattr(cfg, key, value if key == "embeddings"
-                else value.lower() in ("true", "yes", "1", "on"))
+        set_value(cfg, key, value)
     _echo(cfg)
     task = params.spec.task
     if args.task and args.task != task:

@@ -76,7 +76,7 @@ class HeadParams:
 
 
 def init_comparison(mode: str, e_dim: int, word_dim: Optional[int], L: int,
-                    d_neu: int, rng: np.random.Generator) -> ComparisonParams:
+                    d_neu: int, rng: Optional[np.random.Generator]) -> ComparisonParams:
     if mode not in COMPARISON_MODES:
         raise ConfigError(f"unknown comparison mode {mode!r}; choose from {COMPARISON_MODES}")
     if L < 1 or d_neu < 1:
@@ -101,7 +101,7 @@ def init_comparison(mode: str, e_dim: int, word_dim: Optional[int], L: int,
 
 
 def init_head(in_dim: int, C: int, dropout_p: float,
-              rng: np.random.Generator) -> HeadParams:
+              rng: Optional[np.random.Generator]) -> HeadParams:
     if C < 2:
         raise ConfigError(f"head needs at least 2 outputs, got {C}")
     return HeadParams(
@@ -118,19 +118,10 @@ def head_input_dim(mode: str) -> int:
 # operations
 
 
-def pad_or_truncate(s_multi, L: int):
-    """Fix a word-feature matrix to exactly L rows (zero rows pad)."""
-    return nc.pad_rows(s_multi, L)
-
-
-def word_alignment_matrix(s1_padded, s2_padded):
-    """A[i, j] = cosine(row i of s1, row j of s2); padded rows give 0."""
-    return nc.cosine_rows(s1_padded, s2_padded)
-
-
 def word_word(params: ComparisonParams, s1_padded, s2_padded):
-    """50-dim word-word similarity vector from the flattened cosine table."""
-    A = word_alignment_matrix(s1_padded, s2_padded)
+    """50-dim word-word similarity vector from the flattened cosine table
+    A[i, j] = cosine(row i of s1, row j of s2), where padded rows give 0."""
+    A = nc.cosine_rows(s1_padded, s2_padded)
     return nc.sigmoid(nc.linear(nc.flatten(A), params.W_word, params.b_word))
 
 

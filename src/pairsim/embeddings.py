@@ -11,17 +11,31 @@ vectors in any lookup order, in any process.
 Embedding vectors are data, not parameters: nothing in the package ever
 writes to them after load.
 
-File format: optional first header line of two integers "count dim",
+File format: optional first header line of two integers "count dim"
+(a header only when the next non-blank line has dim + 1 fields),
 then one word per line: ``word v1 v2 ... v_dim`` with ASCII decimal
 floats (finite: nan and inf are rejected), whitespace separated, UTF-8 words.
+
+Parsing a large table in Python takes seconds, so ``load_table`` keeps
+the parsed form beside the text file (``<file>.pairsim-cache``, about
+8 bytes per value) and memory-maps it on later loads.  The cache is
+keyed by the SHA-256 of the text and carries a SHA-256 of its own
+bytes; both are checked on every load, and any cache that fails a check
+is ignored and rewritten from a full parse.  Deleting it is always safe.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
+import mmap
+import os
+import struct
+import tempfile
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +52,11 @@ def normalize_word(word: str) -> str:
 
 @dataclass
 class EmbeddingTable:
-    """One pre-trained lookup: word -> fixed-dimension float64 vector."""
+    """One pre-trained lookup: word -> fixed-dimension float64 vector.
+
+    The vectors are read-only; after a cached load they are row views of
+    one memory-mapped matrix.
+    """
 
     name: str
     dim: int
@@ -52,33 +70,43 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def _looks_like_header(fields: list[str]) -> bool:
+def _header_dim(lines: list[str]) -> int | None:
+    """The dim a first line "count dim" declares, or None if it is data.
+
+    Two integers are a header only when the next non-blank line has
+    dim + 1 fields, so a one-line file, or a 1-d table whose first word
+    is a number ("1 2"), is data.
+    """
+    fields = lines[0].split() if lines else []
     if len(fields) != 2:
-        return False
+        return None
     try:
-        int(fields[0]), int(fields[1])
+        int(fields[0])
+        dim = int(fields[1])
     except ValueError:
-        return False
-    return True
+        return None
+    following = next((line for line in islice(lines, 1, None) if line.strip()), None)
+    if following is None or len(following.split()) != dim + 1:
+        return None
+    return dim
 
 
-def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
-    """Parse a word-vector text file into an immutable table."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read embedding file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"embedding file {path} is not UTF-8: {exc}") from exc
+def _warn_duplicate(path, lineno: int, word: str):
+    log.warning("%s line %d: duplicate word %r keeps first occurrence",
+                path, lineno, word)
 
+
+def _parse(path: Path, text: str, expected_dim: int | None):
+    """(dim, vectors, duplicates) of a table's text, checking every line;
+    duplicates lists the (line number, word) of each repeated word."""
     vectors: dict[str, np.ndarray] = {}
+    duplicates: list[tuple[int, str]] = []
     dim = expected_dim
     start = 1
     lines = text.splitlines()
-    if lines and _looks_like_header(lines[0].split()):
+    header_dim = _header_dim(lines)
+    if header_dim is not None:
         start = 2
-        header_dim = int(lines[0].split()[1])
         if expected_dim is not None and header_dim != expected_dim:
             raise DataError(
                 f"{path}: header declares dim {header_dim}, expected {expected_dim}")
@@ -104,13 +132,138 @@ def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
             raise DataError(
                 f"{path} line {lineno}: expected {dim} values, found {vec.shape[0]}")
         if word in vectors:
-            log.warning("%s line %d: duplicate word %r keeps first occurrence",
-                        path, lineno, word)
+            _warn_duplicate(path, lineno, word)
+            duplicates.append((lineno, word))
             continue
         vec.setflags(write=False)
         vectors[word] = vec
     if dim is None:
         raise DataError(f"{path}: no word vectors found")
+    return dim, vectors, duplicates
+
+
+# ---------------------------------------------------------------------------
+# the parsed-table cache
+#
+# Layout: _CACHE_MAGIC, the 32-byte SHA-256 of every byte after it, a
+# uint64 length, a canonical JSON block (the source file's SHA-256, dim,
+# rows, the byte length of the word list, the duplicate lines), the
+# words joined by "\n" in UTF-8 (a word never holds whitespace), zero
+# padding to a multiple of 8 bytes, then the (rows, dim) matrix as
+# little-endian float64.
+
+_CACHE_MAGIC = b"PSIMLEX1"
+_DIGEST_END = len(_CACHE_MAGIC) + 32
+_CHUNK = 1 << 20
+_WRITE_ROWS = 4096
+
+
+def cache_path(path) -> Path:
+    """Where the parsed form of the table at ``path`` is kept."""
+    path = Path(path)
+    return path.with_name(path.name + ".pairsim-cache")
+
+
+def _update_from(digest, fh):
+    """Feed the rest of an open binary file to a hash, a chunk at a time."""
+    for chunk in iter(lambda: fh.read(_CHUNK), b""):
+        digest.update(chunk)
+    return digest
+
+
+def _read_cache(path: Path, expected_dim: int | None) -> EmbeddingTable | None:
+    """The table from the cache beside ``path``, if that cache carries the
+    SHA-256 of the text, has the expected dim and its own digest checks
+    out; else None."""
+    try:
+        with open(cache_path(path), "rb") as fh:
+            prefix = fh.read(_DIGEST_END + 8)
+            if len(prefix) != _DIGEST_END + 8 or not prefix.startswith(_CACHE_MAGIC):
+                return None
+            stored = prefix[len(_CACHE_MAGIC):_DIGEST_END]
+            (meta_len,) = struct.unpack("<Q", prefix[_DIGEST_END:])
+            meta = json.loads(fh.read(meta_len))
+            dim, rows = meta["dim"], meta["rows"]
+            if expected_dim not in (None, dim):
+                return None
+            with open(path, "rb") as text:
+                if _update_from(hashlib.sha256(), text).hexdigest() != meta["source_sha256"]:
+                    return None
+            words = fh.read(meta["words_bytes"])
+            offset = -(-fh.tell() // 8) * 8
+            fh.seek(_DIGEST_END)
+            if _update_from(hashlib.sha256(), fh).digest() != stored:
+                return None
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError, LookupError, TypeError, struct.error):
+        return None
+    for lineno, word in meta["duplicates"]:
+        _warn_duplicate(path, lineno, word)
+    matrix = np.frombuffer(buf, dtype="<f8", count=rows * dim,
+                           offset=offset).reshape(rows, dim)
+    return EmbeddingTable(name=path.stem, dim=dim,
+                          vectors=dict(zip(words.decode("utf-8").split("\n"), matrix)),
+                          source_path=str(path))
+
+
+def _write_cache(cache: Path, source_sha256: str, dim: int,
+                 vectors: dict[str, np.ndarray], duplicates, mode: int):
+    """Write the cache atomically; a failed write leaves no file behind."""
+    words = "\n".join(vectors).encode("utf-8")
+    meta = json.dumps({"source_sha256": source_sha256, "dim": dim, "rows": len(vectors),
+                       "words_bytes": len(words), "duplicates": duplicates},
+                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = struct.pack("<Q", len(meta)) + meta + words
+    head += bytes(-(_DIGEST_END + len(head)) % 8)
+    digest = hashlib.sha256(head)
+    rows = list(vectors.values())
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=cache.name + ".")
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), mode)
+            fh.write(_CACHE_MAGIC + bytes(32) + head)
+            for i in range(0, len(rows), _WRITE_ROWS):
+                block = np.stack(rows[i:i + _WRITE_ROWS]).astype("<f8", copy=False)
+                digest.update(block)
+                fh.write(block)
+            fh.seek(len(_CACHE_MAGIC))
+            fh.write(digest.digest())
+        os.replace(tmp, cache)
+    except OSError:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
+def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
+    """Load a word-vector text file into an immutable table.
+
+    The first load parses the text, checking every line, and writes the
+    parsed form beside the file (``cache_path``).  A later load whose
+    text has the same SHA-256 memory-maps that cache instead of parsing;
+    the cache is used only if its own digest checks out as well.
+    """
+    path = Path(path)
+    table = _read_cache(path, expected_dim)
+    if table is not None:
+        return table
+    try:
+        raw = path.read_bytes()
+        mode = os.stat(path).st_mode & 0o666
+    except OSError as exc:
+        raise DataError(f"cannot read embedding file {path}: {exc}") from exc
+    source_sha256 = hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"embedding file {path} is not UTF-8: {exc}") from exc
+    del raw
+    dim, vectors, duplicates = _parse(path, text, expected_dim)
+    del text
+    _write_cache(cache_path(path), source_sha256, dim, vectors, duplicates, mode)
     return EmbeddingTable(name=path.stem, dim=dim, vectors=vectors, source_path=str(path))
 
 

@@ -77,15 +77,19 @@ class SentenceEncoding:
     e_s: object = None       # sentence embedding fed to comparisons
 
 
-def glorot(rng: np.random.Generator, rows: int, cols: int, blocks: int = 1) -> np.ndarray:
+def glorot(rng: Optional[np.random.Generator], rows: int, cols: int,
+           blocks: int = 1) -> np.ndarray:
     """Glorot-uniform (rows, cols) matrix; with blocks > 1, that many
-    independent draws stacked row-wise, equal to drawing them in turn."""
+    independent draws stacked row-wise, equal to drawing them in turn.
+    With rng None the array is allocated but not drawn (left unset)."""
+    if rng is None:
+        return np.empty((blocks * rows, cols))
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(blocks * rows, cols))
 
 
 def init_encoder(kind: str, total_dim: int, H: int, l: int,
-                 rng: np.random.Generator) -> EncoderParams:
+                 rng: Optional[np.random.Generator]) -> EncoderParams:
     if kind not in ENCODER_KINDS:
         raise ConfigError(f"unknown encoder kind {kind!r}; choose from {ENCODER_KINDS}")
     if H < 1 or l < 1:

@@ -100,9 +100,14 @@ class ModelParams:
     head: cmp.HeadParams
 
 
-def build_model(spec: ModelSpec, seed: int) -> ModelParams:
-    """Initialize all parameters from the seed's "init" stream."""
-    rng = stream(seed, "init")
+def build_model(spec: ModelSpec, seed: Optional[int]) -> ModelParams:
+    """Initialize all parameters from the seed's "init" stream.
+
+    With seed None the weight matrices are allocated in the same order
+    and sizes but not drawn, for a caller that overwrites every
+    parameter (checkpoint loading).
+    """
+    rng = None if seed is None else stream(seed, "init")
     enc = init_encoder(spec.encoder, spec.total_dim, spec.H, spec.l, rng)
     comp = cmp.init_comparison(spec.comparison, enc.out_dim, enc.word_dim,
                                spec.L, spec.d_neu, rng)
@@ -157,8 +162,8 @@ def pair_sims(params: ModelParams, e1, e2) -> tuple:
     sim_sent = cmp.sentence_sentence(params.comparison, e1.e_s, e2.e_s)
     if spec.comparison == "sent":
         return (sim_sent,)
-    s1p = cmp.pad_or_truncate(e1.s_multi, spec.L)
-    s2p = cmp.pad_or_truncate(e2.s_multi, spec.L)
+    s1p = nc.pad_rows(e1.s_multi, spec.L)
+    s2p = nc.pad_rows(e2.s_multi, spec.L)
     sim_word = cmp.word_word(params.comparison, s1p, s2p)
     sim_ws = cmp.word_sentence(params.comparison, e1.e_s, e2.e_s, s1p, s2p)
     return (sim_word, sim_sent, sim_ws)

@@ -66,9 +66,18 @@ class AdaDeltaState:
 
 def adadelta_step(state: AdaDeltaState, params: md.ModelParams,
                   grads: dict[str, np.ndarray]):
-    """One in-place update of every parameter array."""
+    """One in-place update of every parameter array.
+
+    Two scratch buffers, sized to the largest array, hold every
+    intermediate; the operations and their order are exactly those of
+    the update rule as written above, so the result is bit-identical to
+    computing it with temporaries.
+    """
     rho, eps = state.rho, state.epsilon
-    for name, arr in md.named_parameters(params):
+    named = md.named_parameters(params)
+    size = max(arr.size for _, arr in named)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    for name, arr in named:
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(arr)
@@ -77,12 +86,24 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams,
                 f"gradient shape {g.shape} does not match parameter "
                 f"{name} {arr.shape}")
         Eg2, Edx2 = state.Eg2[name], state.Edx2[name]
+        a = scratch_a[:arr.size].reshape(arr.shape)
+        b = scratch_b[:arr.size].reshape(arr.shape)
         Eg2 *= rho
-        Eg2 += (1.0 - rho) * g * g
-        dx = -np.sqrt(Edx2 + eps) / np.sqrt(Eg2 + eps) * g
+        np.multiply(1.0 - rho, g, out=a)
+        a *= g
+        Eg2 += a                                  # Eg2 = rho Eg2 + (1 - rho) g g
+        np.add(Edx2, eps, out=a)
+        np.sqrt(a, out=a)
+        np.negative(a, out=a)
+        np.add(Eg2, eps, out=b)
+        np.sqrt(b, out=b)
+        a /= b
+        a *= g                                    # dx = -sqrt(Edx2 + eps) / sqrt(Eg2 + eps) g
         Edx2 *= rho
-        Edx2 += (1.0 - rho) * dx * dx
-        arr += dx
+        np.multiply(1.0 - rho, a, out=b)
+        b *= a
+        Edx2 += b                                 # Edx2 = rho Edx2 + (1 - rho) dx dx
+        arr += a
 
 
 @dataclass
@@ -305,7 +326,7 @@ def load_checkpoint(path, cfg=None):
         raise CheckpointError(f"{path}: corrupt metadata ({exc})") from exc
 
     try:
-        params = md.build_model(_spec_from_meta(meta["spec"]), seed=0)
+        params = md.build_model(_spec_from_meta(meta["spec"]), seed=None)
         shapes = meta["param_shapes"]
         have = [(name, shapes.get(name)) for name in meta["param_order"]]
         state = (AdaDeltaState(rho=meta["rho"], epsilon=meta["epsilon"])
@@ -338,7 +359,7 @@ def load_checkpoint(path, cfg=None):
         ofs += 8 * size
         return arr
 
-    # overwrite the seed-0 arrays in place: no second copy of the model
+    # fill the undrawn arrays in place: no second copy of the model
     for _, arr in named:
         arr[...] = take(arr.shape)
     if state is not None:

@@ -161,6 +161,19 @@ def test_eval_task_mismatch_exits_1(workdir, trained_ckpt, capsys):
     assert code == 1
 
 
+def test_eval_overrides_parse_like_config_values(workdir, trained_ckpt, capsys):
+    code, out, err = run(capsys, "eval", trained_ckpt, workdir / "sts.tsv",
+                         "--lenient", "treu")
+    assert code == 1
+    assert "error: bad value for lenient" in err and out == ""
+    code, out, err = run(capsys, "eval", trained_ckpt, workdir / "sts.tsv",
+                         "--lenient", "Yes")
+    assert code == 0 and "# lenient = True" in out.splitlines()
+    code, out, err = run(capsys, "eval", trained_ckpt, workdir / "sts.tsv",
+                         "--epochs", "3")
+    assert code == 1 and "only --embeddings/--lenient" in err
+
+
 def test_score_deterministic_output(workdir, trained_ckpt, capsys):
     code1, out1, _ = run(capsys, "score", trained_ckpt,
                          "Bob likes Mary", "Bob likes Mary")

@@ -23,23 +23,23 @@ def rand(shape, seed):
 
 def test_pad_or_truncate_cases():
     M = rand((3, 2), 1)
-    np.testing.assert_array_equal(cmp.pad_or_truncate(M, 3), M)
-    out = cmp.pad_or_truncate(M[:1], 3)
+    np.testing.assert_array_equal(nc.pad_rows(M, 3), M)
+    out = nc.pad_rows(M[:1], 3)
     np.testing.assert_array_equal(out[0], M[0])
     np.testing.assert_array_equal(out[1:], np.zeros((2, 2)))
-    np.testing.assert_array_equal(cmp.pad_or_truncate(M, 2), M[:2])
+    np.testing.assert_array_equal(nc.pad_rows(M, 2), M[:2])
 
 
 def test_alignment_identical_single_word():
     v = np.array([[0.3, 0.8]])
-    A = cmp.word_alignment_matrix(v, v)
+    A = nc.cosine_rows(v, v)
     np.testing.assert_allclose(A, [[1.0]], atol=1e-15)
 
 
 def test_alignment_matches_hand_cosines(params):
     s1 = rand((2, 2), 2)
     s2 = rand((2, 2), 3)
-    A = cmp.word_alignment_matrix(s1, s2)
+    A = nc.cosine_rows(s1, s2)
     for i in range(2):
         for j in range(2):
             assert abs(A[i, j] - scalar_cosine(s1[i], s2[j])) < 1e-12
@@ -48,8 +48,8 @@ def test_alignment_matches_hand_cosines(params):
 def test_alignment_transpose_symmetry(params):
     s1 = rand((2, 2), 4)
     s2 = rand((2, 2), 5)
-    np.testing.assert_array_equal(cmp.word_alignment_matrix(s1, s2),
-                                  cmp.word_alignment_matrix(s2, s1).T)
+    np.testing.assert_array_equal(nc.cosine_rows(s1, s2),
+                                  nc.cosine_rows(s2, s1).T)
 
 
 def test_word_word_all_padding_gives_bias(params):
@@ -194,8 +194,8 @@ def test_comparison_backward_through_all_levels(params):
     def loss(leaves):
         p = cmp.ComparisonParams(L=2, d_neu=2, e_dim=4, word_dim=2, **leaves)
         h = head
-        s1p = cmp.pad_or_truncate(s1, 2)
-        s2p = cmp.pad_or_truncate(s2, 2)
+        s1p = nc.pad_rows(s1, 2)
+        s2p = nc.pad_rows(s2, 2)
         logits = cmp.fuse_head(
             h,
             cmp.word_word(p, s1p, s2p),

@@ -1,7 +1,11 @@
+import os
+import shutil
+
 import numpy as np
 import pytest
 
-from pairsim.embeddings import FusedLexicon, load_lexicon, load_table
+from pairsim import embeddings as emb
+from pairsim.embeddings import FusedLexicon, cache_path, load_lexicon, load_table
 from pairsim.errors import DataError
 
 
@@ -25,6 +29,25 @@ def test_load_table_with_header(tmp_path):
     t = load_table(p)
     assert t.dim == 4 and len(t) == 3
     assert "3" not in t.vectors
+
+
+def test_load_table_1d_numeric_first_word_is_data(tmp_path):
+    # "1 2" is word "1" with value 2: the next line has 2 fields, not 3
+    t = load_table(write(tmp_path, "t.txt", "1 2\nb 3\n"))
+    assert t.dim == 1 and len(t) == 2
+    np.testing.assert_array_equal(t.vectors["1"], [2])
+    np.testing.assert_array_equal(t.vectors["b"], [3])
+
+
+def test_load_table_header_needs_matching_next_line(tmp_path):
+    t = load_table(write(tmp_path, "t.txt", "3 4\n\na 1 2 3 4\n"))
+    assert t.dim == 4 and list(t.vectors) == ["a"]
+
+
+def test_load_table_one_line_file_is_data(tmp_path):
+    t = load_table(write(tmp_path, "t.txt", "3 4\n\n"))
+    assert t.dim == 1 and list(t.vectors) == ["3"]
+    np.testing.assert_array_equal(t.vectors["3"], [4])
 
 
 def test_load_table_wrong_width_names_line(tmp_path):
@@ -158,3 +181,143 @@ def test_content_hash_changes_with_data(lex):
     assert h == lex.content_hash()
     solo = FusedLexicon(tables=[lex.tables[0]], seed=99)
     assert solo.content_hash() != h
+
+
+# ---------------------------------------------------------------------------
+# the parsed-table cache
+
+TABLE = "3 4\ncat 1 2 3 4\nDog 5 6 7 8.5\ncat 9 9 9 9\nbird -1 -2 -3 -4e-3\n"
+
+
+def parsed(path):
+    """The table as a parse reads it, with no cache before or after."""
+    cache_path(path).unlink(missing_ok=True)
+    table = load_table(path)
+    cache_path(path).unlink(missing_ok=True)
+    return table
+
+
+def assert_same_table(got, want):
+    assert (got.name, got.dim, got.source_path) == (want.name, want.dim, want.source_path)
+    assert list(got.vectors) == list(want.vectors)
+    for w, vec in want.vectors.items():
+        assert got.vectors[w].dtype == vec.dtype
+        assert got.vectors[w].tobytes() == vec.tobytes()
+        assert not got.vectors[w].flags.writeable
+
+
+def test_cache_hit_equals_parse_bit_for_bit(tmp_path, caplog, monkeypatch):
+    p = write(tmp_path, "t.txt", TABLE)
+    with caplog.at_level("WARNING"):
+        first = load_table(p)
+    parse_log = caplog.messages[:]
+    assert cache_path(p).is_file()
+    caplog.clear()
+
+    def no_parse(*args):
+        raise AssertionError("a cache hit must not parse")
+    monkeypatch.setattr(emb, "_parse", no_parse)
+    with caplog.at_level("WARNING"):
+        hit = load_table(p)
+    assert caplog.messages == parse_log and "duplicate" in parse_log[0]
+    assert_same_table(hit, first)
+    a = FusedLexicon(tables=[first], seed=5)
+    b = FusedLexicon(tables=[hit], seed=5)
+    assert a.content_hash() == b.content_hash()
+    for w in ("cat", "DOG", "zebra"):
+        assert a.lookup(w).tobytes() == b.lookup(w).tobytes()
+
+
+def _flip_last_byte(cache, other):
+    data = bytearray(cache.read_bytes())
+    data[-1] ^= 0x01
+    cache.write_bytes(bytes(data))
+
+
+def _flip_word_byte(cache, other):
+    data = bytearray(cache.read_bytes())
+    i = data.index(b"dog")
+    data[i] = ord("h")
+    cache.write_bytes(bytes(data))
+
+
+def _truncate(cache, other):
+    cache.write_bytes(cache.read_bytes()[:-8])
+
+
+def _garbage_header(cache, other):
+    data = bytearray(cache.read_bytes())
+    data[48:64] = b"\xff" * 16
+    cache.write_bytes(bytes(data))
+
+
+def _other_files_cache(cache, other):
+    load_table(other)
+    shutil.copy(cache_path(other), cache)
+
+
+def _earlier_version(cache, other):
+    # the cache of an earlier text at the same path
+    text = cache.with_name("t.txt")
+    current = text.read_text(encoding="utf-8")
+    text.write_text(current.replace("8.5", "8.25"), encoding="utf-8")
+    load_table(text)
+    text.write_text(current, encoding="utf-8")
+
+
+@pytest.mark.parametrize("spoil", [_flip_last_byte, _flip_word_byte, _truncate,
+                                   _garbage_header, _other_files_cache,
+                                   _earlier_version])
+def test_spoiled_cache_is_never_used(tmp_path, spoil):
+    p = write(tmp_path, "t.txt", TABLE)
+    other = write(tmp_path, "u.txt", TABLE.replace("cat", "cow"))
+    want = parsed(p)
+    load_table(p)
+    spoil(cache_path(p), other)
+    assert_same_table(load_table(p), want)
+    # the load rewrote the cache, and the next load is a hit on it
+    assert_same_table(load_table(p), want)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("dog 5 x 7 8", "line 3: non-numeric"),
+    ("dog 5 6 7", "line 3: expected 4 values, found 3"),
+    ("dog 5 nan 7 8", "line 3: non-finite"),
+])
+def test_bad_line_raises_despite_a_cache_of_the_old_text(tmp_path, bad_line, message):
+    p = write(tmp_path, "t.txt", TABLE)
+    load_table(p)
+    lines = TABLE.splitlines()
+    lines[2] = bad_line
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_table(p)
+    with pytest.raises(DataError, match=message):
+        load_table(p)
+
+
+def test_cache_dim_mismatch_raises_the_parse_error(tmp_path):
+    p = write(tmp_path, "t.txt", "a 1 2 3\n")
+    load_table(p)
+    with pytest.raises(DataError, match="line 1: expected 4 values, found 3"):
+        load_table(p, expected_dim=4)
+    assert load_table(p, expected_dim=3).dim == 3
+
+
+def test_unwritable_directory_loads_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    d = tmp_path / "ro"
+    d.mkdir()
+    p = write(d, "t.txt", TABLE)
+    want = parsed(p)
+    # permission bits do not stop root, so make the final rename fail too
+
+    def refuse(*args):
+        raise PermissionError("read-only directory")
+    monkeypatch.setattr(os, "replace", refuse)
+    d.chmod(0o555)
+    try:
+        assert_same_table(load_table(p), want)
+        assert_same_table(load_table(p), want)
+        assert sorted(os.listdir(d)) == ["t.txt"]
+    finally:
+        d.chmod(0o755)

@@ -216,6 +216,20 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, lex):
     assert meta["spec"]["task"] == "sts"
 
 
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, lex, monkeypatch):
+    params = md.build_model(maxlstm_spec(), seed=1)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, params, tr.AdaDeltaState.zeros(params))
+
+    def no_stream(*args):
+        raise AssertionError("loading a checkpoint must not open a random stream")
+    monkeypatch.setattr(md, "stream", no_stream)
+    loaded, _, _ = tr.load_checkpoint(path)
+    for (n1, a1), (n2, a2) in zip(md.named_parameters(params),
+                                  md.named_parameters(loaded)):
+        assert n1 == n2 and a1.tobytes() == a2.tobytes()
+
+
 def test_checkpoint_same_bytes_for_same_run(tmp_path, lex):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     tr.save_checkpoint(p1, trained(lex).params)
