@@ -21,22 +21,22 @@ lex = FusedLexicon(tables=[EmbeddingTable(
 
 enc = init_encoder("maxlstm", lex.total_dim, H=8, l=8, rng=stream(7, "init"))
 
-sent = encode(enc, lex, [["bob", "likes", "mary"]])[0]
-print("per-word feature rows (n x H), all in (0, 1):")
-print(np.round(np.asarray(sent.s_multi), 3))
-print("\nmax-pooled half  :", np.round(sent.e_max, 3))
-print("LSTM half        :", np.round(sent.e_lstm, 3))
-print("sentence embedding = concat of both, length", len(sent.e_s))
+# one call encodes a batch: row j of each field belongs to sentence j
+batch = encode(enc, lex, [["bob", "likes", "mary"], ["mary", "likes", "bob"]])
+print("per-word feature rows of sentence 0 (n x H), all in (0, 1):")
+print(np.round(np.asarray(batch.words)[:batch.lengths[0]], 3))
+print("\nmax-pooled half  :", np.round(batch.e_max[0], 3))
+print("LSTM half        :", np.round(batch.e_lstm[0], 3))
+print("sentence embedding = concat of both, length", batch.e_s.shape[1])
 
-swapped = encode(enc, lex, [["mary", "likes", "bob"]])[0]
-print("\nword order flipped:")
+print("\nword order flipped (sentence 1):")
 print("  max halves identical :",
-      bool(np.array_equal(sent.e_max, swapped.e_max)))
+      bool(np.array_equal(batch.e_max[0], batch.e_max[1])))
 print("  LSTM halves differ by:",
-      float(np.max(np.abs(np.asarray(sent.e_lstm) - np.asarray(swapped.e_lstm)))))
+      float(np.max(np.abs(batch.e_lstm[0] - batch.e_lstm[1]))))
 
 print("\nreduced encoders used by the ablation harness:")
 for kind in ("word_avg", "proj_avg", "lstm_only", "maxcnn_only"):
     p = init_encoder(kind, lex.total_dim, H=8, l=8, rng=stream(7, "init"))
-    out = encode(p, lex, [["dogs", "eats", "food"]])[0]
-    print(f"  {kind:12s} -> sentence vector of length {len(np.asarray(out.e_s))}")
+    out = encode(p, lex, [["dogs", "eats", "food"]])
+    print(f"  {kind:12s} -> sentence vector of length {out.e_s.shape[1]}")

@@ -30,18 +30,19 @@ comp = cmp.init_comparison("multi", e_dim=H + l, word_dim=H, L=L, d_neu=4,
 head = cmp.init_head(cmp.head_input_dim("multi"), C=3, dropout_p=0.0,
                      rng=stream(11, "init-head"))
 
-e1, e2 = encode(enc, lex, [["bob", "likes", "mary"], ["mary", "hates", "dogs", "cats"]])
-s1 = nc.pad_rows(e1.s_multi, L)
-s2 = nc.pad_rows(e2.s_multi, L)
+# the two sentences of the pair, encoded in one call and stacked as a pair
+batch = encode(enc, lex, [["bob", "likes", "mary"], ["mary", "hates", "dogs", "cats"]])
+e_pair = np.asarray(batch.e_s)                          # (2, H + l)
+s_pair = nc.pad_rows(batch.words, batch.lengths, L)     # (2, L, H)
 
-A = nc.cosine_rows(s1, s2)
+A = nc.cosine_rows(s_pair[0], s_pair[1])
 print("word-word cosine table (rows: sentence 1, cols: sentence 2);")
 print("row 4 is padding for the 3-word sentence, hence exactly zero:")
 print(np.round(np.asarray(A), 3))
 
-sim_word = cmp.word_word(comp, s1, s2)
-sim_sent = cmp.sentence_sentence(comp, e1.e_s, e2.e_s)
-sim_ws = cmp.word_sentence(comp, e1.e_s, e2.e_s, s1, s2)
+sim_word = cmp.word_word(comp, s_pair)
+sim_sent = cmp.sentence_sentence(comp, e_pair)
+sim_ws = cmp.word_sentence(comp, e_pair, s_pair)
 print("\nsimilarity vectors (sigmoid outputs):")
 print(f"  word level     : {len(np.asarray(sim_word))} features")
 print(f"  sentence level : {np.round(np.asarray(sim_sent), 3)}")
@@ -50,7 +51,7 @@ print(f"  word-sentence  : {len(np.asarray(sim_ws))} features")
 logits = cmp.fuse_head(head, sim_word, sim_sent, sim_ws)
 print("\nhead logits:", np.round(np.asarray(logits), 3))
 
-d = cmp.sentence_features(comp, e1.e_s, e1.e_s)
+d = cmp.sentence_features(comp, np.stack([e_pair[0], e_pair[0]]))
 print("\ncomparing a sentence with itself: cosine block =",
       round(float(np.asarray(d)[0]), 6),
       "and the |difference| block is all zero:",

@@ -59,7 +59,7 @@ result = tr.train(params, lex, data,
 print("loss: first epoch {:.4f} -> last epoch {:.4f}".format(
     result.history[0].train_loss, result.history[-1].train_loss))
 print("training pearson:",
-      round(md.dataset_metric(result.params, lex, data), 4))
+      round(md.dataset_metric(result.params, lex, data, 30), 4))
 print("embedding tables unchanged:", lex.content_hash() == hash_before)
 
 ckpt = Path(tempfile.mkdtemp()) / "demo.ckpt"

@@ -45,7 +45,7 @@ for mode, kind in [("sent", "word_avg"), ("sent", "proj_avg"),
     result = tr.train(params, lex, data,
                       tr.TrainConfig(batch_size=30, epochs=100, seed=13))
     try:
-        metric = md.dataset_metric(result.params, lex, data)
+        metric = md.dataset_metric(result.params, lex, data, 30)
         shown = f"{metric:13.4f}"
     except Exception:
         shown = "    undefined"  # constant predictions have no correlation

@@ -100,7 +100,7 @@ def cmd_train(args, overrides) -> int:
 
 
 def _load_for_inference(ckpt_path):
-    params, _, meta = tr.load_checkpoint(ckpt_path)
+    params, _, meta = tr.load_checkpoint(ckpt_path, with_state=False)
     if "config" not in meta:
         raise CheckpointError(
             f"{ckpt_path}: checkpoint carries no configuration block")
@@ -126,8 +126,8 @@ def cmd_eval(args, overrides) -> int:
             f"checkpoint was trained for task {task!r}, dataset is {args.task!r}")
     lex = _lexicon(cfg)
     ds = load_pairs(args.test, task, lenient=cfg.lenient)
-    preds = [md.predict_example(params, lex, ex.tokens1, ex.tokens2)
-             for ex in ds.examples]
+    preds = md.predict(params, lex, [(ex.tokens1, ex.tokens2) for ex in ds.examples],
+                       cfg.batch_size)
     if task == "sts":
         r = pearson(preds, [ex.gold_score for ex in ds.examples])
         print(f"pearson_x100\t{100 * r:.2f}")
@@ -213,7 +213,8 @@ def cmd_bench(args, overrides) -> int:
         params = md.build_model(spec, run_cfg.seed)
         result = tr.train(params, lex, data, _train_config(run_cfg))
         try:
-            metric = f"{md.dataset_metric(result.params, lex, data):.4f}"
+            metric = md.dataset_metric(result.params, lex, data, run_cfg.batch_size)
+            metric = f"{metric:.4f}"
         except DataError:
             metric = "nan"  # constant predictions have no correlation
         label = ("S" if mode == "sent" else "M") + "-" + enc

@@ -1,4 +1,4 @@
-"""Multi-level comparison of two encoded sentences.
+"""Multi-level comparison of encoded sentence pairs, a batch at a time.
 
 Three similarity vectors are computed and fused:
 
@@ -116,64 +116,93 @@ def head_input_dim(mode: str) -> int:
 
 # ---------------------------------------------------------------------------
 # operations
+#
+# Every operation takes a batch of pairs as pair stacks: sentence
+# embeddings (B, 2, e) and padded word rows (B, 2, L, H), where [i, 0]
+# is the first sentence of pair i and [i, 1] the second.  Row i of the
+# result belongs to pair i.  A single pair may also be passed without
+# the batch axis, as (2, e) and (2, L, H).
+
+_FIRST, _SECOND = np.s_[..., 0, :], np.s_[..., 1, :]             # of (B, 2, e)
+_FIRST_ROWS, _SECOND_ROWS = np.s_[..., 0, :, :], np.s_[..., 1, :, :]  # of (B, 2, L, H)
 
 
-def word_word(params: ComparisonParams, s1_padded, s2_padded):
-    """50-dim word-word similarity vector from the flattened cosine table
-    A[i, j] = cosine(row i of s1, row j of s2), where padded rows give 0."""
-    A = nc.cosine_rows(s1_padded, s2_padded)
-    return nc.sigmoid(nc.linear(nc.flatten(A), params.W_word, params.b_word))
+def _lead(x, n: int) -> tuple:
+    """The batch axes of x: all but the last n."""
+    return nc._value(x).shape[:-n]
 
 
-def sentence_features(params: ComparisonParams, e_s1, e_s2):
+def word_word(params: ComparisonParams, s_pairs):
+    """(B, 50) word-word similarity from the flattened cosine tables
+    A[i, j] = cosine(row i of sentence 1, row j of sentence 2), where
+    padded rows give 0."""
+    A = nc.cosine_rows(nc.take(s_pairs, _FIRST_ROWS), nc.take(s_pairs, _SECOND_ROWS))
+    flat = nc.reshape(A, _lead(A, 2) + (params.L * params.L,))
+    return nc.sigmoid(nc.affine_rows(flat, params.W_word, params.b_word))
+
+
+def sentence_features(params: ComparisonParams, e_pairs):
     """Concatenated metrics: cosine ++ product ++ |diff| ++ neural difference."""
-    d_cos = nc.cosine(e_s1, e_s2)
-    d_mul = nc.elementwise_mul(e_s1, e_s2)
-    d_abs = nc.abs_diff(e_s1, e_s2)
-    d_neu = nc.linear(nc.concat(e_s1, e_s2), params.W_neu, params.b_neu)
+    d_cos = nc.take(nc.cosine_rows(e_pairs, e_pairs), np.s_[..., 0, 1:])
+    e1, e2 = nc.take(e_pairs, _FIRST), nc.take(e_pairs, _SECOND)
+    d_mul = nc.elementwise_mul(e1, e2)
+    d_abs = nc.abs_diff(e1, e2)
+    both = nc.reshape(e_pairs, _lead(e_pairs, 2) + (2 * params.e_dim,))    # e1 ++ e2
+    d_neu = nc.affine_rows(both, params.W_neu, params.b_neu)
     return nc.concat(d_cos, d_mul, d_abs, d_neu)
 
 
-def sentence_sentence(params: ComparisonParams, e_s1, e_s2):
-    """5-dim sentence-sentence similarity vector."""
-    d = sentence_features(params, e_s1, e_s2)
-    return nc.sigmoid(nc.linear(d, params.W_sent, params.b_sent))
+def sentence_sentence(params: ComparisonParams, e_pairs):
+    """(B, 5) sentence-sentence similarity."""
+    d = sentence_features(params, e_pairs)
+    return nc.sigmoid(nc.affine_rows(d, params.W_sent, params.b_sent))
 
 
-def ws_rows(params: ComparisonParams, e_s, words_padded):
-    """(L, 5) matrix: row i squashes [e_s ++ word_i] through the ws weights."""
-    paired = nc.prepend_to_rows(e_s, words_padded)
-    return nc.sigmoid(nc.affine_rows(paired, params.W_ws, params.b_ws))
+def ws_rows(params: ComparisonParams, e_pairs, s_pairs):
+    """(B, 2, L, 5) rows of both directions: [i, 0, j] squashes the first
+    sentence's embedding joined to word j of the second through the ws
+    weights, and [i, 1, j] the second's joined to word j of the first.
+
+    W_ws is applied as its two column blocks, the sentence block to the
+    embeddings and the word block to the words, so the (L, e + H) joined
+    rows are never built.
+    """
+    e = params.e_dim
+    a = nc.affine_rows(e_pairs, nc.take(params.W_ws, np.s_[:, :e]), params.b_ws)
+    w = nc.affine_rows(s_pairs, nc.take(params.W_ws, np.s_[:, e:]))
+    crossed = nc.take(w, np.s_[..., ::-1, :, :])        # each slot gets the other's words
+    return nc.sigmoid(nc.add(crossed, nc.reshape(a, _lead(a, 2) + (2, 1, WS_ROW_DIM))))
 
 
-def word_sentence_features(params: ComparisonParams, e_s1, e_s2,
-                           s1_padded, s2_padded):
+def word_sentence_features(params: ComparisonParams, e_pairs, s_pairs):
     """Both directions' row matrices, flattened and concatenated in order
     (sentence-1 embedding vs words of sentence 2, then the reverse)."""
-    m1 = ws_rows(params, e_s1, s2_padded)
-    m2 = ws_rows(params, e_s2, s1_padded)
-    return nc.concat(nc.flatten(m1), nc.flatten(m2))
+    m = ws_rows(params, e_pairs, s_pairs)
+    return nc.reshape(m, _lead(m, 3) + (2 * params.L * WS_ROW_DIM,))
 
 
-def word_sentence(params: ComparisonParams, e_s1, e_s2, s1_padded, s2_padded):
-    """100-dim word-sentence similarity vector."""
-    feats = word_sentence_features(params, e_s1, e_s2, s1_padded, s2_padded)
-    return nc.sigmoid(nc.linear(feats, params.W_ws2, params.b_ws2))
+def word_sentence(params: ComparisonParams, e_pairs, s_pairs):
+    """(B, 100) word-sentence similarity."""
+    feats = word_sentence_features(params, e_pairs, s_pairs)
+    return nc.sigmoid(nc.affine_rows(feats, params.W_ws2, params.b_ws2))
 
 
 def head_logits(head: HeadParams, sim, training: bool = False, rng=None):
-    """Hidden sigmoid layer with optional dropout, then output logits."""
-    h = nc.sigmoid(nc.linear(sim, head.W_l1, head.b_l1))
+    """Hidden sigmoid layer with optional dropout, then (B, C) logits.
+
+    The dropout mask is one (B, 250) draw.
+    """
+    h = nc.sigmoid(nc.affine_rows(sim, head.W_l1, head.b_l1))
     h = nc.dropout(h, head.dropout_p, training, rng)
-    return nc.linear(h, head.W_l2, head.b_l2)
+    return nc.affine_rows(h, head.W_l2, head.b_l2)
 
 
 def fuse_head(head: HeadParams, sim_word, sim_sent, sim_ws,
               training: bool = False, rng=None):
     """Concatenate the three similarity vectors and produce logits."""
     sim = nc.concat(sim_word, sim_sent, sim_ws)
-    if nc._value(sim).shape[0] != head.in_dim:
+    width = nc._value(sim).shape[-1]
+    if width != head.in_dim:
         raise ShapeError(
-            f"fused similarity width {nc._value(sim).shape[0]} does not match "
-            f"head input {head.in_dim}")
+            f"fused similarity width {width} does not match head input {head.in_dim}")
     return head_logits(head, sim, training, rng)

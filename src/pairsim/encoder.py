@@ -68,13 +68,19 @@ class EncoderParams:
 
 
 @dataclass
-class SentenceEncoding:
-    """Everything the comparison stack may need about one sentence."""
+class SentenceBatch:
+    """Encodings of a list of sentences, one row per sentence.
 
-    s_multi: object = None   # (n, H) per-word feature rows, when available
-    e_max: object = None     # (H,) max-pooled embedding
-    e_lstm: object = None    # (l,) LSTM final state
-    e_s: object = None       # sentence embedding fed to comparisons
+    ``words`` packs the per-word feature rows of all sentences, sentence
+    after sentence, as one (N, H) matrix with N = sum(lengths); it exists
+    only for the encoders that make such rows.
+    """
+
+    lengths: list[int]       # words per sentence
+    words: object = None     # (N, H) per-word feature rows, when available
+    e_max: object = None     # (S, H) max-pooled embeddings
+    e_lstm: object = None    # (S, l) LSTM final states
+    e_s: object = None       # (S, out_dim) sentence embeddings fed to comparisons
 
 
 def glorot(rng: Optional[np.random.Generator], rows: int, cols: int,
@@ -111,34 +117,35 @@ def init_encoder(kind: str, total_dim: int, H: int, l: int,
     return p
 
 
-def encode(params: EncoderParams, lex: FusedLexicon, token_seqs) -> list[SentenceEncoding]:
+def encode(params: EncoderParams, lex: FusedLexicon, token_seqs) -> SentenceBatch:
     """Encode token sequences with whichever encoder ``params`` holds.
 
-    Returns one ``SentenceEncoding`` per sequence, in order.  The LSTM
-    runs over all of the sequences in one batched call; the filters and
-    the max pooling run per sentence.
+    Row j of every field of the result belongs to token_seqs[j].  The
+    filters run as one GEMM over the packed words of all sequences; the
+    max pooling and the LSTM take the packed rows and the lengths.
     """
-    if not all(token_seqs):
+    if not token_seqs or not all(token_seqs):
         raise DataError("cannot encode an empty token sequence")
-    Es = [lex.lookup_all(tokens) for tokens in token_seqs]  # (n, total_dim), fixed data
+    lengths = [len(tokens) for tokens in token_seqs]
+    # (N, total_dim) fixed data, sentence after sentence
+    E = np.concatenate([lex.lookup_all(tokens) for tokens in token_seqs])
     kind = params.kind
 
-    if kind == "word_avg":
-        return [SentenceEncoding(e_s=E.mean(axis=0)) for E in Es]
-    if kind == "proj_avg":
-        return [SentenceEncoding(e_s=nc.sigmoid(nc.linear(E.mean(axis=0), params.W_proj,
-                                                         params.b_proj)))
-                for E in Es]
+    if kind in ("word_avg", "proj_avg"):
+        ns = np.array(lengths)
+        mean = np.add.reduceat(E, np.cumsum(ns) - ns, axis=0) / ns[:, None]
+        if kind == "word_avg":
+            return SentenceBatch(lengths, e_s=mean)
+        return SentenceBatch(lengths, e_s=nc.sigmoid(
+            nc.affine_rows(mean, params.W_proj, params.b_proj)))
     if kind == "lstm_only":
-        hs = nc.lstm_last_state(Es, params.W_lstm, params.U_lstm, params.b_lstm)
-        return [SentenceEncoding(e_lstm=h, e_s=h) for h in hs]
+        h = nc.lstm_last_state(E, lengths, params.W_lstm, params.U_lstm, params.b_lstm)
+        return SentenceBatch(lengths, e_lstm=h, e_s=h)
 
-    s_multis = [nc.sigmoid(nc.affine_rows(E, params.R, params.b_r)) for E in Es]
-    e_maxs = [nc.max_over_time(s_multi) for s_multi in s_multis]
+    words = nc.sigmoid(nc.affine_rows(E, params.R, params.b_r))
+    e_max = nc.max_over_time(words, lengths)
     if kind == "maxcnn_only":
-        return [SentenceEncoding(s_multi=s_multi, e_max=e_max, e_s=e_max)
-                for s_multi, e_max in zip(s_multis, e_maxs)]
-    hs = nc.lstm_last_state(s_multis, params.W_lstm, params.U_lstm, params.b_lstm)
-    return [SentenceEncoding(s_multi=s_multi, e_max=e_max, e_lstm=h,
-                             e_s=nc.concat(e_max, h))
-            for s_multi, e_max, h in zip(s_multis, e_maxs, hs)]
+        return SentenceBatch(lengths, words=words, e_max=e_max, e_s=e_max)
+    h = nc.lstm_last_state(words, lengths, params.W_lstm, params.U_lstm, params.b_lstm)
+    return SentenceBatch(lengths, words=words, e_max=e_max, e_lstm=h,
+                         e_s=nc.concat(e_max, h))

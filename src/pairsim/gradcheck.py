@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import model as md
-from . import numcore as nc
 from .evaldata import SentencePairExample
 from .numcore import GradCheckReport, grad_check
 
@@ -68,13 +67,6 @@ def _cached_rebuild(params):
     return get
 
 
-def _mean(losses):
-    total = losses[0]
-    for x in losses[1:]:
-        total = nc.add(total, x)
-    return nc.scale(total, 1.0 / len(losses))
-
-
 REL_FLOOR = 2e-6
 
 
@@ -95,6 +87,7 @@ def model_grad_check(params: md.ModelParams, lex, batch, h: float = 1e-5,
         "head.": [n for n in arrays if n.startswith("head.")],
     }
     groups = []
+    pairs = [(ex.tokens1, ex.tokens2) for ex in batch]
 
     # encoder tier: nothing upstream to cache
     if tiers["encoder."]:
@@ -108,29 +101,25 @@ def model_grad_check(params: md.ModelParams, lex, batch, h: float = 1e-5,
 
     # comparison tier: encodings are constants
     if tiers["comparison."]:
-        encodings = [md.encode_pair(params, lex, ex.tokens1, ex.tokens2)
-                     for ex in batch]
+        enc = md.encode_pairs(params, lex, pairs)
         rebuild = _cached_rebuild(params)
 
         def f_cmp(leaves):
             m = rebuild(leaves)
-            return _mean([md.loss_from_logits(m, md.logits_from_encodings(m, e1, e2), ex)
-                          for (e1, e2), ex in zip(encodings, batch)])
+            return md.loss_from_logits(m, md.logits_from_sims(m, md.pair_sims(m, enc)),
+                                       batch)
 
         groups += grad_check(f_cmp, {n: arrays[n] for n in tiers["comparison."]},
                              h, rel_floor).groups
 
     # head tier: similarity vectors are constants
     if tiers["head."]:
-        sims = [md.pair_sims(params, *md.encode_pair(params, lex, ex.tokens1,
-                                                     ex.tokens2))
-                for ex in batch]
+        sims = md.pair_sims(params, md.encode_pairs(params, lex, pairs))
         rebuild = _cached_rebuild(params)
 
         def f_head(leaves):
             m = rebuild(leaves)
-            return _mean([md.loss_from_logits(m, md.logits_from_sims(m, s), ex)
-                          for s, ex in zip(sims, batch)])
+            return md.loss_from_logits(m, md.logits_from_sims(m, sims), batch)
 
         groups += grad_check(f_head, {n: arrays[n] for n in tiers["head."]},
                              h, rel_floor).groups
@@ -147,19 +136,17 @@ def model_grad_check(params: md.ModelParams, lex, batch, h: float = 1e-5,
 def _margins_ok(params: md.ModelParams, lex, batch, h: float) -> bool:
     """No max-pool column or |a-b| coordinate within 10h of a tie."""
     gap = 10.0 * h
-    for ex in batch:
-        e1, e2 = md.encode_pair(params, lex, ex.tokens1, ex.tokens2)
-        d = np.abs(np.asarray(nc._value(e1.e_s)) - np.asarray(nc._value(e2.e_s)))
-        if d.min() <= gap:
-            return False
-        for e in (e1, e2):
-            if e.s_multi is None:
-                continue
-            s = np.asarray(nc._value(e.s_multi))
-            if s.shape[0] > 1:
-                top2 = np.sort(s, axis=0)[-2:]
-                if (top2[1] - top2[0]).min() <= gap:
-                    return False
+    enc = md.encode_pairs(params, lex, [(ex.tokens1, ex.tokens2) for ex in batch])
+    e_s = np.asarray(enc.e_s)
+    if np.abs(e_s[0::2] - e_s[1::2]).min() <= gap:
+        return False
+    if enc.words is None:
+        return True
+    for s in np.split(np.asarray(enc.words), np.cumsum(enc.lengths)[:-1]):
+        if s.shape[0] > 1:
+            top2 = np.sort(s, axis=0)[-2:]
+            if (top2[1] - top2[0]).min() <= gap:
+                return False
     return True
 
 

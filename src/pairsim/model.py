@@ -25,7 +25,7 @@ from . import numcore as nc
 from . import objectives as obj
 from .encoder import ENCODER_KINDS, EncoderParams, encode, init_encoder
 from .errors import ConfigError, NumericError
-from .evaldata import PairDataset, SentencePairExample
+from .evaldata import PairDataset
 from .rng import stream
 
 # (part, fields) in canonical order
@@ -144,28 +144,33 @@ def with_leaves(params: ModelParams, leaves) -> ModelParams:
 
 # ---------------------------------------------------------------------------
 # forward passes
+#
+# A batch of B pairs runs as one forward pass.  Its 2B sentences are
+# encoded in one call, interleaved (first and second sentence of pair 0,
+# then of pair 1, ...), so that reshaping the (2B, ...) encodings gives
+# the (B, 2, ...) pair stacks the comparison takes, without a copy.
 
 
-def encode_pair(params: ModelParams, lex, tokens1, tokens2):
-    """Encodings of both sentences of a pair, from one batched encoder call."""
-    e1, e2 = encode(params.encoder, lex, [tokens1, tokens2])
-    return e1, e2
+def encode_pairs(params: ModelParams, lex, pairs):
+    """``SentenceBatch`` of the 2B sentences of (tokens1, tokens2) pairs."""
+    return encode(params.encoder, lex, [tokens for pair in pairs for tokens in pair])
 
 
-def pair_sims(params: ModelParams, e1, e2) -> tuple:
-    """Similarity vectors for a pair of sentence encodings.
+def pair_sims(params: ModelParams, enc) -> tuple:
+    """(B, ·) similarity arrays of the pairs of an ``encode_pairs`` result.
 
     Returns (sim_sent,) in sentence-only mode and
     (sim_word, sim_sent, sim_ws) in multi-level mode.
     """
     spec = params.spec
-    sim_sent = cmp.sentence_sentence(params.comparison, e1.e_s, e2.e_s)
+    B = len(enc.lengths) // 2
+    e_pairs = nc.reshape(enc.e_s, (B, 2, -1))
+    sim_sent = cmp.sentence_sentence(params.comparison, e_pairs)
     if spec.comparison == "sent":
         return (sim_sent,)
-    s1p = nc.pad_rows(e1.s_multi, spec.L)
-    s2p = nc.pad_rows(e2.s_multi, spec.L)
-    sim_word = cmp.word_word(params.comparison, s1p, s2p)
-    sim_ws = cmp.word_sentence(params.comparison, e1.e_s, e2.e_s, s1p, s2p)
+    s_pairs = nc.reshape(nc.pad_rows(enc.words, enc.lengths, spec.L), (B, 2, spec.L, -1))
+    sim_word = cmp.word_word(params.comparison, s_pairs)
+    sim_ws = cmp.word_sentence(params.comparison, e_pairs, s_pairs)
     return (sim_word, sim_sent, sim_ws)
 
 
@@ -175,70 +180,64 @@ def logits_from_sims(params: ModelParams, sims, training: bool = False, rng=None
     return cmp.fuse_head(params.head, *sims, training=training, rng=rng)
 
 
-def logits_from_encodings(params: ModelParams, e1, e2,
-                          training: bool = False, rng=None):
-    return logits_from_sims(params, pair_sims(params, e1, e2), training, rng)
+def pair_logits(params: ModelParams, lex, pairs, training: bool = False, rng=None):
+    """(B, C) logits (pre-softmax) of (tokens1, tokens2) pairs."""
+    return logits_from_sims(params, pair_sims(params, encode_pairs(params, lex, pairs)),
+                            training, rng)
 
 
-def pair_logits(params: ModelParams, lex, tokens1, tokens2,
-                training: bool = False, rng=None):
-    """Logits for one sentence pair (pre-softmax)."""
-    e1, e2 = encode_pair(params, lex, tokens1, tokens2)
-    return logits_from_encodings(params, e1, e2, training, rng)
-
-
-def loss_from_logits(params: ModelParams, logits, ex: SentencePairExample):
+def loss_from_logits(params: ModelParams, logits, batch):
+    """Mean example loss of (B, C) logits: KL for sts, cross entropy otherwise."""
     spec = params.spec
     if spec.task == "sts":
-        y = spec.score.map_raw(ex.gold_score)
-        return obj.kl_loss(obj.sparse_target(y, spec.score.K), logits)
-    return obj.ce_loss(ex.gold_label, logits)
-
-
-def example_loss(params: ModelParams, lex, ex: SentencePairExample,
-                 training: bool = False, rng=None):
-    """Scalar loss for one example (KL for sts, cross entropy otherwise)."""
-    logits = pair_logits(params, lex, ex.tokens1, ex.tokens2, training, rng)
-    return loss_from_logits(params, logits, ex)
+        targets = np.array([obj.sparse_target(spec.score.map_raw(ex.gold_score),
+                                              spec.score.K) for ex in batch])
+        losses = obj.kl_loss(targets, logits)
+    else:
+        losses = obj.ce_loss(np.array([ex.gold_label for ex in batch]), logits)
+    return nc.scale(nc.vsum(losses), 1.0 / len(batch))
 
 
 def batch_loss(params: ModelParams, lex, batch, training: bool = False, rng=None):
-    """Mean example loss over a batch.
+    """Mean example loss over a batch of examples, in one forward pass.
 
-    All 2B sentences are encoded in one call.  Comparison, head, dropout
-    and loss then run per pair in example order, so the dropout stream
-    is drawn exactly as ``example_loss`` over the examples would draw it.
+    The dropout mask is one (B, 250) draw, which takes the same numbers
+    from the stream as B per-example draws in example order.
     """
-    encs = encode(params.encoder, lex,
-                  [tokens for ex in batch for tokens in (ex.tokens1, ex.tokens2)])
-    total = None
-    for ex, e1, e2 in zip(batch, encs[0::2], encs[1::2]):
-        loss = loss_from_logits(
-            params, logits_from_encodings(params, e1, e2, training, rng), ex)
-        total = loss if total is None else nc.add(total, loss)
-    return nc.scale(total, 1.0 / len(batch))
+    logits = pair_logits(params, lex, [(ex.tokens1, ex.tokens2) for ex in batch],
+                         training, rng)
+    return loss_from_logits(params, logits, batch)
 
 
-def predict_example(params: ModelParams, lex, tokens1, tokens2):
-    """Inference: decoded raw-range score (sts) or class index.
+def predict(params: ModelParams, lex, pairs, block: int) -> list:
+    """Inference over (tokens1, tokens2) pairs, ``block`` pairs per forward
+    pass: decoded raw-range scores (sts) or class indices.
 
     Raises NumericError when a logit is not finite, instead of returning
     a nan score or an arbitrary class.
     """
-    logits = np.asarray(nc._value(
-        pair_logits(params, lex, tokens1, tokens2, training=False)))
-    if not np.isfinite(logits).all():
-        raise NumericError(f"non-finite logits {logits.tolist()}")
-    if params.spec.task == "sts":
-        return obj.decode_score(logits, params.spec.score)
-    return int(np.argmax(logits))
+    out = []
+    for lo in range(0, len(pairs), block):
+        logits = np.asarray(nc._value(pair_logits(params, lex, pairs[lo:lo + block])))
+        if not np.isfinite(logits).all():
+            raise NumericError(f"non-finite logits {logits.tolist()}")
+        if params.spec.task == "sts":
+            out += [obj.decode_score(z, params.spec.score) for z in logits]
+        else:
+            out += logits.argmax(axis=1).tolist()
+    return out
 
 
-def dataset_metric(params: ModelParams, lex, ds: PairDataset) -> float:
-    """Pearson for sts, accuracy otherwise, over a whole dataset."""
+def predict_example(params: ModelParams, lex, tokens1, tokens2):
+    """Inference for one pair, as a batch of one."""
+    return predict(params, lex, [(tokens1, tokens2)], 1)[0]
+
+
+def dataset_metric(params: ModelParams, lex, ds: PairDataset, block: int) -> float:
+    """Pearson for sts, accuracy otherwise, over a whole dataset predicted
+    ``block`` pairs at a time."""
     from .evaldata import classification_metrics, pearson
-    preds = [predict_example(params, lex, ex.tokens1, ex.tokens2)
-             for ex in ds.examples]
+    preds = predict(params, lex, [(ex.tokens1, ex.tokens2) for ex in ds.examples], block)
     if params.spec.task == "sts":
         return pearson(preds, [ex.gold_score for ex in ds.examples])
     return classification_metrics([ex.gold_label for ex in ds.examples],

@@ -15,12 +15,20 @@ execution order, accumulating gradients into ``Node.grad``.  Any node
 read by a recorded primitive ends up with a gradient array (possibly
 all zeros).
 
-``lstm_last_state`` is batch-major: it takes a list of matrices and
-returns one output per matrix, each with its own tape record.  Those
-records share one batched backward, run by the record the reverse
-replay reaches first (see its docstring).  Its weights are three fused
-arrays, W (4l, k), U (4l, l) and b (4l,), with the four gates as row
-blocks in i/f/o/u order, so neither direction restacks or slices them.
+Batch layout.  The model runs a minibatch batch-major.  The words of
+all sentences are one packed (N, k) matrix, sentence after sentence,
+with a list of per-sentence row counts; ``max_over_time``, ``pad_rows``
+and ``lstm_last_state`` take that pair and return one row (or one
+padded (L, k) slot) per sentence.  Every other primitive works over
+the last axis (``affine_rows``, ``concat``, the losses) or the last two
+axes (``cosine_rows``), with any leading batch axes, so one call, and
+one tape record, serves the whole batch; a single (k,) vector is a
+batch of one row.
+
+``lstm_last_state`` returns all final states as one (n_seq, l) array
+with one tape record.  Its weights are three fused arrays, W (4l, k),
+U (4l, l) and b (4l,), with the four gates as row blocks in i/f/o/u
+order, so neither direction restacks or slices them.
 
 This is deliberately not a general autodiff system: only the primitives
 the sentence-pair model needs exist, and only scalar roots can be
@@ -128,8 +136,10 @@ def _nodes(*xs) -> tuple[Node, ...]:
 def _finish(value, inputs, backward):
     """Return raw value, or record a Node if a tape is listening."""
     tape = _ACTIVE
+    if tape is None:
+        return value
     nodes = _nodes(*inputs)
-    if tape is None or not nodes:
+    if not nodes:
         return value
     out = Node(value)
     tape.record(out, nodes, backward(out))
@@ -137,54 +147,32 @@ def _finish(value, inputs, backward):
 
 
 # ---------------------------------------------------------------------------
-# affine maps
-
-
-def linear(x, W, b=None):
-    """W @ x (+ b) for W (m, n), x (n,), optional b (m,)."""
-    xv, Wv = _value(x), _value(W)
-    if Wv.ndim != 2 or xv.ndim != 1 or Wv.shape[1] != xv.shape[0]:
-        raise ShapeError(f"linear: W {Wv.shape} incompatible with x {xv.shape}")
-    y = Wv @ xv
-    if b is not None:
-        bv = _value(b)
-        if bv.shape != (Wv.shape[0],):
-            raise ShapeError(f"linear: b {bv.shape} incompatible with W {Wv.shape}")
-        y = y + bv
-
-    def backward(out):
-        def run(g):
-            if isinstance(x, Node):
-                x.grad += Wv.T @ g
-            if isinstance(W, Node):
-                W.grad += np.outer(g, xv)
-            if b is not None and isinstance(b, Node):
-                b.grad += g
-        return run
-
-    return _finish(y, (x, W, b), backward)
+# affine map
 
 
 def affine_rows(M, W, b=None):
-    """Row-wise affine map: M @ W.T (+ b) for M (n, k), W (m, k)."""
+    """M @ W.T (+ b) over the last axis: M (..., k), W (m, k), b (m,) give
+    (..., m).  A vector M is one row; any leading axes are rows too."""
     Mv, Wv = _value(M), _value(W)
-    if Mv.ndim != 2 or Wv.ndim != 2 or Mv.shape[1] != Wv.shape[1]:
+    if Mv.ndim < 1 or Wv.ndim != 2 or Mv.shape[-1] != Wv.shape[1]:
         raise ShapeError(f"affine_rows: M {Mv.shape} incompatible with W {Wv.shape}")
-    Y = Mv @ Wv.T
+    m, k = Wv.shape
+    Y = Mv @ Wv.T if Mv.ndim <= 2 else (Mv.reshape(-1, k) @ Wv.T).reshape(*Mv.shape[:-1], m)
     if b is not None:
         bv = _value(b)
-        if bv.shape != (Wv.shape[0],):
+        if bv.shape != (m,):
             raise ShapeError(f"affine_rows: b {bv.shape} incompatible with W {Wv.shape}")
-        Y = Y + bv
+        Y += bv
 
     def backward(out):
         def run(G):
+            G2 = G.reshape(-1, m)
             if isinstance(M, Node):
-                M.grad += G @ Wv
+                M.grad += (G2 @ Wv).reshape(Mv.shape)
             if isinstance(W, Node):
-                W.grad += G.T @ Mv
+                W.grad += G2.T @ Mv.reshape(-1, k)
             if b is not None and isinstance(b, Node):
-                b.grad += G.sum(axis=0)
+                b.grad += G2.sum(axis=0)
         return run
 
     return _finish(Y, (M, W, b), backward)
@@ -192,6 +180,15 @@ def affine_rows(M, W, b=None):
 
 # ---------------------------------------------------------------------------
 # elementwise
+
+
+def _unbroadcast(g, shape):
+    """g summed down to shape, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 def sigmoid(x):
@@ -207,17 +204,19 @@ def sigmoid(x):
 
 
 def add(a, b):
+    """a + b, with numpy broadcasting."""
     av, bv = _value(a), _value(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"add: shapes {av.shape} and {bv.shape} differ")
-    y = av + bv
+    try:
+        y = av + bv
+    except ValueError:
+        raise ShapeError(f"add: shapes {av.shape} and {bv.shape} do not broadcast") from None
 
     def backward(out):
         def run(g):
             if isinstance(a, Node):
-                a.grad += g
+                a.grad += _unbroadcast(g, av.shape)
             if isinstance(b, Node):
-                b.grad += g
+                b.grad += _unbroadcast(g, bv.shape)
         return run
 
     return _finish(y, (a, b), backward)
@@ -291,148 +290,159 @@ def vsum(x):
 
 
 def concat(*parts):
-    """Concatenate vectors (scalars are treated as length-1) in order."""
-    vals = [np.atleast_1d(_value(p)) for p in parts]
-    y = np.concatenate(vals)
+    """Concatenate along the last axis; the leading axes must agree."""
+    vals = [_value(p) for p in parts]
+    try:
+        y = np.concatenate(vals, axis=-1)
+    except ValueError:
+        raise ShapeError(f"concat: shapes {[v.shape for v in vals]} do not line up") from None
 
     def backward(out):
         spans = []
         ofs = 0
         for p, v in zip(parts, vals):
-            spans.append((p, ofs, ofs + v.shape[0]))
-            ofs += v.shape[0]
+            spans.append((p, ofs, ofs + v.shape[-1]))
+            ofs += v.shape[-1]
 
         def run(g):
             for p, lo, hi in spans:
                 if isinstance(p, Node):
-                    p.grad += g[lo:hi].reshape(p.value.shape)
+                    p.grad += g[..., lo:hi]
         return run
 
     return _finish(y, parts, backward)
 
 
-def flatten(M):
-    """Row-major flattening of a matrix into a vector."""
-    Mv = _value(M)
-    y = Mv.reshape(-1).copy()
+def reshape(x, shape):
+    """The same entries in another shape (row-major order)."""
+    xv = _value(x)
+    y = xv.reshape(shape)
 
     def backward(out):
         def run(g):
-            M.grad += g.reshape(Mv.shape)
+            x.grad += g.reshape(xv.shape)
         return run
 
-    return _finish(y, (M,), backward)
+    return _finish(y, (x,), backward)
 
 
-def pad_rows(M, n_rows: int):
-    """First min(n, n_rows) rows of M, zero-padded up to n_rows rows."""
+def take(x, key):
+    """x[key] for a key that selects no entry twice: slices, or an index
+    array without repeats.  The result may be a view of x."""
+    y = _value(x)[key]
+
+    def backward(out):
+        def run(g):
+            x.grad[key] += g
+        return run
+
+    return _finish(y, (x,), backward)
+
+
+def _segments(lengths, n_rows: int, name: str) -> list[int]:
+    """Validated segment lengths, as a list, of a packed (n_rows, k) matrix."""
+    ns = [int(n) for n in lengths]
+    if not ns or min(ns) < 1 or sum(ns) != n_rows:
+        raise ShapeError(f"{name}: lengths {ns} do not split {n_rows} rows "
+                         f"into nonempty segments")
+    return ns
+
+
+def pad_rows(M, lengths, n_rows: int):
+    """(S, n_rows, k) stack of the segments of a packed (N, k) matrix.
+
+    M holds S consecutive segments, lengths[j] rows each.  Slot j of the
+    result holds the first min(lengths[j], n_rows) rows of segment j,
+    zero-padded up to n_rows rows.
+    """
     Mv = _value(M)
-    if Mv.ndim != 2 or Mv.shape[0] < 1:
-        raise ShapeError(f"pad_rows: need a nonempty matrix, got shape {Mv.shape}")
-    m = min(Mv.shape[0], n_rows)
-    Y = np.zeros((n_rows, Mv.shape[1]))
-    Y[:m] = Mv[:m]
+    if Mv.ndim != 2:
+        raise ShapeError(f"pad_rows: need a packed (N, k) matrix, got shape {Mv.shape}")
+    ns = _segments(lengths, Mv.shape[0], "pad_rows")
+    spans = []      # (slot, first row, rows kept)
+    start = 0
+    for j, n in enumerate(ns):
+        spans.append((j, start, min(n, n_rows)))
+        start += n
+    Y = np.zeros((len(ns), n_rows, Mv.shape[1]))
+    for j, s, n in spans:
+        Y[j, :n] = Mv[s:s + n]
 
     def backward(out):
         def run(G):
-            M.grad[:m] += G[:m]
+            for j, s, n in spans:
+                M.grad[s:s + n] += G[j, :n]
         return run
 
     return _finish(Y, (M,), backward)
-
-
-def prepend_to_rows(v, M):
-    """Rows [v ++ M[i]]: the same vector prefixed to every row of M."""
-    vv, Mv = _value(v), _value(M)
-    n, k = Mv.shape
-    d = vv.shape[0]
-    Y = np.empty((n, d + k))
-    Y[:, :d] = vv
-    Y[:, d:] = Mv
-
-    def backward(out):
-        def run(G):
-            if isinstance(v, Node):
-                v.grad += G[:, :d].sum(axis=0)
-            if isinstance(M, Node):
-                M.grad += G[:, d:]
-        return run
-
-    return _finish(Y, (v, M), backward)
 
 
 # ---------------------------------------------------------------------------
 # similarity and pooling
 
 
-def cosine(a, b):
-    """Cosine similarity; 0 (with zero gradient) if either norm < 1e-12."""
-    av, bv = _value(a), _value(b)
-    if av.shape != bv.shape:
-        raise ShapeError(f"cosine: shapes {av.shape} and {bv.shape} differ")
-    na = float(np.sqrt(av @ av))
-    nb = float(np.sqrt(bv @ bv))
-    if na < _NORM_GUARD or nb < _NORM_GUARD:
-        def backward(out):
-            def run(g):
-                pass
-            return run
-        return _finish(as_f64(0.0), (a, b), backward)
-    c = float(av @ bv) / (na * nb)
-    y = as_f64(c)
-
-    def backward(out):
-        def run(g):
-            if isinstance(a, Node):
-                a.grad += g * (bv / (na * nb) - av * (c / (na * na)))
-            if isinstance(b, Node):
-                b.grad += g * (av / (na * nb) - bv * (c / (nb * nb)))
-        return run
-
-    return _finish(y, (a, b), backward)
+def _row_norms(Xv):
+    """Euclidean norms of the rows of Xv, with 1 where a norm is below the
+    guard, and the mask of the rows that pass it."""
+    n = np.sqrt((Xv * Xv).sum(axis=-1))
+    ok = n >= _NORM_GUARD
+    return np.where(ok, n, 1.0), ok
 
 
 def cosine_rows(A, B):
-    """All-pairs row cosines: C[i, j] = cosine(A[i], B[j]), zero-norm guarded."""
+    """All-pairs row cosines C[..., i, j] = cosine(A[..., i, :], B[..., j, :])
+    for A (..., n, k) and B (..., m, k) with equal leading axes; 0, with
+    zero gradient, where either norm is below 1e-12."""
     Av, Bv = _value(A), _value(B)
-    if Av.ndim != 2 or Bv.ndim != 2 or Av.shape[1] != Bv.shape[1]:
-        raise ShapeError(f"cosine_rows: shapes {Av.shape} and {Bv.shape} differ in width")
-    na = np.sqrt((Av * Av).sum(axis=1))
-    nb = np.sqrt((Bv * Bv).sum(axis=1))
-    ok_a = na >= _NORM_GUARD
-    ok_b = nb >= _NORM_GUARD
-    sa = np.where(ok_a, na, 1.0)
-    sb = np.where(ok_b, nb, 1.0)
-    C = (Av @ Bv.T) / np.outer(sa, sb)
-    C *= np.outer(ok_a, ok_b)
+    if Av.ndim < 2 or Bv.ndim != Av.ndim or Av.shape[:-2] != Bv.shape[:-2] \
+            or Av.shape[-1] != Bv.shape[-1]:
+        raise ShapeError(f"cosine_rows: shapes {Av.shape} and {Bv.shape} do not match")
+    sa, ok_a = _row_norms(Av)
+    sb, ok_b = (sa, ok_a) if Bv is Av else _row_norms(Bv)
+    mask = ok_a[..., :, None] & ok_b[..., None, :]
+    C = (Av @ np.swapaxes(Bv, -1, -2)) / (sa[..., :, None] * sb[..., None, :])
+    C *= mask
 
     def backward(out):
         def run(G):
-            Gm = G * np.outer(ok_a, ok_b)
+            Gm = G * mask
+            GC = Gm * C
             if isinstance(A, Node):
-                A.grad += (Gm / sb) @ Bv / sa[:, None] \
-                    - Av * ((Gm * C).sum(axis=1) / (sa * sa))[:, None]
+                A.grad += (Gm / sb[..., None, :]) @ Bv / sa[..., :, None] \
+                    - Av * (GC.sum(axis=-1) / (sa * sa))[..., None]
             if isinstance(B, Node):
-                B.grad += (Gm.T / sa) @ Av / sb[:, None] \
-                    - Bv * ((Gm * C).sum(axis=0) / (sb * sb))[:, None]
+                GmT = np.swapaxes(Gm, -1, -2)
+                B.grad += (GmT / sa[..., None, :]) @ Av / sb[..., :, None] \
+                    - Bv * (GC.sum(axis=-2) / (sb * sb))[..., None]
         return run
 
     return _finish(C, (A, B), backward)
 
 
-def max_over_time(M):
-    """Per-column maximum over rows; gradient goes to the first max row."""
+def max_over_time(M, lengths):
+    """(S, k) per-column maxima of each segment of a packed (N, k) matrix.
+
+    M holds S consecutive segments of lengths[j] rows.  The gradient of
+    each maximum goes to the first row of its segment that attains it.
+    """
     Mv = _value(M)
-    if Mv.ndim != 2 or Mv.shape[0] < 1:
-        raise ShapeError(f"max_over_time: need a nonempty matrix, got shape {Mv.shape}")
-    winners = Mv.argmax(axis=0)
-    y = Mv[winners, np.arange(Mv.shape[1])]
+    if Mv.ndim != 2:
+        raise ShapeError(f"max_over_time: need a packed (N, k) matrix, got shape {Mv.shape}")
+    ns = _segments(lengths, Mv.shape[0], "max_over_time")
+    starts = [0]
+    for n in ns[:-1]:
+        starts.append(starts[-1] + n)
+    y = np.maximum.reduceat(Mv, starts, axis=0)
 
     def backward(out):
+        # first winning row of each segment and column
+        rows = np.minimum.reduceat(
+            np.where(Mv == np.repeat(y, ns, axis=0), np.arange(Mv.shape[0])[:, None],
+                     Mv.shape[0]), starts, axis=0)
         cols = np.arange(Mv.shape[1])
 
         def run(g):
-            np.add.at(M.grad, (winners, cols), g)
+            M.grad[rows, cols] += g
         return run
 
     return _finish(y, (M,), backward)
@@ -443,7 +453,11 @@ def max_over_time(M):
 
 
 def dropout(x, p: float, training: bool, rng: np.random.Generator | None):
-    """Inverted dropout: scale survivors by 1/(1-p) in training, identity otherwise."""
+    """Inverted dropout: scale survivors by 1/(1-p) in training, identity otherwise.
+
+    The mask is one draw of x's shape, in row-major order: for a (B, n)
+    batch that equals B draws of n in turn from the same stream.
+    """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
@@ -463,14 +477,14 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None):
 # ---------------------------------------------------------------------------
 # recurrent unit
 
-def lstm_last_state(Ss, W, U, b):
-    """Final hidden states of an LSTM run over each matrix of a batch.
+def lstm_last_state(S, lengths, W, U, b):
+    """(n_seq, l) final hidden states of an LSTM run over each sequence.
 
-    Ss is a nonempty list of (n_j, k) matrices, n_j >= 1, whose lengths
-    may differ; a single sentence is a batch of one.  W (4l, k), U (4l, l)
+    S (N, k) packs n_seq sequences one after another, lengths[j] >= 1
+    rows each; a single sentence is a batch of one.  W (4l, k), U (4l, l)
     and b (4l,) hold the four gates as row blocks of l rows each, in the
     order input, forget, output, candidate: rows 0..l-1 of W are W_i,
-    rows l..2l-1 are W_f, and so on.  The gates at step t of each matrix
+    rows l..2l-1 are W_f, and so on.  The gates at step t of a sequence
     are
 
         i_t = sigmoid(W_i x_t + U_i h_{t-1} + b_i)
@@ -480,32 +494,22 @@ def lstm_last_state(Ss, W, U, b):
         c_t = f_t * c_{t-1} + i_t * u_t
         h_t = o_t * tanh(c_t)
 
-    with h_0 = c_0 = 0.  Returns a list holding h_{n_j} of every matrix,
-    in input order.
+    with h_0 = c_0 = 0.  Row j of the result is h_{n_j} of sequence j.
 
     The batch runs as Appleyard et al. 2016 (arXiv:1604.01946) describe.
-    The input projection of every row of every matrix is one GEMM.  The
-    matrices run longest-first, so step t is one (k_t, l) @ (l, 4l) GEMM
-    over the k_t matrices with n_j > t.  Rows are packed time-major:
-    step t owns rows off[t] .. off[t] + k_t - 1, in longest-first order.
-    The backward pass walks the steps in reverse the same way, then forms
-    dW, dU and db as one GEMM each.
-
-    Recording mode appends one tape record per output.  The records
-    share one batched backward, which only the last of them runs; the
-    others do nothing.  The reverse replay reaches that record first,
-    after the record of every consumer of every output, since consumers
-    are recorded after this call; so each output's gradient is complete
-    when the shared backward reads it.
+    The input projection of every row is one GEMM.  The sequences run
+    longest-first, so step t is one (k_t, l) @ (l, 4l) GEMM over the k_t
+    sequences with n_j > t.  Rows are packed time-major: step t owns
+    packed rows off[t] .. off[t] + k_t - 1, in longest-first order.  The
+    backward pass walks the steps in reverse the same way, then forms
+    dW, dU and db as one GEMM each.  Recording mode appends one tape
+    record.
     """
-    Svs = [_value(S) for S in Ss]
-    if not Svs:
-        raise ShapeError("lstm_last_state: need at least one matrix")
-    k_in = Svs[0].shape[1] if Svs[0].ndim == 2 else None
-    for Sv in Svs:
-        if Sv.ndim != 2 or Sv.shape[0] < 1 or Sv.shape[1] != k_in:
-            raise ShapeError(f"lstm_last_state: need nonempty (n, {k_in}) matrices, "
-                             f"got shape {Sv.shape}")
+    Sv = _value(S)
+    if Sv.ndim != 2:
+        raise ShapeError(f"lstm_last_state: need a packed (N, k) matrix, got shape {Sv.shape}")
+    n_list = _segments(lengths, Sv.shape[0], "lstm_last_state")
+    k_in = Sv.shape[1]
     Wv, Uv, bv = _value(W), _value(U), _value(b)
     l = Uv.shape[1] if Uv.ndim == 2 else 0
     if l < 1 or Wv.shape != (4 * l, k_in) or Uv.shape != (4 * l, l) or bv.shape != (4 * l,):
@@ -513,25 +517,29 @@ def lstm_last_state(Ss, W, U, b):
             f"lstm_last_state: W {Wv.shape}, U {Uv.shape}, b {bv.shape} are not "
             f"(4l, {k_in}), (4l, l), (4l,) for one l >= 1")
 
-    # longest first; step t runs the first ks[t] of them
-    B = len(Svs)
-    order = sorted(range(B), key=lambda j: -Svs[j].shape[0])
-    ns = [Svs[j].shape[0] for j in order]
-    ks = [sum(n > t for n in ns) for t in range(ns[0])]
+    # longest first; step t runs the first ks[t] of them (lists: cheap at small n_seq)
+    order = sorted(range(len(n_list)), key=n_list.__getitem__, reverse=True)   # stable
+    ks = [0] * n_list[order[0]]
+    for n in n_list:
+        ks[n - 1] += 1
+    for t in range(len(ks) - 2, -1, -1):
+        ks[t] += ks[t + 1]
     off = [0]
     for k in ks:
         off.append(off[-1] + k)
-    rows = [np.array(off[:n]) + p for p, n in enumerate(ns)]   # packed rows of each
+    ns = np.array(n_list)
+    order = np.array(order)
+    t_of, p_of = np.nonzero(np.arange(len(ks))[:, None] < ns[order])  # each packed row's
+    perm = (np.cumsum(ns) - ns)[order][p_of] + t_of                   # step, slot, row in S
 
-    P = np.empty((off[-1], k_in))   # the inputs, packed time-major
-    for p, j in enumerate(order):
-        P[rows[p]] = Svs[j]
+    P = Sv[perm]                    # the inputs, packed time-major
     X = P @ Wv.T + bv               # (N, 4l)
 
     # A step's GEMM yields (k, 4l) rows, the layout BLAS fills fastest;
     # one transposed copy makes it gate-major, so that the elementwise
     # work runs on contiguous (l, k) gate blocks, which matters at small l.
     Z, C, Tc, H = [], [], [], []    # gate activations, cells, tanh(cells), states
+    out = np.empty((ns.size, l))
     for t, k in enumerate(ks):
         zr = X[off[t]:off[t + 1]]
         if t:
@@ -546,103 +554,97 @@ def lstm_last_state(Ss, W, U, b):
         C.append(c)
         Tc.append(tc)
         H.append(o * tc)
+        done = ks[t + 1] if t + 1 < len(ks) else 0     # slots done..k-1 end at step t
+        if done < k:
+            out[order[done:k]] = H[-1][:, done:k].T
 
-    hs = [None] * B
-    for p, j in enumerate(order):
-        hs[j] = H[ns[p] - 1][:, p].copy()
+    def backward(node):
+        def run(G):
+            G = G[order].T                                  # (l, n_seq), longest first
+            dh = dc = np.zeros((l, 0))
+            dZ = [None] * len(ks)
+            for t in range(len(ks) - 1, -1, -1):
+                k = ks[t]
+                if dh.shape[1] < k:     # the sequences whose last step is t join
+                    dh = np.hstack([dh, G[:, dh.shape[1]:k]])
+                    dc = np.hstack([dc, np.zeros((l, k - dc.shape[1]))])
+                z = Z[t]
+                i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
+                tc = Tc[t]
+                do = dh * tc
+                dc = dc + dh * o * (1.0 - tc * tc)
+                dz = dZ[t] = np.empty((4 * l, k))
+                dz[:l] = (dc * u) * i * (1.0 - i)
+                dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
+                dz[2 * l:3 * l] = do * o * (1.0 - o)
+                dz[3 * l:] = (dc * i) * (1.0 - u * u)
+                dh = np.ascontiguousarray((dz.T @ Uv).T)       # rows GEMM, as above
+                dc = dc * f
+            dZ = np.hstack(dZ)                                  # (4l, N), packed
+            if type(S) is Node:
+                S.grad[perm] += dZ.T @ Wv
+            if type(W) is Node:
+                W.grad += dZ @ P
+            if type(U) is Node:
+                # h_t of the sequences running at step t + 1, packed like dZ[:, ks[0]:]
+                Hprev = np.hstack([np.zeros((l, 0)),
+                                   *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
+                U.grad += dZ[:, ks[0]:] @ Hprev.T
+            if type(b) is Node:
+                b.grad += dZ.sum(axis=1)
+        return run
 
-    tape = _ACTIVE
-    params = _nodes(W, U, b)
-    if tape is None or not (params or _nodes(*Ss)):
-        return hs
-    outs = [Node(h) for h in hs]
-
-    def run(_g):
-        G = np.array([outs[j].grad for j in order]).T     # (l, B)
-        dh = dc = np.zeros((l, 0))
-        dZ = [None] * len(ks)
-        for t in range(len(ks) - 1, -1, -1):
-            k = ks[t]
-            if dh.shape[1] < k:     # the matrices whose last step is t join
-                dh = np.hstack([dh, G[:, dh.shape[1]:k]])
-                dc = np.hstack([dc, np.zeros((l, k - dc.shape[1]))])
-            z = Z[t]
-            i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
-            tc = Tc[t]
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            dz = dZ[t] = np.empty((4 * l, k))
-            dz[:l] = (dc * u) * i * (1.0 - i)
-            dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
-            dz[2 * l:3 * l] = do * o * (1.0 - o)
-            dz[3 * l:] = (dc * i) * (1.0 - u * u)
-            dh = np.ascontiguousarray((dz.T @ Uv).T)       # rows GEMM, as above
-            dc = dc * f
-        dZ = np.hstack(dZ)                                  # (4l, N), packed
-        if any(type(S) is Node for S in Ss):
-            dP = dZ.T @ Wv
-            for p, j in enumerate(order):
-                if type(Ss[j]) is Node:
-                    Ss[j].grad += dP[rows[p]]
-        if type(W) is Node:
-            W.grad += dZ @ P
-        if type(U) is Node:
-            # h_t of the matrices running at step t + 1, packed like dZ[:, ks[0]:]
-            Hprev = np.hstack([np.zeros((l, 0)), *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
-            U.grad += dZ[:, ks[0]:] @ Hprev.T
-        if type(b) is Node:
-            b.grad += dZ.sum(axis=1)
-
-    def skip(_g):
-        pass
-
-    for j, out in enumerate(outs):
-        inputs = (Ss[j], *params) if type(Ss[j]) is Node else params
-        tape.record(out, inputs, run if j == B - 1 else skip)
-    return outs
+    return _finish(out, (S, W, U, b), backward)
 
 
 # ---------------------------------------------------------------------------
 # losses on logits
 
 
+def _log_softmax(zv):
+    z = zv - zv.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def kl_from_logits(p, logits):
-    """KL(p || softmax(logits)) with the 0*ln(0) = 0 convention."""
+    """KL(p || softmax(logits)) over the last axis, with 0*ln(0) = 0: a
+    scalar for one (K,) row, a (B,) vector for (B, K) rows."""
     pv = as_f64(p)
     zv = _value(logits)
     if pv.shape != zv.shape:
         raise ShapeError(f"kl_from_logits: shapes {pv.shape} and {zv.shape} differ")
-    z = zv - zv.max()
-    logq = z - np.log(np.exp(z).sum())
+    logq = _log_softmax(zv)
     pos = pv > 0.0
-    y = as_f64(np.sum(pv[pos] * (np.log(pv[pos]) - logq[pos])))
+    y = np.where(pos, pv * (np.log(np.where(pos, pv, 1.0)) - logq), 0.0).sum(axis=-1)
 
     def backward(out):
         q = np.exp(logq)
 
         def run(g):
-            logits.grad += g * (q - pv)
+            logits.grad += g[..., None] * (q - pv)
         return run
 
     return _finish(y, (logits,), backward)
 
 
-def ce_from_logits(gold: int, logits):
-    """Cross entropy -log softmax(logits)[gold]."""
+def ce_from_logits(gold, logits):
+    """Cross entropy -log softmax(logits)[gold] over the last axis: one
+    class for one (K,) row, or a (B,) class array for (B, K) rows."""
     zv = _value(logits)
-    if not 0 <= gold < zv.shape[0]:
-        raise ShapeError(f"ce_from_logits: class {gold} out of range for {zv.shape[0]} logits")
-    z = zv - zv.max()
-    logq = z - np.log(np.exp(z).sum())
-    y = as_f64(-logq[gold])
+    gv = np.asarray(gold)
+    K = zv.shape[-1]
+    if gv.shape != zv.shape[:-1] or not np.all((0 <= gv) & (gv < K)):
+        raise ShapeError(f"ce_from_logits: classes {gv.tolist()} do not fit "
+                         f"logits of shape {zv.shape}")
+    logq = _log_softmax(zv)
+    onehot = np.arange(K) == gv[..., None]
+    y = -np.take_along_axis(logq, gv[..., None], axis=-1)[..., 0]
 
     def backward(out):
-        q = np.exp(logq)
+        d = np.exp(logq) - onehot
 
         def run(g):
-            d = q.copy()
-            d[gold] -= 1.0
-            logits.grad += g * d
+            logits.grad += g[..., None] * d
         return run
 
     return _finish(y, (logits,), backward)

@@ -75,19 +75,20 @@ def sparse_target(y: float, K: int) -> np.ndarray:
 
 
 def _check_target(p: np.ndarray):
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+    if np.any(p < 0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
         raise DataError("target is not a probability distribution")
 
 
 def kl_loss(p: np.ndarray, logits):
-    """KL(p || softmax(logits)) for one example; differentiable in logits."""
+    """KL(p || softmax(logits)) per row of (B, K) targets and logits, a (B,)
+    vector; a scalar for one (K,) row.  Differentiable in logits."""
     p = np.asarray(p, dtype=np.float64)
     _check_target(p)
     return nc.kl_from_logits(p, logits)
 
 
-def ce_loss(gold: int, logits):
-    """Cross entropy of the gold class against softmax(logits)."""
+def ce_loss(gold, logits):
+    """Cross entropy of the gold classes against softmax(logits), per row."""
     return nc.ce_from_logits(gold, logits)
 
 

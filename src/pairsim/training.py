@@ -27,6 +27,7 @@ names, order or shapes differ from the model its spec builds.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -198,7 +199,8 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: TrainConfig,
                 raise NumericError(f"epoch {epoch} batch {bi}: {exc}",
                                    batch_index=bi) from None
         mean_loss = float(np.mean(losses))
-        metric = md.dataset_metric(params, lex, valid) if valid is not None else None
+        metric = (md.dataset_metric(params, lex, valid, cfg.batch_size)
+                  if valid is not None else None)
         record = EpochRecord(epoch, mean_loss, metric)
         history.append(record)
         if on_epoch is not None:
@@ -304,24 +306,44 @@ def _config_mismatch(meta_spec: dict, cfg) -> Optional[str]:
     return None
 
 
-def load_checkpoint(path, cfg=None):
-    """Read (params, state, meta); bit-exact round trip of save_checkpoint."""
+def load_checkpoint(path, cfg=None, with_state: bool = True):
+    """Read (params, state, meta); bit-exact round trip of save_checkpoint.
+
+    The file size must equal the size the header implies; that is
+    checked before any array is read.  Each parameter is then read
+    straight into its array.  With ``with_state`` False the AdaDelta
+    accumulators are not read and state is None.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, path, cfg, with_state)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(raw) < 16 or raw[:4] != MAGIC:
+
+
+def _read_into(fh, arr: np.ndarray, path):
+    """Fill a C-contiguous float64 array with the file's next bytes."""
+    if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+        raise CheckpointError(f"{path}: truncated parameter data")
+    if not np.little_endian:
+        arr.byteswap(inplace=True)
+    return arr
+
+
+def _read_checkpoint(fh, path, cfg, with_state: bool):
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(16)
+    if len(prefix) < 16 or prefix[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version = struct.unpack("<I", raw[4:8])[0]
+    version = struct.unpack("<I", prefix[4:8])[0]
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}")
-    (meta_len,) = struct.unpack("<Q", raw[8:16])
-    ofs = 16 + meta_len
-    if len(raw) < ofs:
+    (meta_len,) = struct.unpack("<Q", prefix[8:16])
+    if size < 16 + meta_len:
         raise CheckpointError(f"{path}: truncated metadata block")
     try:
-        meta = json.loads(raw[16:ofs].decode("utf-8"))
+        meta = json.loads(fh.read(meta_len).decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: corrupt metadata ({exc})") from exc
 
@@ -349,22 +371,17 @@ def load_checkpoint(path, cfg=None):
         need = f"{want[i][0]} {want[i][1]}" if i < len(want) else "nothing"
         raise CheckpointError(f"{path}: parameter {i} is {got}, the model spec needs {need}")
 
-    def take(shape):
-        """Read-only view of the next array in the file."""
-        nonlocal ofs
-        size = int(np.prod(shape))
-        if len(raw) < ofs + 8 * size:
-            raise CheckpointError(f"{path}: truncated parameter data")
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=ofs).reshape(shape)
-        ofs += 8 * size
-        return arr
-
+    arrays = 3 if state is not None else 1     # parameters, then Eg2 and Edx2
+    expected = 16 + meta_len + arrays * 8 * sum(arr.size for _, arr in named)
+    if size < expected:
+        raise CheckpointError(f"{path}: truncated parameter data")
+    if size > expected:
+        raise CheckpointError(f"{path}: {size - expected} trailing bytes")
     # fill the undrawn arrays in place: no second copy of the model
     for _, arr in named:
-        arr[...] = take(arr.shape)
-    if state is not None:
-        state.Eg2 = {name: take(shape).copy() for name, shape in want}
-        state.Edx2 = {name: take(shape).copy() for name, shape in want}
-    if ofs != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - ofs} trailing bytes")
+        _read_into(fh, arr, path)
+    if state is None or not with_state:
+        return params, None, meta
+    state.Eg2 = {name: _read_into(fh, np.empty(arr.shape), path) for name, arr in named}
+    state.Edx2 = {name: _read_into(fh, np.empty(arr.shape), path) for name, arr in named}
     return params, state, meta

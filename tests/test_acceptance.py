@@ -129,10 +129,10 @@ def test_03_kl_properties():
 
 def test_04_lstm_oracle_equivalence(lex):
     enc = init_encoder("maxlstm", lex.total_dim, 2, 2, stream(5, "init"))
-    out = encode(enc, lex, [["bob", "likes", "mary"]])[0]
+    out = encode(enc, lex, [["bob", "likes", "mary"]])
     W, U, b = gate_dicts(enc.W_lstm, enc.U_lstm, enc.b_lstm)
-    want = scalar_lstm_last(np.asarray(out.s_multi).tolist(), W, U, b)
-    err = float(np.max(np.abs(np.asarray(out.e_lstm) - np.asarray(want))))
+    want = scalar_lstm_last(np.asarray(out.words).tolist(), W, U, b)
+    err = float(np.max(np.abs(np.asarray(out.e_lstm[0]) - np.asarray(want))))
     check(4, "lstm-oracle-equivalence", err < 1e-10, f"(max err {err:.2e})")
 
 
@@ -140,15 +140,15 @@ def test_05_order_properties(lex):
     enc = init_encoder("maxlstm", lex.total_dim, TOY["H"], TOY["l"],
                        stream(33, "init"))
     tokens = ["bob", "likes", "mary"]
-    base = encode(enc, lex, [tokens])[0]
+    base = encode(enc, lex, [tokens])
     rng = stream(3, "perm")
     invariant = True
     for _ in range(100):
         order = rng.permutation(len(tokens))
         shuffled = [tokens[i] for i in order]
         invariant &= bool(np.array_equal(
-            encode(enc, lex, [shuffled])[0].e_max, base.e_max))
-    other = encode(enc, lex, [["mary", "likes", "bob"]])[0]
+            encode(enc, lex, [shuffled]).e_max, base.e_max))
+    other = encode(enc, lex, [["mary", "likes", "bob"]])
     gap = float(np.max(np.abs(np.asarray(base.e_s) - np.asarray(other.e_s))))
     check(5, "order-properties", invariant and gap > 1e-6,
           f"(e_max invariant, L_inf(e_s diff) = {gap:.2e})")
@@ -157,7 +157,7 @@ def test_05_order_properties(lex):
 def test_06_overfit_sts(lex, overfit_runs):
     ds, runs = overfit_runs
     result, dt = runs[0]
-    r = md.dataset_metric(result.params, lex, ds)
+    r = md.dataset_metric(result.params, lex, ds, 30)
     check(6, "overfit-sts", r >= 0.99 and dt < 120.0,
           f"(train pearson {r:.4f}, {dt:.1f}s, {len(result.history)} epochs)")
 

@@ -21,13 +21,18 @@ def rand(shape, seed):
     return stream(seed, "data").normal(size=shape)
 
 
+def pair(first, second):
+    """The pair stack of one pair: its two sentences' arrays on a new axis."""
+    return np.stack([first, second])
+
+
 def test_pad_or_truncate_cases():
     M = rand((3, 2), 1)
-    np.testing.assert_array_equal(nc.pad_rows(M, 3), M)
-    out = nc.pad_rows(M[:1], 3)
+    np.testing.assert_array_equal(nc.pad_rows(M, [3], 3)[0], M)
+    out = nc.pad_rows(M[:1], [1], 3)[0]
     np.testing.assert_array_equal(out[0], M[0])
     np.testing.assert_array_equal(out[1:], np.zeros((2, 2)))
-    np.testing.assert_array_equal(nc.pad_rows(M, 2), M[:2])
+    np.testing.assert_array_equal(nc.pad_rows(M, [3], 2)[0], M[:2])
 
 
 def test_alignment_identical_single_word():
@@ -55,19 +60,19 @@ def test_alignment_transpose_symmetry(params):
 def test_word_word_all_padding_gives_bias(params):
     s1 = np.zeros((2, 2))
     s2 = rand((2, 2), 6)
-    out = cmp.word_word(params, s1, s2)
+    out = cmp.word_word(params, pair(s1, s2))
     np.testing.assert_allclose(out, expit(params.b_word), atol=1e-15)
 
 
 def test_word_word_range_and_shape(params):
-    out = cmp.word_word(params, rand((2, 2), 7), rand((2, 2), 8))
+    out = cmp.word_word(params, pair(rand((2, 2), 7), rand((2, 2), 8)))
     assert out.shape == (50,)
     assert np.all((out > 0) & (out < 1))
 
 
 def test_sentence_features_hand_assembly(params):
     e1, e2 = rand(4, 9), rand(4, 10)
-    d = cmp.sentence_features(params, e1, e2)
+    d = cmp.sentence_features(params, pair(e1, e2))
     assert d.shape == (11,)  # 1 + 4 + 4 + 2
     assert abs(d[0] - scalar_cosine(e1, e2)) < 1e-12
     np.testing.assert_allclose(d[1:5], e1 * e2)
@@ -78,7 +83,7 @@ def test_sentence_features_hand_assembly(params):
 
 def test_sentence_features_identical_embeddings(params):
     e = rand(4, 11)
-    d = cmp.sentence_features(params, e, e.copy())
+    d = cmp.sentence_features(params, pair(e, e))
     assert abs(d[0] - 1.0) < 1e-12
     np.testing.assert_array_equal(d[5:9], np.zeros(4))
 
@@ -86,14 +91,14 @@ def test_sentence_features_identical_embeddings(params):
 def test_sentence_features_zero_neural_weights(params):
     params.W_neu = np.zeros_like(params.W_neu)
     params.b_neu = np.array([0.25, -0.5])
-    d = cmp.sentence_features(params, rand(4, 12), rand(4, 13))
+    d = cmp.sentence_features(params, pair(rand(4, 12), rand(4, 13)))
     np.testing.assert_array_equal(d[9:], [0.25, -0.5])
 
 
 def test_sentence_metric_symmetries(params):
     e1, e2 = rand(4, 14), rand(4, 15)
-    d12 = cmp.sentence_features(params, e1, e2)
-    d21 = cmp.sentence_features(params, e2, e1)
+    d12 = cmp.sentence_features(params, pair(e1, e2))
+    d21 = cmp.sentence_features(params, pair(e2, e1))
     np.testing.assert_allclose(d12[:9], d21[:9], atol=1e-15)  # cos, mul, abs
     assert np.max(np.abs(d12[9:] - d21[9:])) > 1e-8           # neural diff is ordered
 
@@ -101,14 +106,17 @@ def test_sentence_metric_symmetries(params):
 def test_ws_rows_zero_weights(params):
     params.W_ws = np.zeros_like(params.W_ws)
     params.b_ws = stream(16, "data").normal(size=5)
-    rows = cmp.ws_rows(params, rand(4, 17), rand((2, 2), 18))
-    np.testing.assert_allclose(rows, np.tile(expit(params.b_ws), (2, 1)), atol=1e-15)
+    rows = cmp.ws_rows(params, pair(rand(4, 17), rand(4, 16)),
+                       pair(rand((2, 2), 15), rand((2, 2), 18)))
+    assert rows.shape == (2, 2, 5)
+    np.testing.assert_allclose(rows, np.tile(expit(params.b_ws), (2, 2, 1)), atol=1e-15)
 
 
 def test_ws_rows_match_scalar_loop(params):
     e = rand(4, 19)
     words = rand((2, 2), 20)
-    rows = cmp.ws_rows(params, e, words)
+    # slot 0 joins the first embedding to the second sentence's words
+    rows = cmp.ws_rows(params, pair(e, rand(4, 29)), pair(rand((2, 2), 30), words))[0]
     for i in range(2):
         paired = np.concatenate([e, words[i]])
         for k in range(5):
@@ -120,16 +128,16 @@ def test_ws_rows_match_scalar_loop(params):
 def test_word_sentence_swap_swaps_blocks(params):
     e1, e2 = rand(4, 21), rand(4, 22)
     s1, s2 = rand((2, 2), 23), rand((2, 2), 24)
-    f12 = cmp.word_sentence_features(params, e1, e2, s1, s2)
-    f21 = cmp.word_sentence_features(params, e2, e1, s2, s1)
+    f12 = cmp.word_sentence_features(params, pair(e1, e2), pair(s1, s2))
+    f21 = cmp.word_sentence_features(params, pair(e2, e1), pair(s2, s1))
     half = f12.shape[0] // 2
     np.testing.assert_array_equal(f12[:half], f21[half:])
     np.testing.assert_array_equal(f12[half:], f21[:half])
 
 
 def test_word_sentence_output(params):
-    out = cmp.word_sentence(params, rand(4, 25), rand(4, 26),
-                            rand((2, 2), 27), rand((2, 2), 28))
+    out = cmp.word_sentence(params, pair(rand(4, 25), rand(4, 26)),
+                            pair(rand((2, 2), 27), rand((2, 2), 28)))
     assert out.shape == (100,)
     assert np.all((out > 0) & (out < 1))
 
@@ -194,14 +202,34 @@ def test_comparison_backward_through_all_levels(params):
     def loss(leaves):
         p = cmp.ComparisonParams(L=2, d_neu=2, e_dim=4, word_dim=2, **leaves)
         h = head
-        s1p = nc.pad_rows(s1, 2)
-        s2p = nc.pad_rows(s2, 2)
+        s_pair = nc.pad_rows(np.concatenate([s1, s2]), [3, 2], 2)
+        e_pair = pair(e1, e2)
         logits = cmp.fuse_head(
             h,
-            cmp.word_word(p, s1p, s2p),
-            cmp.sentence_sentence(p, e1, e2),
-            cmp.word_sentence(p, e1, e2, s1p, s2p))
+            cmp.word_word(p, s_pair),
+            cmp.sentence_sentence(p, e_pair),
+            cmp.word_sentence(p, e_pair, s_pair))
         return nc.ce_from_logits(1, logits)
 
     report = nc.grad_check(loss, arrays)
     assert report.max_rel_err < 1e-4
+
+
+def test_batched_comparison_equals_each_pair(params):
+    """(B, ...) arguments give, row by row, what each pair gives alone."""
+    head = cmp.init_head(155, 3, 0.0, stream(25, "init"))
+    B = 3
+    e, s = rand((B, 2, 4), 40), rand((B, 2, 2, 2), 42)
+    s[1, 1, 1] = 0.0    # a padded row
+    got = {"word": cmp.word_word(params, s),
+           "sent": cmp.sentence_sentence(params, e),
+           "ws": cmp.word_sentence(params, e, s)}
+    got["logits"] = cmp.fuse_head(head, got["word"], got["sent"], got["ws"])
+    assert got["logits"].shape == (B, 3)
+    for i in range(B):
+        want = {"word": cmp.word_word(params, s[i]),
+                "sent": cmp.sentence_sentence(params, e[i]),
+                "ws": cmp.word_sentence(params, e[i], s[i])}
+        want["logits"] = cmp.fuse_head(head, want["word"], want["sent"], want["ws"])
+        for key in want:
+            np.testing.assert_allclose(got[key][i], want[key], rtol=1e-13, atol=1e-15)

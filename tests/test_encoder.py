@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,12 @@ def make_encoder(kind, lex, H=4, l=3, seed=21):
 
 
 def encode_one(p, lex, tokens):
-    return enc.encode(p, lex, [tokens])[0]
+    """The encoding of one sentence, as a batch of one: its word rows and
+    its row of every per-sentence field."""
+    b = enc.encode(p, lex, [tokens])
+    return SimpleNamespace(s_multi=b.words,
+                           **{f: None if getattr(b, f) is None else getattr(b, f)[0]
+                              for f in ("e_max", "e_lstm", "e_s")})
 
 
 def test_multi_aspect_zero_params_give_half(lex):
@@ -164,8 +171,8 @@ def test_encode_gradients_flow_through_sentence(lex):
     def loss(leaves):
         q = enc.EncoderParams(kind="maxlstm", total_dim=lex.total_dim, H=3, l=2,
                               **{n: leaves[n] for n in names})
-        out = encode_one(q, lex, tokens)
-        return nc.vsum(nc.elementwise_mul(out.e_s, w))
+        out = enc.encode(q, lex, [tokens])
+        return nc.vsum(nc.elementwise_mul(out.e_s, w[None]))
 
     report = nc.grad_check(loss, arrays)
     assert report.max_rel_err < 1e-6

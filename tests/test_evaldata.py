@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsim import evaldata as ed
 from pairsim.errors import DataError
@@ -152,3 +154,41 @@ def test_classification_multiclass_has_no_f1():
     m = ed.classification_metrics([0, 1, 2], [0, 2, 2])
     assert abs(m.accuracy - 2 / 3) < 1e-12
     assert m.f1 is None
+
+
+# any text without surrogates (they cannot be written as UTF-8)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@st.composite
+def pair_datasets(draw):
+    """(task, PairDataset) whose sentences are tokenizer output."""
+    task = draw(st.sampled_from(ed.TASKS))
+    n = draw(st.integers(1, 5))
+    examples = []
+    for _ in range(n):
+        t1 = draw(TEXT.map(ed.tokenize).filter(bool))
+        t2 = draw(TEXT.map(ed.tokenize).filter(bool))
+        if task == "sts":
+            gold = dict(gold_score=draw(st.floats(allow_nan=False, allow_infinity=False)))
+        else:
+            gold = dict(gold_label=draw(st.integers(0, len(ed.LABEL_NAMES[task]) - 1)))
+        examples.append(ed.SentencePairExample(t1, t2, **gold))
+    return ed.PairDataset(examples=examples, task=task,
+                          label_names=ed.LABEL_NAMES.get(task))
+
+
+def test_serialize_load_roundtrip_property(tmp_path):
+    path = tmp_path / "round.tsv"
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(pair_datasets())
+    def roundtrip(ds):
+        path.write_text(ed.serialize_pairs(ds), encoding="utf-8")
+        back = ed.load_pairs(path, ds.task)
+        assert len(back.examples) == len(ds.examples)
+        for a, b in zip(ds.examples, back.examples):
+            assert (b.tokens1, b.tokens2) == (a.tokens1, a.tokens2)
+            assert (b.gold_score, b.gold_label) == (a.gold_score, a.gold_label)
+
+    roundtrip()

@@ -41,9 +41,10 @@ def test_model_grad_check_spot_groups(lex, task):
 
 def test_fixture_respects_margins(lex):
     params, batch = build_check_fixture(tiny_spec(), lex, seed=3)
-    for ex in batch:
-        e1, e2 = md.encode_pair(params, lex, ex.tokens1, ex.tokens2)
-        gap = np.abs(np.asarray(e1.e_s) - np.asarray(e2.e_s)).min()
+    enc = md.encode_pairs(params, lex, [(ex.tokens1, ex.tokens2) for ex in batch])
+    e_s = np.asarray(enc.e_s)
+    for i in range(len(batch)):
+        gap = np.abs(e_s[2 * i] - e_s[2 * i + 1]).min()
         assert gap > 1e-4
 
 

@@ -107,9 +107,14 @@ def test_with_leaves_roundtrip(lex):
 
 def test_pair_logits_shape_and_determinism(lex):
     params = md.build_model(sts_spec(), seed=2)
-    z1 = md.pair_logits(params, lex, ["bob", "likes", "mary"], ["cats", "runs"])
-    z2 = md.pair_logits(params, lex, ["bob", "likes", "mary"], ["cats", "runs"])
-    assert np.asarray(z1).shape == (5,)
+    pair = (["bob", "likes", "mary"], ["cats", "runs"])
+    z1 = md.pair_logits(params, lex, [pair])
+    z2 = md.pair_logits(params, lex, [pair, (["dogs"], ["cats"])])
+    assert np.asarray(z1).shape == (1, 5)
+    assert np.asarray(z2).shape == (2, 5)
+    np.testing.assert_allclose(z1[0], z2[0], rtol=1e-13)
+    z1 = z1[0]
+    z2 = md.pair_logits(params, lex, [pair])[0]
     np.testing.assert_array_equal(z1, z2)
 
 
@@ -118,14 +123,14 @@ def test_sent_mode_ignores_word_level(lex):
     params = md.build_model(spec, seed=2)
     assert params.comparison.W_word is None
     assert params.head.W_l1.shape == (250, 5)
-    z = md.pair_logits(params, lex, ["bob", "likes"], ["mary", "hates"])
-    assert np.asarray(z).shape == (5,)
+    z = md.pair_logits(params, lex, [(["bob", "likes"], ["mary", "hates"])])
+    assert np.asarray(z).shape == (1, 5)
 
 
 def test_example_loss_sts_uses_mapped_target(lex):
     params = md.build_model(sts_spec(), seed=3)
     ex = SentencePairExample(["bob"], ["mary"], gold_score=2.5)
-    loss = md.example_loss(params, lex, ex)
+    loss = md.batch_loss(params, lex, [ex])
     assert float(nc._value(loss)) > 0
 
 
@@ -133,7 +138,7 @@ def test_batch_loss_is_mean(lex):
     params = md.build_model(sts_spec(), seed=3)
     exs = [SentencePairExample(["bob"], ["mary"], gold_score=1.0),
            SentencePairExample(["dogs", "likes"], ["cats"], gold_score=4.0)]
-    parts = [float(nc._value(md.example_loss(params, lex, e))) for e in exs]
+    parts = [float(nc._value(md.batch_loss(params, lex, [e]))) for e in exs]
     total = float(nc._value(md.batch_loss(params, lex, exs)))
     assert abs(total - np.mean(parts)) < 1e-12
 
@@ -155,8 +160,8 @@ def test_training_flag_engages_dropout(lex):
     params = md.build_model(spec, seed=5)
     t1 = ["bob", "likes", "mary"]
     t2 = ["cats"]
-    plain = md.pair_logits(params, lex, t1, t2, training=False)
-    dropped = md.pair_logits(params, lex, t1, t2, training=True,
+    plain = md.pair_logits(params, lex, [(t1, t2)], training=False)
+    dropped = md.pair_logits(params, lex, [(t1, t2)], training=True,
                              rng=stream(9, "dropout"))
     assert np.any(np.asarray(plain) != np.asarray(dropped))
 
@@ -184,7 +189,7 @@ def test_batch_loss_matches_example_losses_in_order(lex):
         return float(loss.value), {n: leaf.grad for n, leaf in leaves.items()}
 
     def summed(m, rng):
-        losses = [md.example_loss(m, lex, ex, True, rng) for ex in MIXED_BATCH]
+        losses = [md.batch_loss(m, lex, [ex], True, rng) for ex in MIXED_BATCH]
         total = losses[0]
         for loss in losses[1:]:
             total = nc.add(total, loss)
@@ -204,11 +209,15 @@ def test_encode_batch_matches_single_sentences(lex, encoder):
     params = md.build_model(sts_spec(encoder=encoder, comparison=comparison), seed=7)
     seqs = [t for ex in MIXED_BATCH for t in (ex.tokens1, ex.tokens2)]
     batched = encode(params.encoder, lex, seqs)
-    assert len(batched) == len(seqs)
-    for tokens, got in zip(seqs, batched):
-        want = encode(params.encoder, lex, [tokens])[0]
-        for field in ("s_multi", "e_max", "e_lstm", "e_s"):
-            g, w = getattr(got, field), getattr(want, field)
+    assert batched.lengths == [len(t) for t in seqs]
+    ends = np.cumsum(batched.lengths)
+    for j, tokens in enumerate(seqs):
+        want = encode(params.encoder, lex, [tokens])
+        if want.words is not None:
+            got = np.asarray(batched.words)[ends[j] - len(tokens):ends[j]]
+            assert rel_err(got, np.asarray(want.words)) <= 1e-12
+        for field in ("words", "e_max", "e_lstm", "e_s"):
+            g, w = getattr(batched, field), getattr(want, field)
             assert (g is None) == (w is None), field
-            if w is not None:
-                assert rel_err(np.asarray(g), np.asarray(w)) <= 1e-12, field
+            if w is not None and field != "words":
+                assert rel_err(np.asarray(g)[j], np.asarray(w)[0]) <= 1e-12, field

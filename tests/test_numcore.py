@@ -5,7 +5,7 @@ from pairsim import numcore as nc
 from pairsim.errors import ConfigError, ShapeError
 from pairsim.rng import stream
 
-from oracles import gate_dicts, scalar_lstm_last
+from oracles import gate_dicts, scalar_cosine, scalar_lstm_last
 
 
 def tape_grads(build_loss, arrays):
@@ -48,23 +48,28 @@ def assert_grads_close(build_loss, arrays, tol=1e-6):
 
 
 def test_linear_identity():
-    y = nc.linear(np.array([3.0, -1.0]), np.eye(2), np.zeros(2))
+    y = nc.affine_rows(np.array([3.0, -1.0]), np.eye(2), np.zeros(2))
     np.testing.assert_array_equal(y, [3.0, -1.0])
 
 
 def test_linear_zero_weights():
-    y = nc.linear(np.array([9.0, 9.0]), np.zeros((2, 2)), np.array([1.0, 2.0]))
+    y = nc.affine_rows(np.array([9.0, 9.0]), np.zeros((2, 2)), np.array([1.0, 2.0]))
     np.testing.assert_array_equal(y, [1.0, 2.0])
 
 
 def test_linear_hand_case():
-    y = nc.linear(np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
+    W = np.array([[1.0, 2.0], [3.0, 4.0]])
+    y = nc.affine_rows(np.array([1.0, 1.0]), W, np.zeros(2))
     np.testing.assert_array_equal(y, [3.0, 7.0])
+    # rows of any leading shape map one by one
+    M = np.array([[[1.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [2.0, 2.0]]])
+    np.testing.assert_array_equal(nc.affine_rows(M, W, np.zeros(2)),
+                                  [[[3.0, 7.0], [1.0, 3.0]], [[2.0, 4.0], [6.0, 14.0]]])
 
 
 def test_linear_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3,\)"):
-        nc.linear(np.zeros(3), np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 2\)"):
+        nc.affine_rows(np.zeros(3), np.zeros((2, 2)), np.zeros(2))
 
 
 def test_sigmoid_tanh_at_zero():
@@ -84,15 +89,22 @@ def test_mul_absdiff_concat():
     np.testing.assert_array_equal(
         nc.abs_diff(np.array([1.0, -2.0]), np.array([3.0, 1.0])), [2.0, 3.0])
     np.testing.assert_array_equal(nc.concat(np.array([1.0]), np.array([2.0, 3.0])), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(nc.concat(np.ones((2, 1)), np.zeros((2, 2))),
+                                  [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ShapeError):
         nc.elementwise_mul(np.zeros(2), np.zeros(3))
 
 
+def cosine(a, b) -> float:
+    """Cosine of two vectors through the one cosine primitive."""
+    return float(nc.cosine_rows(a[None], b[None])[0, 0])
+
+
 def test_cosine_values():
     v = np.array([0.3, -1.2, 4.0])
-    assert abs(float(nc.cosine(v, v)) - 1.0) < 1e-12
-    assert float(nc.cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0]))) == 0.0
-    assert float(nc.cosine(np.zeros(2), np.ones(2))) == 0.0
+    assert abs(cosine(v, v) - 1.0) < 1e-12
+    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert cosine(np.zeros(2), np.ones(2)) == 0.0
 
 
 def test_cosine_scale_invariance():
@@ -101,7 +113,7 @@ def test_cosine_scale_invariance():
         a = rng.normal(size=5)
         b = rng.normal(size=5)
         al, be = rng.uniform(0.01, 100, size=2)
-        assert abs(float(nc.cosine(al * a, be * b)) - float(nc.cosine(a, b))) < 1e-12
+        assert abs(cosine(al * a, be * b) - cosine(a, b)) < 1e-12
 
 
 def test_cosine_rows_matches_scalar_cosine():
@@ -112,43 +124,67 @@ def test_cosine_rows_matches_scalar_cosine():
     C = nc.cosine_rows(A, B)
     for i in range(3):
         for j in range(5):
-            assert abs(C[i, j] - float(nc.cosine(A[i], B[j]))) < 1e-12
+            assert abs(C[i, j] - scalar_cosine(A[i], B[j])) < 1e-12
+    # leading axes are a batch of independent tables
+    A2, B2 = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4))
+    C2 = nc.cosine_rows(A2, B2)
+    for k in range(2):
+        np.testing.assert_allclose(C2[k], nc.cosine_rows(A2[k], B2[k]), rtol=1e-15, atol=1e-15)
 
 
 def test_max_over_time_values():
     np.testing.assert_array_equal(
-        nc.max_over_time(np.array([[1.0, 3.0], [2.0, 0.0]])), [2.0, 3.0])
+        nc.max_over_time(np.array([[1.0, 3.0], [2.0, 0.0]]), [2]), [[2.0, 3.0]])
     single = np.array([[4.0, -1.0, 0.5]])
-    np.testing.assert_array_equal(nc.max_over_time(single), single[0])
+    np.testing.assert_array_equal(nc.max_over_time(single, [1]), single)
+    # segments of lengths 1, 3 and 2 pool separately
+    M = np.array([[0.0, 9.0], [1.0, 3.0], [5.0, 2.0], [2.0, 4.0], [-1.0, -2.0], [-3.0, -1.0]])
+    np.testing.assert_array_equal(nc.max_over_time(M, [1, 3, 2]),
+                                  [[0.0, 9.0], [5.0, 4.0], [-1.0, -1.0]])
+    for bad in ([], [0, 6], [2, 3]):
+        with pytest.raises(ShapeError):
+            nc.max_over_time(M, bad)
     with pytest.raises(ShapeError):
-        nc.max_over_time(np.zeros((0, 3)))
+        nc.max_over_time(np.zeros((0, 3)), [])
 
 
 def test_max_over_time_tie_gradient_goes_to_first_row():
     M = np.full((2, 2), 5.0)
     with nc.GradTape() as tape:
         m = tape.leaf(M)
-        loss = nc.vsum(nc.max_over_time(m))
+        loss = nc.vsum(nc.max_over_time(m, [2]))
         tape.backward(loss)
     np.testing.assert_array_equal(m.grad, [[1.0, 1.0], [0.0, 0.0]])
+    # per segment: a tie across segments is no tie
+    with nc.GradTape() as tape:
+        m = tape.leaf(np.full((4, 2), 5.0))
+        tape.backward(nc.vsum(nc.max_over_time(m, [1, 3])))
+    np.testing.assert_array_equal(m.grad, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_max_over_time_row_permutation_invariant():
     rng = stream(10, "test")
     M = rng.normal(size=(6, 4))
-    base = nc.max_over_time(M)
+    base = nc.max_over_time(M, [6])
     for _ in range(100):
         perm = rng.permutation(6)
-        np.testing.assert_array_equal(nc.max_over_time(M[perm]), base)
+        np.testing.assert_array_equal(nc.max_over_time(M[perm], [6]), base)
 
 
 def test_pad_rows():
     M = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_array_equal(nc.pad_rows(M, 3), M)
-    padded = nc.pad_rows(M[:1], 3)
+    np.testing.assert_array_equal(nc.pad_rows(M, [3], 3)[0], M)
+    padded = nc.pad_rows(M[:1], [1], 3)[0]
     np.testing.assert_array_equal(padded[1:], np.zeros((2, 2)))
-    truncated = nc.pad_rows(np.arange(10.0).reshape(5, 2), 3)
+    truncated = nc.pad_rows(np.arange(10.0).reshape(5, 2), [5], 3)[0]
     np.testing.assert_array_equal(truncated, np.arange(6.0).reshape(3, 2))
+    # segments of lengths 5, 1 and 3 in one call
+    P = nc.pad_rows(np.arange(18.0).reshape(9, 2), [5, 1, 3], 3)
+    np.testing.assert_array_equal(P[0], np.arange(6.0).reshape(3, 2))
+    np.testing.assert_array_equal(P[1], [[10.0, 11.0], [0.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(P[2], np.arange(12.0, 18.0).reshape(3, 2))
+    with pytest.raises(ShapeError):
+        nc.pad_rows(M, [2], 3)
 
 
 def test_dropout_modes():
@@ -168,7 +204,7 @@ def test_seeded_forward_is_bit_identical():
         rng = stream(42, "test")
         x = rng.normal(size=8)
         W = rng.normal(size=(5, 8))
-        y = nc.sigmoid(nc.linear(x, W, rng.normal(size=5)))
+        y = nc.sigmoid(nc.affine_rows(x, W, rng.normal(size=5)))
         return nc.dropout(y, 0.5, training=True, rng=stream(42, "dropout"))
 
     np.testing.assert_array_equal(run(), run())
@@ -190,7 +226,7 @@ def test_lstm_last_state_matches_scalar_loop():
     rng = stream(11, "test")
     W, U, b = lstm_param_arrays(rng, 3, 2)
     S = rng.normal(size=(5, 2))
-    got = nc.lstm_last_state([S], W, U, b)[0]
+    got = nc.lstm_last_state(S, [5], W, U, b)[0]
     want = scalar_lstm_last(S.tolist(), *gate_dicts(W, U, b))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -198,7 +234,7 @@ def test_lstm_last_state_matches_scalar_loop():
 def test_lstm_zero_params_give_zero_state():
     S = stream(12, "test").normal(size=(4, 3))
     z = np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8)
-    np.testing.assert_array_equal(nc.lstm_last_state([S], *z)[0], np.zeros(2))
+    np.testing.assert_array_equal(nc.lstm_last_state(S, [4], *z), np.zeros((1, 2)))
 
 
 def test_lstm_shape_check_names_fused_shapes():
@@ -207,7 +243,7 @@ def test_lstm_shape_check_names_fused_shapes():
     for bad in ((np.zeros((7, 3)), U, b), (W, np.zeros((8, 3)), b), (W, U, np.zeros(6)),
                 (np.zeros((8, 2)), U, b)):
         with pytest.raises(ShapeError, match=r"lstm_last_state: W \(\d+, \d+\)"):
-            nc.lstm_last_state([S], *bad)
+            nc.lstm_last_state(S, [2], *bad)
 
 
 # a batch with n = 1, two equal lengths and n > L = 4 (the desk max_len)
@@ -220,60 +256,67 @@ def rel_err(a, b):
 
 
 def mixed_batch(seed, l=3, k=2):
+    """Packed (N, k) inputs of MIXED_LENGTHS sequences, weights, and one
+    (l,) read-out vector per sequence."""
     rng = stream(seed, "test")
     W, U, b = lstm_param_arrays(rng, l, k)
-    Ss = [rng.normal(size=(n, k)) for n in MIXED_LENGTHS]
-    ws = [rng.normal(size=l) for _ in MIXED_LENGTHS]
-    return Ss, W, U, b, ws
+    S = np.concatenate([rng.normal(size=(n, k)) for n in MIXED_LENGTHS])
+    ws = np.array([rng.normal(size=l) for _ in MIXED_LENGTHS])
+    return S, W, U, b, ws
+
+
+def segments(S):
+    """Row slices of the MIXED_LENGTHS sequences packed in S."""
+    ends = np.cumsum(MIXED_LENGTHS)
+    return [np.s_[e - n:e] for n, e in zip(MIXED_LENGTHS, ends)]
 
 
 def test_lstm_batch_matches_scalar_loop():
-    Ss, W, U, b, _ = mixed_batch(13)
-    got = nc.lstm_last_state(Ss, W, U, b)
-    assert len(got) == len(Ss)
-    for S, h in zip(Ss, got):
-        want = scalar_lstm_last(S.tolist(), *gate_dicts(W, U, b))
+    S, W, U, b, _ = mixed_batch(13)
+    got = nc.lstm_last_state(S, MIXED_LENGTHS, W, U, b)
+    assert got.shape == (len(MIXED_LENGTHS), 3)
+    for rows, h in zip(segments(S), got):
+        want = scalar_lstm_last(S[rows].tolist(), *gate_dicts(W, U, b))
         np.testing.assert_allclose(h, want, rtol=0, atol=1e-12)
 
 
 def test_lstm_batch_matches_one_at_a_time():
-    Ss, W, U, b, ws = mixed_batch(14)
+    S, W, U, b, ws = mixed_batch(14)
 
     def run(batched):
         with nc.GradTape() as tape:
-            S_ = [tape.leaf(S) for S in Ss]
-            W_, U_, b_ = (tape.leaf(x) for x in (W, U, b))
+            S_, W_, U_, b_ = (tape.leaf(x) for x in (S, W, U, b))
             if batched:
-                hs = nc.lstm_last_state(S_, W_, U_, b_)
+                H = nc.lstm_last_state(S_, MIXED_LENGTHS, W_, U_, b_)
             else:
-                hs = [nc.lstm_last_state([S], W_, U_, b_)[0] for S in S_]
-            loss = nc.vsum(nc.concat(*(nc.elementwise_mul(h, w) for h, w in zip(hs, ws))))
+                H = nc.concat(*(nc.reshape(nc.lstm_last_state(
+                    nc.take(S_, rows), [rows.stop - rows.start], W_, U_, b_), (1, 3))
+                    for rows in segments(S)))
+                H = nc.reshape(H, (len(MIXED_LENGTHS), 3))
+            loss = nc.vsum(nc.elementwise_mul(H, ws))
             tape.backward(loss)
-        return [h.value for h in hs], [x.grad for x in (*S_, W_, U_, b_)]
+        return H.value, [x.grad for x in (S_, W_, U_, b_)]
 
     states, grads = run(batched=True)
     want_states, want_grads = run(batched=False)
-    for h, want in zip(states, want_states):
-        assert rel_err(h, want) <= 1e-12
-    assert len(grads) == len(Ss) + 3
+    assert rel_err(states, want_states) <= 1e-12
     for g, want in zip(grads, want_grads):
         assert rel_err(g, want) <= 1e-12
 
 
 def test_backward_lstm_batch_unused_and_shared_outputs():
-    Ss, W, U, b, ws = mixed_batch(15)
-    B = len(Ss)
+    S, W, U, b, ws = mixed_batch(15)
 
-    def loss(*arrays):
-        S_, (W_, U_, b_) = arrays[:B], arrays[B:]
-        hs = nc.lstm_last_state(list(S_), W_, U_, b_)
-        # hs[1] is unused; hs[2] feeds two consumers
-        parts = [nc.elementwise_mul(hs[0], ws[0]), nc.elementwise_mul(hs[2], ws[2]),
-                 nc.elementwise_mul(hs[2], hs[3])]
+    def loss(S_, W_, U_, b_):
+        H = nc.lstm_last_state(S_, MIXED_LENGTHS, W_, U_, b_)
+        # row 1 is unused; row 2 feeds two consumers
+        h = [nc.take(H, j) for j in range(4)]
+        parts = [nc.elementwise_mul(h[0], ws[0]), nc.elementwise_mul(h[2], ws[2]),
+                 nc.elementwise_mul(h[2], h[3])]
         return nc.vsum(nc.concat(*parts))
 
-    assert_grads_close(loss, [*Ss, W, U, b])
-    assert not np.any(tape_grads(loss, [*Ss, W, U, b])[1])
+    assert_grads_close(loss, [S, W, U, b])
+    assert not np.any(tape_grads(loss, [S, W, U, b])[0][segments(S)[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +327,7 @@ def test_backward_linear():
     rng = stream(20, "test")
     x, W, b = rng.normal(size=4), rng.normal(size=(3, 4)), rng.normal(size=3)
     w = rng.normal(size=3)
-    assert_grads_close(lambda x, W, b: nc.vsum(nc.elementwise_mul(nc.linear(x, W, b), w)),
+    assert_grads_close(lambda x, W, b: nc.vsum(nc.elementwise_mul(nc.affine_rows(x, W, b), w)),
                        [x, W, b])
 
 
@@ -293,9 +336,13 @@ def test_backward_affine_rows():
     M, W, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=5)
     w = rng.normal(size=(4, 5))
     assert_grads_close(
-        lambda M, W, b: nc.vsum(nc.elementwise_mul(nc.flatten(nc.affine_rows(M, W, b)),
+        lambda M, W, b: nc.vsum(nc.elementwise_mul(nc.reshape(nc.affine_rows(M, W, b), (-1,)),
                                                    w.reshape(-1))),
         [M, W, b])
+    # a (2, 2, 3) stack of rows
+    M3, w3 = rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2, 5))
+    assert_grads_close(
+        lambda M, W, b: nc.vsum(nc.elementwise_mul(nc.affine_rows(M, W, b), w3)), [M3, W, b])
 
 
 def test_backward_elementwise_and_activations():
@@ -318,37 +365,59 @@ def test_backward_abs_diff_off_ties():
 
 def test_backward_concat_stack_pad_row_flatten():
     rng = stream(24, "test")
-    a, b, c = rng.normal(size=2), rng.normal(size=3), rng.normal(size=())
+    a, b, c = rng.normal(size=2), rng.normal(size=3), rng.normal(size=1)
     w = rng.normal(size=6)
     assert_grads_close(lambda a, b, c: nc.vsum(nc.elementwise_mul(nc.concat(a, b, c), w)),
                        [a, b, c])
     M = rng.normal(size=(3, 4))
     w2 = rng.normal(size=8)
     assert_grads_close(
-        lambda M: nc.vsum(nc.elementwise_mul(nc.flatten(nc.pad_rows(M, 2)), w2)), [M])
+        lambda M: nc.vsum(nc.elementwise_mul(nc.reshape(nc.pad_rows(M, [3], 2), (-1,)), w2)),
+        [M])
     w3 = rng.normal(size=(5 * 4,))
     assert_grads_close(
-        lambda M: nc.vsum(nc.elementwise_mul(nc.flatten(nc.pad_rows(M, 5)), w3)), [M])
+        lambda M: nc.vsum(nc.elementwise_mul(nc.reshape(nc.pad_rows(M, [3], 5), (-1,)), w3)),
+        [M])
+    # two segments, one truncated and one padded; rows of a (2, 3) batch
+    w4 = rng.normal(size=(2, 2, 4))
+    assert_grads_close(
+        lambda M: nc.vsum(nc.elementwise_mul(nc.pad_rows(M, [2, 1], 2), w4)), [M])
+    A, B = rng.normal(size=(2, 2)), rng.normal(size=(2, 3))
+    w5 = rng.normal(size=(2, 5))
+    assert_grads_close(lambda A, B: nc.vsum(nc.elementwise_mul(nc.concat(A, B), w5)), [A, B])
 
 
 def test_backward_prepend_to_rows():
+    """One vector joined to every row of a matrix, as the word-sentence
+    rows do it: a (1, k) row broadcast-added to an (n, k) matrix, and
+    the take and reshape that feed it."""
     rng = stream(25, "test")
-    v, M = rng.normal(size=3), rng.normal(size=(4, 2))
-    w = rng.normal(size=(4, 5))
+    v, M = rng.normal(size=3), rng.normal(size=(4, 3))
+    w = rng.normal(size=(4, 3))
     assert_grads_close(
-        lambda v, M: nc.vsum(nc.elementwise_mul(nc.flatten(nc.prepend_to_rows(v, M)),
-                                                w.reshape(-1))),
+        lambda v, M: nc.vsum(nc.elementwise_mul(nc.add(M, nc.reshape(v, (1, 3))), w)),
         [v, M])
+    X = rng.normal(size=(6, 3))
+    w2 = rng.normal(size=(3, 2))
+    assert_grads_close(
+        lambda X: nc.vsum(nc.elementwise_mul(nc.take(X, np.s_[1::2, :2]), w2)), [X])
+    with pytest.raises(ShapeError):
+        nc.add(np.zeros((4, 3)), np.zeros(2))
 
 
 def test_backward_cosine_and_cosine_rows():
     rng = stream(26, "test")
-    a, b = rng.normal(size=5), rng.normal(size=5)
-    assert_grads_close(lambda a, b: nc.cosine(a, b), [a, b])
+    a, b = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
+    assert_grads_close(lambda a, b: nc.vsum(nc.cosine_rows(a, b)), [a, b])
     A, B = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
     w = rng.normal(size=6)
     assert_grads_close(
-        lambda A, B: nc.vsum(nc.elementwise_mul(nc.flatten(nc.cosine_rows(A, B)), w)), [A, B])
+        lambda A, B: nc.vsum(nc.elementwise_mul(nc.reshape(nc.cosine_rows(A, B), (-1,)), w)),
+        [A, B])
+    A3, B3 = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 2, 4))
+    w3 = rng.normal(size=(2, 3, 2))
+    assert_grads_close(
+        lambda A, B: nc.vsum(nc.elementwise_mul(nc.cosine_rows(A, B), w3)), [A3, B3])
 
 
 def test_backward_cosine_guard_contributes_zero():
@@ -356,7 +425,7 @@ def test_backward_cosine_guard_contributes_zero():
     b = np.array([1.0, 2.0, 3.0])
     with nc.GradTape() as tape:
         an, bn = tape.leaf(a), tape.leaf(b)
-        tape.backward(nc.cosine(an, bn))
+        tape.backward(nc.vsum(nc.cosine_rows(nc.reshape(an, (1, 3)), nc.reshape(bn, (1, 3)))))
     np.testing.assert_array_equal(an.grad, np.zeros(3))
     np.testing.assert_array_equal(bn.grad, np.zeros(3))
 
@@ -364,8 +433,12 @@ def test_backward_cosine_guard_contributes_zero():
 def test_backward_max_over_time_off_ties():
     rng = stream(27, "test")
     M = rng.normal(size=(4, 3)) + np.arange(4)[:, None] * 0.5
-    w = rng.normal(size=3)
-    assert_grads_close(lambda M: nc.vsum(nc.elementwise_mul(nc.max_over_time(M), w)), [M])
+    w = rng.normal(size=(1, 3))
+    assert_grads_close(lambda M: nc.vsum(nc.elementwise_mul(nc.max_over_time(M, [4]), w)),
+                       [M])
+    w2 = rng.normal(size=(3, 3))
+    assert_grads_close(
+        lambda M: nc.vsum(nc.elementwise_mul(nc.max_over_time(M, [1, 2, 1]), w2)), [M])
 
 
 def test_backward_dropout_mask_is_linear():
@@ -387,7 +460,7 @@ def test_backward_lstm_last_state():
     w = rng.normal(size=3)
 
     def loss(S, W_, U_, b_):
-        return nc.vsum(nc.elementwise_mul(nc.lstm_last_state([S], W_, U_, b_)[0], w))
+        return nc.vsum(nc.elementwise_mul(nc.lstm_last_state(S, [4], W_, U_, b_), w[None]))
 
     assert_grads_close(loss, [S, W, U, b])
 
@@ -398,6 +471,30 @@ def test_backward_losses():
     p = np.array([0.0, 0.0, 0.6, 0.4, 0.0])
     assert_grads_close(lambda z: nc.kl_from_logits(p, z), [z.copy()])
     assert_grads_close(lambda z: nc.ce_from_logits(2, z), [z.copy()])
+    # (B, K) rows give (B,) losses
+    Z = rng.normal(size=(3, 5))
+    P = np.array([p, [0.2, 0.8, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
+    w = rng.normal(size=3)
+    assert_grads_close(lambda Z: nc.vsum(nc.elementwise_mul(nc.kl_from_logits(P, Z), w)),
+                       [Z.copy()])
+    assert_grads_close(
+        lambda Z: nc.vsum(nc.elementwise_mul(nc.ce_from_logits(np.array([2, 0, 4]), Z), w)),
+        [Z.copy()])
+
+
+def test_losses_on_rows_equal_losses_on_each_row():
+    rng = stream(32, "test")
+    Z = rng.normal(size=(4, 5))
+    P = rng.dirichlet(np.ones(5), size=4)
+    P[1] = [0.0, 0.3, 0.7, 0.0, 0.0]
+    gold = np.array([0, 4, 2, 2])
+    kl, ce = nc.kl_from_logits(P, Z), nc.ce_from_logits(gold, Z)
+    assert kl.shape == ce.shape == (4,)
+    for i in range(4):
+        assert abs(kl[i] - float(nc.kl_from_logits(P[i], Z[i]))) <= 1e-15
+        assert abs(ce[i] - float(nc.ce_from_logits(int(gold[i]), Z[i]))) <= 1e-15
+    with pytest.raises(ShapeError):
+        nc.ce_from_logits(np.array([0, 5, 1, 1]), Z)
 
 
 def test_backward_shared_input_accumulates():
@@ -454,6 +551,6 @@ def test_grad_check_catches_wrong_backward(monkeypatch):
     W = rng.normal(size=(3, 3))
     x = rng.normal(size=3)
     report = nc.grad_check(
-        lambda p: nc.vsum(bad_sigmoid(nc.linear(x, p["W"], None))), {"W": W})
+        lambda p: nc.vsum(bad_sigmoid(nc.affine_rows(x, p["W"], None))), {"W": W})
     assert not report.passed(1e-4)
     assert report.failures(1e-4)[0].name == "W"

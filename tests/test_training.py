@@ -298,12 +298,13 @@ def test_checkpoint_names_and_shapes_must_match_spec(tmp_path, lex, edit, messag
 
 
 # SHA-256 of everything after the JSON header (the parameters, then both
-# AdaDelta accumulators) after three dropout-0.5 steps.  The digests were
-# recorded while the LSTM was still twelve per-gate arrays; the three
-# fused arrays hold the same bytes in the same order.
+# AdaDelta accumulators) after three dropout-0.5 steps.  Recorded when
+# the minibatch began to run batch-major, which changed the rounding of
+# the GEMMs and sums (test_equivalence.py bounds that change against the
+# per-pair code); any later change of these bytes must be explained.
 PINNED = {
-    "maxlstm": "c771a4da34eed9646a0a6180f3a9dc61dccaaf9ca8429d9d6043d76f7e60e787",
-    "lstm_only": "f80bf15d8019b3ed53343a4593ffd22ff071d07edcacad5c906161eba54a3028",
+    "maxlstm": "d1240489908e2df92ffad1d8df8db04759595aef66b5f16e3c90de6aa65750d5",
+    "lstm_only": "cd01cbd8894cd64495f9af065b761c83d3831e570f5bcc9b059fc285fe4f9e96",
 }
 
 
