@@ -34,15 +34,15 @@ lex = load_lexicon([workdir / "table_a.txt", workdir / "table_b.txt"],
 print(f"fused lexicon: {len(lex.tables)} tables, total_dim = {lex.total_dim}")
 
 print("\n'cat' appears in both tables; its fused vector is the concatenation:")
-print("  ", lex.lookup("cat"))
+print("  ", lex.lookup_all(["cat"])[0])
 
 print("\n'bird' is missing from table_b, so that slice is a seeded random fill:")
-print("  ", lex.lookup("bird"))
+print("  ", lex.lookup_all(["bird"])[0])
 print("looked up again, it is bit-identical:")
-print("  ", lex.lookup("bird"))
+print("  ", lex.lookup_all(["bird"])[0])
 
 print("\n'robot' is in neither table; the whole vector is a stable random fill:")
-print("  ", lex.lookup("robot"))
+print("  ", lex.lookup_all(["robot"])[0])
 
 vocab = {"cat", "dog", "bird", "fish", "tree", "robot"}
 report = lex.coverage(vocab)

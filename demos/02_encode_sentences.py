@@ -16,8 +16,8 @@ from pairsim.rng import stream
 words = ["bob", "mary", "likes", "dogs", "eats", "food"]
 rng = stream(7, "demo-table")
 lex = FusedLexicon(tables=[EmbeddingTable(
-    name="demo", dim=6,
-    vectors={w: rng.uniform(-1, 1, size=6) for w in words})], seed=7)
+    name="demo", matrix=rng.uniform(-1, 1, size=(len(words), 6)),
+    index={w: i for i, w in enumerate(words)})], seed=7)
 
 enc = init_encoder("maxlstm", lex.total_dim, H=8, l=8, rng=stream(7, "init"))
 

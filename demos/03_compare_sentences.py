@@ -19,8 +19,8 @@ from pairsim.rng import stream
 words = ["bob", "mary", "likes", "hates", "dogs", "cats"]
 rng = stream(11, "demo-table")
 lex = FusedLexicon(tables=[EmbeddingTable(
-    name="demo", dim=5,
-    vectors={w: rng.uniform(-1, 1, size=5) for w in words})], seed=11)
+    name="demo", matrix=rng.uniform(-1, 1, size=(len(words), 5)),
+    index={w: i for i, w in enumerate(words)})], seed=11)
 
 H = l = 6
 L = 4  # fixed comparison length; shorter sentences are zero-padded

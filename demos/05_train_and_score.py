@@ -22,8 +22,8 @@ words = ["bob", "mary", "likes", "hates", "dogs", "cats", "eats", "food",
          "runs", "fast", "slow", "the", "a", "red", "blue", "car", "bird"]
 rng = stream(7, "demo-table")
 lex = FusedLexicon(tables=[EmbeddingTable(
-    name="demo", dim=8,
-    vectors={w: rng.uniform(-1, 1, size=8) for w in words})], seed=7)
+    name="demo", matrix=rng.uniform(-1, 1, size=(len(words), 8)),
+    index={w: i for i, w in enumerate(words)})], seed=7)
 
 rows = [
     ("bob likes mary", "bob likes mary", 5.0),

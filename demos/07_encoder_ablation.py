@@ -18,8 +18,8 @@ words = ["bob", "mary", "likes", "hates", "dogs", "cats", "eats", "food",
          "runs", "fast", "the", "a", "red", "blue", "car", "bird", "slow"]
 rng = stream(7, "demo-table")
 lex = FusedLexicon(tables=[EmbeddingTable(
-    name="demo", dim=8,
-    vectors={w: rng.uniform(-1, 1, size=8) for w in words})], seed=7)
+    name="demo", matrix=rng.uniform(-1, 1, size=(len(words), 8)),
+    index={w: i for i, w in enumerate(words)})], seed=7)
 
 base = ["bob likes mary", "dogs eats food", "cats hates birds",
         "the car runs", "a red bird", "mary runs fast",

@@ -91,8 +91,7 @@ def cmd_train(args, overrides) -> int:
     result = tr.train(params, lex, data, _train_config(cfg), valid,
                       on_epoch=report)
     meta = {"config": _config_dict(cfg), "config_fingerprint": fingerprint(cfg),
-            "epoch": result.best_epoch, "rng": result.rng_states,
-            "embedding_hash": lex.content_hash()}
+            "epoch": result.best_epoch, "embedding_hash": lex.content_hash()}
     tr.save_checkpoint(args.out, result.params, result.state, meta)
     print(f"# checkpoint written to {args.out} (best epoch {result.best_epoch})",
           file=sys.stderr)

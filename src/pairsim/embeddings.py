@@ -1,12 +1,16 @@
 """Pre-trained word-vector tables, fusion, and coverage statistics.
 
-A lexicon holds K tables of possibly different dimensions and returns,
-for any word, the concatenation of that word's vector from each table
-in table order.  Words are normalized by lowercasing before lookup.
+A table is one read-only (rows, dim) float64 matrix and a word -> row
+index.  A lexicon holds K tables of possibly different dimensions and
+returns, for any word, the concatenation of that word's row from each
+table in table order.  Words are normalized by lowercasing before lookup.
 A word missing from a table gets a per-(word, table) random slice drawn
 uniformly from [-oov_scale, oov_scale] on a dedicated counter-based
 stream, so the same master seed reproduces the same out-of-vocabulary
-vectors in any lookup order, in any process.
+vectors in any lookup order, in any process.  Each distinct word is
+fused once, into one row of a block that doubles when full, so a
+lexicon's memory is bounded by the words it has seen, not by the
+number of sentences looked up.
 
 Embedding vectors are data, not parameters: nothing in the package ever
 writes to them after load.
@@ -34,6 +38,7 @@ import mmap
 import os
 import struct
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -52,22 +57,25 @@ def normalize_word(word: str) -> str:
 
 @dataclass
 class EmbeddingTable:
-    """One pre-trained lookup: word -> fixed-dimension float64 vector.
-
-    The vectors are read-only; after a cached load they are row views of
-    one memory-mapped matrix.
-    """
+    """One pre-trained lookup: a word's vector is row ``index[word]`` of the
+    read-only (rows, dim) float64 ``matrix``, after a cached load a view
+    of the memory-mapped cache file."""
 
     name: str
-    dim: int
-    vectors: dict[str, np.ndarray]
+    matrix: np.ndarray
+    index: dict[str, int]
     source_path: str = ""
 
-    def __contains__(self, word: str) -> bool:
-        return normalize_word(word) in self.vectors
+    def __post_init__(self):
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        self.matrix.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.index)
 
 
 def _header_dim(lines: list[str]) -> int | None:
@@ -97,9 +105,10 @@ def _warn_duplicate(path, lineno: int, word: str):
 
 
 def _parse(path: Path, text: str, expected_dim: int | None):
-    """(dim, vectors, duplicates) of a table's text, checking every line;
+    """(matrix, index, duplicates) of a table's text, checking every line;
     duplicates lists the (line number, word) of each repeated word."""
-    vectors: dict[str, np.ndarray] = {}
+    flat = array("d")
+    index: dict[str, int] = {}
     duplicates: list[tuple[int, str]] = []
     dim = expected_dim
     start = 1
@@ -125,21 +134,20 @@ def _parse(path: Path, text: str, expected_dim: int | None):
         # and an infinite sum of finite values is an overflow
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise DataError(f"{path} line {lineno}: non-finite value (nan or inf)")
-        vec = np.array(values, dtype=np.float64)
         if dim is None:
-            dim = vec.shape[0]
-        if vec.shape[0] != dim:
+            dim = len(values)
+        if len(values) != dim:
             raise DataError(
-                f"{path} line {lineno}: expected {dim} values, found {vec.shape[0]}")
-        if word in vectors:
+                f"{path} line {lineno}: expected {dim} values, found {len(values)}")
+        if word in index:
             _warn_duplicate(path, lineno, word)
             duplicates.append((lineno, word))
             continue
-        vec.setflags(write=False)
-        vectors[word] = vec
+        index[word] = len(index)
+        flat.extend(values)
     if dim is None:
         raise DataError(f"{path}: no word vectors found")
-    return dim, vectors, duplicates
+    return np.frombuffer(flat, dtype=np.float64).reshape(len(index), dim), index, duplicates
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +163,6 @@ def _parse(path: Path, text: str, expected_dim: int | None):
 _CACHE_MAGIC = b"PSIMLEX1"
 _DIGEST_END = len(_CACHE_MAGIC) + 32
 _CHUNK = 1 << 20
-_WRITE_ROWS = 4096
 
 
 def cache_path(path) -> Path:
@@ -173,8 +180,9 @@ def _update_from(digest, fh):
 
 def _read_cache(path: Path, expected_dim: int | None) -> EmbeddingTable | None:
     """The table from the cache beside ``path``, if that cache carries the
-    SHA-256 of the text, has the expected dim and its own digest checks
-    out; else None."""
+    SHA-256 of the text, has the expected dim, holds exactly one distinct
+    word per row and one matrix of the recorded size, and its own digest
+    checks out; else None."""
     try:
         with open(cache_path(path), "rb") as fh:
             prefix = fh.read(_DIGEST_END + 8)
@@ -189,46 +197,44 @@ def _read_cache(path: Path, expected_dim: int | None) -> EmbeddingTable | None:
             with open(path, "rb") as text:
                 if _update_from(hashlib.sha256(), text).hexdigest() != meta["source_sha256"]:
                     return None
-            words = fh.read(meta["words_bytes"])
+            words = fh.read(meta["words_bytes"]).decode("utf-8").split()
+            index = dict(zip(words, range(len(words))))
             offset = -(-fh.tell() // 8) * 8
+            if (len(words) != rows or len(index) != rows
+                    or offset + 8 * rows * dim != os.fstat(fh.fileno()).st_size):
+                return None
+            duplicates = [(int(lineno), str(word)) for lineno, word in meta["duplicates"]]
             fh.seek(_DIGEST_END)
             if _update_from(hashlib.sha256(), fh).digest() != stored:
                 return None
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            matrix = np.frombuffer(buf, dtype="<f8", count=rows * dim,
+                                   offset=offset).reshape(rows, dim)
     except (OSError, ValueError, LookupError, TypeError, struct.error):
         return None
-    for lineno, word in meta["duplicates"]:
+    for lineno, word in duplicates:
         _warn_duplicate(path, lineno, word)
-    matrix = np.frombuffer(buf, dtype="<f8", count=rows * dim,
-                           offset=offset).reshape(rows, dim)
-    return EmbeddingTable(name=path.stem, dim=dim,
-                          vectors=dict(zip(words.decode("utf-8").split("\n"), matrix)),
-                          source_path=str(path))
+    return EmbeddingTable(name=path.stem, matrix=matrix, index=index, source_path=str(path))
 
 
-def _write_cache(cache: Path, source_sha256: str, dim: int,
-                 vectors: dict[str, np.ndarray], duplicates, mode: int):
+def _write_cache(cache: Path, source_sha256: str, table: EmbeddingTable, duplicates, mode):
     """Write the cache atomically; a failed write leaves no file behind."""
-    words = "\n".join(vectors).encode("utf-8")
-    meta = json.dumps({"source_sha256": source_sha256, "dim": dim, "rows": len(vectors),
+    words = "\n".join(table.index).encode("utf-8")
+    meta = json.dumps({"source_sha256": source_sha256, "dim": table.dim, "rows": len(table),
                        "words_bytes": len(words), "duplicates": duplicates},
                       sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = struct.pack("<Q", len(meta)) + meta + words
     head += bytes(-(_DIGEST_END + len(head)) % 8)
-    digest = hashlib.sha256(head)
-    rows = list(vectors.values())
+    matrix = table.matrix.astype("<f8", copy=False)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=cache.name + ".")
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), mode)
-            fh.write(_CACHE_MAGIC + bytes(32) + head)
-            for i in range(0, len(rows), _WRITE_ROWS):
-                block = np.stack(rows[i:i + _WRITE_ROWS]).astype("<f8", copy=False)
-                digest.update(block)
-                fh.write(block)
-            fh.seek(len(_CACHE_MAGIC))
-            fh.write(digest.digest())
+            digest = hashlib.sha256(head)
+            digest.update(matrix)
+            fh.write(_CACHE_MAGIC + digest.digest() + head)
+            fh.write(matrix)
         os.replace(tmp, cache)
     except OSError:
         if tmp is not None:
@@ -261,10 +267,11 @@ def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
     except UnicodeDecodeError as exc:
         raise DataError(f"embedding file {path} is not UTF-8: {exc}") from exc
     del raw
-    dim, vectors, duplicates = _parse(path, text, expected_dim)
+    matrix, index, duplicates = _parse(path, text, expected_dim)
     del text
-    _write_cache(cache_path(path), source_sha256, dim, vectors, duplicates, mode)
-    return EmbeddingTable(name=path.stem, dim=dim, vectors=vectors, source_path=str(path))
+    table = EmbeddingTable(name=path.stem, matrix=matrix, index=index, source_path=str(path))
+    _write_cache(cache_path(path), source_sha256, table, duplicates, mode)
+    return table
 
 
 @dataclass
@@ -278,59 +285,62 @@ class CoverageReport:
 
 @dataclass
 class FusedLexicon:
-    """K tables viewed as one lookup returning concatenated vectors."""
+    """K tables viewed as one lookup returning concatenated vectors.
+
+    Each distinct word looked up is fused once into a row of ``_block``,
+    which doubles when full; ``_rows`` maps each spelling seen, and its
+    normalized form, to that row.  Memory is bounded by the words seen.
+    """
 
     tables: list[EmbeddingTable]
     oov_scale: float = 0.1
     seed: int = 0
-    _cache: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _matrix_cache: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
+    _rows: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _block: np.ndarray = field(init=False, repr=False)
+    _used: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         if not self.tables:
             raise DataError("a fused lexicon needs at least one table")
+        self._block = np.empty((64, self.total_dim))
 
     @property
     def total_dim(self) -> int:
         return sum(t.dim for t in self.tables)
 
-    def _oov_slice(self, table: EmbeddingTable, word: str) -> np.ndarray:
-        rng = stream(self.seed, "oov", table.name, word)
-        return rng.uniform(-self.oov_scale, self.oov_scale, size=table.dim)
-
-    def lookup(self, word: str) -> np.ndarray:
-        """Length-total_dim vector for the word; stable within and across runs."""
-        word = normalize_word(word)
-        cached = self._cache.get(word)
-        if cached is None:
-            parts = [t.vectors.get(word) for t in self.tables]
-            parts = [p if p is not None else self._oov_slice(t, word)
-                     for p, t in zip(parts, self.tables)]
-            cached = np.concatenate(parts)
-            cached.setflags(write=False)
-            self._cache[word] = cached
-        return cached.copy()
+    def _add(self, spelling: str):
+        """Give a spelling a row, fusing its normalized word on first sight."""
+        word = normalize_word(spelling)
+        if word not in self._rows:
+            if self._used == len(self._block):
+                self._block = np.concatenate([self._block, np.empty_like(self._block)])
+            np.concatenate([t.matrix[t.index[word]] if word in t.index
+                            else stream(self.seed, "oov", t.name, word).uniform(
+                                -self.oov_scale, self.oov_scale, size=t.dim)
+                            for t in self.tables], out=self._block[self._used])
+            self._rows[word] = self._used
+            self._used += 1
+        self._rows[spelling] = self._rows[word]
 
     def lookup_all(self, words) -> np.ndarray:
-        """Read-only matrix whose row t is lookup(words[t]); memoized."""
+        """(len(words), total_dim) array whose row t is the fused vector of
+        words[t], stable within and across runs; a new array on each call."""
         if not words:
             raise DataError("cannot embed an empty token sequence")
-        key = tuple(words)
-        E = self._matrix_cache.get(key)
-        if E is None:
-            E = np.stack([self.lookup(w) for w in words])
-            E.setflags(write=False)
-            self._matrix_cache[key] = E
-        return E
+        for w in words:
+            if w not in self._rows:
+                self._add(w)
+        ids = np.fromiter(map(self._rows.__getitem__, words), np.intp, len(words))
+        return self._block.take(ids, axis=0)
 
     def coverage(self, vocab) -> CoverageReport:
         """Fraction of the vocabulary present per table and in their union."""
         words = {normalize_word(w) for w in vocab}
         if not words:
             raise DataError("coverage needs a nonempty vocabulary")
-        per_table = [(t.name, sum(w in t.vectors for w in words) / len(words))
+        per_table = [(t.name, sum(w in t.index for w in words) / len(words))
                      for t in self.tables]
-        union = sum(any(w in t.vectors for t in self.tables) for w in words) / len(words)
+        union = sum(any(w in t.index for t in self.tables) for w in words) / len(words)
         return CoverageReport(per_table=per_table, union=union, vocab_size=len(words))
 
     def content_hash(self) -> str:
@@ -338,17 +348,12 @@ class FusedLexicon:
         digest = hashlib.sha256()
         for t in self.tables:
             digest.update(f"{t.name}:{t.dim}".encode())
-            for w in sorted(t.vectors):
+            for w in sorted(t.index):
                 digest.update(w.encode())
-                digest.update(t.vectors[w].tobytes())
+                digest.update(t.matrix[t.index[w]])
         return digest.hexdigest()
 
 
-def load_lexicon(paths, oov_scale: float = 0.1, seed: int = 0,
-                 expected_dims=None) -> FusedLexicon:
+def load_lexicon(paths, oov_scale: float = 0.1, seed: int = 0) -> FusedLexicon:
     """Load tables from a sequence of paths into one fused lexicon."""
-    paths = list(paths)
-    if expected_dims is None:
-        expected_dims = [None] * len(paths)
-    tables = [load_table(p, expected_dim=d) for p, d in zip(paths, expected_dims)]
-    return FusedLexicon(tables=tables, oov_scale=oov_scale, seed=seed)
+    return FusedLexicon(tables=[load_table(p) for p in paths], oov_scale=oov_scale, seed=seed)

@@ -128,7 +128,7 @@ def encode(params: EncoderParams, lex: FusedLexicon, token_seqs) -> SentenceBatc
         raise DataError("cannot encode an empty token sequence")
     lengths = [len(tokens) for tokens in token_seqs]
     # (N, total_dim) fixed data, sentence after sentence
-    E = np.concatenate([lex.lookup_all(tokens) for tokens in token_seqs])
+    E = lex.lookup_all([w for tokens in token_seqs for w in tokens])
     kind = params.kind
 
     if kind in ("word_avg", "proj_avg"):

@@ -46,11 +46,9 @@ def synthetic_lexicon(seed: int, dims=(5, 3)):
     from .embeddings import EmbeddingTable, FusedLexicon
     from .rng import stream
     words = sorted({w for pair in CHECK_SENTENCES for side in pair for w in side})
-    tables = []
-    for k, dim in enumerate(dims):
-        rng = stream(seed, "check-table", str(k))
-        vectors = {w: rng.uniform(-1.0, 1.0, size=dim) for w in words}
-        tables.append(EmbeddingTable(name=f"check{k}", dim=dim, vectors=vectors))
+    index = {w: i for i, w in enumerate(words)}
+    tables = [EmbeddingTable(f"check{k}", stream(seed, "check-table", str(k)).uniform(
+        -1.0, 1.0, size=(len(words), dim)), index) for k, dim in enumerate(dims)]
     return FusedLexicon(tables=tables, oov_scale=0.1, seed=seed)
 
 

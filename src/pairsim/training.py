@@ -15,7 +15,7 @@ Embedding tables are never updated.
 
 Checkpoints are a versioned binary format: magic ``PSIM``, a uint32
 format version, a uint64-length-prefixed canonical JSON metadata block
-(model spec, parameter shapes, config echo, epoch, rng states), then
+(model spec, parameter shapes, config echo, epoch, embedding hash), then
 every parameter array as little-endian float64 in the canonical order
 of ``model.named_parameters``, then optionally the two optimizer
 accumulators per parameter in the same order.  Format version 2 stores
@@ -138,7 +138,6 @@ class TrainResult:
     history: list[EpochRecord]
     best_epoch: int
     best_metric: Optional[float]
-    rng_states: dict
 
 
 def _snapshot_params(params: md.ModelParams) -> md.ModelParams:
@@ -185,7 +184,7 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: TrainConfig,
     shuffle_rng = stream(cfg.seed, "shuffle")
 
     history: list[EpochRecord] = []
-    best = None  # (metric, epoch, params, state, rng_states)
+    best = None  # (metric, epoch, params, state)
     stale = 0
     n = len(data.examples)
     for epoch in range(1, cfg.epochs + 1):
@@ -206,23 +205,16 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: TrainConfig,
         if on_epoch is not None:
             on_epoch(record)
 
-        rng_states = {"dropout": dropout_rng.bit_generator.state,
-                      "shuffle": shuffle_rng.bit_generator.state}
-        if valid is None:
-            best = (None, epoch, _snapshot_params(params), _snapshot_state(state),
-                    rng_states)
-            continue
-        if best is None or metric > best[0]:
-            best = (metric, epoch, _snapshot_params(params), _snapshot_state(state),
-                    rng_states)
+        if valid is None or best is None or metric > best[0]:
+            best = (metric, epoch, _snapshot_params(params), _snapshot_state(state))
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    metric, epoch, best_params, best_state, rng_states = best
+    metric, epoch, best_params, best_state = best
     return TrainResult(params=best_params, state=best_state, history=history,
-                       best_epoch=epoch, best_metric=metric, rng_states=rng_states)
+                       best_epoch=epoch, best_metric=metric)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import os
 import shutil
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from pairsim import embeddings as emb
 from pairsim.embeddings import FusedLexicon, cache_path, load_lexicon, load_table
 from pairsim.errors import DataError
+
+from toys import toy_lexicon
 
 
 def write(tmp_path, name, text):
@@ -21,33 +27,33 @@ def test_load_table_basic(tmp_path):
     t = load_table(p)
     assert t.dim == 4
     assert len(t) == 3
-    np.testing.assert_array_equal(t.vectors["dog"], [5, 6, 7, 8])
+    np.testing.assert_array_equal(t.matrix[t.index["dog"]], [5, 6, 7, 8])
 
 
 def test_load_table_with_header(tmp_path):
     p = write(tmp_path, "t.txt", "3 4\na 1 2 3 4\nb 1 2 3 4\nc 1 2 3 4\n")
     t = load_table(p)
     assert t.dim == 4 and len(t) == 3
-    assert "3" not in t.vectors
+    assert "3" not in t.index
 
 
 def test_load_table_1d_numeric_first_word_is_data(tmp_path):
     # "1 2" is word "1" with value 2: the next line has 2 fields, not 3
     t = load_table(write(tmp_path, "t.txt", "1 2\nb 3\n"))
     assert t.dim == 1 and len(t) == 2
-    np.testing.assert_array_equal(t.vectors["1"], [2])
-    np.testing.assert_array_equal(t.vectors["b"], [3])
+    np.testing.assert_array_equal(t.matrix[t.index["1"]], [2])
+    np.testing.assert_array_equal(t.matrix[t.index["b"]], [3])
 
 
 def test_load_table_header_needs_matching_next_line(tmp_path):
     t = load_table(write(tmp_path, "t.txt", "3 4\n\na 1 2 3 4\n"))
-    assert t.dim == 4 and list(t.vectors) == ["a"]
+    assert t.dim == 4 and list(t.index) == ["a"]
 
 
 def test_load_table_one_line_file_is_data(tmp_path):
     t = load_table(write(tmp_path, "t.txt", "3 4\n\n"))
-    assert t.dim == 1 and list(t.vectors) == ["3"]
-    np.testing.assert_array_equal(t.vectors["3"], [4])
+    assert t.dim == 1 and list(t.index) == ["3"]
+    np.testing.assert_array_equal(t.matrix[t.index["3"]], [4])
 
 
 def test_load_table_wrong_width_names_line(tmp_path):
@@ -64,7 +70,8 @@ def test_load_table_non_numeric(tmp_path):
 
 def test_load_table_keeps_finite_values_whose_sum_overflows(tmp_path):
     p = write(tmp_path, "t.txt", "a 1e308 1e308\n")
-    np.testing.assert_array_equal(load_table(p).vectors["a"], [1e308, 1e308])
+    t = load_table(p)
+    np.testing.assert_array_equal(t.matrix[t.index["a"]], [1e308, 1e308])
 
 
 def test_load_table_expected_dim(tmp_path):
@@ -77,7 +84,7 @@ def test_load_table_duplicates_keep_first(tmp_path, caplog):
     p = write(tmp_path, "t.txt", "a 1 2\nA 9 9\n")
     with caplog.at_level("WARNING"):
         t = load_table(p)
-    np.testing.assert_array_equal(t.vectors["a"], [1, 2])
+    np.testing.assert_array_equal(t.matrix[t.index["a"]], [1, 2])
     assert "duplicate" in caplog.text
 
 
@@ -94,45 +101,47 @@ def lex(tmp_path):
 
 
 def test_fuse_lookup_concat_order(lex):
-    v = lex.lookup("both")
+    v = lex.lookup_all(["both"])[0]
     assert v.shape == (5,)
     np.testing.assert_array_equal(v, [5, 6, 4, 5, 6])
 
 
 def test_fuse_lookup_in_vocab_slices_bit_identical(lex):
-    v = lex.lookup("red")
-    np.testing.assert_array_equal(v[:2], lex.tables[0].vectors["red"])
+    v = lex.lookup_all(["red"])[0]
+    t = lex.tables[0]
+    np.testing.assert_array_equal(v[:2], t.matrix[t.index["red"]])
     # second table misses "red": random slice, bounded by oov_scale
     assert np.all(np.abs(v[2:]) <= 0.1)
 
 
 def test_fuse_lookup_oov_stable_within_run(lex):
-    v1 = lex.lookup("zebra")
-    v2 = lex.lookup("zebra")
+    v1 = lex.lookup_all(["zebra"])[0]
+    v2 = lex.lookup_all(["zebra"])[0]
     assert v1.shape == (5,)
     np.testing.assert_array_equal(v1, v2)
 
 
 def test_fuse_lookup_oov_stable_across_runs_and_orders(lex, tmp_path):
-    v = lex.lookup("zebra")
+    v = lex.lookup_all(["zebra"])[0]
     # a fresh lexicon with the same seed, after unrelated lookups
     other = FusedLexicon(tables=lex.tables, oov_scale=0.1, seed=99)
-    other.lookup("first")
-    other.lookup("second")
-    np.testing.assert_array_equal(other.lookup("zebra"), v)
+    other.lookup_all(["first"])
+    other.lookup_all(["second"])
+    np.testing.assert_array_equal(other.lookup_all(["zebra"])[0], v)
     # a different seed changes the fill
     changed = FusedLexicon(tables=lex.tables, oov_scale=0.1, seed=100)
-    assert np.any(changed.lookup("zebra") != v)
+    assert np.any(changed.lookup_all(["zebra"])[0] != v)
 
 
 def test_fuse_lookup_single_table_is_plain_lookup(lex, tmp_path):
-    solo = FusedLexicon(tables=[lex.tables[0]], seed=1)
-    np.testing.assert_array_equal(solo.lookup("red"), lex.tables[0].vectors["red"])
+    t = lex.tables[0]
+    solo = FusedLexicon(tables=[t], seed=1)
+    np.testing.assert_array_equal(solo.lookup_all(["red"])[0], t.matrix[t.index["red"]])
 
 
 def test_lookup_length_constant_over_vocab(lex):
     for w in ["red", "blue", "green", "both", "nope", "Zebra"]:
-        assert lex.lookup(w).shape == (lex.total_dim,)
+        assert lex.lookup_all([w])[0].shape == (lex.total_dim,)
 
 
 def test_coverage_fractions(lex):
@@ -168,7 +177,7 @@ def test_oov_identical_across_processes(lex, tmp_path):
     prog = (
         "from pairsim.embeddings import load_lexicon\n"
         f"lex = load_lexicon([{str(lex.tables[0].source_path)!r}], seed=99)\n"
-        "print(lex.lookup('zebra').tobytes().hex())\n"
+        "print(lex.lookup_all(['zebra'])[0].tobytes().hex())\n"
     )
     outs = {subprocess.run([sys.executable, "-c", prog], check=True,
                            capture_output=True, text=True).stdout
@@ -181,6 +190,34 @@ def test_content_hash_changes_with_data(lex):
     assert h == lex.content_hash()
     solo = FusedLexicon(tables=[lex.tables[0]], seed=99)
     assert solo.content_hash() != h
+
+
+def test_toy_lexicon_content_hash_pinned():
+    # the hash goes into every checkpoint header, so a change must be explained
+    assert toy_lexicon().content_hash() == (
+        "57cff3eec6f00432fcfc073d8fa9f8608e34404c4548879fc5ff9bd47839cd78")
+
+
+def test_lexicon_memory_is_bounded_by_words_seen(lex):
+    vocab = ["red", "blue", "green", "both"] + [f"w{i}" for i in range(46)]
+    rng = np.random.default_rng(0)
+    seen, sentences = set(), []
+    while len(sentences) < 20_000:
+        s = tuple(vocab[i] for i in rng.integers(0, len(vocab), size=8))
+        if s not in seen:
+            seen.add(s)
+            sentences.append(s)
+    tracemalloc.start()
+    try:
+        for s in sentences[:1000]:
+            lex.lookup_all(s)
+        early, _ = tracemalloc.get_traced_memory()
+        for s in sentences[1000:]:
+            lex.lookup_all(s)
+        late, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert late - early < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +236,10 @@ def parsed(path):
 
 def assert_same_table(got, want):
     assert (got.name, got.dim, got.source_path) == (want.name, want.dim, want.source_path)
-    assert list(got.vectors) == list(want.vectors)
-    for w, vec in want.vectors.items():
-        assert got.vectors[w].dtype == vec.dtype
-        assert got.vectors[w].tobytes() == vec.tobytes()
-        assert not got.vectors[w].flags.writeable
+    assert list(got.index.items()) == list(want.index.items())
+    assert got.matrix.dtype == want.matrix.dtype
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert not got.matrix.flags.writeable
 
 
 def test_cache_hit_equals_parse_bit_for_bit(tmp_path, caplog, monkeypatch):
@@ -225,7 +261,7 @@ def test_cache_hit_equals_parse_bit_for_bit(tmp_path, caplog, monkeypatch):
     b = FusedLexicon(tables=[hit], seed=5)
     assert a.content_hash() == b.content_hash()
     for w in ("cat", "DOG", "zebra"):
-        assert a.lookup(w).tobytes() == b.lookup(w).tobytes()
+        assert a.lookup_all([w])[0].tobytes() == b.lookup_all([w])[0].tobytes()
 
 
 def _flip_last_byte(cache, other):
@@ -251,6 +287,49 @@ def _garbage_header(cache, other):
     cache.write_bytes(bytes(data))
 
 
+def _cache_bytes(meta, words, matrix, tail=b""):
+    """A cache file laid out as _write_cache lays it out, digest included."""
+    meta = dict(meta, words_bytes=len(words))
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = struct.pack("<Q", len(blob)) + blob + words
+    body = head + bytes(-(40 + len(head)) % 8) + matrix + tail
+    return b"PSIMLEX1" + hashlib.sha256(body).digest() + body
+
+
+def _forge(cache, meta_edit=lambda meta: None, words=None, tail=b""):
+    """Rewrite the cache with its layout changed and its own digest
+    recomputed, so that only the layout checks can refuse it."""
+    data = cache.read_bytes()
+    (n,) = struct.unpack("<Q", data[40:48])
+    meta = json.loads(data[48:48 + n])
+    old_words = data[48 + n:48 + n + meta["words_bytes"]]
+    matrix = data[len(data) - 8 * meta["rows"] * meta["dim"]:]
+    assert _cache_bytes(meta, old_words, matrix) == data
+    meta_edit(meta)
+    cache.write_bytes(_cache_bytes(meta, old_words if words is None else words,
+                                   matrix, tail))
+
+
+def _fewer_words_than_rows(cache, other):
+    _forge(cache, words=b"cat\ndog")
+
+
+def _repeated_word(cache, other):
+    _forge(cache, words=b"cat\ncat\nbird")
+
+
+def _a_row_missing_from_the_matrix(cache, other):
+    _forge(cache, lambda meta: meta.update(rows=4), words=b"cat\ndog\nbird\nfish")
+
+
+def _wrong_dim(cache, other):
+    _forge(cache, lambda meta: meta.update(dim=3))
+
+
+def _trailing_bytes(cache, other):
+    _forge(cache, tail=bytes(8))
+
+
 def _other_files_cache(cache, other):
     load_table(other)
     shutil.copy(cache_path(other), cache)
@@ -267,15 +346,19 @@ def _earlier_version(cache, other):
 
 @pytest.mark.parametrize("spoil", [_flip_last_byte, _flip_word_byte, _truncate,
                                    _garbage_header, _other_files_cache,
-                                   _earlier_version])
+                                   _earlier_version, _fewer_words_than_rows,
+                                   _repeated_word, _a_row_missing_from_the_matrix,
+                                   _wrong_dim, _trailing_bytes])
 def test_spoiled_cache_is_never_used(tmp_path, spoil):
     p = write(tmp_path, "t.txt", TABLE)
     other = write(tmp_path, "u.txt", TABLE.replace("cat", "cow"))
     want = parsed(p)
     load_table(p)
+    clean = cache_path(p).read_bytes()
     spoil(cache_path(p), other)
     assert_same_table(load_table(p), want)
     # the load rewrote the cache, and the next load is a hit on it
+    assert cache_path(p).read_bytes() == clean
     assert_same_table(load_table(p), want)
 
 

@@ -44,14 +44,14 @@ def test_multi_aspect_single_filter(lex):
     p.R[0, 0] = 1.0
     p.b_r = np.zeros(1)
     import pairsim.embeddings as em
-    zero = em.FusedLexicon(tables=[em.EmbeddingTable("z", lex.total_dim,
-                                                     {"zero": np.zeros(lex.total_dim)})])
+    zero = em.FusedLexicon(tables=[em.EmbeddingTable("z", np.zeros((1, lex.total_dim)),
+                                                     {"zero": 0})])
     np.testing.assert_array_equal(encode_one(p, zero, ["zero"]).s_multi[0], [0.5])
 
 
 def test_multi_aspect_matches_scalar_arithmetic(lex):
     p = make_encoder("maxlstm", lex, H=2)
-    e = lex.lookup("dogs")
+    e = lex.lookup_all(["dogs"])[0]
     got = encode_one(p, lex, ["dogs"]).s_multi[0]
     for i in range(2):
         want = scalar_sigmoid(sum(p.R[i, j] * e[j] for j in range(lex.total_dim))
@@ -70,7 +70,7 @@ def test_encode_sentence_zero_lstm_params(lex):
 def test_encode_single_word_max_equals_word_features(lex):
     p = make_encoder("maxlstm", lex)
     out = encode_one(p, lex, ["cats"])
-    e = lex.lookup("cats")
+    e = lex.lookup_all(["cats"])[0]
     want = [scalar_sigmoid(sum(p.R[i, j] * e[j] for j in range(lex.total_dim)) + p.b_r[i])
             for i in range(p.H)]
     np.testing.assert_allclose(out.e_max, want, rtol=0, atol=1e-12)
@@ -122,11 +122,11 @@ def test_max_pool_invariant_over_random_permutations(lex):
 def test_word_avg_cases(lex):
     p = make_encoder("word_avg", lex)
     one = encode_one(p, lex, ["dogs"]).e_s
-    np.testing.assert_array_equal(one, lex.lookup("dogs"))
+    np.testing.assert_array_equal(one, lex.lookup_all(["dogs"])[0])
     # symmetric pair of opposite vectors averages to zero
-    v = lex.lookup("dogs")
+    v = lex.lookup_all(["dogs"])[0]
     import pairsim.embeddings as em
-    t = em.EmbeddingTable("pm", v.shape[0], {"plus": v, "minus": -v})
+    t = em.EmbeddingTable("pm", np.stack([v, -v]), {"plus": 0, "minus": 1})
     mirror = em.FusedLexicon(tables=[t], seed=0)
     p2 = enc.init_encoder("word_avg", v.shape[0], 4, 3, stream(21, "init"))
     np.testing.assert_allclose(encode_one(p2, mirror, ["plus", "minus"]).e_s,

@@ -56,7 +56,7 @@ def test_synthetic_lexicon_covers_check_sentences():
     assert rep.union == 1.0
     # deterministic in the seed
     again = synthetic_lexicon(seed=5)
-    np.testing.assert_array_equal(lex.lookup("bob"), again.lookup("bob"))
+    np.testing.assert_array_equal(lex.lookup_all(["bob"])[0], again.lookup_all(["bob"])[0])
 
 
 def test_corrupted_backward_fails_named_group(lex, monkeypatch):

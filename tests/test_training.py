@@ -214,6 +214,14 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, lex):
         np.testing.assert_array_equal(result.state.Edx2[k], state.Edx2[k])
     assert meta["config"] == {"seed": 31}
     assert meta["spec"]["task"] == "sts"
+    # a header with the "rng" entry that training once wrote still loads
+    with_rng = tmp_path / "rng.ckpt"
+    edit_checkpoint_header(path, with_rng,
+                           lambda m: m.update(rng={"dropout": {"counter": [1, 2]}}))
+    again, _, meta = tr.load_checkpoint(with_rng)
+    assert meta["rng"] == {"dropout": {"counter": [1, 2]}}
+    for (_, a1), (_, a2) in zip(md.named_parameters(loaded), md.named_parameters(again)):
+        assert a1.tobytes() == a2.tobytes()
 
 
 def test_checkpoint_load_draws_no_random_numbers(tmp_path, lex, monkeypatch):

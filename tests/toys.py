@@ -14,10 +14,9 @@ def toy_lexicon(seed=7, dims=(5, 3), words=TOY_WORDS) -> FusedLexicon:
     tables = []
     for k, d in enumerate(dims):
         rng = stream(seed, "toy-table", str(k))
-        vecs = {w: rng.uniform(-1.0, 1.0, size=d) for w in words}
-        for v in vecs.values():
-            v.setflags(write=False)
-        tables.append(EmbeddingTable(name=f"toy{k}", dim=d, vectors=vecs))
+        tables.append(EmbeddingTable(name=f"toy{k}",
+                                     matrix=rng.uniform(-1.0, 1.0, size=(len(words), d)),
+                                     index={w: i for i, w in enumerate(words)}))
     return FusedLexicon(tables=tables, oov_scale=0.1, seed=seed)
 
 
@@ -120,8 +119,8 @@ def write_lexicon_files(lex: FusedLexicon, directory):
     """Dump each table to the text format; returns the file paths."""
     paths = []
     for t in lex.tables:
-        lines = [" ".join([w] + [repr(float(x)) for x in vec])
-                 for w, vec in t.vectors.items()]
+        lines = [" ".join([w] + [repr(float(x)) for x in t.matrix[i]])
+                 for w, i in t.index.items()]
         p = directory / f"{t.name}.txt"
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(p)
