@@ -25,12 +25,12 @@ dog -1.0 0.5
 tree 0.3 0.3
 """
 
-workdir = Path(tempfile.mkdtemp())
-(workdir / "table_a.txt").write_text(TABLE_A)
-(workdir / "table_b.txt").write_text(TABLE_B)
-
-lex = load_lexicon([workdir / "table_a.txt", workdir / "table_b.txt"],
-                   oov_scale=0.1, seed=42)
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    (workdir / "table_a.txt").write_text(TABLE_A)
+    (workdir / "table_b.txt").write_text(TABLE_B)
+    lex = load_lexicon([workdir / "table_a.txt", workdir / "table_b.txt"],
+                       oov_scale=0.1, seed=42)
 print(f"fused lexicon: {len(lex.tables)} tables, total_dim = {lex.total_dim}")
 
 print("\n'cat' appears in both tables; its fused vector is the concatenation:")

@@ -62,13 +62,15 @@ print("training pearson:",
       round(md.dataset_metric(result.params, lex, data, 30), 4))
 print("embedding tables unchanged:", lex.content_hash() == hash_before)
 
-ckpt = Path(tempfile.mkdtemp()) / "demo.ckpt"
-tr.save_checkpoint(ckpt, result.params, result.state)
-reloaded, _, _ = tr.load_checkpoint(ckpt)
+with tempfile.TemporaryDirectory() as tmp:
+    ckpt = Path(tmp) / "demo.ckpt"
+    tr.save_checkpoint(ckpt, result.params, result.state)
+    reloaded, _, _ = tr.load_checkpoint(ckpt)
+    size = ckpt.stat().st_size
 same = all(np.array_equal(a, b)
            for (_, a), (_, b) in zip(md.named_parameters(result.params),
                                      md.named_parameters(reloaded)))
-print(f"checkpoint round-trip bit-exact: {same}  ({ckpt.stat().st_size} bytes)")
+print(f"checkpoint round-trip bit-exact: {same}  ({size} bytes)")
 
 print("\nscores for unseen pairings:")
 for s1, s2 in [("bob likes mary", "bob likes mary"),

@@ -39,8 +39,7 @@ real_sigmoid = nc.sigmoid
 
 
 def crooked_sigmoid(x):
-    from scipy.special import expit
-    y = expit(nc._value(x))
+    y = nc.expit(nc._value(x))
 
     def backward(out):
         def run(g):

@@ -8,6 +8,8 @@ are TSV on standard output (with the effective configuration echoed as
 
 Any configuration key can be overridden on the command line as
 ``--key value`` after the fixed arguments, e.g. ``--filters 16``.
+``eval`` and ``score`` take their configuration from the checkpoint and
+accept only ``--embeddings`` (``eval`` also ``--lenient``).
 """
 
 from __future__ import annotations
@@ -48,12 +50,18 @@ def _echo(cfg: RunConfig):
         print(line)
 
 
-def _lexicon(cfg: RunConfig):
+def _lexicon(cfg: RunConfig, total_dim: int | None = None):
+    """Load the configured tables; given a checkpoint's total_dim, the
+    fused width must equal it."""
     paths = cfg.embedding_paths()
     if not paths:
         raise ConfigError("no embedding tables configured; set 'embeddings' "
                           "to a comma-separated list of word-vector files")
-    return load_lexicon(paths, oov_scale=cfg.oov_scale, seed=cfg.seed)
+    lex = load_lexicon(paths, oov_scale=cfg.oov_scale, seed=cfg.seed)
+    if total_dim is not None and lex.total_dim != total_dim:
+        raise ConfigError(f"the embedding tables fuse to {lex.total_dim}-d vectors; "
+                          f"the checkpoint was trained on {total_dim}-d")
+    return lex
 
 
 def _config_dict(cfg: RunConfig) -> dict:
@@ -98,7 +106,10 @@ def cmd_train(args, overrides) -> int:
     return 0
 
 
-def _load_for_inference(ckpt_path):
+def _load_for_inference(args, overrides, allowed: tuple[str, ...]):
+    """The checkpoint's parameters and configuration, with the command-line
+    overrides of the keys in `allowed` applied; any other key is an error."""
+    ckpt_path = args.checkpoint
     params, _, meta = tr.load_checkpoint(ckpt_path, with_state=False)
     if "config" not in meta:
         raise CheckpointError(
@@ -108,22 +119,23 @@ def _load_for_inference(ckpt_path):
     except TypeError as exc:
         raise CheckpointError(
             f"{ckpt_path}: malformed configuration block ({exc})") from None
-    return params, cfg, meta
+    for key, value in overrides.items():
+        if key not in allowed:
+            raise ConfigError(f"{args.command} accepts only "
+                              f"{'/'.join('--' + k for k in allowed)} "
+                              f"overrides, got --{key}")
+        set_value(cfg, key, value)
+    return params, cfg
 
 
 def cmd_eval(args, overrides) -> int:
-    params, cfg, _ = _load_for_inference(args.checkpoint)
-    for key, value in overrides.items():
-        if key not in ("embeddings", "lenient"):
-            raise ConfigError(f"eval accepts only --embeddings/--lenient "
-                              f"overrides, got --{key}")
-        set_value(cfg, key, value)
+    params, cfg = _load_for_inference(args, overrides, ("embeddings", "lenient"))
     _echo(cfg)
     task = params.spec.task
     if args.task and args.task != task:
         raise ConfigError(
             f"checkpoint was trained for task {task!r}, dataset is {args.task!r}")
-    lex = _lexicon(cfg)
+    lex = _lexicon(cfg, params.spec.total_dim)
     ds = load_pairs(args.test, task, lenient=cfg.lenient)
     preds = md.predict(params, lex, [(ex.tokens1, ex.tokens2) for ex in ds.examples],
                        cfg.batch_size)
@@ -139,12 +151,12 @@ def cmd_eval(args, overrides) -> int:
 
 
 def cmd_score(args, overrides) -> int:
-    params, cfg, _ = _load_for_inference(args.checkpoint)
+    params, cfg = _load_for_inference(args, overrides, ("embeddings",))
     _echo(cfg)
     t1, t2 = tokenize(args.sentence1), tokenize(args.sentence2)
     if not t1 or not t2:
         raise DataError("both sentences must be nonempty after tokenization")
-    lex = _lexicon(cfg)
+    lex = _lexicon(cfg, params.spec.total_dim)
     out = md.predict_example(params, lex, t1, t2)
     if params.spec.task == "sts":
         print(f"{out:.4f}")

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pairsim
 from pairsim import evaldata as ed
 from pairsim.cli import main
 from pairsim.config import fingerprint, load_config
@@ -188,6 +194,44 @@ def test_score_deterministic_output(workdir, trained_ckpt, capsys):
 def test_score_empty_sentence_exits_2(workdir, trained_ckpt, capsys):
     code, out, err = run(capsys, "score", trained_ckpt, "bob", "   ")
     assert code == 2
+
+
+def test_score_applies_embeddings_override(workdir, trained_ckpt, capsys, tmp_path):
+    other = ",".join(str(p) for p in write_lexicon_files(toy_lexicon(seed=8, dims=(5, 3)),
+                                                         tmp_path))
+    pair = ("bob likes mary", "cats eats food")
+    code1, out1, _ = run(capsys, "score", trained_ckpt, *pair)
+    code2, out2, _ = run(capsys, "score", trained_ckpt, *pair, "--embeddings", other)
+    assert code1 == code2 == 0
+    assert f"# embeddings = {other!r}" in out2.splitlines()
+    assert out1.splitlines()[-1] != out2.splitlines()[-1]
+    # tables of another width exit 1 from both inference commands
+    (tmp_path / "narrow").mkdir()
+    narrow = ",".join(str(p) for p in write_lexicon_files(toy_lexicon(seed=8, dims=(4, 3)),
+                                                          tmp_path / "narrow"))
+    for argv in (("score", trained_ckpt, *pair), ("eval", trained_ckpt, workdir / "sts.tsv")):
+        code, out, err = run(capsys, *argv, "--embeddings", narrow)
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith("error: the embedding tables fuse to 7-d vectors; "
+                              "the checkpoint was trained on 8-d")
+
+
+def test_score_rejects_other_overrides(workdir, trained_ckpt, capsys):
+    code, out, err = run(capsys, "score", trained_ckpt, "bob", "mary",
+                         "--epochs", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: score accepts only --embeddings overrides, got --epochs")
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(pairsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pairsim.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_paraphrase_end_to_end(workdir, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,31 @@ def test_sigmoid_saturates_without_nan():
     assert np.all(np.isfinite(y))
     assert 0.0 <= y[0] <= 1e-300
     assert y[1] == 1.0
+
+
+def test_expit_matches_scipy():
+    from scipy.special import expit as scipy_expit
+
+    x = np.concatenate([np.linspace(-60.0, 60.0, 240_001),
+                        [np.inf, -np.inf, 1e308, -1e308, 710.0, -710.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = nc.expit(x)
+        assert np.max(np.abs(y - scipy_expit(x))) <= 2.3e-16
+        assert y[-1] == 0.5
+        assert list(y[-7:-1]) == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+        assert nc.expit(0.0) == 0.5 and nc.expit(np.array(-800.0)) == 0.0  # 0-d
+
+        # in place on a strided gate block, as the LSTM step calls it
+        l = 5
+        z = stream(3, "test").normal(scale=8.0, size=(7, 4 * l)).T
+        gates = z[:3 * l]
+        want = scipy_expit(gates)
+        tail = z[3 * l:].copy()
+        assert not gates.flags.contiguous
+        assert nc.expit(gates, out=gates) is gates
+        assert np.max(np.abs(gates - want)) <= 2.3e-16
+        np.testing.assert_array_equal(z[3 * l:], tail)
 
 
 def test_mul_absdiff_concat():
