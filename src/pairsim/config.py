@@ -14,6 +14,7 @@ used when a command is not given one explicitly.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -68,6 +69,9 @@ class RunConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigError(
                     f"{key} = {getattr(self, key)!r}; choose from {allowed}")
+        # OOV fills are drawn from [-oov_scale, oov_scale], whose width must be finite
+        if not (self.oov_scale >= 0.0 and math.isfinite(2.0 * self.oov_scale)):
+            raise ConfigError(f"oov_scale must be a finite number >= 0, got {self.oov_scale}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.rho < 1.0:

@@ -162,7 +162,7 @@ def _parse(path: Path, text: str, expected_dim: int | None):
 
 _CACHE_MAGIC = b"PSIMLEX1"
 _DIGEST_END = len(_CACHE_MAGIC) + 32
-_CHUNK = 1 << 20
+_HASH_WINDOW = 1 << 22          # a multiple of the page size
 
 
 def cache_path(path) -> Path:
@@ -171,10 +171,23 @@ def cache_path(path) -> Path:
     return path.with_name(path.name + ".pairsim-cache")
 
 
-def _update_from(digest, fh):
-    """Feed the rest of an open binary file to a hash, a chunk at a time."""
-    for chunk in iter(lambda: fh.read(_CHUNK), b""):
-        digest.update(chunk)
+def _map(path) -> mmap.mmap:
+    """A read-only mapping of a whole file; ValueError if it is empty."""
+    with open(path, "rb") as fh:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def _sha256(buf: mmap.mmap, start: int = 0):
+    """SHA-256 of buf[start:], hashed in place, without a copy.
+
+    Each window's pages are dropped from this process once hashed (the
+    file's page cache keeps them), so hashing raises its resident set by
+    one window, not by the size of the file."""
+    digest = hashlib.sha256()
+    with memoryview(buf) as view:
+        for lo in range(0, len(buf), _HASH_WINDOW):
+            digest.update(view[max(lo, start):lo + _HASH_WINDOW])
+            buf.madvise(mmap.MADV_DONTNEED, lo, min(_HASH_WINDOW, len(buf) - lo))
     return digest
 
 
@@ -182,34 +195,34 @@ def _read_cache(path: Path, expected_dim: int | None) -> EmbeddingTable | None:
     """The table from the cache beside ``path``, if that cache carries the
     SHA-256 of the text, has the expected dim, holds exactly one distinct
     word per row and one matrix of the recorded size, and its own digest
-    checks out; else None."""
+    checks out; else None.  Both files are hashed through read-only
+    mappings, and the matrix is a view of the cache's mapping."""
     try:
-        with open(cache_path(path), "rb") as fh:
-            prefix = fh.read(_DIGEST_END + 8)
-            if len(prefix) != _DIGEST_END + 8 or not prefix.startswith(_CACHE_MAGIC):
+        buf = _map(cache_path(path))
+        if len(buf) < _DIGEST_END + 8 or buf[:len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+            return None
+        stored = buf[len(_CACHE_MAGIC):_DIGEST_END]
+        (meta_len,) = struct.unpack_from("<Q", buf, _DIGEST_END)
+        pos = _DIGEST_END + 8
+        meta = json.loads(buf[pos:pos + meta_len])
+        dim, rows = meta["dim"], meta["rows"]
+        if expected_dim not in (None, dim):
+            return None
+        with _map(path) as text:    # an emptied text cannot be mapped: it is parsed
+            if _sha256(text).hexdigest() != meta["source_sha256"]:
                 return None
-            stored = prefix[len(_CACHE_MAGIC):_DIGEST_END]
-            (meta_len,) = struct.unpack("<Q", prefix[_DIGEST_END:])
-            meta = json.loads(fh.read(meta_len))
-            dim, rows = meta["dim"], meta["rows"]
-            if expected_dim not in (None, dim):
-                return None
-            with open(path, "rb") as text:
-                if _update_from(hashlib.sha256(), text).hexdigest() != meta["source_sha256"]:
-                    return None
-            words = fh.read(meta["words_bytes"]).decode("utf-8").split()
-            index = dict(zip(words, range(len(words))))
-            offset = -(-fh.tell() // 8) * 8
-            if (len(words) != rows or len(index) != rows
-                    or offset + 8 * rows * dim != os.fstat(fh.fileno()).st_size):
-                return None
-            duplicates = [(int(lineno), str(word)) for lineno, word in meta["duplicates"]]
-            fh.seek(_DIGEST_END)
-            if _update_from(hashlib.sha256(), fh).digest() != stored:
-                return None
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            matrix = np.frombuffer(buf, dtype="<f8", count=rows * dim,
-                                   offset=offset).reshape(rows, dim)
+        pos += meta_len
+        words = buf[pos:pos + meta["words_bytes"]].decode("utf-8").split()
+        index = dict(zip(words, range(len(words))))
+        offset = -(-(pos + meta["words_bytes"]) // 8) * 8
+        if (len(words) != rows or len(index) != rows
+                or offset + 8 * rows * dim != len(buf)):
+            return None
+        duplicates = [(int(lineno), str(word)) for lineno, word in meta["duplicates"]]
+        if _sha256(buf, _DIGEST_END).digest() != stored:
+            return None
+        matrix = np.frombuffer(buf, dtype="<f8", count=rows * dim,
+                               offset=offset).reshape(rows, dim)
     except (OSError, ValueError, LookupError, TypeError, struct.error):
         return None
     for lineno, word in duplicates:

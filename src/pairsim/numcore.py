@@ -28,7 +28,10 @@ batch of one row.
 ``lstm_last_state`` returns all final states as one (n_seq, l) array
 with one tape record.  Its weights are three fused arrays, W (4l, k),
 U (4l, l) and b (4l,), with the four gates as row blocks in i/f/o/u
-order, so neither direction restacks or slices them.
+order, so neither direction restacks or slices them.  A forward step
+over 2-7 running sequences reads U once, in L2-sized row blocks, where
+one GEMM would read it about twice (window and sizes from a sweep on
+OpenBLAS 0.3.31; see ``lstm_last_state``).
 
 The logistic, ``expit``, is 0.5 * tanh(0.5 * x) + 0.5 in four in-place
 ufuncs, so numpy alone serves it.  It never overflows (so it needs no
@@ -499,6 +502,20 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None):
 # ---------------------------------------------------------------------------
 # recurrent unit
 
+# The bytes of U per row block, and the most running sequences, of the
+# blocked recurrent product; both from the sweep ``lstm_last_state`` cites.
+_STREAM_BLOCK_BYTES = 1 << 20
+_STREAM_MAX_K = 7
+
+
+def _row_blocks_matmul(U, h, rows: int) -> np.ndarray:
+    """U @ h as a (4l, k) array, rows of U at a time."""
+    z = np.empty((U.shape[0], h.shape[1]))
+    for lo in range(0, U.shape[0], rows):
+        np.matmul(U[lo:lo + rows], h, out=z[lo:lo + rows])
+    return z
+
+
 def lstm_last_state(S, lengths, W, U, b):
     """(n_seq, l) final hidden states of an LSTM run over each sequence.
 
@@ -526,6 +543,19 @@ def lstm_last_state(S, lengths, W, U, b):
     backward pass walks the steps in reverse the same way, then forms
     dW, dU and db as one GEMM each.  Recording mode appends one tape
     record.
+
+    With few sequences running, one GEMM reads U (20.5 MB at l = 800)
+    more than once per step: at k_t = 2 it took about 2.2x one pass.  So
+    a forward step t >= 1 with 2 <= k_t <= 7, when U is larger than one
+    block, multiplies U h_{t-1} as row blocks of about 1 MiB of U, each
+    still in L2 while BLAS works on it (Diamos et al. 2016, *Persistent
+    RNNs*, make the same point for reloading U at small batch).  The
+    window comes from a sweep at l = 400-1600 on OpenBLAS 0.3.31 with one
+    thread.  At l = 800, k = 2 ran at 2.2x and k = 3-7 at 1.5-2x the one
+    GEMM; k = 1, a GEMV that already streams U once, ran at 0.9x, and
+    k = 8-15 at 0.6-0.9x.  The blocked product differs from the one
+    GEMM only in summation order: by at most 5.1e-15 absolute for a
+    Glorot-scale U at l = 800.
     """
     Sv = _value(S)
     if Sv.ndim != 2:
@@ -560,13 +590,19 @@ def lstm_last_state(S, lengths, W, U, b):
     # A step's GEMM yields (k, 4l) rows, the layout BLAS fills fastest;
     # one transposed copy makes it gate-major, so that the elementwise
     # work runs on contiguous (l, k) gate blocks, which matters at small l.
+    # The blocked product (see above) is gate-major already.
+    rows = max(1, _STREAM_BLOCK_BYTES // (8 * l))
     Z, C, Tc, H = [], [], [], []    # gate activations, cells, tanh(cells), states
     out = np.empty((ns.size, l))
     for t, k in enumerate(ks):
-        zr = X[off[t]:off[t + 1]]
-        if t:
-            zr = zr + H[-1][:, :k].T @ Uv.T
-        z = np.ascontiguousarray(zr.T)
+        if t and 2 <= k <= _STREAM_MAX_K and rows < 4 * l:
+            z = _row_blocks_matmul(Uv, H[-1][:, :k], rows)
+            z += X[off[t]:off[t + 1]].T
+        else:
+            zr = X[off[t]:off[t + 1]]
+            if t:
+                zr = zr + H[-1][:, :k].T @ Uv.T
+            z = np.ascontiguousarray(zr.T)
         expit(z[:3 * l], out=z[:3 * l])
         np.tanh(z[3 * l:], out=z[3 * l:])
         i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]

@@ -140,6 +140,18 @@ def test_train_nan_exits_3(workdir, capsys, tmp_path):
     assert "batch" in err
 
 
+@pytest.mark.parametrize("bad", ["-0.1", "nan", "inf", "1e308"])
+def test_train_rejects_bad_oov_scale(workdir, capsys, tmp_path, bad):
+    # an OOV word, so that a bad scale would reach the first OOV draw
+    data = tmp_path / "oov.tsv"
+    data.write_text("qqq www\teee rrr\t3.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "train", data, "--config", workdir / "desk.cfg",
+                         "--out", tmp_path / "x.ckpt", "--oov_scale", bad)
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith(f"error: oov_scale must be a finite number >= 0, got {float(bad)}")
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_ckpt(workdir, tmp_path_factory):
     """A checkpoint overfit on the toy training set."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import mmap
 import os
 import shutil
 import struct
@@ -11,6 +12,7 @@ import pytest
 from pairsim import embeddings as emb
 from pairsim.embeddings import FusedLexicon, cache_path, load_lexicon, load_table
 from pairsim.errors import DataError
+from pairsim.rng import stream
 
 from toys import toy_lexicon
 
@@ -377,6 +379,44 @@ def test_bad_line_raises_despite_a_cache_of_the_old_text(tmp_path, bad_line, mes
         load_table(p)
     with pytest.raises(DataError, match=message):
         load_table(p)
+
+
+def test_emptied_text_raises_despite_a_cache_of_the_old_text(tmp_path):
+    p = write(tmp_path, "t.txt", TABLE)
+    load_table(p)
+    p.write_bytes(b"")              # an empty file cannot be memory-mapped
+    for _ in range(2):
+        with pytest.raises(DataError, match="no word vectors found"):
+            load_table(p)
+
+
+def test_windowed_hash_equals_one_pass(tmp_path, monkeypatch):
+    monkeypatch.setattr(emb, "_HASH_WINDOW", mmap.PAGESIZE)
+    data = stream(3, "test").bytes(7 * mmap.PAGESIZE // 2)
+    p = tmp_path / "blob"
+    p.write_bytes(data)
+    with emb._map(p) as buf:
+        for start in (0, 40, mmap.PAGESIZE + 1):
+            assert emb._sha256(buf, start).digest() == hashlib.sha256(data[start:]).digest()
+        assert buf[:] == data        # pages dropped after hashing read back the same
+
+
+def _rss_file_kb():
+    with open("/proc/self/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return int(fields["RssFile"].split()[0])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_cached_load_does_not_keep_the_files_resident(tmp_path):
+    rng = stream(4, "test")
+    rows = [f"w{i} " + " ".join("%.6f" % v for v in rng.normal(size=256)) for i in range(2000)]
+    p = write(tmp_path, "big.txt", "\n".join(rows) + "\n")       # 4 MB of cache
+    load_table(p)
+    before = _rss_file_kb()
+    table = load_table(p)
+    assert _rss_file_kb() - before < 1024
+    np.testing.assert_array_equal(table.matrix[1999], parsed(p).matrix[1999])
 
 
 def test_cache_dim_mismatch_raises_the_parse_error(tmp_path):

@@ -346,6 +346,80 @@ def test_backward_lstm_batch_unused_and_shared_outputs():
     assert not np.any(tape_grads(loss, [S, W, U, b])[0][segments(S)[1]])
 
 
+def spy_on_row_blocks(monkeypatch):
+    """The (k, rows) of each step that takes the blocked recurrent product."""
+    calls = []
+    blocked = nc._row_blocks_matmul
+
+    def spy(U, h, rows):
+        calls.append((h.shape[1], rows))
+        return blocked(U, h, rows)
+
+    monkeypatch.setattr(nc, "_row_blocks_matmul", spy)
+    return calls
+
+
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """Blocks of 5 rows of U at l = 3 (12 rows as 5, 5, 2), so that toy
+    steps over 2..7 sequences take the blocked recurrent product."""
+    monkeypatch.setattr(nc, "_STREAM_BLOCK_BYTES", 5 * 8 * 3)
+    return spy_on_row_blocks(monkeypatch)
+
+
+def test_lstm_last_state_matches_scalar_loop_in_row_blocks(row_blocks):
+    test_lstm_last_state_matches_scalar_loop()
+    assert row_blocks == []         # one sequence: every step keeps the GEMM
+
+
+# after t = 0, MIXED_LENGTHS runs k = 3 for two steps, then k = 1
+def test_lstm_batch_matches_scalar_loop_in_row_blocks(row_blocks):
+    test_lstm_batch_matches_scalar_loop()
+    assert row_blocks == [(3, 5), (3, 5)]
+
+
+def test_lstm_batch_matches_one_at_a_time_in_row_blocks(row_blocks):
+    test_lstm_batch_matches_one_at_a_time()
+    assert row_blocks == [(3, 5), (3, 5)]
+
+
+def test_backward_lstm_batch_unused_and_shared_outputs_in_row_blocks(row_blocks):
+    test_backward_lstm_batch_unused_and_shared_outputs()
+    assert row_blocks and set(row_blocks) == {(3, 5)}
+
+
+def one_gemm_lstm_states(S, n, W, U, b):
+    """Final states of k equal-length sequences packed one after another
+    in S, with each step's gates as one (k, 4l) GEMM: the step formula
+    that runs outside the blocked window."""
+    l = U.shape[1]
+    seqs = S.reshape(-1, n, S.shape[1])
+    h = c = np.zeros((seqs.shape[0], l))
+    for t in range(n):
+        z = seqs[:, t] @ W.T + b + h @ U.T
+        i, f, o = (nc.expit(z[:, g * l:(g + 1) * l]) for g in range(3))
+        c = f * c + i * np.tanh(z[:, 3 * l:])
+        h = o * np.tanh(c)
+    return h
+
+
+def test_lstm_row_blocks_match_one_gemm_at_l400(monkeypatch):
+    """At l = 400 U is 5.1 MB (five 1 MiB blocks of 327 rows); the blocked
+    product runs exactly for the steps over 2..7 sequences."""
+    l, k_in, n = 400, 3, 3
+    rng = stream(16, "test")
+    W = rng.uniform(-0.3, 0.3, size=(4 * l, k_in))
+    U = rng.uniform(-0.05, 0.05, size=(4 * l, l))
+    b = rng.uniform(-0.3, 0.3, size=4 * l)
+    ks = spy_on_row_blocks(monkeypatch)
+    for k in range(1, 10):
+        S = rng.normal(size=(k * n, k_in))
+        ks.clear()
+        got = nc.lstm_last_state(S, [n] * k, W, U, b)
+        assert rel_err(got, one_gemm_lstm_states(S, n, W, U, b)) <= 1e-13
+        assert ks == ([(k, 327)] * (n - 1) if 2 <= k <= 7 else [])
+
+
 # ---------------------------------------------------------------------------
 # backward consistency against finite differences
 
