@@ -76,8 +76,8 @@ class RunConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise ConfigError(f"epsilon must be a finite number > 0, got {self.epsilon}")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 0:
             raise ConfigError("batch_size/epochs must be >= 1 and patience >= 0")
         if min(self.filters, self.lstm_dim, self.max_len, self.d_neu) < 1:

@@ -10,6 +10,12 @@ the LSTM is the three fused arrays ``encoder.W_lstm``,
 ``encoder.U_lstm`` and ``encoder.b_lstm`` (gate blocks in i/f/o/u
 order, see ``encoder``).
 
+A built or loaded model keeps all its parameters in one flat float64
+buffer, ``ModelParams.flat``: the arrays one after another in canonical
+order, their order in a checkpoint too, each named parameter a view of
+it (``parameter_views``).  The optimizer keeps its state in buffers of
+the same layout, so that an update is one sweep.
+
 Word embeddings are data owned by the lexicon, never parameters.
 """
 
@@ -98,16 +104,28 @@ class ModelParams:
     encoder: EncoderParams
     comparison: cmp.ComparisonParams
     head: cmp.HeadParams
+    flat: Optional[np.ndarray] = None     # the buffer all parameters view, if any
 
 
 def build_model(spec: ModelSpec, seed: Optional[int]) -> ModelParams:
-    """Initialize all parameters from the seed's "init" stream.
+    """Initialize all parameters from the seed's "init" stream, as views
+    of one flat buffer.
 
-    With seed None the weight matrices are allocated in the same order
-    and sizes but not drawn, for a caller that overwrites every
+    The arrays are drawn in the init functions' order and then copied
+    into their views.  With seed None nothing is drawn and the buffer is
+    left unset, its pages untouched, for a caller that overwrites every
     parameter (checkpoint loading).
     """
-    rng = None if seed is None else stream(seed, "init")
+    params = _init_parts(spec, None)      # for the shapes: rng None leaves weights unset
+    params = with_flat(params, np.empty(parameter_count(params)))
+    if seed is not None:
+        views = leaf_arrays(params)
+        for name, arr in named_parameters(_init_parts(spec, stream(seed, "init"))):
+            views[name][...] = arr
+    return params
+
+
+def _init_parts(spec: ModelSpec, rng) -> ModelParams:
     enc = init_encoder(spec.encoder, spec.total_dim, spec.H, spec.l, rng)
     comp = cmp.init_comparison(spec.comparison, enc.out_dim, enc.word_dim,
                                spec.L, spec.d_neu, rng)
@@ -133,13 +151,45 @@ def leaf_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def with_leaves(params: ModelParams, leaves) -> ModelParams:
-    """Same structure with leaf arrays swapped for the mapping's values."""
+    """Same structure with leaf arrays swapped for the mapping's values,
+    and no flat buffer."""
     parts = {}
     for part, fields in _FIELDS:
         obj_ = getattr(params, part)
         parts[part] = replace(obj_, **{f: leaves.get(f"{part}.{f}", getattr(obj_, f))
                                        for f in fields})
     return ModelParams(spec=params.spec, **parts)
+
+
+def parameter_count(params: ModelParams) -> int:
+    return sum(arr.size for _, arr in named_parameters(params))
+
+
+def parameter_views(params: ModelParams, buf: np.ndarray) -> dict[str, np.ndarray]:
+    """name -> the view of the 1-d ``buf`` at that parameter's offset in
+    the flat layout, with the parameter's shape."""
+    views, off = {}, 0
+    for name, arr in named_parameters(params):
+        views[name] = buf[off:off + arr.size].reshape(arr.shape)
+        off += arr.size
+    return views
+
+
+def with_flat(params: ModelParams, flat: np.ndarray) -> ModelParams:
+    """Same structure with every parameter a view of ``flat``; the
+    values are ``flat``'s, not the arrays' of ``params``."""
+    out = with_leaves(params, parameter_views(params, flat))
+    out.flat = flat
+    return out
+
+
+def is_flat(params: ModelParams) -> bool:
+    """Whether every parameter is still a view of ``params.flat`` (as
+    ``with_flat`` made it), so that updating the buffer updates them."""
+    flat = params.flat
+    named = named_parameters(params)
+    return (flat is not None and all(arr.base is flat for _, arr in named)
+            and sum(arr.size for _, arr in named) == flat.size)
 
 
 # ---------------------------------------------------------------------------

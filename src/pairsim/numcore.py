@@ -503,9 +503,12 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None):
 # recurrent unit
 
 # The bytes of U per row block, and the most running sequences, of the
-# blocked recurrent product; both from the sweep ``lstm_last_state`` cites.
+# blocked recurrent products, forward and backward; all four from the
+# sweeps ``lstm_last_state`` cites.
 _STREAM_BLOCK_BYTES = 1 << 20
 _STREAM_MAX_K = 7
+_STREAM_BWD_BLOCK_BYTES = 1 << 18
+_STREAM_BWD_MAX_K = 8
 
 
 def _row_blocks_matmul(U, h, rows: int) -> np.ndarray:
@@ -514,6 +517,16 @@ def _row_blocks_matmul(U, h, rows: int) -> np.ndarray:
     for lo in range(0, U.shape[0], rows):
         np.matmul(U[lo:lo + rows], h, out=z[lo:lo + rows])
     return z
+
+
+def _row_blocks_tmatmul(U, dz, rows: int) -> np.ndarray:
+    """U.T @ dz as an (l, k) array, summed over row blocks of U."""
+    dh = U[:rows].T @ dz[:rows]
+    part = np.empty_like(dh)
+    for lo in range(rows, U.shape[0], rows):
+        np.matmul(U[lo:lo + rows].T, dz[lo:lo + rows], out=part)
+        dh += part
+    return dh
 
 
 def lstm_last_state(S, lengths, W, U, b):
@@ -556,6 +569,14 @@ def lstm_last_state(S, lengths, W, U, b):
     k = 8-15 at 0.6-0.9x.  The blocked product differs from the one
     GEMM only in summation order: by at most 5.1e-15 absolute for a
     Glorot-scale U at l = 800.
+
+    The backward step's U.T dz reads U the same way, so a step t >= 1
+    over 2 <= k_t <= 8 sequences sums it over row blocks of 256 KiB of U
+    when U is larger than one block.  In a sweep at l = 400, 800 and 1600
+    (same library, one thread) that ran at 1.2-1.7x the one GEMM for
+    k = 2..8 at l = 400 and 800, and at 0.99-1.25x at l = 1600; 1 MiB
+    blocks lost from k = 8 on (0.6x), and k = 1 lost with any block size.
+    Step 0 passes no gradient back, since h_0 is the constant zero.
     """
     Sv = _value(S)
     if Sv.ndim != 2:
@@ -621,6 +642,7 @@ def lstm_last_state(S, lengths, W, U, b):
             G = G[order].T                                  # (l, n_seq), longest first
             dh = dc = np.zeros((l, 0))
             dZ = [None] * len(ks)
+            bwd_rows = max(1, _STREAM_BWD_BLOCK_BYTES // (8 * l))
             for t in range(len(ks) - 1, -1, -1):
                 k = ks[t]
                 if dh.shape[1] < k:     # the sequences whose last step is t join
@@ -636,7 +658,12 @@ def lstm_last_state(S, lengths, W, U, b):
                 dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
                 dz[2 * l:3 * l] = do * o * (1.0 - o)
                 dz[3 * l:] = (dc * i) * (1.0 - u * u)
-                dh = np.ascontiguousarray((dz.T @ Uv).T)       # rows GEMM, as above
+                if t == 0:
+                    break
+                if 2 <= k <= _STREAM_BWD_MAX_K and bwd_rows < 4 * l:
+                    dh = _row_blocks_tmatmul(Uv, dz, bwd_rows)
+                else:
+                    dh = np.ascontiguousarray((dz.T @ Uv).T)   # rows GEMM, as above
                 dc = dc * f
             dZ = np.hstack(dZ)                                  # (4l, N), packed
             if type(S) is Node:

@@ -1,11 +1,13 @@
-"""Independent scalar-loop oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
 Everything here is written with plain Python floats and explicit loops,
-on purpose: these functions must not share any code path with the
-library they are checking.
+or with plain numpy on one array at a time, on purpose: these functions
+must not share any code path with the library they are checking.
 """
 
 import math
+
+import numpy as np
 
 
 def scalar_sigmoid(x):
@@ -64,6 +66,32 @@ def scalar_adadelta_steps(grads, rho, eps):
         edx2 = rho * edx2 + (1.0 - rho) * dx * dx
         deltas.append(dx)
     return deltas
+
+
+def whole_array_adadelta_step(params, Eg2, Edx2, grads, rho, eps):
+    """One in-place AdaDelta update of dicts of arrays, each array whole,
+    with the library's ufuncs in the library's order: the reference its
+    chunked sweep over flat buffers must match bit for bit."""
+    for name, arr in params.items():
+        g = grads[name]
+        eg2, edx2 = Eg2[name], Edx2[name]
+        a, b = np.empty_like(arr), np.empty_like(arr)
+        eg2 *= rho
+        np.multiply(1.0 - rho, g, out=a)
+        a *= g
+        eg2 += a
+        np.add(edx2, eps, out=a)
+        np.sqrt(a, out=a)
+        np.negative(a, out=a)
+        np.add(eg2, eps, out=b)
+        np.sqrt(b, out=b)
+        a /= b
+        a *= g
+        edx2 *= rho
+        np.multiply(1.0 - rho, a, out=b)
+        b *= a
+        edx2 += b
+        arr += a
 
 
 def scalar_cosine(a, b):

@@ -152,6 +152,17 @@ def test_train_rejects_bad_oov_scale(workdir, capsys, tmp_path, bad):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1e-6"])
+def test_train_rejects_bad_epsilon(workdir, capsys, tmp_path, bad):
+    # a nan epsilon once trained to an all-nan checkpoint and exited 0
+    code, out, err = run(capsys, "train", workdir / "sts.tsv", "--config",
+                         workdir / "desk.cfg", "--out", tmp_path / "x.ckpt",
+                         "--epsilon", bad, "--epochs", "1")
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith(f"error: epsilon must be a finite number > 0, got {float(bad)}")
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_ckpt(workdir, tmp_path_factory):
     """A checkpoint overfit on the toy training set."""

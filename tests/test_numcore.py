@@ -362,8 +362,10 @@ def spy_on_row_blocks(monkeypatch):
 @pytest.fixture
 def row_blocks(monkeypatch):
     """Blocks of 5 rows of U at l = 3 (12 rows as 5, 5, 2), so that toy
-    steps over 2..7 sequences take the blocked recurrent product."""
+    steps over 2..7 sequences take the blocked recurrent product, and
+    backward steps over 2..8 its blocked transpose."""
     monkeypatch.setattr(nc, "_STREAM_BLOCK_BYTES", 5 * 8 * 3)
+    monkeypatch.setattr(nc, "_STREAM_BWD_BLOCK_BYTES", 5 * 8 * 3)
     return spy_on_row_blocks(monkeypatch)
 
 
@@ -418,6 +420,45 @@ def test_lstm_row_blocks_match_one_gemm_at_l400(monkeypatch):
         got = nc.lstm_last_state(S, [n] * k, W, U, b)
         assert rel_err(got, one_gemm_lstm_states(S, n, W, U, b)) <= 1e-13
         assert ks == ([(k, 327)] * (n - 1) if 2 <= k <= 7 else [])
+
+
+def lstm_grads(S, lengths, W, U, b, w):
+    """Gradients of sum(w * final states) for S, W, U and b."""
+    with nc.GradTape() as tape:
+        leaves = [tape.leaf(x) for x in (S, W, U, b)]
+        H = nc.lstm_last_state(leaves[0], lengths, *leaves[1:])
+        tape.backward(nc.vsum(nc.elementwise_mul(H, w)))
+    return [x.grad for x in leaves]
+
+
+def test_lstm_backward_row_blocks_match_one_gemm_at_l800(monkeypatch):
+    """At l = 800 U is 20.5 MB (80 blocks of 40 rows, 256 KiB each); the
+    backward steps t >= 1 over 2..8 sequences sum U.T dz over them, and
+    step 0 computes no U.T dz at all."""
+    l, k_in, n = 800, 3, 3
+    rng = stream(17, "test")
+    limit = np.sqrt(6.0 / (2 * l))
+    W = rng.uniform(-limit, limit, size=(4 * l, k_in))
+    U = rng.uniform(-limit, limit, size=(4 * l, l))
+    b = rng.uniform(-0.3, 0.3, size=4 * l)
+    calls = []
+    blocked = nc._row_blocks_tmatmul
+
+    def spy(U, dz, rows):
+        calls.append((dz.shape[1], rows))
+        return blocked(U, dz, rows)
+
+    monkeypatch.setattr(nc, "_row_blocks_tmatmul", spy)
+    for k in range(1, 10):
+        S, w = rng.normal(size=(k * n, k_in)), rng.normal(size=(k, l))
+        calls.clear()
+        got = lstm_grads(S, [n] * k, W, U, b, w)
+        assert calls == ([(k, 40)] * (n - 1) if 2 <= k <= 8 else [])
+        with monkeypatch.context() as m:
+            m.setattr(nc, "_STREAM_BWD_MAX_K", 0)       # every step one GEMM
+            want = lstm_grads(S, [n] * k, W, U, b, w)
+        for g, one_gemm in zip(got, want):
+            assert rel_err(g, one_gemm) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

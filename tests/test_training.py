@@ -1,15 +1,17 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from pairsim import model as md
+from pairsim import numcore as nc
 from pairsim import objectives as obj
 from pairsim import training as tr
-from pairsim.errors import CheckpointError, NumericError
+from pairsim.errors import CheckpointError, ConfigError, NumericError
 
-from oracles import scalar_adadelta_steps
+from oracles import scalar_adadelta_steps, whole_array_adadelta_step
 from pairsim.rng import stream
 
 from toys import edit_checkpoint_header, sts_overfit_dataset, toy_lexicon
@@ -109,6 +111,144 @@ def test_adadelta_accumulators_stay_finite_nonnegative(lex):
     for group in (state.Eg2, state.Edx2):
         for v in group.values():
             assert np.all(v >= 0) and np.all(np.isfinite(v))
+
+
+def layout_of_sizes(sizes):
+    """A model whose parameter arrays have the given sizes, as views of a
+    flat buffer of random values: a layout for adadelta_step alone."""
+    params = md.build_model(small_spec(), seed=1)
+    names = [n for n, _ in md.named_parameters(params)]
+    assert len(sizes) == len(names)
+    shaped = md.with_leaves(params, {n: np.empty(size) for n, size in zip(names, sizes)})
+    return md.with_flat(shaped, np.random.default_rng(3).normal(size=sum(sizes)))
+
+
+# 1 and CHUNK - 1 end exactly on the first chunk boundary; CHUNK + 1 then
+# straddles the second, and 3 CHUNK + 7 the next two
+ORACLE_SIZES = [1, tr.CHUNK - 1, tr.CHUNK + 1, 3 * tr.CHUNK + 7, 5, tr.CHUNK, 2, 3]
+
+
+@pytest.mark.parametrize("rho, eps", [(0.95, 1e-6), (0.9, 1e-8)])
+def test_adadelta_sweep_is_bit_identical_to_whole_array_updates(rho, eps):
+    params = layout_of_sizes(ORACLE_SIZES)
+    state = tr.AdaDeltaState.zeros(params, rho, eps)
+    ref = {n: a.copy() for n, a in md.named_parameters(params)}
+    ref_Eg2 = {n: np.zeros_like(a) for n, a in ref.items()}
+    ref_Edx2 = {n: np.zeros_like(a) for n, a in ref.items()}
+    rng = np.random.default_rng(11)
+    for step in range(5):
+        grads = {}
+        for name, a in ref.items():
+            g = rng.normal(size=a.shape) * 10.0 ** rng.integers(-3, 4, size=a.shape)
+            # extreme gradients at random entries: zero, subnormal squares, huge
+            g.flat[rng.integers(0, a.size, size=3)] = rng.choice([0.0, 1e-300, 1e150], 3)
+            grads[name] = g
+        if step % 2:        # through the tape's buffer instead of the mapping
+            for name, g in grads.items():
+                state.grad[name][...] = g
+            tr.adadelta_step(state, params, {})
+        else:
+            tr.adadelta_step(state, params, grads)
+        whole_array_adadelta_step(ref, ref_Eg2, ref_Edx2, grads, rho, eps)
+        for name, a in md.named_parameters(params):
+            np.testing.assert_array_equal(a, ref[name])
+            np.testing.assert_array_equal(state.Eg2[name], ref_Eg2[name])
+            np.testing.assert_array_equal(state.Edx2[name], ref_Edx2[name])
+        assert not state.flat[2].any()      # each gradient chunk is zeroed once used
+
+
+# ---------------------------------------------------------------------------
+# flat buffers
+
+
+def address(arr):
+    return arr.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("encoder, comparison", [
+    ("maxlstm", "multi"), ("maxcnn_only", "multi"), ("lstm_only", "sent"),
+    ("proj_avg", "sent"), ("word_avg", "sent")])
+def test_parameters_and_state_view_flat_buffers_in_canonical_order(encoder, comparison):
+    spec = md.ModelSpec(task="sts", encoder=encoder, comparison=comparison,
+                        total_dim=8, H=6, l=5, L=4, d_neu=4, C=5,
+                        score=obj.ScoreSpec(5, 0, 5))
+    params = md.build_model(spec, seed=3)
+    state = tr.AdaDeltaState.zeros(params)
+    off = 0
+    for name, arr in md.named_parameters(params):
+        assert arr.base is params.flat
+        assert address(arr) == address(params.flat) + 8 * off
+        for row, views in enumerate((state.Eg2, state.Edx2, state.grad)):
+            assert views[name].shape == arr.shape
+            assert address(views[name]) == address(state.flat[row]) + 8 * off
+        off += arr.size
+    assert off == params.flat.size == md.parameter_count(params)
+    assert state.flat.shape == (3, off) and md.is_flat(params)
+
+
+def test_load_checkpoint_reads_each_section_into_its_buffer(tmp_path, lex):
+    result = trained(lex)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, result.params, result.state)
+    raw = path.read_bytes()
+    start = 16 + struct.unpack("<Q", raw[8:16])[0]
+    mid = start + result.params.flat.nbytes
+    params, state, _ = tr.load_checkpoint(path)
+    assert md.is_flat(params)
+    assert params.flat.tobytes() == raw[start:mid]
+    assert state.flat[:2].tobytes() == raw[mid:]
+    assert not state.flat[2].any()
+
+
+def test_adadelta_refuses_parameters_that_are_not_views_of_their_buffer(lex):
+    params = md.build_model(small_spec(), seed=1)
+    state = tr.AdaDeltaState.zeros(params)
+    before = params.flat.copy()
+    copy = md.with_leaves(params, {n: a.copy() for n, a in md.named_parameters(params)})
+    stale = md.with_leaves(copy, {})
+    stale.flat = params.flat            # a buffer its arrays no longer view
+    grads = {n: np.ones_like(a) for n, a in md.named_parameters(params)}
+    for bad in (copy, stale):
+        with pytest.raises(ConfigError, match="views of params.flat"):
+            tr.adadelta_step(state, bad, grads)
+    np.testing.assert_array_equal(params.flat, before)
+    assert not state.flat.any()
+    with pytest.raises(ConfigError, match="gradient shape"):
+        tr.adadelta_step(state, params, {"head.b_l2": np.ones(2)})
+    assert not state.flat.any()
+
+
+def fail_after_backward(monkeypatch):
+    real = nc.GradTape.backward
+
+    def backward(tape, root):
+        real(tape, root)                # the gradients are in the state's buffer now
+        raise NumericError("failed after the backward pass")
+    monkeypatch.setattr(nc.GradTape, "backward", backward)
+
+
+def nan_loss(monkeypatch):
+    real = md.batch_loss
+    monkeypatch.setattr(md, "batch_loss", lambda *a, **k: nc.scale(real(*a, **k), math.nan))
+
+
+@pytest.mark.parametrize("failure", [nan_loss, fail_after_backward])
+def test_a_failed_step_leaves_params_and_state_as_they_were(lex, monkeypatch, failure):
+    batch = sts_overfit_dataset().examples[:4]
+    params = md.build_model(maxlstm_spec(dropout=0.5), seed=5)
+    state = tr.AdaDeltaState.zeros(params)
+    with monkeypatch.context() as m:
+        failure(m)
+        with pytest.raises(NumericError):
+            tr.train_step(params, state, lex, batch, stream(5, "dropout"))
+    assert not state.flat.any()         # gradient buffer zero, accumulators untouched
+    fresh = md.build_model(maxlstm_spec(dropout=0.5), seed=5)
+    fresh_state = tr.AdaDeltaState.zeros(fresh)
+    np.testing.assert_array_equal(params.flat, fresh.flat)
+    tr.train_step(params, state, lex, batch, stream(5, "dropout"))
+    tr.train_step(fresh, fresh_state, lex, batch, stream(5, "dropout"))
+    np.testing.assert_array_equal(params.flat, fresh.flat)
+    np.testing.assert_array_equal(state.flat, fresh_state.flat)
 
 
 # ---------------------------------------------------------------------------
