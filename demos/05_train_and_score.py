@@ -13,6 +13,7 @@ import numpy as np
 
 from pairsim import model as md
 from pairsim import training as tr
+from pairsim.config import RunConfig
 from pairsim.embeddings import EmbeddingTable, FusedLexicon
 from pairsim.evaldata import PairDataset, SentencePairExample, tokenize
 from pairsim.objectives import ScoreSpec
@@ -54,8 +55,7 @@ spec = md.ModelSpec(task="sts", encoder="maxlstm", comparison="multi",
 params = md.build_model(spec, seed=13)
 
 hash_before = lex.content_hash()
-result = tr.train(params, lex, data,
-                  tr.TrainConfig(batch_size=30, epochs=400, seed=13))
+result = tr.train(params, lex, data, RunConfig(batch_size=30, epochs=400, seed=13))
 print("loss: first epoch {:.4f} -> last epoch {:.4f}".format(
     result.history[0].train_loss, result.history[-1].train_loss))
 print("training pearson:",

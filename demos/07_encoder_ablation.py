@@ -9,6 +9,7 @@ objective, so the table isolates the encoder.
 
 from pairsim import model as md
 from pairsim import training as tr
+from pairsim.config import RunConfig
 from pairsim.embeddings import EmbeddingTable, FusedLexicon
 from pairsim.evaldata import PairDataset, SentencePairExample
 from pairsim.objectives import ScoreSpec
@@ -42,8 +43,7 @@ for mode, kind in [("sent", "word_avg"), ("sent", "proj_avg"),
                         total_dim=lex.total_dim, H=16, l=16, L=4, d_neu=8,
                         C=6, dropout_p=0.0, score=ScoreSpec(6, 0.0, 5.0))
     params = md.build_model(spec, seed=13)
-    result = tr.train(params, lex, data,
-                      tr.TrainConfig(batch_size=30, epochs=100, seed=13))
+    result = tr.train(params, lex, data, RunConfig(batch_size=30, epochs=100, seed=13))
     try:
         metric = md.dataset_metric(result.params, lex, data, 30)
         shown = f"{metric:13.4f}"

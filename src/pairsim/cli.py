@@ -68,10 +68,17 @@ def _config_dict(cfg: RunConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
 
 
-def _train_config(cfg: RunConfig) -> tr.TrainConfig:
-    return tr.TrainConfig(batch_size=cfg.batch_size, epochs=cfg.epochs,
-                          rho=cfg.rho, epsilon=cfg.epsilon, seed=cfg.seed,
-                          patience=cfg.patience, shuffle=cfg.shuffle)
+def _check_valid(path, ds):
+    """Refuse a validation set whose metric is undefined, before any epoch:
+    Pearson needs two distinct gold scores, accuracy one example."""
+    n = len(ds.examples)
+    if ds.task == "sts":
+        distinct = len({ex.gold_score for ex in ds.examples})
+        if distinct < 2:
+            raise DataError(f"{path}: {n} usable validation examples with {distinct} "
+                            f"distinct gold scores; pearson needs at least 2")
+    elif n == 0:
+        raise DataError(f"{path}: 0 usable validation examples; accuracy needs at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +94,8 @@ def cmd_train(args, overrides) -> int:
              if args.valid else None)
     if not data.examples:
         raise DataError(f"{args.train}: no usable examples")
+    if valid is not None:
+        _check_valid(args.valid, valid)
     spec = md.spec_from_config(cfg, lex.total_dim)
     params = md.build_model(spec, cfg.seed)
 
@@ -96,8 +105,7 @@ def cmd_train(args, overrides) -> int:
         metric = "" if rec.valid_metric is None else f"{rec.valid_metric:.6f}"
         print(f"{rec.epoch}\t{rec.train_loss:.6f}\t{metric}", flush=True)
 
-    result = tr.train(params, lex, data, _train_config(cfg), valid,
-                      on_epoch=report)
+    result = tr.train(params, lex, data, cfg, valid, on_epoch=report)
     meta = {"config": _config_dict(cfg), "config_fingerprint": fingerprint(cfg),
             "epoch": result.best_epoch, "embedding_hash": lex.content_hash()}
     tr.save_checkpoint(args.out, result.params, result.state, meta)
@@ -222,7 +230,7 @@ def cmd_bench(args, overrides) -> int:
                               dict(overrides or {}, encoder=enc, comparison=mode))
         spec = md.spec_from_config(run_cfg, lex.total_dim)
         params = md.build_model(spec, run_cfg.seed)
-        result = tr.train(params, lex, data, _train_config(run_cfg))
+        result = tr.train(params, lex, data, run_cfg)
         try:
             metric = md.dataset_metric(result.params, lex, data, run_cfg.batch_size)
             metric = f"{metric:.4f}"

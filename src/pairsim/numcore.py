@@ -7,13 +7,15 @@ modes:
 * plain mode: inputs are numpy arrays (or untracked values), the result
   is a numpy array.  Used for inference and finite-difference probes.
 * recording mode: a ``GradTape`` is active and at least one input is a
-  ``Node``; the primitive caches what its backward pass needs, appends
-  itself to the tape, and returns a ``Node``.
+  ``Node``; the primitive records its output ``Node`` with one closure,
+  ``backward(g)``, which alone does the work only gradients need.
 
 ``GradTape.backward`` replays the recorded primitives in exact reverse
-execution order, accumulating gradients into ``Node.grad``.  Any node
-read by a recorded primitive ends up with a gradient array (possibly
-all zeros).
+execution order, accumulating gradients into ``Node.grad``.  A node's
+gradient is made, as zeros, when the first gradient reaches it; a node
+none reaches keeps ``grad`` None, and each record output's gradient is
+reset to None once its record's backward has run.  A leaf whose ``grad``
+is already set (a view of an optimizer buffer) accumulates in place.
 
 Batch layout.  The model runs a minibatch batch-major.  The words of
 all sentences are one packed (N, k) matrix, sentence after sentence,
@@ -113,21 +115,16 @@ class GradTape:
         self._records.append((out, inputs, backward))
 
     def backward(self, root: Node):
-        """Accumulate d(root)/d(node) into every recorded node's .grad."""
+        """Accumulate d(root)/d(leaf) into the .grad of every leaf it reaches."""
         if not isinstance(root, Node):
             raise TypeError("backward root must be a Node")
         if root.value.shape != ():
             raise ShapeError(f"backward root must be scalar, got shape {root.value.shape}")
-        for out, inputs, _ in self._records:
-            out.grad = np.zeros_like(out.value)
-            for n in inputs:
-                if n.grad is None or n.grad.shape != n.value.shape:
-                    n.grad = np.zeros_like(n.value)
         root.grad = np.ones_like(root.value)
         for out, _, backward in reversed(self._records):
-            g = out.grad
-            if g is not None:
-                backward(g)
+            if out.grad is not None:
+                backward(out.grad)
+                out.grad = None
 
 
 def _value(x) -> np.ndarray:
@@ -138,21 +135,30 @@ def _value(x) -> np.ndarray:
     return as_f64(x)
 
 
-def _nodes(*xs) -> tuple[Node, ...]:
-    return tuple(x for x in xs if isinstance(x, Node))
-
-
 def _finish(value, inputs, backward):
-    """Return raw value, or record a Node if a tape is listening."""
+    """Return raw value, or record a Node and its backward(g) if a tape is listening."""
     tape = _ACTIVE
     if tape is None:
         return value
-    nodes = _nodes(*inputs)
+    nodes = tuple(x for x in inputs if isinstance(x, Node))
     if not nodes:
         return value
     out = Node(value)
-    tape.record(out, nodes, backward(out))
+    tape.record(out, nodes, backward)
     return out
+
+
+def _grad(n: Node) -> np.ndarray:
+    """n's gradient, made as zeros when the first gradient reaches n."""
+    if n.grad is None:
+        n.grad = np.zeros_like(n.value)
+    return n.grad
+
+
+def _acc(n: Node, g):
+    """n's gradient += g."""
+    grad = _grad(n)
+    grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +179,14 @@ def affine_rows(M, W, b=None):
             raise ShapeError(f"affine_rows: b {bv.shape} incompatible with W {Wv.shape}")
         Y += bv
 
-    def backward(out):
-        def run(G):
-            G2 = G.reshape(-1, m)
-            if isinstance(M, Node):
-                M.grad += (G2 @ Wv).reshape(Mv.shape)
-            if isinstance(W, Node):
-                W.grad += G2.T @ Mv.reshape(-1, k)
-            if b is not None and isinstance(b, Node):
-                b.grad += G2.sum(axis=0)
-        return run
+    def backward(G):
+        G2 = G.reshape(-1, m)
+        if isinstance(M, Node):
+            _acc(M, (G2 @ Wv).reshape(Mv.shape))
+        if isinstance(W, Node):
+            _acc(W, G2.T @ Mv.reshape(-1, k))
+        if isinstance(b, Node):
+            _acc(b, G2.sum(axis=0))
 
     return _finish(Y, (M, W, b), backward)
 
@@ -220,10 +224,8 @@ def sigmoid(x):
     """Logistic function 1 / (1 + e^-x); saturates to {0, 1} for huge |x|."""
     y = expit(_value(x))
 
-    def backward(out):
-        def run(g):
-            x.grad += g * (y * (1.0 - y))
-        return run
+    def backward(g):
+        _acc(x, g * (y * (1.0 - y)))
 
     return _finish(y, (x,), backward)
 
@@ -236,13 +238,11 @@ def add(a, b):
     except ValueError:
         raise ShapeError(f"add: shapes {av.shape} and {bv.shape} do not broadcast") from None
 
-    def backward(out):
-        def run(g):
-            if isinstance(a, Node):
-                a.grad += _unbroadcast(g, av.shape)
-            if isinstance(b, Node):
-                b.grad += _unbroadcast(g, bv.shape)
-        return run
+    def backward(g):
+        if isinstance(a, Node):
+            _acc(a, _unbroadcast(g, av.shape))
+        if isinstance(b, Node):
+            _acc(b, _unbroadcast(g, bv.shape))
 
     return _finish(y, (a, b), backward)
 
@@ -251,10 +251,8 @@ def scale(x, c: float):
     c = float(c)
     y = _value(x) * c
 
-    def backward(out):
-        def run(g):
-            x.grad += g * c
-        return run
+    def backward(g):
+        _acc(x, g * c)
 
     return _finish(y, (x,), backward)
 
@@ -265,13 +263,11 @@ def elementwise_mul(a, b):
         raise ShapeError(f"elementwise_mul: shapes {av.shape} and {bv.shape} differ")
     y = av * bv
 
-    def backward(out):
-        def run(g):
-            if isinstance(a, Node):
-                a.grad += g * bv
-            if isinstance(b, Node):
-                b.grad += g * av
-        return run
+    def backward(g):
+        if isinstance(a, Node):
+            _acc(a, g * bv)
+        if isinstance(b, Node):
+            _acc(b, g * av)
 
     return _finish(y, (a, b), backward)
 
@@ -284,15 +280,12 @@ def abs_diff(a, b):
     d = av - bv
     y = np.abs(d)
 
-    def backward(out):
-        s = np.sign(d)
-
-        def run(g):
-            if isinstance(a, Node):
-                a.grad += g * s
-            if isinstance(b, Node):
-                b.grad -= g * s
-        return run
+    def backward(g):
+        gs = g * np.sign(d)
+        if isinstance(a, Node):
+            _acc(a, gs)
+        if isinstance(b, Node):
+            _acc(b, -gs)            # y - x is y + (-x), bit for bit
 
     return _finish(y, (a, b), backward)
 
@@ -302,10 +295,8 @@ def vsum(x):
     xv = _value(x)
     y = as_f64(xv.sum())
 
-    def backward(out):
-        def run(g):
-            x.grad += np.broadcast_to(g, xv.shape)
-        return run
+    def backward(g):
+        _acc(x, np.broadcast_to(g, xv.shape))
 
     return _finish(y, (x,), backward)
 
@@ -322,18 +313,13 @@ def concat(*parts):
     except ValueError:
         raise ShapeError(f"concat: shapes {[v.shape for v in vals]} do not line up") from None
 
-    def backward(out):
-        spans = []
-        ofs = 0
+    def backward(g):
+        lo = 0
         for p, v in zip(parts, vals):
-            spans.append((p, ofs, ofs + v.shape[-1]))
-            ofs += v.shape[-1]
-
-        def run(g):
-            for p, lo, hi in spans:
-                if isinstance(p, Node):
-                    p.grad += g[..., lo:hi]
-        return run
+            hi = lo + v.shape[-1]
+            if isinstance(p, Node):
+                _acc(p, g[..., lo:hi])
+            lo = hi
 
     return _finish(y, parts, backward)
 
@@ -343,10 +329,8 @@ def reshape(x, shape):
     xv = _value(x)
     y = xv.reshape(shape)
 
-    def backward(out):
-        def run(g):
-            x.grad += g.reshape(xv.shape)
-        return run
+    def backward(g):
+        _acc(x, g.reshape(xv.shape))
 
     return _finish(y, (x,), backward)
 
@@ -356,10 +340,8 @@ def take(x, key):
     array without repeats.  The result may be a view of x."""
     y = _value(x)[key]
 
-    def backward(out):
-        def run(g):
-            x.grad[key] += g
-        return run
+    def backward(g):
+        _grad(x)[key] += g
 
     return _finish(y, (x,), backward)
 
@@ -393,11 +375,10 @@ def pad_rows(M, lengths, n_rows: int):
     for j, s, n in spans:
         Y[j, :n] = Mv[s:s + n]
 
-    def backward(out):
-        def run(G):
-            for j, s, n in spans:
-                M.grad[s:s + n] += G[j, :n]
-        return run
+    def backward(G):
+        gM = _grad(M)
+        for j, s, n in spans:
+            gM[s:s + n] += G[j, :n]
 
     return _finish(Y, (M,), backward)
 
@@ -428,18 +409,16 @@ def cosine_rows(A, B):
     C = (Av @ np.swapaxes(Bv, -1, -2)) / (sa[..., :, None] * sb[..., None, :])
     C *= mask
 
-    def backward(out):
-        def run(G):
-            Gm = G * mask
-            GC = Gm * C
-            if isinstance(A, Node):
-                A.grad += (Gm / sb[..., None, :]) @ Bv / sa[..., :, None] \
-                    - Av * (GC.sum(axis=-1) / (sa * sa))[..., None]
-            if isinstance(B, Node):
-                GmT = np.swapaxes(Gm, -1, -2)
-                B.grad += (GmT / sa[..., None, :]) @ Av / sb[..., :, None] \
-                    - Bv * (GC.sum(axis=-2) / (sb * sb))[..., None]
-        return run
+    def backward(G):
+        Gm = G * mask
+        GC = Gm * C
+        if isinstance(A, Node):
+            _acc(A, (Gm / sb[..., None, :]) @ Bv / sa[..., :, None]
+                 - Av * (GC.sum(axis=-1) / (sa * sa))[..., None])
+        if isinstance(B, Node):
+            GmT = np.swapaxes(Gm, -1, -2)
+            _acc(B, (GmT / sa[..., None, :]) @ Av / sb[..., :, None]
+                 - Bv * (GC.sum(axis=-2) / (sb * sb))[..., None])
 
     return _finish(C, (A, B), backward)
 
@@ -459,16 +438,12 @@ def max_over_time(M, lengths):
         starts.append(starts[-1] + n)
     y = np.maximum.reduceat(Mv, starts, axis=0)
 
-    def backward(out):
+    def backward(g):
         # first winning row of each segment and column
         rows = np.minimum.reduceat(
             np.where(Mv == np.repeat(y, ns, axis=0), np.arange(Mv.shape[0])[:, None],
                      Mv.shape[0]), starts, axis=0)
-        cols = np.arange(Mv.shape[1])
-
-        def run(g):
-            M.grad[rows, cols] += g
-        return run
+        _grad(M)[rows, np.arange(Mv.shape[1])] += g
 
     return _finish(y, (M,), backward)
 
@@ -491,10 +466,8 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None):
     mask = (rng.random(xv.shape) >= p) / (1.0 - p)
     y = xv * mask
 
-    def backward(out):
-        def run(g):
-            x.grad += g * mask
-        return run
+    def backward(g):
+        _acc(x, g * mask)
 
     return _finish(y, (x,), backward)
 
@@ -637,47 +610,45 @@ def lstm_last_state(S, lengths, W, U, b):
         if done < k:
             out[order[done:k]] = H[-1][:, done:k].T
 
-    def backward(node):
-        def run(G):
-            G = G[order].T                                  # (l, n_seq), longest first
-            dh = dc = np.zeros((l, 0))
-            dZ = [None] * len(ks)
-            bwd_rows = max(1, _STREAM_BWD_BLOCK_BYTES // (8 * l))
-            for t in range(len(ks) - 1, -1, -1):
-                k = ks[t]
-                if dh.shape[1] < k:     # the sequences whose last step is t join
-                    dh = np.hstack([dh, G[:, dh.shape[1]:k]])
-                    dc = np.hstack([dc, np.zeros((l, k - dc.shape[1]))])
-                z = Z[t]
-                i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
-                tc = Tc[t]
-                do = dh * tc
-                dc = dc + dh * o * (1.0 - tc * tc)
-                dz = dZ[t] = np.empty((4 * l, k))
-                dz[:l] = (dc * u) * i * (1.0 - i)
-                dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
-                dz[2 * l:3 * l] = do * o * (1.0 - o)
-                dz[3 * l:] = (dc * i) * (1.0 - u * u)
-                if t == 0:
-                    break
-                if 2 <= k <= _STREAM_BWD_MAX_K and bwd_rows < 4 * l:
-                    dh = _row_blocks_tmatmul(Uv, dz, bwd_rows)
-                else:
-                    dh = np.ascontiguousarray((dz.T @ Uv).T)   # rows GEMM, as above
-                dc = dc * f
-            dZ = np.hstack(dZ)                                  # (4l, N), packed
-            if type(S) is Node:
-                S.grad[perm] += dZ.T @ Wv
-            if type(W) is Node:
-                W.grad += dZ @ P
-            if type(U) is Node:
-                # h_t of the sequences running at step t + 1, packed like dZ[:, ks[0]:]
-                Hprev = np.hstack([np.zeros((l, 0)),
-                                   *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
-                U.grad += dZ[:, ks[0]:] @ Hprev.T
-            if type(b) is Node:
-                b.grad += dZ.sum(axis=1)
-        return run
+    def backward(G):
+        G = G[order].T                                  # (l, n_seq), longest first
+        dh = dc = np.zeros((l, 0))
+        dZ = [None] * len(ks)
+        bwd_rows = max(1, _STREAM_BWD_BLOCK_BYTES // (8 * l))
+        for t in range(len(ks) - 1, -1, -1):
+            k = ks[t]
+            if dh.shape[1] < k:     # the sequences whose last step is t join
+                dh = np.hstack([dh, G[:, dh.shape[1]:k]])
+                dc = np.hstack([dc, np.zeros((l, k - dc.shape[1]))])
+            z = Z[t]
+            i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
+            tc = Tc[t]
+            do = dh * tc
+            dc = dc + dh * o * (1.0 - tc * tc)
+            dz = dZ[t] = np.empty((4 * l, k))
+            dz[:l] = (dc * u) * i * (1.0 - i)
+            dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
+            dz[2 * l:3 * l] = do * o * (1.0 - o)
+            dz[3 * l:] = (dc * i) * (1.0 - u * u)
+            if t == 0:
+                break
+            if 2 <= k <= _STREAM_BWD_MAX_K and bwd_rows < 4 * l:
+                dh = _row_blocks_tmatmul(Uv, dz, bwd_rows)
+            else:
+                dh = np.ascontiguousarray((dz.T @ Uv).T)   # rows GEMM, as above
+            dc = dc * f
+        dZ = np.hstack(dZ)                                  # (4l, N), packed
+        if type(S) is Node:
+            _grad(S)[perm] += dZ.T @ Wv
+        if type(W) is Node:
+            _acc(W, dZ @ P)
+        if type(U) is Node:
+            # h_t of the sequences running at step t + 1, packed like dZ[:, ks[0]:]
+            Hprev = np.hstack([np.zeros((l, 0)),
+                               *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
+            _acc(U, dZ[:, ks[0]:] @ Hprev.T)
+        if type(b) is Node:
+            _acc(b, dZ.sum(axis=1))
 
     return _finish(out, (S, W, U, b), backward)
 
@@ -702,12 +673,8 @@ def kl_from_logits(p, logits):
     pos = pv > 0.0
     y = np.where(pos, pv * (np.log(np.where(pos, pv, 1.0)) - logq), 0.0).sum(axis=-1)
 
-    def backward(out):
-        q = np.exp(logq)
-
-        def run(g):
-            logits.grad += g[..., None] * (q - pv)
-        return run
+    def backward(g):
+        _acc(logits, g[..., None] * (np.exp(logq) - pv))
 
     return _finish(y, (logits,), backward)
 
@@ -725,12 +692,8 @@ def ce_from_logits(gold, logits):
     onehot = np.arange(K) == gv[..., None]
     y = -np.take_along_axis(logq, gv[..., None], axis=-1)[..., 0]
 
-    def backward(out):
-        d = np.exp(logq) - onehot
-
-        def run(g):
-            logits.grad += g[..., None] * d
-        return run
+    def backward(g):
+        _acc(logits, g[..., None] * (np.exp(logq) - onehot))
 
     return _finish(y, (logits,), backward)
 

@@ -48,6 +48,7 @@ import numpy as np
 from . import model as md
 from . import numcore as nc
 from . import objectives as obj
+from .config import RunConfig
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaldata import PairDataset
 from .rng import stream
@@ -90,16 +91,13 @@ class AdaDeltaState:
         return cls(rho, epsilon, flat, *(md.parameter_views(params, row) for row in flat))
 
 
-def adadelta_step(state: AdaDeltaState, params: md.ModelParams,
-                  grads: dict[str, np.ndarray]):
-    """One in-place update of every parameter.
+def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
+    """One in-place update of every parameter from the state's gradient
+    row, which a tape (or the caller, through ``state.grad``) has filled.
 
-    ``grads`` maps names to gradients that are not already in the
-    state's gradient buffer; they are copied into it first, and any
-    parameter without one uses what the buffer holds (zero, unless a
-    tape accumulated into it).  The parameters must be the views of
-    ``params.flat`` (a model from ``build_model`` or ``load_checkpoint``);
-    anything else raises ConfigError before any buffer changes.
+    The parameters must be the views of ``params.flat`` (a model from
+    ``build_model`` or ``load_checkpoint``); anything else raises
+    ConfigError before any buffer changes.
 
     The sweep runs over CHUNK elements of the four buffers at a time.
     Two chunk-sized scratch arrays hold every intermediate; the
@@ -113,16 +111,6 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams,
     P, (E, D, G) = params.flat, state.flat
     if E.size != P.size:
         raise ConfigError(f"optimizer state holds {E.size} entries, the model {P.size}")
-    for name, g in grads.items():
-        if name not in state.grad:
-            raise ConfigError(f"gradient for unknown parameter {name}")
-        if np.shape(g) != state.grad[name].shape:
-            raise ConfigError(
-                f"gradient shape {np.shape(g)} does not match parameter "
-                f"{name} {state.grad[name].shape}")
-    for name, g in grads.items():
-        if g is not state.grad[name]:
-            state.grad[name][...] = g
 
     rho, eps = state.rho, state.epsilon
     scratch_a, scratch_b = np.empty(CHUNK), np.empty(CHUNK)
@@ -147,23 +135,6 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams,
         Edx2 += b                                 # Edx2 = rho Edx2 + (1 - rho) dx dx
         arr += a
         g.fill(0.0)
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 30
-    epochs: int = 50
-    rho: float = 0.95
-    epsilon: float = 1e-6
-    seed: int = 13
-    patience: int = 10
-    shuffle: bool = True
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -214,23 +185,26 @@ def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
                 tape.backward(loss)
         if not np.isfinite(loss_value):
             raise NumericError(f"non-finite loss {loss_value}", batch_index=None)
-        adadelta_step(state, params, {})
+        adadelta_step(state, params)
     except BaseException:
         state.flat[2].fill(0.0)
         raise
     return loss_value
 
 
-def train(params: md.ModelParams, lex, data: PairDataset, cfg: TrainConfig,
+def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
           valid: Optional[PairDataset] = None, on_epoch=None) -> TrainResult:
     """Mini-batch loop with validation-based selection and early stopping.
 
-    The best checkpoint is the epoch with the highest validation metric
-    (Pearson for sts, accuracy otherwise); without a validation set the
-    final epoch wins.  Training stops early after ``patience``
-    consecutive epochs without improvement.  ``on_epoch`` is called with
-    each EpochRecord as it completes.
+    ``cfg`` is validated, then supplies batch_size, epochs, patience,
+    rho, epsilon, seed and shuffle.  The best checkpoint is the epoch
+    with the highest validation metric (Pearson for sts, accuracy
+    otherwise); without a validation set the final epoch wins.  Training
+    stops early after ``patience`` consecutive epochs without
+    improvement.  ``on_epoch`` is called with each EpochRecord as it
+    completes.
     """
+    cfg.validate()
     if not data.examples:
         raise DataError("training set is empty")
     state = AdaDeltaState.zeros(params, cfg.rho, cfg.epsilon)

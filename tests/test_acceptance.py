@@ -19,6 +19,7 @@ from pairsim import numcore as nc
 from pairsim import objectives as obj
 from pairsim import training as tr
 from pairsim.cli import main
+from pairsim.config import RunConfig
 from pairsim.encoder import encode, init_encoder
 from pairsim.rng import stream
 
@@ -58,8 +59,7 @@ def sts_spec():
 def overfit_runs(lex):
     """Criterion 6's training run, executed twice for criterion 9."""
     ds = sts_overfit_dataset()
-    cfg = tr.TrainConfig(batch_size=30, epochs=500, rho=0.95, epsilon=1e-6,
-                         seed=SEED)
+    cfg = RunConfig(batch_size=30, epochs=500, rho=0.95, epsilon=1e-6, seed=SEED)
     out = []
     for _ in range(2):
         t0 = time.perf_counter()
@@ -168,7 +168,7 @@ def test_07_overfit_classification(lex):
                         total_dim=8, C=3, dropout_p=0.0,
                         label_names=ed.LABEL_NAMES["entailment"], **TOY)
     params = md.build_model(spec, seed=SEED)
-    cfg = tr.TrainConfig(batch_size=30, epochs=500, seed=SEED, patience=10 ** 9)
+    cfg = RunConfig(batch_size=30, epochs=500, seed=SEED, patience=10 ** 9)
     result = tr.train(params, lex, ds, cfg, valid=ds)
     best = max(rec.valid_metric for rec in result.history)
     first = next((rec.epoch for rec in result.history if rec.valid_metric == 1.0),
@@ -203,10 +203,9 @@ def test_10_adadelta_first_step():
                         score=obj.ScoreSpec(5, 0, 5), **TOY)
     params = md.build_model(spec, seed=1)
     state = tr.AdaDeltaState.zeros(params, rho=0.95, epsilon=1e-6)
-    grads = {n: np.zeros_like(a) for n, a in md.named_parameters(params)}
-    grads["head.b_l2"][0] = 1.0
+    state.grad["head.b_l2"][0] = 1.0
     before = params.head.b_l2[0]
-    tr.adadelta_step(state, params, grads)
+    tr.adadelta_step(state, params)
     got = params.head.b_l2[0] - before
     ok = abs(got - (-4.4721e-3)) < 1e-7 and abs(delta - got) < 1e-15
     check(10, "adadelta-first-step", ok, f"(delta = {got:.6e})")

@@ -119,6 +119,27 @@ def test_train_missing_data_exits_2(workdir, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("task, rows, lenient, count", [
+    ("sts", ["bob likes mary\tmary likes bob\t3.0"], "false", 1),
+    ("sts", ["bob likes mary\tmary likes bob\tnot-a-score"], "true", 0),
+    ("sts", ["bob likes mary\tmary likes bob\t3.0", "dogs eats food\tthe red car\t3.0"],
+     "false", 2),
+    ("entailment", ["bob likes mary\tmary likes bob\tmaybe"], "true", 0),
+])
+def test_train_refuses_a_too_small_valid_set_before_any_epoch(workdir, capsys, tmp_path,
+                                                             task, rows, lenient, count):
+    valid = tmp_path / "valid.tsv"
+    valid.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    train = workdir / ("sts.tsv" if task == "sts" else "cls.tsv")
+    code, out, err = run(capsys, "train", train, "--config", workdir / "desk.cfg",
+                         "--valid", valid, "--out", tmp_path / "x.ckpt",
+                         "--task", task, "--lenient", lenient)
+    assert code == 2
+    assert f"{valid}: {count} usable validation examples" in err
+    assert "epoch\t" not in out
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_train_nan_exits_3(workdir, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -648,15 +649,37 @@ def test_backward_shared_input_accumulates():
     np.testing.assert_allclose(n.grad, 2 * x)
 
 
-def test_every_leaf_gets_a_grad_entry():
+def test_grad_made_on_first_use_and_freed_after_use():
     with nc.GradTape() as tape:
         a = tape.leaf(np.ones(2))
         b = tape.leaf(np.ones(2))
         dead = nc.sigmoid(b)  # computed but unused
-        tape.backward(nc.vsum(a))
-    np.testing.assert_array_equal(a.grad, np.ones(2))
-    np.testing.assert_array_equal(b.grad, np.zeros(2))
-    assert dead.grad is not None
+        mid = nc.scale(a, 2.0)
+        root = nc.vsum(mid)
+        tape.backward(root)
+    np.testing.assert_array_equal(a.grad, 2.0 * np.ones(2))
+    assert b.grad is None and dead.grad is None     # no gradient reached them
+    assert mid.grad is None and root.grad is None   # freed after their backward
+
+
+def test_backward_holds_few_gradients_at_once():
+    """A chain of 16 records over a 1 MiB leaf: each intermediate gradient
+    is made when it is first reached and freed once its record has run,
+    so backward never holds more than a few 1 MiB arrays at a time."""
+    with nc.GradTape() as tape:
+        x = tape.leaf(np.zeros(1 << 17))
+        y = x
+        for _ in range(16):
+            y = nc.scale(y, 1.0)
+        root = nc.vsum(y)
+        tracemalloc.start()
+        try:
+            tape.backward(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 5 << 20, f"backward peaked at {peak / 2 ** 20:.1f} MiB"
+    np.testing.assert_array_equal(x.grad, np.ones(1 << 17))
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +706,8 @@ def test_grad_check_catches_wrong_backward(monkeypatch):
     def bad_sigmoid(x):
         y = nc.expit(nc._value(x))
 
-        def backward(out):
-            def run(g):
-                x.grad += g * (y * (1.0 - y)) * 1.01  # corrupted jacobian
-            return run
+        def backward(g):
+            nc._acc(x, g * (y * (1.0 - y)) * 1.01)  # corrupted jacobian
         return nc._finish(y, (x,), backward)
 
     rng = stream(31, "test")

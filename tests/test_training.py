@@ -9,6 +9,7 @@ from pairsim import model as md
 from pairsim import numcore as nc
 from pairsim import objectives as obj
 from pairsim import training as tr
+from pairsim.config import RunConfig
 from pairsim.errors import CheckpointError, ConfigError, NumericError
 
 from oracles import scalar_adadelta_steps, whole_array_adadelta_step
@@ -40,16 +41,12 @@ def maxlstm_spec(dropout=0.0):
 # adadelta
 
 
-def zero_grads(params):
-    return {n: np.zeros_like(a) for n, a in md.named_parameters(params)}
-
-
 def test_adadelta_zero_gradient_keeps_params(lex):
     params = md.build_model(small_spec(), seed=1)
     state = tr.AdaDeltaState.zeros(params)
     state.Eg2["head.b_l2"][:] = 0.04
     before = {n: a.copy() for n, a in md.named_parameters(params)}
-    tr.adadelta_step(state, params, zero_grads(params))
+    tr.adadelta_step(state, params)
     for n, a in md.named_parameters(params):
         np.testing.assert_array_equal(a, before[n])
     np.testing.assert_allclose(state.Eg2["head.b_l2"], 0.95 * 0.04, rtol=1e-15)
@@ -59,10 +56,9 @@ def test_adadelta_first_step_hand_value(lex):
     # scalar g=1, rho=0.95, eps=1e-6: dx = -sqrt(1e-6)/sqrt(0.05 + 1e-6)
     params = md.build_model(small_spec(), seed=1)
     state = tr.AdaDeltaState.zeros(params)
-    grads = zero_grads(params)
-    grads["head.b_l2"][0] = 1.0
+    state.grad["head.b_l2"][0] = 1.0
     b0 = params.head.b_l2[0]
-    tr.adadelta_step(state, params, grads)
+    tr.adadelta_step(state, params)
     delta = params.head.b_l2[0] - b0
     assert abs(delta - (-4.4721e-3)) < 1e-7
     oracle = scalar_adadelta_steps([1.0], rho=0.95, eps=1e-6)[0]
@@ -74,12 +70,11 @@ def test_adadelta_second_step_grows(lex):
     assert abs(deltas[1]) > abs(deltas[0])
     params = md.build_model(small_spec(), seed=1)
     state = tr.AdaDeltaState.zeros(params)
-    grads = zero_grads(params)
     trace = []
     for _ in range(2):
-        grads["head.b_l2"][0] = 1.0
+        state.grad["head.b_l2"][0] = 1.0
         before = params.head.b_l2[0]
-        tr.adadelta_step(state, params, grads)
+        tr.adadelta_step(state, params)
         trace.append(params.head.b_l2[0] - before)
     np.testing.assert_allclose(trace, deltas, rtol=0, atol=1e-15)
 
@@ -89,12 +84,11 @@ def test_adadelta_matches_scalar_oracle_over_sequence(lex):
     gs = rng.normal(size=7).tolist()
     params = md.build_model(small_spec(), seed=1)
     state = tr.AdaDeltaState.zeros(params)
-    grads = zero_grads(params)
     got = []
     for g in gs:
-        grads["head.b_l2"][0] = g
+        state.grad["head.b_l2"][0] = g
         before = params.head.b_l2[0]
-        tr.adadelta_step(state, params, grads)
+        tr.adadelta_step(state, params)
         got.append(params.head.b_l2[0] - before)
     np.testing.assert_allclose(got, scalar_adadelta_steps(gs, 0.95, 1e-6),
                                rtol=0, atol=1e-15)
@@ -105,9 +99,9 @@ def test_adadelta_accumulators_stay_finite_nonnegative(lex):
     state = tr.AdaDeltaState.zeros(params)
     rng = np.random.default_rng(9)
     for _ in range(50):
-        grads = {n: rng.normal(size=a.shape) * 10
-                 for n, a in md.named_parameters(params)}
-        tr.adadelta_step(state, params, grads)
+        for n, a in md.named_parameters(params):
+            state.grad[n][...] = rng.normal(size=a.shape) * 10
+        tr.adadelta_step(state, params)
     for group in (state.Eg2, state.Edx2):
         for v in group.values():
             assert np.all(v >= 0) and np.all(np.isfinite(v))
@@ -136,19 +130,15 @@ def test_adadelta_sweep_is_bit_identical_to_whole_array_updates(rho, eps):
     ref_Eg2 = {n: np.zeros_like(a) for n, a in ref.items()}
     ref_Edx2 = {n: np.zeros_like(a) for n, a in ref.items()}
     rng = np.random.default_rng(11)
-    for step in range(5):
+    for _ in range(5):
         grads = {}
         for name, a in ref.items():
             g = rng.normal(size=a.shape) * 10.0 ** rng.integers(-3, 4, size=a.shape)
             # extreme gradients at random entries: zero, subnormal squares, huge
             g.flat[rng.integers(0, a.size, size=3)] = rng.choice([0.0, 1e-300, 1e150], 3)
             grads[name] = g
-        if step % 2:        # through the tape's buffer instead of the mapping
-            for name, g in grads.items():
-                state.grad[name][...] = g
-            tr.adadelta_step(state, params, {})
-        else:
-            tr.adadelta_step(state, params, grads)
+            state.grad[name][...] = g
+        tr.adadelta_step(state, params)
         whole_array_adadelta_step(ref, ref_Eg2, ref_Edx2, grads, rho, eps)
         for name, a in md.named_parameters(params):
             np.testing.assert_array_equal(a, ref[name])
@@ -207,15 +197,12 @@ def test_adadelta_refuses_parameters_that_are_not_views_of_their_buffer(lex):
     copy = md.with_leaves(params, {n: a.copy() for n, a in md.named_parameters(params)})
     stale = md.with_leaves(copy, {})
     stale.flat = params.flat            # a buffer its arrays no longer view
-    grads = {n: np.ones_like(a) for n, a in md.named_parameters(params)}
+    state.flat[2] = 1.0
     for bad in (copy, stale):
         with pytest.raises(ConfigError, match="views of params.flat"):
-            tr.adadelta_step(state, bad, grads)
+            tr.adadelta_step(state, bad)
     np.testing.assert_array_equal(params.flat, before)
-    assert not state.flat.any()
-    with pytest.raises(ConfigError, match="gradient shape"):
-        tr.adadelta_step(state, params, {"head.b_l2": np.ones(2)})
-    assert not state.flat.any()
+    assert not state.flat[:2].any() and np.all(state.flat[2] == 1.0)
 
 
 def fail_after_backward(monkeypatch):
@@ -260,7 +247,7 @@ def test_single_example_single_epoch_is_one_step(lex):
     ds.examples = ds.examples[:1]
     params = md.build_model(small_spec(), seed=2)
     before = {n: a.copy() for n, a in md.named_parameters(params)}
-    cfg = tr.TrainConfig(batch_size=30, epochs=1, seed=4)
+    cfg = RunConfig(batch_size=30, epochs=1, seed=4)
     result = tr.train(params, lex, ds, cfg)
     assert len(result.history) == 1
     changed = sum(np.any(a != before[n]) for n, a in md.named_parameters(params))
@@ -273,7 +260,7 @@ def test_loss_decreases_over_first_epochs(lex):
     # recorded behaviour of this seeded init; a regression check
     ds = sts_overfit_dataset()
     params = md.build_model(maxlstm_spec(), seed=5)
-    cfg = tr.TrainConfig(batch_size=30, epochs=5, seed=5)
+    cfg = RunConfig(batch_size=30, epochs=5, seed=5)
     result = tr.train(params, lex, ds, cfg)
     losses = [r.train_loss for r in result.history]
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -281,7 +268,7 @@ def test_loss_decreases_over_first_epochs(lex):
 
 def test_training_is_deterministic(lex):
     ds = sts_overfit_dataset()
-    cfg = tr.TrainConfig(batch_size=4, epochs=3, seed=21)
+    cfg = RunConfig(batch_size=4, epochs=3, seed=21)
     out = []
     for _ in range(2):
         params = md.build_model(maxlstm_spec(dropout=0.5), seed=21)
@@ -295,14 +282,14 @@ def test_embeddings_never_change(lex):
     before = lex.content_hash()
     ds = sts_overfit_dataset()
     params = md.build_model(maxlstm_spec(), seed=3)
-    tr.train(params, lex, ds, tr.TrainConfig(batch_size=8, epochs=2, seed=3))
+    tr.train(params, lex, ds, RunConfig(batch_size=8, epochs=2, seed=3))
     assert lex.content_hash() == before
 
 
 def test_validation_selects_best_and_early_stops(lex):
     ds = sts_overfit_dataset()
     params = md.build_model(maxlstm_spec(), seed=5)
-    cfg = tr.TrainConfig(batch_size=30, epochs=60, seed=5, patience=3)
+    cfg = RunConfig(batch_size=30, epochs=60, seed=5, patience=3)
     result = tr.train(params, lex, ds, cfg, valid=ds)
     assert result.best_metric is not None
     metrics = [r.valid_metric for r in result.history]
@@ -323,7 +310,7 @@ def test_non_finite_loss_aborts_with_batch_index(lex):
         ex.tokens1 = ex.tokens1 + ["zzz-unknown-word"]
     params = md.build_model(small_spec(), seed=6)  # word_avg encoder
     with pytest.raises(NumericError) as err:
-        tr.train(params, crazy, ds, tr.TrainConfig(batch_size=8, epochs=1, seed=6))
+        tr.train(params, crazy, ds, RunConfig(batch_size=8, epochs=1, seed=6))
     assert err.value.batch_index is not None
 
 
@@ -334,7 +321,7 @@ def test_non_finite_loss_aborts_with_batch_index(lex):
 def trained(lex, epochs=2, seed=31):
     ds = sts_overfit_dataset()
     params = md.build_model(maxlstm_spec(), seed=seed)
-    cfg = tr.TrainConfig(batch_size=8, epochs=epochs, seed=seed)
+    cfg = RunConfig(batch_size=8, epochs=epochs, seed=seed)
     result = tr.train(params, lex, ds, cfg)
     return result
 
