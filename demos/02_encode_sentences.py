@@ -9,8 +9,9 @@ the max half untouched and moves the LSTM half.
 
 import numpy as np
 
+from pairsim import model as md
 from pairsim.embeddings import EmbeddingTable, FusedLexicon
-from pairsim.encoder import encode, init_encoder
+from pairsim.encoder import encode
 from pairsim.rng import stream
 
 words = ["bob", "mary", "likes", "dogs", "eats", "food"]
@@ -19,10 +20,18 @@ lex = FusedLexicon(tables=[EmbeddingTable(
     name="demo", matrix=rng.uniform(-1, 1, size=(len(words), 6)),
     index={w: i for i, w in enumerate(words)})], seed=7)
 
-enc = init_encoder("maxlstm", lex.total_dim, H=8, l=8, rng=stream(7, "init"))
+
+
+def weights(kind):
+    """A seeded model's weights, by name; encode reads the "encoder.*" ones."""
+    spec = md.ModelSpec(task="paraphrase", encoder=kind, comparison="sent",
+                        total_dim=lex.total_dim, H=8, l=8, L=4, d_neu=4, C=2)
+    return md.build_model(spec, seed=7).w
+
 
 # one call encodes a batch: row j of each field belongs to sentence j
-batch = encode(enc, lex, [["bob", "likes", "mary"], ["mary", "likes", "bob"]])
+batch = encode("maxlstm", weights("maxlstm"), lex,
+               [["bob", "likes", "mary"], ["mary", "likes", "bob"]])
 print("per-word feature rows of sentence 0 (n x H), all in (0, 1):")
 print(np.round(np.asarray(batch.words)[:batch.lengths[0]], 3))
 print("\nmax-pooled half  :", np.round(batch.e_max[0], 3))
@@ -37,6 +46,5 @@ print("  LSTM halves differ by:",
 
 print("\nreduced encoders used by the ablation harness:")
 for kind in ("word_avg", "proj_avg", "lstm_only", "maxcnn_only"):
-    p = init_encoder(kind, lex.total_dim, H=8, l=8, rng=stream(7, "init"))
-    out = encode(p, lex, [["dogs", "eats", "food"]])
+    out = encode(kind, weights(kind), lex, [["dogs", "eats", "food"]])
     print(f"  {kind:12s} -> sentence vector of length {out.e_s.shape[1]}")

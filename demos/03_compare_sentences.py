@@ -11,9 +11,10 @@ embedding, both directions, squashed to 100 features).  The fused
 import numpy as np
 
 from pairsim import comparison as cmp
+from pairsim import model as md
 from pairsim import numcore as nc
 from pairsim.embeddings import EmbeddingTable, FusedLexicon
-from pairsim.encoder import encode, init_encoder
+from pairsim.encoder import encode
 from pairsim.rng import stream
 
 words = ["bob", "mary", "likes", "hates", "dogs", "cats"]
@@ -24,14 +25,13 @@ lex = FusedLexicon(tables=[EmbeddingTable(
 
 H = l = 6
 L = 4  # fixed comparison length; shorter sentences are zero-padded
-enc = init_encoder("maxlstm", lex.total_dim, H, l, stream(11, "init"))
-comp = cmp.init_comparison("multi", e_dim=H + l, word_dim=H, L=L, d_neu=4,
-                           rng=stream(11, "init-comparison"))
-head = cmp.init_head(cmp.head_input_dim("multi"), C=3, dropout_p=0.0,
-                     rng=stream(11, "init-head"))
+spec = md.ModelSpec(task="entailment", encoder="maxlstm", comparison="multi",
+                    total_dim=lex.total_dim, H=H, l=l, L=L, d_neu=4, C=3, dropout_p=0.0)
+w = md.build_model(spec, seed=11).w     # every weight by name: "encoder.R", ...
 
 # the two sentences of the pair, encoded in one call and stacked as a pair
-batch = encode(enc, lex, [["bob", "likes", "mary"], ["mary", "hates", "dogs", "cats"]])
+batch = encode("maxlstm", w, lex,
+               [["bob", "likes", "mary"], ["mary", "hates", "dogs", "cats"]])
 e_pair = np.asarray(batch.e_s)                          # (2, H + l)
 s_pair = nc.pad_rows(batch.words, batch.lengths, L)     # (2, L, H)
 
@@ -40,18 +40,18 @@ print("word-word cosine table (rows: sentence 1, cols: sentence 2);")
 print("row 4 is padding for the 3-word sentence, hence exactly zero:")
 print(np.round(np.asarray(A), 3))
 
-sim_word = cmp.word_word(comp, s_pair)
-sim_sent = cmp.sentence_sentence(comp, e_pair)
-sim_ws = cmp.word_sentence(comp, e_pair, s_pair)
+sim_word = cmp.word_word(w, s_pair)
+sim_sent = cmp.sentence_sentence(w, e_pair)
+sim_ws = cmp.word_sentence(w, e_pair, s_pair)
 print("\nsimilarity vectors (sigmoid outputs):")
 print(f"  word level     : {len(np.asarray(sim_word))} features")
 print(f"  sentence level : {np.round(np.asarray(sim_sent), 3)}")
 print(f"  word-sentence  : {len(np.asarray(sim_ws))} features")
 
-logits = cmp.fuse_head(head, sim_word, sim_sent, sim_ws)
+logits = cmp.fuse_head(w, sim_word, sim_sent, sim_ws, spec.dropout_p)
 print("\nhead logits:", np.round(np.asarray(logits), 3))
 
-d = cmp.sentence_features(comp, np.stack([e_pair[0], e_pair[0]]))
+d = cmp.sentence_features(w, np.stack([e_pair[0], e_pair[0]]))
 print("\ncomparing a sentence with itself: cosine block =",
       round(float(np.asarray(d)[0]), 6),
       "and the |difference| block is all zero:",

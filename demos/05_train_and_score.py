@@ -68,8 +68,7 @@ with tempfile.TemporaryDirectory() as tmp:
     reloaded, _, _ = tr.load_checkpoint(ckpt)
     size = ckpt.stat().st_size
 same = all(np.array_equal(a, b)
-           for (_, a), (_, b) in zip(md.named_parameters(result.params),
-                                     md.named_parameters(reloaded)))
+           for a, b in zip(result.params.w.values(), reloaded.w.values()))
 print(f"checkpoint round-trip bit-exact: {same}  ({size} bytes)")
 
 print("\nscores for unseen pairings:")

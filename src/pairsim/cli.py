@@ -89,8 +89,10 @@ def cmd_train(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
     _echo(cfg)
     lex = _lexicon(cfg)
-    data = load_pairs(args.train, cfg.task, lenient=cfg.lenient)
-    valid = (load_pairs(args.valid, cfg.task, lenient=cfg.lenient)
+    # training maps each gold onto the score levels, so it must lie in range
+    golds = (cfg.raw_min, cfg.raw_max) if cfg.task == "sts" else None
+    data = load_pairs(args.train, cfg.task, lenient=cfg.lenient, score_range=golds)
+    valid = (load_pairs(args.valid, cfg.task, lenient=cfg.lenient, score_range=golds)
              if args.valid else None)
     if not data.examples:
         raise DataError(f"{args.train}: no usable examples")

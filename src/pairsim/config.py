@@ -95,11 +95,11 @@ class RunConfig:
         return self
 
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    kind = _FIELDS[key]
+    kind = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
         if kind == "bool" or kind is bool:
@@ -119,7 +119,7 @@ def _parse_value(key: str, raw: str):
 
 
 def _set(cfg: RunConfig, key: str, raw: str):
-    if key not in _FIELDS:
+    if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown configuration key {key!r}")
     setattr(cfg, key, _parse_value(key, raw))
 

@@ -86,12 +86,17 @@ class PairDataset:
         return len(self.examples)
 
 
-def _parse_gold(gold: str, task: str):
+def _parse_gold(gold: str, task: str, score_range):
     if task == "sts":
         try:
-            return float(gold), None
+            score = float(gold)
         except ValueError:
             raise DataError(f"bad score {gold!r}") from None
+        if not math.isfinite(score):
+            raise DataError(f"non-finite score {gold!r}")
+        if score_range is not None and not score_range[0] <= score <= score_range[1]:
+            raise DataError(f"score {score!r} outside [{score_range[0]}, {score_range[1]}]")
+        return score, None
     names = LABEL_NAMES[task]
     try:
         return None, names.index(gold.strip().lower())
@@ -99,8 +104,12 @@ def _parse_gold(gold: str, task: str):
         raise DataError(f"unknown label {gold!r}; expected one of {names}") from None
 
 
-def load_pairs(path, task: str, lenient: bool = False) -> PairDataset:
-    """Parse a TSV pair file; vocab is the union of all tokens."""
+def load_pairs(path, task: str, lenient: bool = False, score_range=None) -> PairDataset:
+    """Parse a TSV pair file; vocab is the union of all tokens.
+
+    sts scores must be finite and, given a (low, high) ``score_range``,
+    within it.
+    """
     if task not in TASKS:
         raise DataError(f"unknown task {task!r}; choose from {TASKS}")
     path = Path(path)
@@ -120,7 +129,7 @@ def load_pairs(path, task: str, lenient: bool = False) -> PairDataset:
             fields = line.split("\t")
             if len(fields) != 3:
                 raise DataError(f"expected 3 tab-separated fields, found {len(fields)}")
-            score, label = _parse_gold(fields[2], task)
+            score, label = _parse_gold(fields[2], task, score_range)
             t1, t2 = tokenize(fields[0]), tokenize(fields[1])
             if not t1 or not t2:
                 raise DataError("empty sentence after tokenization")

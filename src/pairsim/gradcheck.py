@@ -52,19 +52,6 @@ def synthetic_lexicon(seed: int, dims=(5, 3)):
     return FusedLexicon(tables=tables, oov_scale=0.1, seed=seed)
 
 
-def _cached_rebuild(params):
-    """with_leaves, re-run only when the mapping object changes."""
-    state = {"key": None, "model": None}
-
-    def get(leaves):
-        if leaves is not state["key"]:
-            state["key"] = leaves
-            state["model"] = md.with_leaves(params, leaves)
-        return state["model"]
-
-    return get
-
-
 REL_FLOOR = 2e-6
 
 
@@ -76,54 +63,36 @@ def model_grad_check(params: md.ModelParams, lex, batch, h: float = 1e-5,
     ``only`` restricts the run to the named parameter groups (all by
     default).
     """
-    arrays = md.leaf_arrays(params)
-    if only is not None:
-        arrays = {n: a for n, a in arrays.items() if n in set(only)}
-    tiers = {
-        "encoder.": [n for n in arrays if n.startswith("encoder.")],
-        "comparison.": [n for n in arrays if n.startswith("comparison.")],
-        "head.": [n for n in arrays if n.startswith("head.")],
-    }
-    groups = []
+    tiers = {part: {n: a for n, a in params.w.items()
+                    if n.startswith(part + ".") and (only is None or n in only)}
+             for part in ("encoder", "comparison", "head")}
     pairs = [(ex.tokens1, ex.tokens2) for ex in batch]
 
-    # encoder tier: nothing upstream to cache
-    if tiers["encoder."]:
-        rebuild = _cached_rebuild(params)
+    def model(leaves):
+        return md.ModelParams(params.spec, {**params.w, **leaves})
 
-        def f_full(leaves):
-            return md.batch_loss(rebuild(leaves), lex, batch)
+    def f_full(leaves):
+        return md.batch_loss(model(leaves), lex, batch)
 
-        groups += grad_check(f_full, {n: arrays[n] for n in tiers["encoder."]},
-                             h, rel_floor).groups
+    def f_cmp(leaves):
+        m = model(leaves)
+        return md.loss_from_logits(m, md.logits_from_sims(m, md.pair_sims(m, enc)), batch)
 
-    # comparison tier: encodings are constants
-    if tiers["comparison."]:
+    def f_head(leaves):
+        m = model(leaves)
+        return md.loss_from_logits(m, md.logits_from_sims(m, sims), batch)
+
+    # the encoder tier has nothing upstream to cache; the comparison tier
+    # takes the encodings as constants, the head tier the similarity vectors
+    groups = []
+    if tiers["encoder"]:
+        groups += grad_check(f_full, tiers["encoder"], h, rel_floor).groups
+    if tiers["comparison"]:
         enc = md.encode_pairs(params, lex, pairs)
-        rebuild = _cached_rebuild(params)
-
-        def f_cmp(leaves):
-            m = rebuild(leaves)
-            return md.loss_from_logits(m, md.logits_from_sims(m, md.pair_sims(m, enc)),
-                                       batch)
-
-        groups += grad_check(f_cmp, {n: arrays[n] for n in tiers["comparison."]},
-                             h, rel_floor).groups
-
-    # head tier: similarity vectors are constants
-    if tiers["head."]:
+        groups += grad_check(f_cmp, tiers["comparison"], h, rel_floor).groups
+    if tiers["head"]:
         sims = md.pair_sims(params, md.encode_pairs(params, lex, pairs))
-        rebuild = _cached_rebuild(params)
-
-        def f_head(leaves):
-            m = rebuild(leaves)
-            return md.loss_from_logits(m, md.logits_from_sims(m, sims), batch)
-
-        groups += grad_check(f_head, {n: arrays[n] for n in tiers["head."]},
-                             h, rel_floor).groups
-
-    order = {name: k for k, (name, _) in enumerate(md.named_parameters(params))}
-    groups.sort(key=lambda g: order[g.name])
+        groups += grad_check(f_head, tiers["head"], h, rel_floor).groups
     return GradCheckReport(groups, h)
 
 

@@ -1,46 +1,48 @@
 """End-to-end sentence-pair model: parameters, forward passes, losses.
 
-A model is an encoder, a comparison stack, and a prediction head, plus
-a frozen ``ModelSpec`` describing the architecture.  All trainable
-arrays are reachable through ``named_parameters`` in a fixed canonical
-order (encoder, comparison, head; field order as listed below); that
-order defines both parameter initialization draws and the checkpoint
-layout.  Every parameter is one plain array named ``<part>.<field>``;
-the LSTM is the three fused arrays ``encoder.W_lstm``,
-``encoder.U_lstm`` and ``encoder.b_lstm`` (gate blocks in i/f/o/u
-order, see ``encoder``).
+A model is an encoder, a comparison stack and a prediction head, plus a
+frozen ``ModelSpec`` describing the architecture.  ``parameter_shapes``
+alone decides which trainable arrays a spec has, their names
+(``<part>.<field>``: ``encoder.R``, ``comparison.W_ws``, ``head.b_l2``,
+...) and shapes, and their canonical order: encoder, comparison, head,
+which is also the checkpoint layout.  The LSTM is the three fused arrays
+``encoder.W_lstm``, ``encoder.U_lstm`` and ``encoder.b_lstm`` (gate
+blocks in i/f/o/u order, see ``encoder``).
 
 A built or loaded model keeps all its parameters in one flat float64
 buffer, ``ModelParams.flat``: the arrays one after another in canonical
-order, their order in a checkpoint too, each named parameter a view of
-it (``parameter_views``).  The optimizer keeps its state in buffers of
-the same layout, so that an update is one sweep.
+order, their order in a checkpoint too.  ``ModelParams.w`` maps each
+name to its view of the buffer; inside a training step or a gradient
+check it maps each name to a tape leaf instead, and the forward passes
+read their weights by name from it either way.  The optimizer keeps its
+state in buffers of the same layout, so that an update is one sweep.
 
 Word embeddings are data owned by the lexicon, never parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import comparison as cmp
+from . import encoder
 from . import numcore as nc
 from . import objectives as obj
-from .encoder import ENCODER_KINDS, EncoderParams, encode, init_encoder
 from .errors import ConfigError, NumericError
 from .evaldata import PairDataset
 from .rng import stream
 
-# (part, fields) in canonical order
-_FIELDS = (
-    ("encoder", ("R", "b_r", "W_lstm", "U_lstm", "b_lstm", "W_proj", "b_proj")),
-    ("comparison", ("W_word", "b_word", "W_neu", "b_neu", "W_sent", "b_sent",
-                    "W_ws", "b_ws", "W_ws2", "b_ws2")),
-    ("head", ("W_l1", "b_l1", "W_l2", "b_l2")),
-)
+# the Glorot-drawn weights in their draw order, which is not the
+# canonical order: the comparison draws W_neu and W_sent before W_word.
+# Every other parameter starts at 0, the LSTM's forget-gate biases at 1.
+_DRAW_ORDER = ("encoder.R", "encoder.W_lstm", "encoder.U_lstm", "encoder.W_proj",
+               "comparison.W_neu", "comparison.W_sent", "comparison.W_word",
+               "comparison.W_ws", "comparison.W_ws2", "head.W_l1", "head.W_l2")
+_GATED = ("encoder.W_lstm", "encoder.U_lstm")     # one Glorot block per gate, i/f/o/u
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class ModelSpec:
     label_names: Optional[list[str]] = None
 
     def __post_init__(self):
-        if self.encoder not in ENCODER_KINDS:
+        if self.encoder not in encoder.ENCODER_KINDS:
             raise ConfigError(f"unknown encoder {self.encoder!r}")
         if self.comparison not in cmp.COMPARISON_MODES:
             raise ConfigError(f"unknown comparison mode {self.comparison!r}")
@@ -78,6 +80,13 @@ class ModelSpec:
         elif self.label_names is not None and self.C != len(self.label_names):
             raise ConfigError(
                 f"output width C={self.C} does not match {len(self.label_names)} labels")
+        dims = dict(total_dim=self.total_dim, filters=self.H, lstm_dim=self.l,
+                    max_len=self.L, d_neu=self.d_neu)
+        for key, v in dims.items():
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ConfigError(f"{key} must be a positive integer, got {v!r}")
+        if not isinstance(self.C, (int, np.integer)) or self.C < 2:
+            raise ConfigError(f"head needs at least 2 outputs, got {self.C!r}")
 
 
 def spec_from_config(cfg, total_dim: int) -> ModelSpec:
@@ -98,98 +107,94 @@ def spec_from_config(cfg, total_dim: int) -> ModelSpec:
                      score=score, label_names=labels)
 
 
-@dataclass
-class ModelParams:
-    spec: ModelSpec
-    encoder: EncoderParams
-    comparison: cmp.ComparisonParams
-    head: cmp.HeadParams
-    flat: Optional[np.ndarray] = None     # the buffer all parameters view, if any
+def parameter_shapes(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter of the spec's model, in canonical
+    order.  Allocates nothing."""
+    T, H, l, L = spec.total_dim, spec.H, spec.l, spec.L
+    enc = []
+    if spec.encoder in ("maxcnn_only", "maxlstm"):
+        enc += [("R", (H, T)), ("b_r", (H,))]
+    lstm_in = {"maxlstm": H, "lstm_only": T}.get(spec.encoder)
+    if lstm_in is not None:
+        enc += [("W_lstm", (4 * l, lstm_in)), ("U_lstm", (4 * l, l)), ("b_lstm", (4 * l,))]
+    if spec.encoder == "proj_avg":
+        enc += [("W_proj", (T, T)), ("b_proj", (T,))]
+    e = {"word_avg": T, "proj_avg": T, "lstm_only": l, "maxcnn_only": H,
+         "maxlstm": H + l}[spec.encoder]      # sentence embedding width
+    sent = [("W_neu", (spec.d_neu, 2 * e)), ("b_neu", (spec.d_neu,)),
+            ("W_sent", (cmp.SENT_SIM_DIM, 1 + 2 * e + spec.d_neu)),
+            ("b_sent", (cmp.SENT_SIM_DIM,))]
+    if spec.comparison == "multi":
+        comp = ([("W_word", (cmp.WORD_SIM_DIM, L * L)), ("b_word", (cmp.WORD_SIM_DIM,))]
+                + sent
+                + [("W_ws", (cmp.WS_ROW_DIM, e + H)), ("b_ws", (cmp.WS_ROW_DIM,)),
+                   ("W_ws2", (cmp.WS_SIM_DIM, 2 * L * cmp.WS_ROW_DIM)),
+                   ("b_ws2", (cmp.WS_SIM_DIM,))])
+        head_in = cmp.WORD_SIM_DIM + cmp.SENT_SIM_DIM + cmp.WS_SIM_DIM
+    else:
+        comp, head_in = sent, cmp.SENT_SIM_DIM
+    head = [("W_l1", (cmp.HEAD_HIDDEN, head_in)), ("b_l1", (cmp.HEAD_HIDDEN,)),
+            ("W_l2", (spec.C, cmp.HEAD_HIDDEN)), ("b_l2", (spec.C,))]
+    return [(f"{part}.{name}", shape)
+            for part, named in (("encoder", enc), ("comparison", comp), ("head", head))
+            for name, shape in named]
 
 
-def build_model(spec: ModelSpec, seed: Optional[int]) -> ModelParams:
-    """Initialize all parameters from the seed's "init" stream, as views
-    of one flat buffer.
-
-    The arrays are drawn in the init functions' order and then copied
-    into their views.  With seed None nothing is drawn and the buffer is
-    left unset, its pages untouched, for a caller that overwrites every
-    parameter (checkpoint loading).
-    """
-    params = _init_parts(spec, None)      # for the shapes: rng None leaves weights unset
-    params = with_flat(params, np.empty(parameter_count(params)))
-    if seed is not None:
-        views = leaf_arrays(params)
-        for name, arr in named_parameters(_init_parts(spec, stream(seed, "init"))):
-            views[name][...] = arr
-    return params
-
-
-def _init_parts(spec: ModelSpec, rng) -> ModelParams:
-    enc = init_encoder(spec.encoder, spec.total_dim, spec.H, spec.l, rng)
-    comp = cmp.init_comparison(spec.comparison, enc.out_dim, enc.word_dim,
-                               spec.L, spec.d_neu, rng)
-    head = cmp.init_head(cmp.head_input_dim(spec.comparison), spec.C,
-                         spec.dropout_p, rng)
-    return ModelParams(spec=spec, encoder=enc, comparison=comp, head=head)
-
-
-def named_parameters(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """(name, array) pairs in the canonical checkpoint order."""
-    out = []
-    for part, fields in _FIELDS:
-        obj_ = getattr(params, part)
-        for f in fields:
-            v = getattr(obj_, f)
-            if v is not None:
-                out.append((f"{part}.{f}", v))
-    return out
-
-
-def leaf_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    return dict(named_parameters(params))
-
-
-def with_leaves(params: ModelParams, leaves) -> ModelParams:
-    """Same structure with leaf arrays swapped for the mapping's values,
-    and no flat buffer."""
-    parts = {}
-    for part, fields in _FIELDS:
-        obj_ = getattr(params, part)
-        parts[part] = replace(obj_, **{f: leaves.get(f"{part}.{f}", getattr(obj_, f))
-                                       for f in fields})
-    return ModelParams(spec=params.spec, **parts)
-
-
-def parameter_count(params: ModelParams) -> int:
-    return sum(arr.size for _, arr in named_parameters(params))
-
-
-def parameter_views(params: ModelParams, buf: np.ndarray) -> dict[str, np.ndarray]:
-    """name -> the view of the 1-d ``buf`` at that parameter's offset in
-    the flat layout, with the parameter's shape."""
+def flat_views(shapes, buf: np.ndarray) -> dict[str, np.ndarray]:
+    """name -> the view of the 1-d ``buf`` at that parameter's offset, for
+    (name, shape) pairs laid out one after another."""
     views, off = {}, 0
-    for name, arr in named_parameters(params):
-        views[name] = buf[off:off + arr.size].reshape(arr.shape)
-        off += arr.size
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = buf[off:off + size].reshape(shape)
+        off += size
     return views
 
 
-def with_flat(params: ModelParams, flat: np.ndarray) -> ModelParams:
-    """Same structure with every parameter a view of ``flat``; the
-    values are ``flat``'s, not the arrays' of ``params``."""
-    out = with_leaves(params, parameter_views(params, flat))
-    out.flat = flat
-    return out
+@dataclass
+class ModelParams:
+    spec: ModelSpec
+    w: dict                                # name -> array (or tape leaf), canonical order
+    flat: Optional[np.ndarray] = None      # the buffer the arrays of w view, if any
+
+
+def glorot(rng: np.random.Generator, rows: int, cols: int, blocks: int = 1) -> np.ndarray:
+    """Glorot-uniform (rows, cols) matrix; with blocks > 1, that many
+    independent draws stacked row-wise, equal to drawing them in turn."""
+    limit = np.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-limit, limit, size=(blocks * rows, cols))
+
+
+def build_model(spec: ModelSpec, seed: Optional[int]) -> ModelParams:
+    """All parameters as views of one flat buffer, initialized from the
+    seed's "init" stream in ``_DRAW_ORDER``.
+
+    With seed None nothing is drawn and the buffer is left unset, its
+    pages untouched, for a caller that overwrites every parameter
+    (checkpoint loading).
+    """
+    shapes = parameter_shapes(spec)
+    size = sum(math.prod(shape) for _, shape in shapes)
+    flat = np.empty(size) if seed is None else np.zeros(size)
+    w = flat_views(shapes, flat)
+    if seed is not None:
+        rng = stream(seed, "init")
+        for name in _DRAW_ORDER:
+            if name in w:
+                blocks = 4 if name in _GATED else 1
+                rows, cols = w[name].shape
+                w[name][...] = glorot(rng, rows // blocks, cols, blocks)
+        if "encoder.b_lstm" in w:
+            w["encoder.b_lstm"][spec.l:2 * spec.l] = 1.0      # forget gate
+    return ModelParams(spec, w, flat)
 
 
 def is_flat(params: ModelParams) -> bool:
-    """Whether every parameter is still a view of ``params.flat`` (as
-    ``with_flat`` made it), so that updating the buffer updates them."""
+    """Whether every parameter is a view of ``params.flat`` and together
+    they cover it, so that updating the buffer updates them."""
     flat = params.flat
-    named = named_parameters(params)
-    return (flat is not None and all(arr.base is flat for _, arr in named)
-            and sum(arr.size for _, arr in named) == flat.size)
+    return (flat is not None and all(arr.base is flat for arr in params.w.values())
+            and sum(arr.size for arr in params.w.values()) == flat.size)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +208,8 @@ def is_flat(params: ModelParams) -> bool:
 
 def encode_pairs(params: ModelParams, lex, pairs):
     """``SentenceBatch`` of the 2B sentences of (tokens1, tokens2) pairs."""
-    return encode(params.encoder, lex, [tokens for pair in pairs for tokens in pair])
+    return encoder.encode(params.spec.encoder, params.w, lex,
+                          [tokens for pair in pairs for tokens in pair])
 
 
 def pair_sims(params: ModelParams, enc) -> tuple:
@@ -215,19 +221,20 @@ def pair_sims(params: ModelParams, enc) -> tuple:
     spec = params.spec
     B = len(enc.lengths) // 2
     e_pairs = nc.reshape(enc.e_s, (B, 2, -1))
-    sim_sent = cmp.sentence_sentence(params.comparison, e_pairs)
+    sim_sent = cmp.sentence_sentence(params.w, e_pairs)
     if spec.comparison == "sent":
         return (sim_sent,)
     s_pairs = nc.reshape(nc.pad_rows(enc.words, enc.lengths, spec.L), (B, 2, spec.L, -1))
-    sim_word = cmp.word_word(params.comparison, s_pairs)
-    sim_ws = cmp.word_sentence(params.comparison, e_pairs, s_pairs)
+    sim_word = cmp.word_word(params.w, s_pairs)
+    sim_ws = cmp.word_sentence(params.w, e_pairs, s_pairs)
     return (sim_word, sim_sent, sim_ws)
 
 
 def logits_from_sims(params: ModelParams, sims, training: bool = False, rng=None):
+    p = params.spec.dropout_p
     if len(sims) == 1:
-        return cmp.head_logits(params.head, sims[0], training, rng)
-    return cmp.fuse_head(params.head, *sims, training=training, rng=rng)
+        return cmp.head_logits(params.w, sims[0], p, training, rng)
+    return cmp.fuse_head(params.w, *sims, p, training, rng)
 
 
 def pair_logits(params: ModelParams, lex, pairs, training: bool = False, rng=None):

@@ -11,7 +11,8 @@ modes:
   ``backward(g)``, which alone does the work only gradients need.
 
 ``GradTape.backward`` replays the recorded primitives in exact reverse
-execution order, accumulating gradients into ``Node.grad``.  A node's
+execution order, accumulating gradients into ``Node.grad``, and drops
+each record once it has run, so a tape runs backward once.  A node's
 gradient is made, as zeros, when the first gradient reaches it; a node
 none reaches keeps ``grad`` None, and each record output's gradient is
 reset to None once its record's backward has run.  A leaf whose ``grad``
@@ -115,13 +116,21 @@ class GradTape:
         self._records.append((out, inputs, backward))
 
     def backward(self, root: Node):
-        """Accumulate d(root)/d(leaf) into the .grad of every leaf it reaches."""
+        """Accumulate d(root)/d(leaf) into the .grad of every leaf it reaches.
+
+        Each record is dropped as its backward runs, and with it the
+        forward state its closure saved, so a tape runs backward once.
+        """
         if not isinstance(root, Node):
             raise TypeError("backward root must be a Node")
         if root.value.shape != ():
             raise ShapeError(f"backward root must be scalar, got shape {root.value.shape}")
+        records, self._records = self._records, None
+        if records is None:
+            raise RuntimeError("this GradTape has already run its backward pass")
         root.grad = np.ones_like(root.value)
-        for out, _, backward in reversed(self._records):
+        while records:
+            out, _, backward = records.pop()
             if out.grad is not None:
                 backward(out.grad)
                 out.grad = None

@@ -15,7 +15,7 @@ Embedding tables are never updated.
 
 Parameters, gradients and both accumulators each live in one flat
 float64 buffer of the same layout: every parameter array in the
-canonical order of ``model.named_parameters``, one after another
+canonical order of ``model.parameter_shapes``, one after another
 (``ModelParams.flat``; the rows of ``AdaDeltaState.flat``).  The tape
 accumulates each leaf's gradient straight into its view of the
 gradient buffer, and an update is one sweep over the four buffers in
@@ -28,16 +28,18 @@ Checkpoints are a versioned binary format: magic ``PSIM``, a uint32
 format version, a uint64-length-prefixed canonical JSON metadata block
 (model spec, parameter shapes, config echo, epoch, embedding hash), then
 every parameter array as little-endian float64 in the canonical order
-of ``model.named_parameters``, then optionally the two optimizer
+of ``model.parameter_shapes``, then optionally the two optimizer
 accumulators per parameter in the same order.  Format version 2 stores
 the LSTM as the fused ``encoder.W_lstm``/``U_lstm``/``b_lstm`` arrays;
 the loader rejects any other version, and any header whose parameter
-names, order or shapes differ from the model its spec builds.
+names, order or shapes differ from those of its spec, before it
+allocates the model.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -86,9 +88,10 @@ class AdaDeltaState:
     @classmethod
     def zeros(cls, params: md.ModelParams, rho: float = 0.95,
               epsilon: float = 1e-6) -> "AdaDeltaState":
+        shapes = [(name, arr.shape) for name, arr in params.w.items()]
         # np.zeros leaves the pages untouched until they are written
-        flat = np.zeros((3, md.parameter_count(params)))
-        return cls(rho, epsilon, flat, *(md.parameter_views(params, row) for row in flat))
+        flat = np.zeros((3, sum(arr.size for arr in params.w.values())))
+        return cls(rho, epsilon, flat, *(md.flat_views(shapes, row) for row in flat))
 
 
 def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
@@ -154,7 +157,9 @@ class TrainResult:
 
 
 def _snapshot_params(params: md.ModelParams) -> md.ModelParams:
-    return md.with_flat(params, params.flat.copy())
+    snap = md.build_model(params.spec, seed=None)
+    snap.flat[...] = params.flat
+    return snap
 
 
 def _snapshot_state(state: AdaDeltaState, params: md.ModelParams) -> AdaDeltaState:
@@ -175,11 +180,11 @@ def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
     try:
         with nc.GradTape() as tape:
             leaves = {}
-            for name, arr in md.named_parameters(params):
+            for name, arr in params.w.items():
                 leaves[name] = tape.leaf(arr)
                 leaves[name].grad = state.grad[name]
-            m = md.with_leaves(params, leaves)
-            loss = md.batch_loss(m, lex, batch, training=True, rng=dropout_rng)
+            loss = md.batch_loss(md.ModelParams(params.spec, leaves), lex, batch,
+                                 training=True, rng=dropout_rng)
             loss_value = float(nc._value(loss))
             if np.isfinite(loss_value):
                 tape.backward(loss)
@@ -291,12 +296,12 @@ def save_checkpoint(path, params: md.ModelParams,
                     state: Optional[AdaDeltaState] = None,
                     meta: Optional[dict] = None):
     """Write a deterministic, bit-reproducible checkpoint file."""
-    named = md.named_parameters(params)
+    w = params.w
     header = {
         "format_version": FORMAT_VERSION,
         "spec": _spec_to_meta(params.spec),
-        "param_order": [n for n, _ in named],
-        "param_shapes": {n: list(a.shape) for n, a in named},
+        "param_order": list(w),
+        "param_shapes": {n: list(a.shape) for n, a in w.items()},
         "has_state": state is not None,
     }
     if state is not None:
@@ -304,9 +309,9 @@ def save_checkpoint(path, params: md.ModelParams,
         header["epsilon"] = state.epsilon
     header.update(meta or {})
     blob = _canonical_json(header)
-    arrays = [arr for _, arr in named]
+    arrays = list(w.values())
     if state is not None:
-        arrays += [group[name] for group in (state.Eg2, state.Edx2) for name, _ in named]
+        arrays += [group[name] for group in (state.Eg2, state.Edx2) for name in w]
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
         for arr in arrays:
@@ -370,7 +375,8 @@ def _read_checkpoint(fh, path, cfg, with_state: bool):
         raise CheckpointError(f"{path}: corrupt metadata ({exc})") from exc
 
     try:
-        params = md.build_model(_spec_from_meta(meta["spec"]), seed=None)
+        spec = _spec_from_meta(meta["spec"])
+        want = [(name, list(shape)) for name, shape in md.parameter_shapes(spec)]
         shapes = meta["param_shapes"]
         have = [(name, shapes.get(name)) for name in meta["param_order"]]
         has_state = bool(meta.get("has_state"))
@@ -383,9 +389,8 @@ def _read_checkpoint(fh, path, cfg, with_state: bool):
         problem = _config_mismatch(meta["spec"], cfg)
         if problem:
             raise CheckpointError(f"{path}: {problem}")
-    # the stored names and shapes must be exactly those of the spec's model
-    named = md.named_parameters(params)
-    want = [(name, list(arr.shape)) for name, arr in named]
+    # the stored names and shapes must be exactly those of the spec's
+    # model, and the file size theirs, before the model is allocated
     if have != want:
         i = next(i for i in range(max(len(have), len(want)))
                  if have[i:i + 1] != want[i:i + 1])
@@ -394,12 +399,13 @@ def _read_checkpoint(fh, path, cfg, with_state: bool):
         raise CheckpointError(f"{path}: parameter {i} is {got}, the model spec needs {need}")
 
     sections = 3 if has_state else 1          # parameters, then Eg2 and Edx2
-    expected = 16 + meta_len + sections * params.flat.nbytes
+    expected = 16 + meta_len + sections * 8 * sum(math.prod(shape) for _, shape in want)
     if size < expected:
         raise CheckpointError(f"{path}: truncated parameter data")
     if size > expected:
         raise CheckpointError(f"{path}: {size - expected} trailing bytes")
     # fill the undrawn buffers in place: no second copy of the model
+    params = md.build_model(spec, seed=None)
     _read_into(fh, params.flat, path)
     if not (has_state and with_state):
         return params, None, meta

@@ -20,12 +20,12 @@ from pairsim import objectives as obj
 from pairsim import training as tr
 from pairsim.cli import main
 from pairsim.config import RunConfig
-from pairsim.encoder import encode, init_encoder
+from pairsim.encoder import encode
 from pairsim.rng import stream
 
 from oracles import gate_dicts, scalar_adadelta_steps, scalar_lstm_last
-from toys import (cls3_dataset, order_probe_dataset, sts_overfit_dataset,
-                  toy_lexicon, write_lexicon_files)
+from toys import (cls3_dataset, encoder_weights, order_probe_dataset,
+                  sts_overfit_dataset, toy_lexicon, write_lexicon_files)
 
 TOY = dict(H=16, l=16, L=4, d_neu=8)
 SEED = 13
@@ -128,27 +128,26 @@ def test_03_kl_properties():
 
 
 def test_04_lstm_oracle_equivalence(lex):
-    enc = init_encoder("maxlstm", lex.total_dim, 2, 2, stream(5, "init"))
-    out = encode(enc, lex, [["bob", "likes", "mary"]])
-    W, U, b = gate_dicts(enc.W_lstm, enc.U_lstm, enc.b_lstm)
+    w = encoder_weights("maxlstm", lex.total_dim, 2, 2, seed=5)
+    out = encode("maxlstm", w, lex, [["bob", "likes", "mary"]])
+    W, U, b = gate_dicts(w["encoder.W_lstm"], w["encoder.U_lstm"], w["encoder.b_lstm"])
     want = scalar_lstm_last(np.asarray(out.words).tolist(), W, U, b)
     err = float(np.max(np.abs(np.asarray(out.e_lstm[0]) - np.asarray(want))))
     check(4, "lstm-oracle-equivalence", err < 1e-10, f"(max err {err:.2e})")
 
 
 def test_05_order_properties(lex):
-    enc = init_encoder("maxlstm", lex.total_dim, TOY["H"], TOY["l"],
-                       stream(33, "init"))
+    w = encoder_weights("maxlstm", lex.total_dim, TOY["H"], TOY["l"], seed=33)
     tokens = ["bob", "likes", "mary"]
-    base = encode(enc, lex, [tokens])
+    base = encode("maxlstm", w, lex, [tokens])
     rng = stream(3, "perm")
     invariant = True
     for _ in range(100):
         order = rng.permutation(len(tokens))
         shuffled = [tokens[i] for i in order]
         invariant &= bool(np.array_equal(
-            encode(enc, lex, [shuffled]).e_max, base.e_max))
-    other = encode(enc, lex, [["mary", "likes", "bob"]])
+            encode("maxlstm", w, lex, [shuffled]).e_max, base.e_max))
+    other = encode("maxlstm", w, lex, [["mary", "likes", "bob"]])
     gap = float(np.max(np.abs(np.asarray(base.e_s) - np.asarray(other.e_s))))
     check(5, "order-properties", invariant and gap > 1e-6,
           f"(e_max invariant, L_inf(e_s diff) = {gap:.2e})")
@@ -204,9 +203,9 @@ def test_10_adadelta_first_step():
     params = md.build_model(spec, seed=1)
     state = tr.AdaDeltaState.zeros(params, rho=0.95, epsilon=1e-6)
     state.grad["head.b_l2"][0] = 1.0
-    before = params.head.b_l2[0]
+    before = params.w["head.b_l2"][0]
     tr.adadelta_step(state, params)
-    got = params.head.b_l2[0] - before
+    got = params.w["head.b_l2"][0] - before
     ok = abs(got - (-4.4721e-3)) < 1e-7 and abs(delta - got) < 1e-15
     check(10, "adadelta-first-step", ok, f"(delta = {got:.6e})")
 

@@ -140,6 +140,26 @@ def test_train_refuses_a_too_small_valid_set_before_any_epoch(workdir, capsys, t
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("gold, message", [
+    ("nan", "line 2: non-finite score 'nan'"),
+    ("7.5", "line 2: score 7.5 outside [0.0, 5.0]"),
+    ("-0.5", "line 2: score -0.5 outside [0.0, 5.0]"),
+])
+@pytest.mark.parametrize("role", ["train", "valid"])
+def test_train_refuses_bad_golds_before_any_epoch(workdir, capsys, tmp_path, gold,
+                                                  message, role):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"bob likes mary\tmary likes bob\t3.0\ndogs eats food\tthe red car"
+                   f"\t{gold}\n", encoding="utf-8")
+    train, valid = (bad, workdir / "sts.tsv") if role == "train" else (workdir / "sts.tsv", bad)
+    code, out, err = run(capsys, "train", train, "--config", workdir / "desk.cfg",
+                         "--valid", valid, "--out", tmp_path / "x.ckpt")
+    assert code == 2 and "Traceback" not in err
+    assert f"{bad} {message}" in err
+    assert "epoch\t" not in out
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_train_nan_exits_3(workdir, capsys, tmp_path):
@@ -331,7 +351,7 @@ def test_train_non_utf8_inputs_exit_2(workdir, capsys, tmp_path):
 def test_nonfinite_logits_exit_3(workdir, trained_ckpt, capsys, tmp_path):
     from pairsim import training as tr
     params, state, meta = tr.load_checkpoint(trained_ckpt)
-    params.head.W_l2[0, 0] = float("nan")
+    params.w["head.W_l2"][0, 0] = float("nan")
     ckpt = tmp_path / "nan.ckpt"
     tr.save_checkpoint(ckpt, params, state, meta)
     code, out, err = run(capsys, "score", ckpt, "bob likes mary", "bob likes mary")
@@ -339,6 +359,15 @@ def test_nonfinite_logits_exit_3(workdir, trained_ckpt, capsys, tmp_path):
     assert "nan" not in out and "non-finite" in err
     code, out, err = run(capsys, "eval", ckpt, workdir / "sts.tsv")
     assert code == 3
+    assert "pearson" not in out
+
+
+def test_eval_refuses_a_nan_gold(workdir, trained_ckpt, capsys, tmp_path):
+    data = tmp_path / "nan.tsv"
+    data.write_text("bob likes mary\tmary likes bob\t3.0\ncats runs\tdogs eats\tnan\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "eval", trained_ckpt, data)
+    assert code == 2 and f"{data} line 2: non-finite score" in err
     assert "pearson" not in out
 
 

@@ -3,18 +3,36 @@ import pytest
 from scipy.special import expit
 
 from pairsim import comparison as cmp
+from pairsim import model as md
 from pairsim import numcore as nc
+from pairsim import objectives as obj
 from pairsim.errors import ConfigError
 from pairsim.rng import stream
 
 from oracles import scalar_cosine, scalar_sigmoid
 
 
+def comparison_weights(rng, e_dim=4, word_dim=2, L=2, d_neu=2):
+    """Multi-level comparison weights, drawn in the model's order."""
+    w = {"comparison.W_neu": md.glorot(rng, d_neu, 2 * e_dim),
+         "comparison.W_sent": md.glorot(rng, 5, 1 + 2 * e_dim + d_neu),
+         "comparison.W_word": md.glorot(rng, 50, L * L),
+         "comparison.W_ws": md.glorot(rng, 5, e_dim + word_dim),
+         "comparison.W_ws2": md.glorot(rng, 100, 2 * L * 5)}
+    w.update({n.replace(".W_", ".b_"): np.zeros(a.shape[0]) for n, a in w.items()})
+    return w
+
+
+def head_weights(in_dim, C, rng):
+    """Head weights, drawn in the model's order."""
+    return {"head.W_l1": md.glorot(rng, 250, in_dim), "head.b_l1": np.zeros(250),
+            "head.W_l2": md.glorot(rng, C, 250), "head.b_l2": np.zeros(C)}
+
+
 @pytest.fixture
 def params():
     # toy dims: e_dim 4, word_dim 2, L 2, d_neu 2
-    return cmp.init_comparison("multi", e_dim=4, word_dim=2, L=2, d_neu=2,
-                               rng=stream(17, "init"))
+    return comparison_weights(stream(17, "init"))
 
 
 def rand(shape, seed):
@@ -61,7 +79,7 @@ def test_word_word_all_padding_gives_bias(params):
     s1 = np.zeros((2, 2))
     s2 = rand((2, 2), 6)
     out = cmp.word_word(params, pair(s1, s2))
-    np.testing.assert_allclose(out, expit(params.b_word), atol=1e-15)
+    np.testing.assert_allclose(out, expit(params["comparison.b_word"]), atol=1e-15)
 
 
 def test_word_word_range_and_shape(params):
@@ -77,8 +95,8 @@ def test_sentence_features_hand_assembly(params):
     assert abs(d[0] - scalar_cosine(e1, e2)) < 1e-12
     np.testing.assert_allclose(d[1:5], e1 * e2)
     np.testing.assert_allclose(d[5:9], np.abs(e1 - e2))
-    np.testing.assert_allclose(d[9:], params.W_neu @ np.concatenate([e1, e2])
-                               + params.b_neu)
+    np.testing.assert_allclose(d[9:], params["comparison.W_neu"] @ np.concatenate([e1, e2])
+                               + params["comparison.b_neu"])
 
 
 def test_sentence_features_identical_embeddings(params):
@@ -89,8 +107,8 @@ def test_sentence_features_identical_embeddings(params):
 
 
 def test_sentence_features_zero_neural_weights(params):
-    params.W_neu = np.zeros_like(params.W_neu)
-    params.b_neu = np.array([0.25, -0.5])
+    params["comparison.W_neu"] = np.zeros_like(params["comparison.W_neu"])
+    params["comparison.b_neu"] = np.array([0.25, -0.5])
     d = cmp.sentence_features(params, pair(rand(4, 12), rand(4, 13)))
     np.testing.assert_array_equal(d[9:], [0.25, -0.5])
 
@@ -104,12 +122,13 @@ def test_sentence_metric_symmetries(params):
 
 
 def test_ws_rows_zero_weights(params):
-    params.W_ws = np.zeros_like(params.W_ws)
-    params.b_ws = stream(16, "data").normal(size=5)
+    params["comparison.W_ws"] = np.zeros_like(params["comparison.W_ws"])
+    params["comparison.b_ws"] = stream(16, "data").normal(size=5)
     rows = cmp.ws_rows(params, pair(rand(4, 17), rand(4, 16)),
                        pair(rand((2, 2), 15), rand((2, 2), 18)))
     assert rows.shape == (2, 2, 5)
-    np.testing.assert_allclose(rows, np.tile(expit(params.b_ws), (2, 2, 1)), atol=1e-15)
+    np.testing.assert_allclose(rows, np.tile(expit(params["comparison.b_ws"]), (2, 2, 1)),
+                               atol=1e-15)
 
 
 def test_ws_rows_match_scalar_loop(params):
@@ -120,8 +139,8 @@ def test_ws_rows_match_scalar_loop(params):
     for i in range(2):
         paired = np.concatenate([e, words[i]])
         for k in range(5):
-            want = scalar_sigmoid(sum(params.W_ws[k, j] * paired[j]
-                                      for j in range(6)) + params.b_ws[k])
+            want = scalar_sigmoid(sum(params["comparison.W_ws"][k, j] * paired[j]
+                                      for j in range(6)) + params["comparison.b_ws"][k])
             assert abs(rows[i, k] - want) < 1e-12
 
 
@@ -143,93 +162,88 @@ def test_word_sentence_output(params):
 
 
 def test_fuse_head_zero_weights_give_bias():
-    head = cmp.init_head(155, 3, 0.5, stream(18, "init"))
-    head.W_l1 = np.zeros_like(head.W_l1)
-    head.W_l2 = np.zeros_like(head.W_l2)
-    head.b_l2 = np.array([1.0, -2.0, 0.5])
-    logits = cmp.fuse_head(head, np.zeros(50), np.zeros(5), np.zeros(100))
+    head = head_weights(155, 3, stream(18, "init"))
+    head["head.W_l1"] = np.zeros_like(head["head.W_l1"])
+    head["head.W_l2"] = np.zeros_like(head["head.W_l2"])
+    head["head.b_l2"] = np.array([1.0, -2.0, 0.5])
+    logits = cmp.fuse_head(head, np.zeros(50), np.zeros(5), np.zeros(100), 0.5)
     np.testing.assert_array_equal(logits, [1.0, -2.0, 0.5])
 
 
 def test_fuse_head_deterministic_in_inference():
-    head = cmp.init_head(155, 3, 0.5, stream(19, "init"))
+    head = head_weights(155, 3, stream(19, "init"))
     args = (rand(50, 29), rand(5, 30), rand(100, 31))
-    a = cmp.fuse_head(head, *args, training=False)
-    np.testing.assert_array_equal(a, cmp.fuse_head(head, *args, training=False))
+    a = cmp.fuse_head(head, *args, 0.5, training=False)
+    np.testing.assert_array_equal(a, cmp.fuse_head(head, *args, 0.5, training=False))
 
 
 def test_fuse_head_matches_scalar_composition():
-    head = cmp.init_head(155, 3, 0.0, stream(20, "init"))
+    head = head_weights(155, 3, stream(20, "init"))
     sw, ss, sws = rand(50, 32), rand(5, 33), rand(100, 34)
-    got = cmp.fuse_head(head, sw, ss, sws)
+    got = cmp.fuse_head(head, sw, ss, sws, 0.0)
     sim = np.concatenate([sw, ss, sws])
-    h = np.array([scalar_sigmoid(head.W_l1[k] @ sim + head.b_l1[k])
+    h = np.array([scalar_sigmoid(head["head.W_l1"][k] @ sim + head["head.b_l1"][k])
                   for k in range(250)])
-    want = head.W_l2 @ h + head.b_l2
+    want = head["head.W_l2"] @ h + head["head.b_l2"]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_head_dropout_only_in_training():
-    head = cmp.init_head(5, 2, 0.5, stream(21, "init"))
+    head = head_weights(5, 2, stream(21, "init"))
     sim = rand(5, 35)
-    plain = cmp.head_logits(head, sim, training=False)
-    dropped = cmp.head_logits(head, sim, training=True, rng=stream(1, "dropout"))
+    plain = cmp.head_logits(head, sim, 0.5, training=False)
+    dropped = cmp.head_logits(head, sim, 0.5, training=True, rng=stream(1, "dropout"))
     assert np.any(plain != dropped)
 
 
 def test_sent_mode_has_no_word_weights():
-    p = cmp.init_comparison("sent", e_dim=4, word_dim=None, L=2, d_neu=2,
-                            rng=stream(22, "init"))
-    assert p.W_word is None and p.W_ws is None and p.W_ws2 is None
-    assert p.W_sent.shape == (5, 11)
+    def spec(encoder, comparison):     # e_dim 4, L 2, d_neu 2
+        return md.ModelSpec(task="sts", encoder=encoder, comparison=comparison,
+                            total_dim=4, H=2, l=2, L=2, d_neu=2, C=2,
+                            score=obj.ScoreSpec(2, 0, 5))
+    shapes = dict(md.parameter_shapes(spec("maxlstm", "sent")))
+    assert not {"comparison.W_word", "comparison.W_ws", "comparison.W_ws2"} & set(shapes)
+    assert shapes["comparison.W_sent"] == (5, 11)
     with pytest.raises(ConfigError):
-        cmp.init_comparison("multi", e_dim=4, word_dim=None, L=2, d_neu=2,
-                            rng=stream(23, "init"))
+        spec("word_avg", "multi")       # no per-word features
 
 
 def test_comparison_backward_through_all_levels(params):
-    head = cmp.init_head(155, 3, 0.0, stream(24, "init"))
+    head = head_weights(155, 3, stream(24, "init"))
     e1, e2 = rand(4, 36), rand(4, 37)
     s1, s2 = rand((3, 2), 38), rand((2, 2), 39)
     # head weights stay constant here: the full-model acceptance gradcheck
     # covers them, and this keeps the entry count small
-    arrays = {"W_word": params.W_word, "b_word": params.b_word,
-              "W_neu": params.W_neu, "b_neu": params.b_neu,
-              "W_sent": params.W_sent, "b_sent": params.b_sent,
-              "W_ws": params.W_ws, "b_ws": params.b_ws,
-              "W_ws2": params.W_ws2, "b_ws2": params.b_ws2}
 
-    def loss(leaves):
-        p = cmp.ComparisonParams(L=2, d_neu=2, e_dim=4, word_dim=2, **leaves)
-        h = head
+    def loss(p):
         s_pair = nc.pad_rows(np.concatenate([s1, s2]), [3, 2], 2)
         e_pair = pair(e1, e2)
         logits = cmp.fuse_head(
-            h,
+            head,
             cmp.word_word(p, s_pair),
             cmp.sentence_sentence(p, e_pair),
-            cmp.word_sentence(p, e_pair, s_pair))
+            cmp.word_sentence(p, e_pair, s_pair), 0.0)
         return nc.ce_from_logits(1, logits)
 
-    report = nc.grad_check(loss, arrays)
+    report = nc.grad_check(loss, params)
     assert report.max_rel_err < 1e-4
 
 
 def test_batched_comparison_equals_each_pair(params):
     """(B, ...) arguments give, row by row, what each pair gives alone."""
-    head = cmp.init_head(155, 3, 0.0, stream(25, "init"))
+    head = head_weights(155, 3, stream(25, "init"))
     B = 3
     e, s = rand((B, 2, 4), 40), rand((B, 2, 2, 2), 42)
     s[1, 1, 1] = 0.0    # a padded row
     got = {"word": cmp.word_word(params, s),
            "sent": cmp.sentence_sentence(params, e),
            "ws": cmp.word_sentence(params, e, s)}
-    got["logits"] = cmp.fuse_head(head, got["word"], got["sent"], got["ws"])
+    got["logits"] = cmp.fuse_head(head, got["word"], got["sent"], got["ws"], 0.0)
     assert got["logits"].shape == (B, 3)
     for i in range(B):
         want = {"word": cmp.word_word(params, s[i]),
                 "sent": cmp.sentence_sentence(params, e[i]),
                 "ws": cmp.word_sentence(params, e[i], s[i])}
-        want["logits"] = cmp.fuse_head(head, want["word"], want["sent"], want["ws"])
+        want["logits"] = cmp.fuse_head(head, want["word"], want["sent"], want["ws"], 0.0)
         for key in want:
             np.testing.assert_allclose(got[key][i], want[key], rtol=1e-13, atol=1e-15)

@@ -9,7 +9,7 @@ from pairsim.errors import ConfigError, DataError
 from pairsim.rng import stream
 
 from oracles import gate_dicts, scalar_lstm_last, scalar_sigmoid
-from toys import toy_lexicon
+from toys import encoder_weights, toy_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -18,13 +18,13 @@ def lex():
 
 
 def make_encoder(kind, lex, H=4, l=3, seed=21):
-    return enc.init_encoder(kind, lex.total_dim, H, l, stream(seed, "init"))
+    return encoder_weights(kind, lex.total_dim, H, l, seed)
 
 
-def encode_one(p, lex, tokens):
+def encode_one(p, lex, tokens, kind="maxlstm"):
     """The encoding of one sentence, as a batch of one: its word rows and
     its row of every per-sentence field."""
-    b = enc.encode(p, lex, [tokens])
+    b = enc.encode(kind, p, lex, [tokens])
     return SimpleNamespace(s_multi=b.words,
                            **{f: None if getattr(b, f) is None else getattr(b, f)[0]
                               for f in ("e_max", "e_lstm", "e_s")})
@@ -32,17 +32,17 @@ def encode_one(p, lex, tokens):
 
 def test_multi_aspect_zero_params_give_half(lex):
     p = make_encoder("maxlstm", lex)
-    p.R = np.zeros_like(p.R)
-    p.b_r = np.zeros_like(p.b_r)
+    p["encoder.R"] = np.zeros_like(p["encoder.R"])
+    p["encoder.b_r"] = np.zeros_like(p["encoder.b_r"])
     y = encode_one(p, lex, ["bob"]).s_multi[0]
     np.testing.assert_array_equal(y, np.full(4, 0.5))
 
 
 def test_multi_aspect_single_filter(lex):
     p = make_encoder("maxlstm", lex, H=1, l=1)
-    p.R = np.zeros((1, lex.total_dim))
-    p.R[0, 0] = 1.0
-    p.b_r = np.zeros(1)
+    p["encoder.R"] = np.zeros((1, lex.total_dim))
+    p["encoder.R"][0, 0] = 1.0
+    p["encoder.b_r"] = np.zeros(1)
     import pairsim.embeddings as em
     zero = em.FusedLexicon(tables=[em.EmbeddingTable("z", np.zeros((1, lex.total_dim)),
                                                      {"zero": 0})])
@@ -51,18 +51,19 @@ def test_multi_aspect_single_filter(lex):
 
 def test_multi_aspect_matches_scalar_arithmetic(lex):
     p = make_encoder("maxlstm", lex, H=2)
+    R, b_r = p["encoder.R"], p["encoder.b_r"]
     e = lex.lookup_all(["dogs"])[0]
     got = encode_one(p, lex, ["dogs"]).s_multi[0]
     for i in range(2):
-        want = scalar_sigmoid(sum(p.R[i, j] * e[j] for j in range(lex.total_dim))
-                              + p.b_r[i])
+        want = scalar_sigmoid(sum(R[i, j] * e[j] for j in range(lex.total_dim))
+                              + b_r[i])
         assert abs(got[i] - want) < 1e-12
 
 
 def test_encode_sentence_zero_lstm_params(lex):
     p = make_encoder("maxlstm", lex)
-    for name in ("W_lstm", "U_lstm", "b_lstm"):
-        setattr(p, name, np.zeros_like(getattr(p, name)))
+    for name in ("encoder.W_lstm", "encoder.U_lstm", "encoder.b_lstm"):
+        p[name] = np.zeros_like(p[name])
     out = encode_one(p, lex, ["bob", "likes", "mary"])
     np.testing.assert_array_equal(out.e_lstm, np.zeros(3))
 
@@ -71,8 +72,9 @@ def test_encode_single_word_max_equals_word_features(lex):
     p = make_encoder("maxlstm", lex)
     out = encode_one(p, lex, ["cats"])
     e = lex.lookup_all(["cats"])[0]
-    want = [scalar_sigmoid(sum(p.R[i, j] * e[j] for j in range(lex.total_dim)) + p.b_r[i])
-            for i in range(p.H)]
+    R, b_r = p["encoder.R"], p["encoder.b_r"]
+    want = [scalar_sigmoid(sum(R[i, j] * e[j] for j in range(lex.total_dim)) + b_r[i])
+            for i in range(4)]
     np.testing.assert_allclose(out.e_max, want, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(out.e_max, out.s_multi[0])
 
@@ -82,7 +84,8 @@ def test_encode_lstm_matches_scalar_oracle(lex):
     tokens = ["bob", "likes", "mary"]
     out = encode_one(p, lex, tokens)
     s_multi = np.asarray(out.s_multi)
-    want = scalar_lstm_last(s_multi.tolist(), *gate_dicts(p.W_lstm, p.U_lstm, p.b_lstm))
+    want = scalar_lstm_last(s_multi.tolist(), *gate_dicts(
+        p["encoder.W_lstm"], p["encoder.U_lstm"], p["encoder.b_lstm"]))
     np.testing.assert_allclose(out.e_lstm, want, rtol=0, atol=1e-10)
 
 
@@ -121,23 +124,22 @@ def test_max_pool_invariant_over_random_permutations(lex):
 
 def test_word_avg_cases(lex):
     p = make_encoder("word_avg", lex)
-    one = encode_one(p, lex, ["dogs"]).e_s
+    one = encode_one(p, lex, ["dogs"], "word_avg").e_s
     np.testing.assert_array_equal(one, lex.lookup_all(["dogs"])[0])
     # symmetric pair of opposite vectors averages to zero
     v = lex.lookup_all(["dogs"])[0]
     import pairsim.embeddings as em
     t = em.EmbeddingTable("pm", np.stack([v, -v]), {"plus": 0, "minus": 1})
     mirror = em.FusedLexicon(tables=[t], seed=0)
-    p2 = enc.init_encoder("word_avg", v.shape[0], 4, 3, stream(21, "init"))
-    np.testing.assert_allclose(encode_one(p2, mirror, ["plus", "minus"]).e_s,
+    np.testing.assert_allclose(encode_one({}, mirror, ["plus", "minus"], "word_avg").e_s,
                                np.zeros(v.shape[0]), atol=1e-15)
 
 
 def test_proj_avg_zero_params(lex):
     p = make_encoder("proj_avg", lex)
-    p.W_proj = np.zeros_like(p.W_proj)
-    p.b_proj = np.zeros_like(p.b_proj)
-    out = encode_one(p, lex, ["bob", "cats"]).e_s
+    p["encoder.W_proj"] = np.zeros_like(p["encoder.W_proj"])
+    p["encoder.b_proj"] = np.zeros_like(p["encoder.b_proj"])
+    out = encode_one(p, lex, ["bob", "cats"], "proj_avg").e_s
     np.testing.assert_array_equal(out, np.full(lex.total_dim, 0.5))
 
 
@@ -145,8 +147,7 @@ def test_baseline_out_dims(lex):
     for kind, dim in [("word_avg", 8), ("proj_avg", 8), ("lstm_only", 3),
                       ("maxcnn_only", 4)]:
         p = make_encoder(kind, lex)
-        assert p.out_dim == dim
-        out = encode_one(p, lex, ["bob", "likes", "mary"]).e_s
+        out = encode_one(p, lex, ["bob", "likes", "mary"], kind).e_s
         assert np.asarray(out).shape == (dim,)
 
 
@@ -158,22 +159,18 @@ def test_encode_empty_tokens_error(lex):
 
 def test_encoder_kind_validation(lex):
     with pytest.raises(ConfigError):
-        enc.init_encoder("fancy", lex.total_dim, 4, 3, stream(0, "init"))
+        make_encoder("fancy", lex)
 
 
 def test_encode_gradients_flow_through_sentence(lex):
     p = make_encoder("maxlstm", lex, H=3, l=2, seed=11)
     tokens = ["bob", "likes", "mary"]
-    names = ("R", "b_r", "W_lstm", "U_lstm", "b_lstm")
-    arrays = {n: getattr(p, n) for n in names}
     w = stream(12, "w").normal(size=5)
 
     def loss(leaves):
-        q = enc.EncoderParams(kind="maxlstm", total_dim=lex.total_dim, H=3, l=2,
-                              **{n: leaves[n] for n in names})
-        out = enc.encode(q, lex, [tokens])
+        out = enc.encode("maxlstm", leaves, lex, [tokens])
         return nc.vsum(nc.elementwise_mul(out.e_s, w[None]))
 
-    report = nc.grad_check(loss, arrays)
+    report = nc.grad_check(loss, p)
     assert report.max_rel_err < 1e-6
 

@@ -33,8 +33,8 @@ def deviation(got, want) -> float:
 def test_batch_major_matches_per_pair_reference(name):
     params, lex, batch = build(name)
     with nc.GradTape() as tape:
-        leaves = {n: tape.leaf(a) for n, a in md.leaf_arrays(params).items()}
-        loss = md.batch_loss(md.with_leaves(params, leaves), lex, batch,
+        leaves = {n: tape.leaf(a) for n, a in params.w.items()}
+        loss = md.batch_loss(md.ModelParams(params.spec, leaves), lex, batch,
                              True, stream(DROPOUT_SEED, "dropout"))
         tape.backward(loss)
     logits = md.pair_logits(params, lex, PAIRS)

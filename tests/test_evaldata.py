@@ -89,6 +89,23 @@ def test_lenient_skips_and_logs(tmp_path, caplog):
         ed.load_pairs(p, "sts")
 
 
+@pytest.mark.parametrize("gold", ["nan", "inf", "-Infinity", "NaN"])
+def test_non_finite_score_names_its_line_or_is_skipped(tmp_path, gold):
+    p = write(tmp_path, f"a\tb\t1.0\nc\td\t{gold}\n")
+    with pytest.raises(DataError, match=r"line 2: non-finite score"):
+        ed.load_pairs(p, "sts")
+    assert [ex.gold_score for ex in ed.load_pairs(p, "sts", lenient=True).examples] == [1.0]
+
+
+def test_score_range_refuses_golds_outside_it(tmp_path):
+    p = write(tmp_path, "a\tb\t0.0\nc\td\t5.0\ne\tf\t7.5\n")
+    assert len(ed.load_pairs(p, "sts")) == 3          # no range, no check
+    with pytest.raises(DataError, match=r"line 3: score 7.5 outside \[0.0, 5.0\]"):
+        ed.load_pairs(p, "sts", score_range=(0.0, 5.0))
+    ds = ed.load_pairs(p, "sts", lenient=True, score_range=(0.0, 5.0))
+    assert [ex.gold_score for ex in ds.examples] == [0.0, 5.0]
+
+
 def test_serialize_roundtrip(tmp_path):
     p = write(tmp_path, "A cat sits.\tThe mat!\t3.5\nDogs run\tCats nap\t1.0\n")
     ds = ed.load_pairs(p, "sts")

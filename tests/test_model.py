@@ -4,7 +4,6 @@ import pytest
 from pairsim import model as md
 from pairsim import numcore as nc
 from pairsim import objectives as obj
-from pairsim.encoder import glorot
 from pairsim.errors import ConfigError
 from pairsim.evaldata import SentencePairExample
 from pairsim.rng import stream
@@ -30,12 +29,29 @@ def test_spec_validation():
         sts_spec(encoder="word_avg")  # no word features for multi comparison
     with pytest.raises(ConfigError):
         sts_spec(score=None)
+    for bad in (dict(H=0), dict(l=-1), dict(L=0), dict(d_neu=0), dict(total_dim=0),
+                dict(H=2.5), dict(encoder="fancy"), dict(comparison="fancy"),
+                dict(task="entailment", C=1, score=None)):
+        with pytest.raises(ConfigError):
+            sts_spec(**bad)
     sts_spec(encoder="word_avg", comparison="sent")  # fine
+
+
+@pytest.mark.parametrize("encoder, comparison", [
+    ("maxlstm", "multi"), ("maxlstm", "sent"), ("maxcnn_only", "multi"),
+    ("maxcnn_only", "sent"), ("lstm_only", "sent"), ("proj_avg", "sent"),
+    ("word_avg", "sent")])
+def test_parameter_shapes_are_the_built_layout(encoder, comparison):
+    spec = sts_spec(encoder=encoder, comparison=comparison)
+    params = md.build_model(spec, seed=1)
+    shapes = md.parameter_shapes(spec)
+    assert shapes == [(n, a.shape) for n, a in params.w.items()]
+    assert sum(int(np.prod(shape)) for _, shape in shapes) == params.flat.size
 
 
 def test_named_parameters_order_and_shapes(lex):
     params = md.build_model(sts_spec(), seed=1)
-    names = [n for n, _ in md.named_parameters(params)]
+    names = list(params.w)
     assert names == [
         "encoder.R", "encoder.b_r",
         "encoder.W_lstm", "encoder.U_lstm", "encoder.b_lstm",
@@ -44,7 +60,7 @@ def test_named_parameters_order_and_shapes(lex):
         "comparison.W_ws", "comparison.b_ws", "comparison.W_ws2",
         "comparison.b_ws2", "head.W_l1", "head.b_l1", "head.W_l2", "head.b_l2",
     ]
-    arrays = md.leaf_arrays(params)
+    arrays = params.w
     assert arrays["comparison.W_word"].shape == (50, 9)        # L*L = 9
     assert arrays["comparison.W_neu"].shape == (2, 20)         # 2 * (H + l)
     assert arrays["comparison.W_sent"].shape == (5, 23)        # 1 + 2*10 + 2
@@ -59,8 +75,8 @@ def test_named_parameters_order_and_shapes(lex):
 
 def test_forget_gate_bias_is_one(lex):
     params = md.build_model(sts_spec(), seed=1)
-    np.testing.assert_array_equal(params.encoder.b_lstm[4:8], np.ones(4))
-    np.testing.assert_array_equal(params.encoder.b_lstm[0:4], np.zeros(4))
+    np.testing.assert_array_equal(params.w["encoder.b_lstm"][4:8], np.ones(4))
+    np.testing.assert_array_equal(params.w["encoder.b_lstm"][0:4], np.zeros(4))
 
 
 @pytest.mark.parametrize("encoder", ["maxlstm", "lstm_only"])
@@ -69,40 +85,30 @@ def test_fused_lstm_layout(encoder):
     stream, stacked in i/f/o/u order; only the forget rows of b are 1."""
     comparison = "multi" if encoder == "maxlstm" else "sent"
     spec = sts_spec(encoder=encoder, comparison=comparison)
-    enc = md.build_model(spec, seed=9).encoder
+    w = md.build_model(spec, seed=9).w
+    W_lstm, U_lstm, b_lstm = w["encoder.W_lstm"], w["encoder.U_lstm"], w["encoder.b_lstm"]
     l = spec.l
     k = spec.H if encoder == "maxlstm" else spec.total_dim
     rng = stream(9, "init")
     if encoder == "maxlstm":
-        glorot(rng, spec.H, spec.total_dim)    # the filters are drawn first
-    W = [glorot(rng, l, k) for _ in "ifou"]
-    U = [glorot(rng, l, l) for _ in "ifou"]
-    assert enc.W_lstm.shape == (4 * l, k) and enc.U_lstm.shape == (4 * l, l)
+        md.glorot(rng, spec.H, spec.total_dim)    # the filters are drawn first
+    W = [md.glorot(rng, l, k) for _ in "ifou"]
+    U = [md.glorot(rng, l, l) for _ in "ifou"]
+    assert W_lstm.shape == (4 * l, k) and U_lstm.shape == (4 * l, l)
     for g in range(4):
-        np.testing.assert_array_equal(enc.W_lstm[g * l:(g + 1) * l], W[g])
-        np.testing.assert_array_equal(enc.U_lstm[g * l:(g + 1) * l], U[g])
-    np.testing.assert_array_equal(enc.b_lstm[l:2 * l], np.ones(l))
-    np.testing.assert_array_equal(np.delete(enc.b_lstm, np.s_[l:2 * l]), np.zeros(3 * l))
+        np.testing.assert_array_equal(W_lstm[g * l:(g + 1) * l], W[g])
+        np.testing.assert_array_equal(U_lstm[g * l:(g + 1) * l], U[g])
+    np.testing.assert_array_equal(b_lstm[l:2 * l], np.ones(l))
+    np.testing.assert_array_equal(np.delete(b_lstm, np.s_[l:2 * l]), np.zeros(3 * l))
 
 
 def test_build_model_deterministic(lex):
-    a = md.leaf_arrays(md.build_model(sts_spec(), seed=5))
-    b = md.leaf_arrays(md.build_model(sts_spec(), seed=5))
-    c = md.leaf_arrays(md.build_model(sts_spec(), seed=6))
+    a = md.build_model(sts_spec(), seed=5).w
+    b = md.build_model(sts_spec(), seed=5).w
+    c = md.build_model(sts_spec(), seed=6).w
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
     assert any(np.any(a[k] != c[k]) for k in a)
-
-
-def test_with_leaves_roundtrip(lex):
-    params = md.build_model(sts_spec(), seed=1)
-    arrays = md.leaf_arrays(params)
-    clone = md.with_leaves(params, {k: v.copy() for k, v in arrays.items()})
-    for (n1, a1), (n2, a2) in zip(md.named_parameters(params),
-                                  md.named_parameters(clone)):
-        assert n1 == n2
-        np.testing.assert_array_equal(a1, a2)
-        assert a1 is not a2
 
 
 def test_pair_logits_shape_and_determinism(lex):
@@ -121,8 +127,8 @@ def test_pair_logits_shape_and_determinism(lex):
 def test_sent_mode_ignores_word_level(lex):
     spec = sts_spec(comparison="sent")
     params = md.build_model(spec, seed=2)
-    assert params.comparison.W_word is None
-    assert params.head.W_l1.shape == (250, 5)
+    assert "comparison.W_word" not in params.w
+    assert params.w["head.W_l1"].shape == (250, 5)
     z = md.pair_logits(params, lex, [(["bob", "likes"], ["mary", "hates"])])
     assert np.asarray(z).shape == (1, 5)
 
@@ -183,8 +189,8 @@ def test_batch_loss_matches_example_losses_in_order(lex):
 
     def run(loss_fn):
         with nc.GradTape() as tape:
-            leaves = {n: tape.leaf(a) for n, a in md.leaf_arrays(params).items()}
-            loss = loss_fn(md.with_leaves(params, leaves), stream(21, "dropout"))
+            leaves = {n: tape.leaf(a) for n, a in params.w.items()}
+            loss = loss_fn(md.ModelParams(params.spec, leaves), stream(21, "dropout"))
             tape.backward(loss)
         return float(loss.value), {n: leaf.grad for n, leaf in leaves.items()}
 
@@ -208,11 +214,11 @@ def test_encode_batch_matches_single_sentences(lex, encoder):
     comparison = "multi" if encoder == "maxlstm" else "sent"
     params = md.build_model(sts_spec(encoder=encoder, comparison=comparison), seed=7)
     seqs = [t for ex in MIXED_BATCH for t in (ex.tokens1, ex.tokens2)]
-    batched = encode(params.encoder, lex, seqs)
+    batched = encode(encoder, params.w, lex, seqs)
     assert batched.lengths == [len(t) for t in seqs]
     ends = np.cumsum(batched.lengths)
     for j, tokens in enumerate(seqs):
-        want = encode(params.encoder, lex, [tokens])
+        want = encode(encoder, params.w, lex, [tokens])
         if want.words is not None:
             got = np.asarray(batched.words)[ends[j] - len(tokens):ends[j]]
             assert rel_err(got, np.asarray(want.words)) <= 1e-12

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -680,6 +681,22 @@ def test_backward_holds_few_gradients_at_once():
             tracemalloc.stop()
     assert peak < 5 << 20, f"backward peaked at {peak / 2 ** 20:.1f} MiB"
     np.testing.assert_array_equal(x.grad, np.ones(1 << 17))
+
+
+def test_backward_drops_each_record_and_runs_once():
+    """Each record, and the forward state its closure saved, is dropped as
+    its backward runs, while the tape itself is still alive."""
+    with nc.GradTape() as tape:
+        x = tape.leaf(np.array([0.5, -1.0]))
+        root = nc.vsum(nc.sigmoid(nc.scale(x, 3.0)))
+        closures = [weakref.ref(backward) for _, _, backward in tape._records]
+        assert len(closures) == 3
+        tape.backward(root)
+        assert [ref() for ref in closures] == [None, None, None]
+        grad = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already run its backward"):
+            tape.backward(root)
+    np.testing.assert_array_equal(x.grad, grad)      # the failed call added nothing
 
 
 # ---------------------------------------------------------------------------

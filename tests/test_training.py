@@ -45,9 +45,9 @@ def test_adadelta_zero_gradient_keeps_params(lex):
     params = md.build_model(small_spec(), seed=1)
     state = tr.AdaDeltaState.zeros(params)
     state.Eg2["head.b_l2"][:] = 0.04
-    before = {n: a.copy() for n, a in md.named_parameters(params)}
+    before = {n: a.copy() for n, a in params.w.items()}
     tr.adadelta_step(state, params)
-    for n, a in md.named_parameters(params):
+    for n, a in params.w.items():
         np.testing.assert_array_equal(a, before[n])
     np.testing.assert_allclose(state.Eg2["head.b_l2"], 0.95 * 0.04, rtol=1e-15)
 
@@ -57,9 +57,9 @@ def test_adadelta_first_step_hand_value(lex):
     params = md.build_model(small_spec(), seed=1)
     state = tr.AdaDeltaState.zeros(params)
     state.grad["head.b_l2"][0] = 1.0
-    b0 = params.head.b_l2[0]
+    b0 = params.w["head.b_l2"][0]
     tr.adadelta_step(state, params)
-    delta = params.head.b_l2[0] - b0
+    delta = params.w["head.b_l2"][0] - b0
     assert abs(delta - (-4.4721e-3)) < 1e-7
     oracle = scalar_adadelta_steps([1.0], rho=0.95, eps=1e-6)[0]
     assert abs(delta - oracle) < 1e-15
@@ -73,9 +73,9 @@ def test_adadelta_second_step_grows(lex):
     trace = []
     for _ in range(2):
         state.grad["head.b_l2"][0] = 1.0
-        before = params.head.b_l2[0]
+        before = params.w["head.b_l2"][0]
         tr.adadelta_step(state, params)
-        trace.append(params.head.b_l2[0] - before)
+        trace.append(params.w["head.b_l2"][0] - before)
     np.testing.assert_allclose(trace, deltas, rtol=0, atol=1e-15)
 
 
@@ -87,9 +87,9 @@ def test_adadelta_matches_scalar_oracle_over_sequence(lex):
     got = []
     for g in gs:
         state.grad["head.b_l2"][0] = g
-        before = params.head.b_l2[0]
+        before = params.w["head.b_l2"][0]
         tr.adadelta_step(state, params)
-        got.append(params.head.b_l2[0] - before)
+        got.append(params.w["head.b_l2"][0] - before)
     np.testing.assert_allclose(got, scalar_adadelta_steps(gs, 0.95, 1e-6),
                                rtol=0, atol=1e-15)
 
@@ -99,7 +99,7 @@ def test_adadelta_accumulators_stay_finite_nonnegative(lex):
     state = tr.AdaDeltaState.zeros(params)
     rng = np.random.default_rng(9)
     for _ in range(50):
-        for n, a in md.named_parameters(params):
+        for n, a in params.w.items():
             state.grad[n][...] = rng.normal(size=a.shape) * 10
         tr.adadelta_step(state, params)
     for group in (state.Eg2, state.Edx2):
@@ -111,10 +111,9 @@ def layout_of_sizes(sizes):
     """A model whose parameter arrays have the given sizes, as views of a
     flat buffer of random values: a layout for adadelta_step alone."""
     params = md.build_model(small_spec(), seed=1)
-    names = [n for n, _ in md.named_parameters(params)]
-    assert len(sizes) == len(names)
-    shaped = md.with_leaves(params, {n: np.empty(size) for n, size in zip(names, sizes)})
-    return md.with_flat(shaped, np.random.default_rng(3).normal(size=sum(sizes)))
+    assert len(sizes) == len(params.w)
+    flat = np.random.default_rng(3).normal(size=sum(sizes))
+    return md.ModelParams(params.spec, md.flat_views(zip(params.w, zip(sizes)), flat), flat)
 
 
 # 1 and CHUNK - 1 end exactly on the first chunk boundary; CHUNK + 1 then
@@ -126,7 +125,7 @@ ORACLE_SIZES = [1, tr.CHUNK - 1, tr.CHUNK + 1, 3 * tr.CHUNK + 7, 5, tr.CHUNK, 2,
 def test_adadelta_sweep_is_bit_identical_to_whole_array_updates(rho, eps):
     params = layout_of_sizes(ORACLE_SIZES)
     state = tr.AdaDeltaState.zeros(params, rho, eps)
-    ref = {n: a.copy() for n, a in md.named_parameters(params)}
+    ref = {n: a.copy() for n, a in params.w.items()}
     ref_Eg2 = {n: np.zeros_like(a) for n, a in ref.items()}
     ref_Edx2 = {n: np.zeros_like(a) for n, a in ref.items()}
     rng = np.random.default_rng(11)
@@ -140,7 +139,7 @@ def test_adadelta_sweep_is_bit_identical_to_whole_array_updates(rho, eps):
             state.grad[name][...] = g
         tr.adadelta_step(state, params)
         whole_array_adadelta_step(ref, ref_Eg2, ref_Edx2, grads, rho, eps)
-        for name, a in md.named_parameters(params):
+        for name, a in params.w.items():
             np.testing.assert_array_equal(a, ref[name])
             np.testing.assert_array_equal(state.Eg2[name], ref_Eg2[name])
             np.testing.assert_array_equal(state.Edx2[name], ref_Edx2[name])
@@ -165,14 +164,14 @@ def test_parameters_and_state_view_flat_buffers_in_canonical_order(encoder, comp
     params = md.build_model(spec, seed=3)
     state = tr.AdaDeltaState.zeros(params)
     off = 0
-    for name, arr in md.named_parameters(params):
+    for name, arr in params.w.items():
         assert arr.base is params.flat
         assert address(arr) == address(params.flat) + 8 * off
         for row, views in enumerate((state.Eg2, state.Edx2, state.grad)):
             assert views[name].shape == arr.shape
             assert address(views[name]) == address(state.flat[row]) + 8 * off
         off += arr.size
-    assert off == params.flat.size == md.parameter_count(params)
+    assert off == params.flat.size
     assert state.flat.shape == (3, off) and md.is_flat(params)
 
 
@@ -194,9 +193,8 @@ def test_adadelta_refuses_parameters_that_are_not_views_of_their_buffer(lex):
     params = md.build_model(small_spec(), seed=1)
     state = tr.AdaDeltaState.zeros(params)
     before = params.flat.copy()
-    copy = md.with_leaves(params, {n: a.copy() for n, a in md.named_parameters(params)})
-    stale = md.with_leaves(copy, {})
-    stale.flat = params.flat            # a buffer its arrays no longer view
+    copy = md.ModelParams(params.spec, {n: a.copy() for n, a in params.w.items()})
+    stale = md.ModelParams(params.spec, copy.w, params.flat)    # a buffer its arrays do not view
     state.flat[2] = 1.0
     for bad in (copy, stale):
         with pytest.raises(ConfigError, match="views of params.flat"):
@@ -246,11 +244,11 @@ def test_single_example_single_epoch_is_one_step(lex):
     ds = sts_overfit_dataset()
     ds.examples = ds.examples[:1]
     params = md.build_model(small_spec(), seed=2)
-    before = {n: a.copy() for n, a in md.named_parameters(params)}
+    before = {n: a.copy() for n, a in params.w.items()}
     cfg = RunConfig(batch_size=30, epochs=1, seed=4)
     result = tr.train(params, lex, ds, cfg)
     assert len(result.history) == 1
-    changed = sum(np.any(a != before[n]) for n, a in md.named_parameters(params))
+    changed = sum(np.any(a != before[n]) for n, a in params.w.items())
     assert changed > 0
     # one step from zero accumulators: |delta| <= sqrt(eps/ ((1-rho) g^2 + eps)) bound
     assert result.history[0].train_loss > 0
@@ -273,7 +271,7 @@ def test_training_is_deterministic(lex):
     for _ in range(2):
         params = md.build_model(maxlstm_spec(dropout=0.5), seed=21)
         r = tr.train(params, lex, ds, cfg)
-        out.append(md.leaf_arrays(r.params))
+        out.append(r.params.w)
     for k in out[0]:
         np.testing.assert_array_equal(out[0][k], out[1][k])
 
@@ -332,8 +330,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, lex):
     tr.save_checkpoint(path, result.params, result.state,
                        meta={"config": {"seed": 31}})
     loaded, state, meta = tr.load_checkpoint(path)
-    for (n1, a1), (n2, a2) in zip(md.named_parameters(result.params),
-                                  md.named_parameters(loaded)):
+    for (n1, a1), (n2, a2) in zip(result.params.w.items(),
+                                  loaded.w.items()):
         assert n1 == n2
         np.testing.assert_array_equal(a1, a2)
     for k in result.state.Eg2:
@@ -347,7 +345,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, lex):
                            lambda m: m.update(rng={"dropout": {"counter": [1, 2]}}))
     again, _, meta = tr.load_checkpoint(with_rng)
     assert meta["rng"] == {"dropout": {"counter": [1, 2]}}
-    for (_, a1), (_, a2) in zip(md.named_parameters(loaded), md.named_parameters(again)):
+    for (_, a1), (_, a2) in zip(loaded.w.items(), again.w.items()):
         assert a1.tobytes() == a2.tobytes()
 
 
@@ -360,8 +358,8 @@ def test_checkpoint_load_draws_no_random_numbers(tmp_path, lex, monkeypatch):
         raise AssertionError("loading a checkpoint must not open a random stream")
     monkeypatch.setattr(md, "stream", no_stream)
     loaded, _, _ = tr.load_checkpoint(path)
-    for (n1, a1), (n2, a2) in zip(md.named_parameters(params),
-                                  md.named_parameters(loaded)):
+    for (n1, a1), (n2, a2) in zip(params.w.items(),
+                                  loaded.w.items()):
         assert n1 == n2 and a1.tobytes() == a2.tobytes()
 
 

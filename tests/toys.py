@@ -9,6 +9,18 @@ TOY_WORDS = [
 ]
 
 
+def encoder_weights(kind, total_dim, H, l, seed):
+    """The "encoder.*" weights of a model seeded with ``seed``: the encoder
+    draws first from the init stream, so they are the weights of that
+    encoder drawn alone."""
+    from pairsim import model as md
+    from pairsim import objectives as obj
+    comparison = "multi" if kind in ("maxcnn_only", "maxlstm") else "sent"
+    spec = md.ModelSpec(task="sts", encoder=kind, comparison=comparison, total_dim=total_dim,
+                        H=H, l=l, L=2, d_neu=2, C=2, score=obj.ScoreSpec(2, 0.0, 5.0))
+    return {n: a for n, a in md.build_model(spec, seed).w.items() if n.startswith("encoder.")}
+
+
 def toy_lexicon(seed=7, dims=(5, 3), words=TOY_WORDS) -> FusedLexicon:
     """Distinct random vectors per word, deterministic in the seed."""
     tables = []
