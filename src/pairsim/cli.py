@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 
 from . import model as md
 from . import training as tr
 from .config import RunConfig, echo_lines, fingerprint, load_config
 from .config import _set as set_value
 from .embeddings import load_lexicon
+from .encoder import WORD_FEATURE_KINDS
 from .errors import (CheckpointError, ConfigError, DataError, NumericError)
 from .evaldata import classification_metrics, load_pairs, pearson, tokenize
 from .gradcheck import (build_check_fixture, model_grad_check,
@@ -64,23 +65,6 @@ def _lexicon(cfg: RunConfig, total_dim: int | None = None):
     return lex
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-
-
-def _check_valid(path, ds):
-    """Refuse a validation set whose metric is undefined, before any epoch:
-    Pearson needs two distinct gold scores, accuracy one example."""
-    n = len(ds.examples)
-    if ds.task == "sts":
-        distinct = len({ex.gold_score for ex in ds.examples})
-        if distinct < 2:
-            raise DataError(f"{path}: {n} usable validation examples with {distinct} "
-                            f"distinct gold scores; pearson needs at least 2")
-    elif n == 0:
-        raise DataError(f"{path}: 0 usable validation examples; accuracy needs at least 1")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -97,7 +81,7 @@ def cmd_train(args, overrides) -> int:
     if not data.examples:
         raise DataError(f"{args.train}: no usable examples")
     if valid is not None:
-        _check_valid(args.valid, valid)
+        tr.check_valid(args.valid, valid)
     spec = md.spec_from_config(cfg, lex.total_dim)
     params = md.build_model(spec, cfg.seed)
 
@@ -108,7 +92,7 @@ def cmd_train(args, overrides) -> int:
         print(f"{rec.epoch}\t{rec.train_loss:.6f}\t{metric}", flush=True)
 
     result = tr.train(params, lex, data, cfg, valid, on_epoch=report)
-    meta = {"config": _config_dict(cfg), "config_fingerprint": fingerprint(cfg),
+    meta = {"config": asdict(cfg), "config_fingerprint": fingerprint(cfg),
             "epoch": result.best_epoch, "embedding_hash": lex.content_hash()}
     tr.save_checkpoint(args.out, result.params, result.state, meta)
     print(f"# checkpoint written to {args.out} (best epoch {result.best_epoch})",
@@ -225,7 +209,7 @@ def cmd_bench(args, overrides) -> int:
     data = load_pairs(args.train, cfg.task, lenient=cfg.lenient)
     encoders = [e.strip() for e in cfg.bench_encoders.split(",") if e.strip()]
     rows = [("sent", e) for e in encoders]
-    rows += [("multi", e) for e in encoders if e in ("maxcnn_only", "maxlstm")]
+    rows += [("multi", e) for e in encoders if e in WORD_FEATURE_KINDS]
     print("variant\tfinal_train_loss\ttrain_metric")
     for mode, enc in rows:
         run_cfg = load_config(args.config,

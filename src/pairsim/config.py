@@ -9,6 +9,9 @@ in checkpoints.
 
 The environment variable ``PAIRSIM_CONFIG`` names a default config file
 used when a command is not given one explicitly.
+
+The architecture's rules belong to ``model.ModelSpec``: ``validate``
+derives a spec, so a configuration naming no valid model fails to load.
 """
 
 from __future__ import annotations
@@ -20,14 +23,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import spec_from_config
 
 ENV_CONFIG = "PAIRSIM_CONFIG"
-
-_CHOICES = {
-    "task": ("sts", "entailment", "paraphrase"),
-    "encoder": ("word_avg", "proj_avg", "lstm_only", "maxcnn_only", "maxlstm"),
-    "comparison": ("multi", "sent"),
-}
 
 
 @dataclass
@@ -65,10 +63,6 @@ class RunConfig:
         return [p.strip() for p in self.embeddings.split(",") if p.strip()]
 
     def validate(self):
-        for key, allowed in _CHOICES.items():
-            if getattr(self, key) not in allowed:
-                raise ConfigError(
-                    f"{key} = {getattr(self, key)!r}; choose from {allowed}")
         # OOV fills are drawn from [-oov_scale, oov_scale], whose width must be finite
         if not (self.oov_scale >= 0.0 and math.isfinite(2.0 * self.oov_scale)):
             raise ConfigError(f"oov_scale must be a finite number >= 0, got {self.oov_scale}")
@@ -80,18 +74,7 @@ class RunConfig:
             raise ConfigError(f"epsilon must be a finite number > 0, got {self.epsilon}")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 0:
             raise ConfigError("batch_size/epochs must be >= 1 and patience >= 0")
-        if min(self.filters, self.lstm_dim, self.max_len, self.d_neu) < 1:
-            raise ConfigError("filters, lstm_dim, max_len, d_neu must be >= 1")
-        if self.task == "sts":
-            if self.score_k < 2:
-                raise ConfigError(f"score_k must be >= 2, got {self.score_k}")
-            if not self.raw_max > self.raw_min:
-                raise ConfigError(
-                    f"raw score range is empty: [{self.raw_min}, {self.raw_max}]")
-        if self.comparison == "multi" and self.encoder not in ("maxcnn_only", "maxlstm"):
-            raise ConfigError(
-                f"encoder {self.encoder!r} produces no word features; "
-                f"set comparison = sent")
+        spec_from_config(self, 1)     # any width: the tables are not loaded yet
         return self
 
 

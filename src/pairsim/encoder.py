@@ -42,6 +42,7 @@ from .embeddings import FusedLexicon
 from .errors import DataError
 
 ENCODER_KINDS = ("word_avg", "proj_avg", "lstm_only", "maxcnn_only", "maxlstm")
+WORD_FEATURE_KINDS = ("maxcnn_only", "maxlstm")
 _LSTM = ("encoder.W_lstm", "encoder.U_lstm", "encoder.b_lstm")
 
 

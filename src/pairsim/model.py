@@ -33,7 +33,7 @@ from . import encoder
 from . import numcore as nc
 from . import objectives as obj
 from .errors import ConfigError, NumericError
-from .evaldata import PairDataset
+from .evaldata import LABEL_NAMES, TASKS, PairDataset
 from .rng import stream
 
 # the Glorot-drawn weights in their draw order, which is not the
@@ -47,7 +47,8 @@ _GATED = ("encoder.W_lstm", "encoder.U_lstm")     # one Glorot block per gate, i
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture and task description; everything a checkpoint must pin."""
+    """Architecture and task description; everything a checkpoint must
+    pin.  Constructing one checks every architecture rule."""
 
     task: str                 # sts | entailment | paraphrase
     encoder: str              # one of ENCODER_KINDS
@@ -63,11 +64,15 @@ class ModelSpec:
     label_names: Optional[list[str]] = None
 
     def __post_init__(self):
+        if self.task not in TASKS:
+            raise ConfigError(f"unknown task {self.task!r}; choose from {TASKS}")
         if self.encoder not in encoder.ENCODER_KINDS:
-            raise ConfigError(f"unknown encoder {self.encoder!r}")
+            raise ConfigError(f"unknown encoder {self.encoder!r}; "
+                              f"choose from {encoder.ENCODER_KINDS}")
         if self.comparison not in cmp.COMPARISON_MODES:
-            raise ConfigError(f"unknown comparison mode {self.comparison!r}")
-        if self.comparison == "multi" and self.encoder not in ("maxcnn_only", "maxlstm"):
+            raise ConfigError(f"unknown comparison mode {self.comparison!r}; "
+                              f"choose from {cmp.COMPARISON_MODES}")
+        if self.comparison == "multi" and self.encoder not in encoder.WORD_FEATURE_KINDS:
             raise ConfigError(
                 f"multi-level comparison needs per-word features; encoder "
                 f"{self.encoder!r} only supports comparison=sent")
@@ -90,17 +95,15 @@ class ModelSpec:
 
 
 def spec_from_config(cfg, total_dim: int) -> ModelSpec:
-    """Derive the architecture from a configuration object."""
+    """Derive the architecture from a configuration object; ConfigError
+    if the configuration names no valid model."""
     task = cfg.task
     if task == "sts":
         score = obj.ScoreSpec(K=cfg.score_k, raw_min=cfg.raw_min, raw_max=cfg.raw_max)
         C, labels = score.K, None
-    elif task in ("entailment", "paraphrase"):
-        from .evaldata import LABEL_NAMES
-        score, labels = None, LABEL_NAMES[task]
-        C = len(labels)
     else:
-        raise ConfigError(f"unknown task {task!r}")
+        score, labels = None, LABEL_NAMES.get(task, [])
+        C = len(labels)
     return ModelSpec(task=task, encoder=cfg.encoder, comparison=cfg.comparison,
                      total_dim=total_dim, H=cfg.filters, l=cfg.lstm_dim,
                      L=cfg.max_len, d_neu=cfg.d_neu, C=C, dropout_p=cfg.dropout,
@@ -112,7 +115,7 @@ def parameter_shapes(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     order.  Allocates nothing."""
     T, H, l, L = spec.total_dim, spec.H, spec.l, spec.L
     enc = []
-    if spec.encoder in ("maxcnn_only", "maxlstm"):
+    if spec.encoder in encoder.WORD_FEATURE_KINDS:
         enc += [("R", (H, T)), ("b_r", (H,))]
     lstm_in = {"maxlstm": H, "lstm_only": T}.get(spec.encoder)
     if lstm_in is not None:

@@ -42,7 +42,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -197,6 +197,20 @@ def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
     return loss_value
 
 
+def check_valid(name, ds: PairDataset):
+    """Refuse a validation set whose metric is undefined: Pearson needs
+    two distinct gold scores, accuracy one example.  ``name``, a path
+    or "validation set", starts the DataError's message."""
+    n = len(ds.examples)
+    if ds.task == "sts":
+        distinct = len({ex.gold_score for ex in ds.examples})
+        if distinct < 2:
+            raise DataError(f"{name}: {n} usable validation examples with {distinct} "
+                            f"distinct gold scores; pearson needs at least 2")
+    elif n == 0:
+        raise DataError(f"{name}: 0 usable validation examples; accuracy needs at least 1")
+
+
 def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
           valid: Optional[PairDataset] = None, on_epoch=None) -> TrainResult:
     """Mini-batch loop with validation-based selection and early stopping.
@@ -207,11 +221,24 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
     otherwise); without a validation set the final epoch wins.  Training
     stops early after ``patience`` consecutive epochs without
     improvement.  ``on_epoch`` is called with each EpochRecord as it
-    completes.
+    completes.  Before the first step, DataError refuses an empty
+    training set, a validation set ``check_valid`` refuses, and an sts
+    gold outside the spec's raw range in either set.
     """
     cfg.validate()
     if not data.examples:
         raise DataError("training set is empty")
+    named = [("training set", data)]
+    if valid is not None:
+        check_valid("validation set", valid)
+        named.append(("validation set", valid))
+    if params.spec.task == "sts":
+        lo, hi = params.spec.score.raw_min, params.spec.score.raw_max
+        for name, ds in named:
+            for i, ex in enumerate(ds.examples):
+                if not lo <= ex.gold_score <= hi:
+                    raise DataError(f"{name} example {i}: gold score {ex.gold_score} "
+                                    f"outside [{lo}, {hi}]")
     state = AdaDeltaState.zeros(params, cfg.rho, cfg.epsilon)
     dropout_rng = stream(cfg.seed, "dropout")
     shuffle_rng = stream(cfg.seed, "shuffle")
@@ -255,28 +282,10 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
 # checkpoint io
 
 
-def _spec_to_meta(spec: md.ModelSpec) -> dict:
-    meta = {"task": spec.task, "encoder": spec.encoder,
-            "comparison": spec.comparison, "total_dim": spec.total_dim,
-            "H": spec.H, "l": spec.l, "L": spec.L, "d_neu": spec.d_neu,
-            "C": spec.C, "dropout_p": spec.dropout_p,
-            "label_names": spec.label_names}
-    if spec.score is not None:
-        meta["score"] = {"K": spec.score.K, "raw_min": spec.score.raw_min,
-                         "raw_max": spec.score.raw_max}
-    return meta
-
-
-def _spec_from_meta(meta: dict) -> md.ModelSpec:
-    score = None
-    if "score" in meta:
-        s = meta["score"]
-        score = obj.ScoreSpec(K=s["K"], raw_min=s["raw_min"], raw_max=s["raw_max"])
-    return md.ModelSpec(task=meta["task"], encoder=meta["encoder"],
-                        comparison=meta["comparison"], total_dim=meta["total_dim"],
-                        H=meta["H"], l=meta["l"], L=meta["L"], d_neu=meta["d_neu"],
-                        C=meta["C"], dropout_p=meta["dropout_p"], score=score,
-                        label_names=meta["label_names"])
+def _fields_of(cls, block: dict) -> dict:
+    """The field values of dataclass ``cls`` from its ``asdict`` form: a
+    missing field raises KeyError, other keys are ignored."""
+    return {f.name: block[f.name] for f in fields(cls)}
 
 
 def _canonical_json(obj_) -> bytes:
@@ -295,11 +304,22 @@ def _json_default(x):
 def save_checkpoint(path, params: md.ModelParams,
                     state: Optional[AdaDeltaState] = None,
                     meta: Optional[dict] = None):
-    """Write a deterministic, bit-reproducible checkpoint file."""
+    """Write a deterministic, bit-reproducible checkpoint file, one write
+    per section.  Parameters that are not the views of ``params.flat``,
+    or a state of another size, raise ConfigError before any write."""
+    if not md.is_flat(params):
+        raise ConfigError("save_checkpoint needs parameters that are views of "
+                          "params.flat, as build_model and load_checkpoint make them")
+    if state is not None and state.flat.shape[1] != params.flat.size:
+        raise ConfigError(f"optimizer state holds {state.flat.shape[1]} entries, "
+                          f"the model {params.flat.size}")
     w = params.w
+    spec = asdict(params.spec)
+    if spec["score"] is None:
+        del spec["score"]
     header = {
         "format_version": FORMAT_VERSION,
-        "spec": _spec_to_meta(params.spec),
+        "spec": spec,
         "param_order": list(w),
         "param_shapes": {n: list(a.shape) for n, a in w.items()},
         "has_state": state is not None,
@@ -309,28 +329,14 @@ def save_checkpoint(path, params: md.ModelParams,
         header["epsilon"] = state.epsilon
     header.update(meta or {})
     blob = _canonical_json(header)
-    arrays = list(w.values())
-    if state is not None:
-        arrays += [group[name] for group in (state.Eg2, state.Edx2) for name in w]
+    sections = [params.flat] if state is None else [params.flat, state.flat[:2]]
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
-        for arr in arrays:
+        for arr in sections:
             fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
 
-def _config_mismatch(meta_spec: dict, cfg) -> Optional[str]:
-    pairs = [("filters", "H"), ("lstm_dim", "l"), ("max_len", "L"),
-             ("d_neu", "d_neu"), ("task", "task"), ("encoder", "encoder"),
-             ("comparison", "comparison")]
-    for key, field_ in pairs:
-        have = meta_spec[field_]
-        want = getattr(cfg, key, None)
-        if want is not None and want != have:
-            return (f"checkpoint has {key} = {have}, configuration says {want}")
-    return None
-
-
-def load_checkpoint(path, cfg=None, with_state: bool = True):
+def load_checkpoint(path, with_state: bool = True):
     """Read (params, state, meta); bit-exact round trip of save_checkpoint.
 
     The file size must equal the size the header implies; that is
@@ -342,7 +348,7 @@ def load_checkpoint(path, cfg=None, with_state: bool = True):
     """
     try:
         with open(path, "rb") as fh:
-            return _read_checkpoint(fh, path, cfg, with_state)
+            return _read_checkpoint(fh, path, with_state)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
@@ -357,7 +363,7 @@ def _read_into(fh, arr: np.ndarray, path):
     return arr
 
 
-def _read_checkpoint(fh, path, cfg, with_state: bool):
+def _read_checkpoint(fh, path, with_state: bool):
     size = os.fstat(fh.fileno()).st_size
     prefix = fh.read(16)
     if len(prefix) < 16 or prefix[:4] != MAGIC:
@@ -375,7 +381,10 @@ def _read_checkpoint(fh, path, cfg, with_state: bool):
         raise CheckpointError(f"{path}: corrupt metadata ({exc})") from exc
 
     try:
-        spec = _spec_from_meta(meta["spec"])
+        block = dict(meta["spec"])
+        if block.setdefault("score", None) is not None:
+            block["score"] = obj.ScoreSpec(**_fields_of(obj.ScoreSpec, block["score"]))
+        spec = md.ModelSpec(**_fields_of(md.ModelSpec, block))
         want = [(name, list(shape)) for name, shape in md.parameter_shapes(spec)]
         shapes = meta["param_shapes"]
         have = [(name, shapes.get(name)) for name in meta["param_order"]]
@@ -385,10 +394,6 @@ def _read_checkpoint(fh, path, cfg, with_state: bool):
         raise CheckpointError(f"{path}: metadata lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed metadata ({exc})") from None
-    if cfg is not None:
-        problem = _config_mismatch(meta["spec"], cfg)
-        if problem:
-            raise CheckpointError(f"{path}: {problem}")
     # the stored names and shapes must be exactly those of the spec's
     # model, and the file size theirs, before the model is allocated
     if have != want:

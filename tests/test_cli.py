@@ -204,6 +204,32 @@ def test_train_rejects_bad_epsilon(workdir, capsys, tmp_path, bad):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("task", "rating", "unknown task 'rating'; choose from ('sts', "),
+    ("encoder", "cnn", "unknown encoder 'cnn'; choose from ('word_avg', "),
+    ("comparison", "word", "unknown comparison mode 'word'; choose from ('multi', "),
+    ("filters", "0", "filters must be a positive integer, got 0"),
+    ("lstm_dim", "0", "lstm_dim must be a positive integer, got 0"),
+    ("max_len", "-1", "max_len must be a positive integer, got -1"),
+    ("d_neu", "0", "d_neu must be a positive integer, got 0"),
+    ("score_k", "1", "score_k must be >= 2, got 1"),
+    ("raw_min", "5", "raw score range is empty: [5.0, 5.0]"),
+    ("encoder", "word_avg", "multi-level comparison needs per-word features; "
+                            "encoder 'word_avg' only supports comparison=sent"),
+], ids=["task", "encoder", "comparison", "filters", "lstm_dim", "max_len", "d_neu",
+        "score_k", "raw_range", "multi-needs-word-features"])
+def test_each_architecture_error_exits_1_before_any_file_is_read(
+        capsys, tmp_path, monkeypatch, key, value, message):
+    # none of the files named exists, so an exit of 2 would mean one was read
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PAIRSIM_CONFIG", raising=False)
+    code, out, err = run(capsys, "train", "absent.tsv", "--out", "x.ckpt",
+                         "--embeddings", "absent.txt", f"--{key}", value)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_ckpt(workdir, tmp_path_factory):
     """A checkpoint overfit on the toy training set."""
@@ -375,9 +401,10 @@ def test_eval_refuses_a_nan_gold(workdir, trained_ckpt, capsys, tmp_path):
     (lambda m: m["spec"].pop("d_neu"), None, "metadata lacks key 'd_neu'"),
     (lambda m: m["config"].update(weight_decay=0.0), None, "weight_decay"),
     (lambda m: m.update(spec=[1, 2]), None, "malformed metadata"),
+    (lambda m: m["spec"].update(task="rating"), None, "unknown task 'rating'"),
     (lambda m: m.update(param_order=m["param_order"][::-1]), None, "parameter 0 is head.b_l2"),
     (None, 1, "format version 1"),
-], ids=["spec-key", "config-key", "spec-type", "param-order", "version-1"])
+], ids=["spec-key", "config-key", "spec-type", "spec-task", "param-order", "version-1"])
 def test_malformed_checkpoint_exits_1(trained_ckpt, capsys, tmp_path, edit, version,
                                       message):
     bad = tmp_path / "bad.ckpt"

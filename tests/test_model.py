@@ -31,7 +31,8 @@ def test_spec_validation():
         sts_spec(score=None)
     for bad in (dict(H=0), dict(l=-1), dict(L=0), dict(d_neu=0), dict(total_dim=0),
                 dict(H=2.5), dict(encoder="fancy"), dict(comparison="fancy"),
-                dict(task="entailment", C=1, score=None)):
+                dict(task="entailment", C=1, score=None),
+                dict(task="rating", score=None)):
         with pytest.raises(ConfigError):
             sts_spec(**bad)
     sts_spec(encoder="word_avg", comparison="sent")  # fine

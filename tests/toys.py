@@ -13,9 +13,10 @@ def encoder_weights(kind, total_dim, H, l, seed):
     """The "encoder.*" weights of a model seeded with ``seed``: the encoder
     draws first from the init stream, so they are the weights of that
     encoder drawn alone."""
+    from pairsim import encoder
     from pairsim import model as md
     from pairsim import objectives as obj
-    comparison = "multi" if kind in ("maxcnn_only", "maxlstm") else "sent"
+    comparison = "multi" if kind in encoder.WORD_FEATURE_KINDS else "sent"
     spec = md.ModelSpec(task="sts", encoder=kind, comparison=comparison, total_dim=total_dim,
                         H=H, l=l, L=2, d_neu=2, C=2, score=obj.ScoreSpec(2, 0.0, 5.0))
     return {n: a for n, a in md.build_model(spec, seed).w.items() if n.startswith("encoder.")}
