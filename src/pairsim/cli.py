@@ -15,8 +15,9 @@ accept only ``--embeddings`` (``eval`` also ``--lenient``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import model as md
 from . import training as tr
@@ -69,8 +70,21 @@ def _lexicon(cfg: RunConfig, total_dim: int | None = None):
 # subcommands
 
 
+def _check_out(path: str):
+    """Refuse a checkpoint path that saving after the last epoch could
+    not write."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out {path}: directory {folder} does not exist")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {path}: directory {folder} is not writable")
+
+
 def cmd_train(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
+    _check_out(args.out)
     _echo(cfg)
     lex = _lexicon(cfg)
     # training maps each gold onto the score levels, so it must lie in range
@@ -113,6 +127,13 @@ def _load_for_inference(args, overrides, allowed: tuple[str, ...]):
     except TypeError as exc:
         raise CheckpointError(
             f"{ckpt_path}: malformed configuration block ({exc})") from None
+    # the echo must describe the model that runs
+    echoed = md.spec_from_config(cfg, params.spec.total_dim)
+    for f in fields(md.ModelSpec):
+        given, stored = getattr(echoed, f.name), getattr(params.spec, f.name)
+        if given != stored:
+            raise CheckpointError(f"{ckpt_path}: the configuration block gives "
+                                  f"{f.name} = {given!r}, the model spec {stored!r}")
     for key, value in overrides.items():
         if key not in allowed:
             raise ConfigError(f"{args.command} accepts only "

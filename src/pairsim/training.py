@@ -16,30 +16,43 @@ Embedding tables are never updated.
 Parameters, gradients and both accumulators each live in one flat
 float64 buffer of the same layout: every parameter array in the
 canonical order of ``model.parameter_shapes``, one after another
-(``ModelParams.flat``; the rows of ``AdaDeltaState.flat``).  The tape
-accumulates each leaf's gradient straight into its view of the
-gradient buffer, and an update is one sweep over the four buffers in
-chunks of ``CHUNK`` elements, small enough that a chunk of each stays in
-L2 across the rule's sixteen ufunc passes.  Every element gets the same
-operations in the same order as when each array was updated whole, so
-the results are bit-identical to that.
+(``ModelParams.flat``, the two rows of ``AdaDeltaState.flat`` and
+``AdaDeltaState.grad_flat``).  The tape accumulates each leaf's gradient
+straight into its view of the gradient buffer, and an update is one
+sweep over the four buffers in chunks of ``CHUNK`` elements, small
+enough that a chunk of each stays in L2 across the rule's sixteen ufunc
+passes.  Every element gets the same operations in the same order as
+when each array was updated whole, so the results are bit-identical to
+that.
 
 Checkpoints are a versioned binary format: magic ``PSIM``, a uint32
 format version, a uint64-length-prefixed canonical JSON metadata block
-(model spec, parameter shapes, config echo, epoch, embedding hash), then
-every parameter array as little-endian float64 in the canonical order
-of ``model.parameter_shapes``, then optionally the two optimizer
-accumulators per parameter in the same order.  Format version 2 stores
-the LSTM as the fused ``encoder.W_lstm``/``U_lstm``/``b_lstm`` arrays;
-the loader rejects any other version, and any header whose parameter
-names, order or shapes differ from those of its spec, before it
-allocates the model.
+(model spec, parameter shapes, config echo, epoch, embedding hash),
+padded with trailing spaces so that what follows starts at a multiple
+of ``ALIGN`` bytes, then every parameter array as little-endian float64
+in the canonical order of ``model.parameter_shapes``, then optionally
+the two optimizer accumulators per parameter in the same order.  Format
+version 2 stores the LSTM as the fused
+``encoder.W_lstm``/``U_lstm``/``b_lstm`` arrays; the loader rejects any
+other version, and any header whose parameter names, order or shapes
+differ from those of its spec, or whose file size differs from theirs.
+
+A checkpoint is written to a temporary file beside it and renamed over
+it, so readers see the old file or the new one, whole.  A load maps the
+file copy-on-write: the parameters and accumulators are views of the
+mapping, read from the page cache when first used, and a page is copied
+only when training first writes it.  A payload that is not aligned (the
+files written before the padding) or not native-endian is copied
+instead.  A program that truncates or rewrites a checkpoint in place
+while a process has it loaded can change that process's parameters or
+end it with SIGBUS.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -57,6 +70,7 @@ from .rng import stream
 
 MAGIC = b"PSIM"
 FORMAT_VERSION = 2
+ALIGN = 64          # the payload's offset in a checkpoint is a multiple of this
 
 
 # elements per chunk of the update sweep: 128 KiB of each of the four
@@ -72,26 +86,36 @@ class AdaDeltaState:
     """Decayed squared-gradient and squared-update accumulators, and the
     gradient buffer the tape fills.
 
-    ``flat`` is (3, n): its rows are the Eg2, Edx2 and gradient buffers,
+    ``flat`` is (2, n): its rows are the Eg2 and Edx2 buffers, as a
+    checkpoint stores them, and ``grad_flat`` the (n,) gradient buffer,
     each in the layout of ``ModelParams.flat``.  ``Eg2``, ``Edx2`` and
-    ``grad`` map each parameter name to its view of the row.  The
+    ``grad`` map each parameter name to its view of its row.  The
     gradient row is all zero between steps.
     """
 
     rho: float
     epsilon: float
     flat: np.ndarray
+    grad_flat: np.ndarray
     Eg2: dict[str, np.ndarray]
     Edx2: dict[str, np.ndarray]
     grad: dict[str, np.ndarray]
 
     @classmethod
+    def over(cls, params: md.ModelParams, flat: np.ndarray, grad_flat: np.ndarray,
+             rho: float, epsilon: float) -> "AdaDeltaState":
+        """The state whose accumulator rows are ``flat`` and whose gradient
+        row is ``grad_flat``."""
+        shapes = [(name, arr.shape) for name, arr in params.w.items()]
+        return cls(rho, epsilon, flat, grad_flat,
+                   *(md.flat_views(shapes, row) for row in (*flat, grad_flat)))
+
+    @classmethod
     def zeros(cls, params: md.ModelParams, rho: float = 0.95,
               epsilon: float = 1e-6) -> "AdaDeltaState":
-        shapes = [(name, arr.shape) for name, arr in params.w.items()]
         # np.zeros leaves the pages untouched until they are written
-        flat = np.zeros((3, sum(arr.size for arr in params.w.values())))
-        return cls(rho, epsilon, flat, *(md.flat_views(shapes, row) for row in flat))
+        buf = np.zeros((3, sum(arr.size for arr in params.w.values())))
+        return cls.over(params, buf[:2], buf[2], rho, epsilon)
 
 
 def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
@@ -111,7 +135,7 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
     if not md.is_flat(params):
         raise ConfigError("adadelta_step needs parameters that are views of "
                           "params.flat, as build_model and load_checkpoint make them")
-    P, (E, D, G) = params.flat, state.flat
+    P, (E, D), G = params.flat, state.flat, state.grad_flat
     if E.size != P.size:
         raise ConfigError(f"optimizer state holds {E.size} entries, the model {P.size}")
 
@@ -164,7 +188,7 @@ def _snapshot_params(params: md.ModelParams) -> md.ModelParams:
 
 def _snapshot_state(state: AdaDeltaState, params: md.ModelParams) -> AdaDeltaState:
     snap = AdaDeltaState.zeros(params, state.rho, state.epsilon)
-    snap.flat[:2] = state.flat[:2]          # the gradient row stays zero and untouched
+    snap.flat[...] = state.flat             # the gradient row stays zero and untouched
     return snap
 
 
@@ -192,7 +216,7 @@ def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
             raise NumericError(f"non-finite loss {loss_value}", batch_index=None)
         adadelta_step(state, params)
     except BaseException:
-        state.flat[2].fill(0.0)
+        state.grad_flat.fill(0.0)
         raise
     return loss_value
 
@@ -305,8 +329,15 @@ def save_checkpoint(path, params: md.ModelParams,
                     state: Optional[AdaDeltaState] = None,
                     meta: Optional[dict] = None):
     """Write a deterministic, bit-reproducible checkpoint file, one write
-    per section.  Parameters that are not the views of ``params.flat``,
-    or a state of another size, raise ConfigError before any write."""
+    per section, atomically: into a temporary file beside ``path``, which
+    then replaces it.
+
+    Parameters that are not the views of ``params.flat``, or a state of
+    another size, raise ConfigError before any write.  A failed write
+    raises CheckpointError and leaves ``path`` as it was and no
+    temporary file.  The file gets the mode ``open(path, "wb")`` gives:
+    the old file's, else 0o666 less the umask.
+    """
     if not md.is_flat(params):
         raise ConfigError("save_checkpoint needs parameters that are views of "
                           "params.flat, as build_model and load_checkpoint make them")
@@ -329,21 +360,41 @@ def save_checkpoint(path, params: md.ModelParams,
         header["epsilon"] = state.epsilon
     header.update(meta or {})
     blob = _canonical_json(header)
-    sections = [params.flat] if state is None else [params.flat, state.flat[:2]]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
-        for arr in sections:
-            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+    blob += b" " * (-(16 + len(blob)) % ALIGN)      # JSON ignores trailing spaces
+    sections = [params.flat] if state is None else [params.flat, state.flat]
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            mode = None                     # os.open applies the umask to 0o666
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                if mode is not None:
+                    os.fchmod(fd, mode)
+                fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
+                for arr in sections:
+                    fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def load_checkpoint(path, with_state: bool = True):
     """Read (params, state, meta); bit-exact round trip of save_checkpoint.
 
-    The file size must equal the size the header implies; that is
-    checked before any array is read.  The parameter section is then
-    read straight into the model's flat buffer, and the accumulator
-    section into the first two rows of the state's, one read each.
-    With ``with_state`` False the AdaDelta accumulators are not read and
+    The header and the file size are checked before anything is mapped.
+    The parameters, and the accumulators, are then views of a
+    copy-on-write mapping of the file (copies of it when the payload is
+    not aligned or not native-endian); the gradient row is a new zeroed
+    buffer.  With ``with_state`` False the accumulators are not used and
     state is None.
     """
     try:
@@ -353,14 +404,11 @@ def load_checkpoint(path, with_state: bool = True):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _read_into(fh, arr: np.ndarray, path):
-    """Fill a C-contiguous float64 array with the file's next bytes, in
-    one read."""
-    if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-        raise CheckpointError(f"{path}: truncated parameter data")
-    if not np.little_endian:
-        arr.byteswap(inplace=True)
-    return arr
+def _payload(buf, offset: int, count: int) -> np.ndarray:
+    """``count`` float64s of ``buf`` from byte ``offset``: a writeable view
+    when they are aligned and native-endian, otherwise a copy."""
+    return np.require(np.frombuffer(buf, "<f8", count, offset), np.float64,
+                      ["ALIGNED", "WRITEABLE"])
 
 
 def _read_checkpoint(fh, path, with_state: bool):
@@ -385,9 +433,10 @@ def _read_checkpoint(fh, path, with_state: bool):
         if block.setdefault("score", None) is not None:
             block["score"] = obj.ScoreSpec(**_fields_of(obj.ScoreSpec, block["score"]))
         spec = md.ModelSpec(**_fields_of(md.ModelSpec, block))
-        want = [(name, list(shape)) for name, shape in md.parameter_shapes(spec)]
-        shapes = meta["param_shapes"]
-        have = [(name, shapes.get(name)) for name in meta["param_order"]]
+        shapes = md.parameter_shapes(spec)
+        want = [(name, list(shape)) for name, shape in shapes]
+        stored = meta["param_shapes"]
+        have = [(name, stored.get(name)) for name in meta["param_order"]]
         has_state = bool(meta.get("has_state"))
         rho, epsilon = (meta["rho"], meta["epsilon"]) if has_state else (None, None)
     except KeyError as exc:
@@ -395,7 +444,7 @@ def _read_checkpoint(fh, path, with_state: bool):
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed metadata ({exc})") from None
     # the stored names and shapes must be exactly those of the spec's
-    # model, and the file size theirs, before the model is allocated
+    # model, and the file size theirs, before anything is mapped
     if have != want:
         i = next(i for i in range(max(len(have), len(want)))
                  if have[i:i + 1] != want[i:i + 1])
@@ -403,17 +452,18 @@ def _read_checkpoint(fh, path, with_state: bool):
         need = f"{want[i][0]} {want[i][1]}" if i < len(want) else "nothing"
         raise CheckpointError(f"{path}: parameter {i} is {got}, the model spec needs {need}")
 
+    n = sum(math.prod(shape) for _, shape in shapes)
     sections = 3 if has_state else 1          # parameters, then Eg2 and Edx2
-    expected = 16 + meta_len + sections * 8 * sum(math.prod(shape) for _, shape in want)
+    start = 16 + meta_len
+    expected = start + sections * 8 * n
     if size < expected:
         raise CheckpointError(f"{path}: truncated parameter data")
     if size > expected:
         raise CheckpointError(f"{path}: {size - expected} trailing bytes")
-    # fill the undrawn buffers in place: no second copy of the model
-    params = md.build_model(spec, seed=None)
-    _read_into(fh, params.flat, path)
+    buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    flat = _payload(buf, start, n)
+    params = md.ModelParams(spec, md.flat_views(shapes, flat), flat)
     if not (has_state and with_state):
         return params, None, meta
-    state = AdaDeltaState.zeros(params, rho, epsilon)
-    _read_into(fh, state.flat[:2], path)
-    return params, state, meta
+    rows = _payload(buf, start + 8 * n, 2 * n).reshape(2, n)
+    return params, AdaDeltaState.over(params, rows, np.zeros(n), rho, epsilon), meta

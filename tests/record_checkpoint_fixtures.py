@@ -39,7 +39,8 @@ def examples(task):
     return [dataclasses.replace(ex, gold_label=ex.gold_label % 2) for ex in cls3]
 
 
-def record(task, path):
+def fixture_model(task):
+    """(params, state, meta) of ``<task>.ckpt``, trained in memory."""
     lex = toy_lexicon(seed=7, dims=(5, 3))
     cfg = RunConfig(task=task, comparison="sent", max_len=3, d_neu=2, score_k=5,
                     seed=5, **CASES[task]).validate()
@@ -50,7 +51,11 @@ def record(task, path):
         tr.train_step(params, state, lex, data[4 * k:4 * k + 4], rng)
     meta = {"config": dataclasses.asdict(cfg), "config_fingerprint": fingerprint(cfg),
             "epoch": 2, "embedding_hash": lex.content_hash()}
-    tr.save_checkpoint(path, params, state, meta)
+    return params, state, meta
+
+
+def record(task, path):
+    tr.save_checkpoint(path, *fixture_model(task))
 
 
 def main(directory):

@@ -415,6 +415,40 @@ def test_malformed_checkpoint_exits_1(trained_ckpt, capsys, tmp_path, edit, vers
     assert "Traceback" not in err and out == ""
 
 
+FIXTURES = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("task", ["sts", "entailment", "paraphrase"])
+def test_committed_checkpoints_score(workdir, capsys, task):
+    emb = ",".join(str(workdir / f"toy{i}.txt") for i in range(2))
+    code, out, err = run(capsys, "score", FIXTURES / f"{task}.ckpt", "bob likes mary",
+                         "mary likes bob", "--embeddings", emb)
+    assert code == 0 and err == ""
+
+
+def test_a_config_block_that_describes_another_model_exits_1(workdir, capsys, tmp_path):
+    bad = tmp_path / "bad.ckpt"
+    edit_checkpoint_header(FIXTURES / "sts.ckpt", bad,
+                           lambda m: m["config"].update(encoder="maxcnn_only", filters=99))
+    emb = ",".join(str(workdir / f"toy{i}.txt") for i in range(2))
+    for argv in (["score", bad, "bob likes mary", "mary likes bob"],
+                 ["eval", bad, workdir / "sts.tsv"]):
+        code, out, err = run(capsys, *argv, "--embeddings", emb)
+        assert code == 1 and out == ""
+        assert err == (f"error: {bad}: the configuration block gives encoder = "
+                       f"'maxcnn_only', the model spec 'maxlstm'\n")
+
+
+@pytest.mark.parametrize("out", ["missing/model.ckpt", "."], ids=["missing-dir", "a-dir"])
+def test_train_refuses_an_out_path_it_could_not_write_before_epoch_1(workdir, capsys,
+                                                                     tmp_path, out):
+    code, stdout, err = run(capsys, "train", workdir / "sts.tsv",
+                            "--config", workdir / "desk.cfg", "--out", tmp_path / out)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: --out ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # coverage
 

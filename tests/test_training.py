@@ -1,7 +1,12 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import math
+import mmap
+import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +151,7 @@ def test_adadelta_sweep_is_bit_identical_to_whole_array_updates(rho, eps):
             np.testing.assert_array_equal(a, ref[name])
             np.testing.assert_array_equal(state.Eg2[name], ref_Eg2[name])
             np.testing.assert_array_equal(state.Edx2[name], ref_Edx2[name])
-        assert not state.flat[2].any()      # each gradient chunk is zeroed once used
+        assert not state.grad_flat.any()    # each gradient chunk is zeroed once used
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +175,15 @@ def test_parameters_and_state_view_flat_buffers_in_canonical_order(encoder, comp
     for name, arr in params.w.items():
         assert arr.base is params.flat
         assert address(arr) == address(params.flat) + 8 * off
-        for row, views in enumerate((state.Eg2, state.Edx2, state.grad)):
+        for row, views in zip((*state.flat, state.grad_flat),
+                              (state.Eg2, state.Edx2, state.grad)):
             assert views[name].shape == arr.shape
-            assert address(views[name]) == address(state.flat[row]) + 8 * off
+            assert address(views[name]) == address(row) + 8 * off
         off += arr.size
     assert off == params.flat.size
-    assert state.flat.shape == (3, off) and md.is_flat(params)
+    assert state.flat.shape == (2, off) and state.grad_flat.shape == (off,)
+    assert state.flat.base is state.grad_flat.base      # the rows of one (3, n) buffer
+    assert md.is_flat(params)
 
 
 def test_load_checkpoint_reads_each_section_into_its_buffer(tmp_path, lex):
@@ -188,8 +196,8 @@ def test_load_checkpoint_reads_each_section_into_its_buffer(tmp_path, lex):
     params, state, _ = tr.load_checkpoint(path)
     assert md.is_flat(params)
     assert params.flat.tobytes() == raw[start:mid]
-    assert state.flat[:2].tobytes() == raw[mid:]
-    assert not state.flat[2].any()
+    assert state.flat.tobytes() == raw[mid:]
+    assert not state.grad_flat.any()
 
 
 def test_adadelta_refuses_parameters_that_are_not_views_of_their_buffer(lex):
@@ -198,12 +206,12 @@ def test_adadelta_refuses_parameters_that_are_not_views_of_their_buffer(lex):
     before = params.flat.copy()
     copy = md.ModelParams(params.spec, {n: a.copy() for n, a in params.w.items()})
     stale = md.ModelParams(params.spec, copy.w, params.flat)    # a buffer its arrays do not view
-    state.flat[2] = 1.0
+    state.grad_flat[...] = 1.0
     for bad in (copy, stale):
         with pytest.raises(ConfigError, match="views of params.flat"):
             tr.adadelta_step(state, bad)
     np.testing.assert_array_equal(params.flat, before)
-    assert not state.flat[:2].any() and np.all(state.flat[2] == 1.0)
+    assert not state.flat.any() and np.all(state.grad_flat == 1.0)
 
 
 def test_save_checkpoint_refuses_parameters_or_state_not_of_the_flat_model(tmp_path):
@@ -241,7 +249,8 @@ def test_a_failed_step_leaves_params_and_state_as_they_were(lex, monkeypatch, fa
         failure(m)
         with pytest.raises(NumericError):
             tr.train_step(params, state, lex, batch, stream(5, "dropout"))
-    assert not state.flat.any()         # gradient buffer zero, accumulators untouched
+    # accumulators untouched, gradient buffer zero
+    assert not state.flat.any() and not state.grad_flat.any()
     fresh = md.build_model(maxlstm_spec(dropout=0.5), seed=5)
     fresh_state = tr.AdaDeltaState.zeros(fresh)
     np.testing.assert_array_equal(params.flat, fresh.flat)
@@ -249,6 +258,7 @@ def test_a_failed_step_leaves_params_and_state_as_they_were(lex, monkeypatch, fa
     tr.train_step(fresh, fresh_state, lex, batch, stream(5, "dropout"))
     np.testing.assert_array_equal(params.flat, fresh.flat)
     np.testing.assert_array_equal(state.flat, fresh_state.flat)
+    np.testing.assert_array_equal(state.grad_flat, fresh_state.grad_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +511,160 @@ def test_checkpoint_bytes_pinned(tmp_path, lex, encoder):
 @pytest.mark.parametrize("task", ["sts", "entailment", "paraphrase"])
 def test_checkpoints_written_by_earlier_versions_save_again_unchanged(tmp_path, task):
     # tests/data holds checkpoints that record_checkpoint_fixtures.py wrote
-    # with format version 2; the writer rebuilds the whole header from the
-    # loaded model, so this pins the header bytes as well as the payload
+    # with format version 2, before the metadata block was padded; the
+    # writer rebuilds the whole header from the loaded model, so this pins
+    # the header bytes as well as the payload.  The new file differs only
+    # in the spaces that move the payload to a multiple of 64 bytes.
     committed = Path(__file__).parent / "data" / f"{task}.ckpt"
     params, state, meta = tr.load_checkpoint(committed)
     assert params.spec.task == task and state is not None
     again = tmp_path / "again.ckpt"
     tr.save_checkpoint(again, params, state, {k: meta[k] for k in USER_KEYS})
-    assert again.read_bytes() == committed.read_bytes()
+    raw = committed.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    pad = -(16 + n) % 64
+    assert pad > 0          # the fixture's payload is unaligned, so the load copied it
+    assert again.read_bytes() == (raw[:8] + struct.pack("<Q", n + pad) + raw[16:16 + n]
+                                  + b" " * pad + raw[16 + n:])
+
+
+# ---------------------------------------------------------------------------
+# mapped checkpoints and the atomic writer
+
+
+def wide_spec():
+    """A sentence-level model of 0.63 M parameters (4.8 MiB)."""
+    return md.ModelSpec(task="sts", encoder="word_avg", comparison="sent",
+                        total_dim=256, H=1, l=1, L=1, d_neu=1200, C=5,
+                        dropout_p=0.0, score=obj.ScoreSpec(5, 0, 5))
+
+
+def test_a_load_maps_the_payload_instead_of_copying_it(tmp_path):
+    params = md.build_model(wide_spec(), seed=1)
+    state = tr.AdaDeltaState.zeros(params)
+    state.flat[...] = 0.5
+    path = tmp_path / "wide.ckpt"
+    tr.save_checkpoint(path, params, state)
+    row = params.flat.nbytes
+    assert row > 4 << 20
+    for with_state, budget in ((False, 0), (True, row)):
+        tracemalloc.start()
+        try:
+            loaded, loaded_state, _ = tr.load_checkpoint(path, with_state=with_state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # nothing is copied: the only new buffer is the zeroed gradient row
+        assert budget <= peak < budget + (1 << 20)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert (loaded_state is None) != with_state
+    assert loaded_state.flat.tobytes() == state.flat.tobytes()
+    assert not loaded_state.grad_flat.any()
+
+
+def is_mapped(arr) -> bool:
+    """Whether arr views a checkpoint's mapping rather than a copy of it."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return isinstance(arr.base, memoryview) and isinstance(arr.base.obj, mmap.mmap)
+
+
+def continue_training(params, state, lex, steps=3):
+    rng, examples = stream(5, "dropout"), sts_overfit_dataset().examples
+    return [tr.train_step(params, state, lex, examples[4 * k:4 * k + 4], rng)
+            for k in range(steps)]
+
+
+@pytest.mark.parametrize("source", ["written", "committed"])
+def test_training_continued_from_a_loaded_checkpoint_is_bit_identical(tmp_path, lex,
+                                                                     source):
+    from record_checkpoint_fixtures import fixture_model
+    if source == "written":
+        params = md.build_model(maxlstm_spec(dropout=0.5), seed=17)
+        state = tr.AdaDeltaState.zeros(params)
+        continue_training(params, state, lex, steps=2)
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(path, params, state)
+    else:
+        params, state, _ = fixture_model("sts")
+        path = Path(__file__).parent / "data" / "sts.ckpt"
+    loaded, loaded_state, _ = tr.load_checkpoint(path)
+    # a new file is mapped; the committed one predates the padding, so its
+    # unaligned payload is copied
+    assert is_mapped(loaded.flat) == is_mapped(loaded_state.flat) == (source == "written")
+    assert continue_training(loaded, loaded_state, lex) == continue_training(
+        params, state, lex)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    assert loaded_state.flat.tobytes() == state.flat.tobytes()
+    if source == "written":             # the mapping's pages were copied, not the file
+        assert tr.load_checkpoint(path)[0].flat.tobytes() != params.flat.tobytes()
+
+
+def test_a_loaded_model_is_unchanged_by_a_save_to_its_path(tmp_path, lex):
+    path = tmp_path / "model.ckpt"
+    first = md.build_model(maxlstm_spec(), seed=1)
+    tr.save_checkpoint(path, first, tr.AdaDeltaState.zeros(first))
+    loaded, state, _ = tr.load_checkpoint(path)
+    before = loaded.flat.tobytes(), state.flat.tobytes()
+    second = md.build_model(maxlstm_spec(), seed=2)
+    second_state = tr.AdaDeltaState.zeros(second)
+    continue_training(second, second_state, lex, steps=1)
+    tr.save_checkpoint(path, second, second_state)
+    assert (loaded.flat.tobytes(), state.flat.tobytes()) == before
+    assert tr.load_checkpoint(path)[0].flat.tobytes() == second.flat.tobytes()
+
+
+@pytest.mark.parametrize("with_state", [False, True], ids=["params", "with-state"])
+def test_every_payload_starts_at_a_multiple_of_64(tmp_path, with_state):
+    params = md.build_model(small_spec(), seed=1)
+    state = tr.AdaDeltaState.zeros(params) if with_state else None
+    path = tmp_path / "model.ckpt"
+    for k in range(70):                 # every metadata length modulo 64
+        tr.save_checkpoint(path, params, state, {"note": "x" * k})
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<Q", raw[8:16])
+        assert (16 + n) % 64 == 0 and raw[16:16 + n].rstrip(b" ").endswith(b"}")
+        loaded, _, meta = tr.load_checkpoint(path)
+        assert meta["note"] == "x" * k and is_mapped(loaded.flat)
+
+
+class FullDisk(io.FileIO):
+    """A file whose second write stores half its bytes, then fails."""
+
+    def write(self, data):
+        self.writes = getattr(self, "writes", 0) + 1
+        if self.writes < 2:
+            return super().write(data)
+        super().write(bytes(data)[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_save_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    params = md.build_model(small_spec(), seed=1)
+    tr.save_checkpoint(path, params, tr.AdaDeltaState.zeros(params))
+    old = path.read_bytes()
+    monkeypatch.setattr(tr, "open", lambda fd, mode: FullDisk(fd, mode), raising=False)
+    with pytest.raises(CheckpointError, match="cannot write checkpoint .*No space left"):
+        tr.save_checkpoint(path, md.build_model(small_spec(), seed=2))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+        tr.save_checkpoint(tmp_path / "missing" / "model.ckpt", params)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_a_saved_file_gets_the_mode_open_would_give(tmp_path):
+    params = md.build_model(small_spec(), seed=1)
+    mask = os.umask(0o027)
+    try:
+        tr.save_checkpoint(tmp_path / "new.ckpt", params)
+    finally:
+        os.umask(mask)
+    assert (tmp_path / "new.ckpt").stat().st_mode & 0o7777 == 0o640
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"")
+    old.chmod(0o604)
+    tr.save_checkpoint(old, params)
+    assert old.stat().st_mode & 0o7777 == 0o604
