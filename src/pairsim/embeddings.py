@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .rng import stream
 
 log = logging.getLogger(__name__)
@@ -249,7 +249,9 @@ def _write_cache(cache: Path, source_sha256: str, table: EmbeddingTable, duplica
             fh.write(_CACHE_MAGIC + digest.digest() + head)
             fh.write(matrix)
         os.replace(tmp, cache)
-    except OSError:
+    except OSError as exc:
+        log.warning("cannot write embedding cache %s (%s); the table will be parsed "
+                    "again on every load", cache, exc)
         if tmp is not None:
             try:
                 os.unlink(tmp)
@@ -315,6 +317,14 @@ class FusedLexicon:
     def __post_init__(self):
         if not self.tables:
             raise DataError("a fused lexicon needs at least one table")
+        paths = {}
+        for t in self.tables:
+            path = t.source_path or t.name
+            if t.name in paths:
+                raise ConfigError(
+                    f"embedding tables {paths[t.name]} and {path} share the name {t.name!r}, "
+                    f"which keys their out-of-vocabulary vectors; rename one of the files")
+            paths[t.name] = path
         self._block = np.empty((64, self.total_dim))
 
     @property

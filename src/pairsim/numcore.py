@@ -164,8 +164,13 @@ def _grad(n: Node) -> np.ndarray:
     return n.grad
 
 
-def _acc(n: Node, g):
-    """n's gradient += g."""
+def _acc(n: Node, g, owned: bool = False):
+    """n's gradient += g.  An owned g (a new array of n's shape that
+    nothing else holds) becomes the gradient if none is made yet."""
+    if owned and n.grad is None:
+        g += 0.0            # as zeros + g: -0.0 becomes 0.0
+        n.grad = g
+        return
     grad = _grad(n)
     grad += g
 
@@ -422,14 +427,30 @@ def cosine_rows(A, B):
         Gm = G * mask
         GC = Gm * C
         if isinstance(A, Node):
-            _acc(A, (Gm / sb[..., None, :]) @ Bv / sa[..., :, None]
-                 - Av * (GC.sum(axis=-1) / (sa * sa))[..., None])
+            _acc(A, _cosine_grad(Gm / sb[..., None, :], Bv, sa, Av, GC.sum(axis=-1)), owned=True)
         if isinstance(B, Node):
             GmT = np.swapaxes(Gm, -1, -2)
-            _acc(B, (GmT / sa[..., None, :]) @ Av / sb[..., :, None]
-                 - Bv * (GC.sum(axis=-2) / (sb * sb))[..., None])
+            _acc(B, _cosine_grad(GmT / sa[..., None, :], Av, sb, Bv, GC.sum(axis=-2)), owned=True)
 
     return _finish(C, (A, B), backward)
+
+
+# Elements per block of _cosine_grad's last term.
+_COSINE_BLOCK = 1 << 15
+
+
+def _cosine_grad(Gs, Y, sx, X, gc):
+    """Gs @ Y / sx[..., None] - X * (gc / (sx * sx))[..., None], in one
+    array of X's shape: the last term is made a block of rows at a time."""
+    g = Gs @ Y
+    g /= sx[..., :, None]
+    s = (gc / (sx * sx))[..., None]
+    n = g.shape[-2]
+    rows = max(1, _COSINE_BLOCK * n // max(g.size, 1))
+    for lo in range(0, n, rows):
+        blk = np.s_[..., lo:lo + rows, :]
+        g[blk] -= X[blk] * s[blk]
+    return g
 
 
 def max_over_time(M, lengths):
@@ -559,6 +580,18 @@ def lstm_last_state(S, lengths, W, U, b):
     k = 2..8 at l = 400 and 800, and at 0.99-1.25x at l = 1600; 1 MiB
     blocks lost from k = 8 on (0.6x), and k = 1 lost with any block size.
     Step 0 passes no gradient back, since h_0 is the constant zero.
+
+    The tape record keeps only what backward reads: per step the gate
+    activations (4l, k_t), the cells and the states (l, k_t).  Backward
+    recomputes tanh of a step's cells instead of keeping it, and gathers
+    the packed inputs from S again for dW.  It allocates dZ once, as
+    (4l, N), and copies each step's contiguous dz into its columns (a
+    step's GEMM on a strided column slice of dZ ran slower).  It drops a
+    step's activations and cells once that step has run, and the states
+    once they are packed as dU's operand.  At the paper shape (batch 30,
+    about 1,000 packed rows, l = 800) this took the tracemalloc peak of a
+    train step from 125.6-135.0 to 94.1-103.5 MiB, together with the
+    blocked ``cosine_rows`` backward.
     """
     Sv = _value(S)
     if Sv.ndim != 2:
@@ -587,15 +620,14 @@ def lstm_last_state(S, lengths, W, U, b):
     t_of, p_of = np.nonzero(np.arange(len(ks))[:, None] < ns[order])  # each packed row's
     perm = (np.cumsum(ns) - ns)[order][p_of] + t_of                   # step, slot, row in S
 
-    P = Sv[perm]                    # the inputs, packed time-major
-    X = P @ Wv.T + bv               # (N, 4l)
+    X = Sv[perm] @ Wv.T + bv        # (N, 4l) input projections, rows packed time-major
 
     # A step's GEMM yields (k, 4l) rows, the layout BLAS fills fastest;
     # one transposed copy makes it gate-major, so that the elementwise
     # work runs on contiguous (l, k) gate blocks, which matters at small l.
     # The blocked product (see above) is gate-major already.
     rows = max(1, _STREAM_BLOCK_BYTES // (8 * l))
-    Z, C, Tc, H = [], [], [], []    # gate activations, cells, tanh(cells), states
+    Z, C, H = [], [], []            # gate activations, cells, states
     out = np.empty((ns.size, l))
     for t, k in enumerate(ks):
         if t and 2 <= k <= _STREAM_MAX_K and rows < 4 * l:
@@ -610,11 +642,9 @@ def lstm_last_state(S, lengths, W, U, b):
         np.tanh(z[3 * l:], out=z[3 * l:])
         i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
         c = f * C[-1][:, :k] + i * u if t else i * u
-        tc = np.tanh(c)
         Z.append(z)
         C.append(c)
-        Tc.append(tc)
-        H.append(o * tc)
+        H.append(o * np.tanh(c))
         done = ks[t + 1] if t + 1 < len(ks) else 0     # slots done..k-1 end at step t
         if done < k:
             out[order[done:k]] = H[-1][:, done:k].T
@@ -622,7 +652,7 @@ def lstm_last_state(S, lengths, W, U, b):
     def backward(G):
         G = G[order].T                                  # (l, n_seq), longest first
         dh = dc = np.zeros((l, 0))
-        dZ = [None] * len(ks)
+        dZ = np.empty((4 * l, off[-1]))                 # (4l, N), packed
         bwd_rows = max(1, _STREAM_BWD_BLOCK_BYTES // (8 * l))
         for t in range(len(ks) - 1, -1, -1):
             k = ks[t]
@@ -631,14 +661,16 @@ def lstm_last_state(S, lengths, W, U, b):
                 dc = np.hstack([dc, np.zeros((l, k - dc.shape[1]))])
             z = Z[t]
             i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
-            tc = Tc[t]
+            tc = np.tanh(C[t])
             do = dh * tc
             dc = dc + dh * o * (1.0 - tc * tc)
-            dz = dZ[t] = np.empty((4 * l, k))
+            dz = np.empty((4 * l, k))   # contiguous for the GEMM; copied into dZ
             dz[:l] = (dc * u) * i * (1.0 - i)
             dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
             dz[2 * l:3 * l] = do * o * (1.0 - o)
             dz[3 * l:] = (dc * i) * (1.0 - u * u)
+            dZ[:, off[t]:off[t + 1]] = dz
+            Z[t] = C[t] = None          # step t read them last
             if t == 0:
                 break
             if 2 <= k <= _STREAM_BWD_MAX_K and bwd_rows < 4 * l:
@@ -646,15 +678,15 @@ def lstm_last_state(S, lengths, W, U, b):
             else:
                 dh = np.ascontiguousarray((dz.T @ Uv).T)   # rows GEMM, as above
             dc = dc * f
-        dZ = np.hstack(dZ)                                  # (4l, N), packed
         if type(S) is Node:
             _grad(S)[perm] += dZ.T @ Wv
         if type(W) is Node:
-            _acc(W, dZ @ P)
+            _acc(W, dZ @ Sv[perm])
         if type(U) is Node:
             # h_t of the sequences running at step t + 1, packed like dZ[:, ks[0]:]
             Hprev = np.hstack([np.zeros((l, 0)),
                                *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
+            H.clear()
             _acc(U, dZ[:, ks[0]:] @ Hprev.T)
         if type(b) is Node:
             _acc(b, dZ.sum(axis=1))

@@ -193,6 +193,21 @@ def test_train_rejects_bad_oov_scale(workdir, capsys, tmp_path, bad):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+def test_train_refuses_tables_that_share_a_name(workdir, capsys, tmp_path):
+    # two files named toy0.txt: their OOV vectors would be drawn alike
+    first = sorted(workdir.glob("toy*.txt"))[0]
+    (tmp_path / "copy").mkdir()
+    second = tmp_path / "copy" / first.name
+    second.write_bytes(first.read_bytes())
+    code, out, err = run(capsys, "train", workdir / "sts.tsv", "--config",
+                         workdir / "desk.cfg", "--out", tmp_path / "x.ckpt",
+                         "--embeddings", f"{first},{second}")
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith(f"error: embedding tables {first} and {second} share the name "
+                          f"{first.stem!r}")
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1e-6"])
 def test_train_rejects_bad_epsilon(workdir, capsys, tmp_path, bad):
     # a nan epsilon once trained to an all-nan checkpoint and exited 0

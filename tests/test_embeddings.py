@@ -11,7 +11,7 @@ import pytest
 
 from pairsim import embeddings as emb
 from pairsim.embeddings import FusedLexicon, cache_path, load_lexicon, load_table
-from pairsim.errors import DataError
+from pairsim.errors import ConfigError, DataError
 from pairsim.rng import stream
 
 from toys import toy_lexicon
@@ -133,6 +133,21 @@ def test_fuse_lookup_oov_stable_across_runs_and_orders(lex, tmp_path):
     # a different seed changes the fill
     changed = FusedLexicon(tables=lex.tables, oov_scale=0.1, seed=100)
     assert np.any(changed.lookup_all(["zebra"])[0] != v)
+
+
+def test_tables_sharing_a_name_are_refused(tmp_path):
+    """A table's name, its file stem, keys its OOV stream, so two tables
+    named alike would give every OOV word the same slice in both."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = write(tmp_path / "a", "vec.txt", "red 1 2 3\n")
+    b = write(tmp_path / "b", "vec.txt", "blue 4 5 6\n")
+    for paths in ([a, b], [a, a]):
+        with pytest.raises(ConfigError) as err:
+            load_lexicon(paths, seed=3)
+        assert f"{paths[0]} and {paths[1]} share the name 'vec'" in str(err.value)
+    c = write(tmp_path / "b", "vec2.txt", "blue 4 5 6\n")
+    assert load_lexicon([a, c], seed=3).total_dim == 6
 
 
 def test_fuse_lookup_single_table_is_plain_lookup(lex, tmp_path):
@@ -427,7 +442,7 @@ def test_cache_dim_mismatch_raises_the_parse_error(tmp_path):
     assert load_table(p, expected_dim=3).dim == 3
 
 
-def test_unwritable_directory_loads_and_leaves_no_temp_file(tmp_path, monkeypatch):
+def test_unwritable_directory_loads_and_leaves_no_temp_file(tmp_path, monkeypatch, caplog):
     d = tmp_path / "ro"
     d.mkdir()
     p = write(d, "t.txt", TABLE)
@@ -439,8 +454,13 @@ def test_unwritable_directory_loads_and_leaves_no_temp_file(tmp_path, monkeypatc
     monkeypatch.setattr(os, "replace", refuse)
     d.chmod(0o555)
     try:
-        assert_same_table(load_table(p), want)
-        assert_same_table(load_table(p), want)
+        with caplog.at_level("WARNING"):
+            assert_same_table(load_table(p), want)
+            assert_same_table(load_table(p), want)
         assert sorted(os.listdir(d)) == ["t.txt"]
+        # each load says once that the cache could not be written, and why
+        warning = (f"cannot write embedding cache {cache_path(p)} (read-only directory); "
+                   "the table will be parsed again on every load")
+        assert [m for m in caplog.messages if "cache" in m] == [warning] * 2
     finally:
         d.chmod(0o755)

@@ -463,6 +463,39 @@ def test_lstm_backward_row_blocks_match_one_gemm_at_l800(monkeypatch):
             assert rel_err(g, one_gemm) <= 1e-14
 
 
+def test_lstm_backward_peak_is_saved_state_plus_one_dz():
+    """Backward holds the state the forward pass saved, one (4l, N) dZ and
+    small per-step arrays: it recomputes tanh of the cells, drops each
+    step's gate activations and cells once the step has run, and copies
+    each step's dz into the one dZ."""
+    l, k_in = 64, 64
+    rng = stream(18, "test")
+    lengths = [int(n) for n in rng.integers(5, 31, size=40)]
+    W, U, b = lstm_param_arrays(rng, l, k_in)
+    S, w = rng.normal(size=(sum(lengths), k_in)), rng.normal(size=(len(lengths), l))
+    dz_bytes = 4 * l * sum(lengths) * 8
+    slack = dz_bytes // 4           # per-step arrays, S's gradient, the dW and dU GEMMs
+    with nc.GradTape() as tape:
+        leaves = [tape.leaf(x) for x in (S, W, U, b)]
+        for x in leaves:            # as an optimizer's gradient row provides them
+            x.grad = np.zeros_like(x.value)
+        tracemalloc.start()
+        try:
+            loss = nc.vsum(nc.elementwise_mul(
+                nc.lstm_last_state(leaves[0], lengths, *leaves[1:]), w))
+            saved = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < saved + dz_bytes + slack, (
+        f"backward peaked at {peak / 2 ** 20:.2f} MiB over {saved / 2 ** 20:.2f} MiB "
+        f"of saved state and a {dz_bytes / 2 ** 20:.2f} MiB dZ")
+    for x, want in zip(leaves, lstm_grads(S, lengths, W, U, b, w)):
+        np.testing.assert_array_equal(x.grad, want)
+
+
 # ---------------------------------------------------------------------------
 # backward consistency against finite differences
 
