@@ -164,13 +164,8 @@ def _grad(n: Node) -> np.ndarray:
     return n.grad
 
 
-def _acc(n: Node, g, owned: bool = False):
-    """n's gradient += g.  An owned g (a new array of n's shape that
-    nothing else holds) becomes the gradient if none is made yet."""
-    if owned and n.grad is None:
-        g += 0.0            # as zeros + g: -0.0 becomes 0.0
-        n.grad = g
-        return
+def _acc(n: Node, g):
+    """n's gradient += g."""
     grad = _grad(n)
     grad += g
 
@@ -427,30 +422,14 @@ def cosine_rows(A, B):
         Gm = G * mask
         GC = Gm * C
         if isinstance(A, Node):
-            _acc(A, _cosine_grad(Gm / sb[..., None, :], Bv, sa, Av, GC.sum(axis=-1)), owned=True)
+            _acc(A, (Gm / sb[..., None, :]) @ Bv / sa[..., :, None]
+                 - Av * (GC.sum(axis=-1) / (sa * sa))[..., None])
         if isinstance(B, Node):
             GmT = np.swapaxes(Gm, -1, -2)
-            _acc(B, _cosine_grad(GmT / sa[..., None, :], Av, sb, Bv, GC.sum(axis=-2)), owned=True)
+            _acc(B, (GmT / sa[..., None, :]) @ Av / sb[..., :, None]
+                 - Bv * (GC.sum(axis=-2) / (sb * sb))[..., None])
 
     return _finish(C, (A, B), backward)
-
-
-# Elements per block of _cosine_grad's last term.
-_COSINE_BLOCK = 1 << 15
-
-
-def _cosine_grad(Gs, Y, sx, X, gc):
-    """Gs @ Y / sx[..., None] - X * (gc / (sx * sx))[..., None], in one
-    array of X's shape: the last term is made a block of rows at a time."""
-    g = Gs @ Y
-    g /= sx[..., :, None]
-    s = (gc / (sx * sx))[..., None]
-    n = g.shape[-2]
-    rows = max(1, _COSINE_BLOCK * n // max(g.size, 1))
-    for lo in range(0, n, rows):
-        blk = np.s_[..., lo:lo + rows, :]
-        g[blk] -= X[blk] * s[blk]
-    return g
 
 
 def max_over_time(M, lengths):
@@ -590,8 +569,7 @@ def lstm_last_state(S, lengths, W, U, b):
     step's activations and cells once that step has run, and the states
     once they are packed as dU's operand.  At the paper shape (batch 30,
     about 1,000 packed rows, l = 800) this took the tracemalloc peak of a
-    train step from 125.6-135.0 to 94.1-103.5 MiB, together with the
-    blocked ``cosine_rows`` backward.
+    train step from 125.6-135.0 to 99.5-108.9 MiB.
     """
     Sv = _value(S)
     if Sv.ndim != 2:
