@@ -117,6 +117,9 @@ def load_config(path=None, overrides=None) -> RunConfig:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 at byte offset {exc.start}: "
+                              f"{exc.reason}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -26,6 +26,9 @@ the parsed form beside the text file (``<file>.pairsim-cache``, about
 keyed by the SHA-256 of the text and carries a SHA-256 of its own
 bytes; both are checked on every load, and any cache that fails a check
 is ignored and rewritten from a full parse.  Deleting it is always safe.
+A lexicon's load computes the digests of all its texts and caches at
+once, on up to one thread per CPU; a lexicon of at most one hash window
+(4 MiB of text and cache) is hashed inline, on the caller's thread.
 """
 
 from __future__ import annotations
@@ -181,8 +184,8 @@ def _sha256(buf: mmap.mmap, start: int = 0):
     """SHA-256 of buf[start:], hashed in place, without a copy.
 
     Each window's pages are dropped from this process once hashed (the
-    file's page cache keeps them), so hashing raises its resident set by
-    one window, not by the size of the file."""
+    file's page cache keeps them), so each hashing thread raises its
+    resident set by one window, not by the size of the file."""
     digest = hashlib.sha256()
     with memoryview(buf) as view:
         for lo in range(0, len(buf), _HASH_WINDOW):
@@ -191,27 +194,125 @@ def _sha256(buf: mmap.mmap, start: int = 0):
     return digest
 
 
-def _read_cache(path: Path, expected_dim: int | None) -> EmbeddingTable | None:
-    """The table from the cache beside ``path``, if that cache carries the
-    SHA-256 of the text, has the expected dim, holds exactly one distinct
-    word per row and one matrix of the recorded size, and its own digest
-    checks out; else None.  Both files are hashed through read-only
-    mappings, and the matrix is a view of the cache's mapping."""
+def _cpus() -> list:
+    """The CPUs this process may run on; None for each where no call says which."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity calls outside Linux
+        return [None] * (os.cpu_count() or 1)
+
+
+def _sha256_all(jobs):
+    """``_sha256(buf, start)`` of every (buf, start) job, in job order; a
+    job that raised holds its exception instead.
+
+    hashlib releases the interpreter lock while it hashes a window, so
+    the jobs run in parallel on one thread per CPU, up to one thread per
+    job, each thread taking the largest job left.  A lexicon of at most
+    one window is hashed inline: threads would cost more than they save.
+    Every thread is joined before this returns, whatever happened, so no
+    mapping is closed while a thread still reads it."""
+    results = [None] * len(jobs)
+    sizes = [len(buf) - start for buf, start in jobs]
+
+    def run(i):
+        try:
+            results[i] = _sha256(*jobs[i])
+        except Exception as exc:    # raised again where the digest is read
+            results[i] = exc
+
+    cpus = _cpus()[:len(jobs)]
+    if len(cpus) < 2 or sum(sizes) <= _HASH_WINDOW:
+        for i in range(len(jobs)):
+            run(i)
+        return results
+    import threading
+    from collections import deque
+    pending = deque(sorted(range(len(jobs)), key=sizes.__getitem__, reverse=True))
+
+    def drain(cpu):
+        # Each thread keeps to a CPU of its own.  Unpinned, a new thread
+        # may share its parent's CPU for up to a second before the
+        # scheduler moves it, and then the jobs run one after another.
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:
+                pass
+        while True:
+            try:
+                i = pending.popleft()
+            except IndexError:
+                return
+            run(i)
+
+    threads = []
+    try:
+        for cpu in cpus:
+            thread = threading.Thread(target=drain, args=(cpu,), name="pairsim-sha256")
+            thread.start()
+            threads.append(thread)
+    except BaseException:
+        pending.clear()             # the load fails: each thread ends after its job
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    return results
+
+
+def _checked(digest):
+    """A digest from _sha256_all, or the exception its job raised."""
+    if isinstance(digest, BaseException):
+        raise digest
+    return digest
+
+
+_CACHE_ERRORS = (OSError, ValueError, LookupError, TypeError, struct.error)
+
+
+@dataclass
+class _OpenCache:
+    """A cache whose head has been read, and the text it claims to parse."""
+
+    buf: mmap.mmap
+    meta: dict
+    words_at: int
+    text: mmap.mmap
+
+
+def _open_cache(path: Path, expected_dim: int | None) -> _OpenCache | None:
+    """Map the cache beside ``path`` and the text at ``path`` read-only, if
+    the cache starts with its magic and a readable header of the expected
+    dim; else None, with nothing left open."""
     try:
         buf = _map(cache_path(path))
-        if len(buf) < _DIGEST_END + 8 or buf[:len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-            return None
-        stored = buf[len(_CACHE_MAGIC):_DIGEST_END]
-        (meta_len,) = struct.unpack_from("<Q", buf, _DIGEST_END)
-        pos = _DIGEST_END + 8
-        meta = json.loads(buf[pos:pos + meta_len])
+    except _CACHE_ERRORS:
+        return None
+    try:
+        if len(buf) >= _DIGEST_END + 8 and buf[:len(_CACHE_MAGIC)] == _CACHE_MAGIC:
+            (meta_len,) = struct.unpack_from("<Q", buf, _DIGEST_END)
+            pos = _DIGEST_END + 8
+            meta = json.loads(buf[pos:pos + meta_len])
+            if expected_dim in (None, meta["dim"]):
+                # an emptied text cannot be mapped: it is parsed
+                return _OpenCache(buf, meta, pos + meta_len, _map(path))
+    except _CACHE_ERRORS:
+        pass
+    buf.close()
+    return None
+
+
+def _cached_table(path: Path, cache: _OpenCache, text_sha, cache_sha) -> EmbeddingTable | None:
+    """The table in an opened cache, if that cache carries the SHA-256 of
+    the text (``text_sha``), holds exactly one distinct word per row and
+    one matrix of the recorded size, and its own digest (``cache_sha``)
+    checks out; else None.  The matrix is a view of the cache's mapping."""
+    buf, meta, pos = cache.buf, cache.meta, cache.words_at
+    try:
         dim, rows = meta["dim"], meta["rows"]
-        if expected_dim not in (None, dim):
+        if _checked(text_sha).hexdigest() != meta["source_sha256"]:
             return None
-        with _map(path) as text:    # an emptied text cannot be mapped: it is parsed
-            if _sha256(text).hexdigest() != meta["source_sha256"]:
-                return None
-        pos += meta_len
         words = buf[pos:pos + meta["words_bytes"]].decode("utf-8").split()
         index = dict(zip(words, range(len(words))))
         offset = -(-(pos + meta["words_bytes"]) // 8) * 8
@@ -219,11 +320,11 @@ def _read_cache(path: Path, expected_dim: int | None) -> EmbeddingTable | None:
                 or offset + 8 * rows * dim != len(buf)):
             return None
         duplicates = [(int(lineno), str(word)) for lineno, word in meta["duplicates"]]
-        if _sha256(buf, _DIGEST_END).digest() != stored:
+        if _checked(cache_sha).digest() != buf[len(_CACHE_MAGIC):_DIGEST_END]:
             return None
         matrix = np.frombuffer(buf, dtype="<f8", count=rows * dim,
                                offset=offset).reshape(rows, dim)
-    except (OSError, ValueError, LookupError, TypeError, struct.error):
+    except _CACHE_ERRORS:
         return None
     for lineno, word in duplicates:
         _warn_duplicate(path, lineno, word)
@@ -259,18 +360,8 @@ def _write_cache(cache: Path, source_sha256: str, table: EmbeddingTable, duplica
                 pass
 
 
-def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
-    """Load a word-vector text file into an immutable table.
-
-    The first load parses the text, checking every line, and writes the
-    parsed form beside the file (``cache_path``).  A later load whose
-    text has the same SHA-256 memory-maps that cache instead of parsing;
-    the cache is used only if its own digest checks out as well.
-    """
-    path = Path(path)
-    table = _read_cache(path, expected_dim)
-    if table is not None:
-        return table
+def _parse_table(path: Path, expected_dim: int | None) -> EmbeddingTable:
+    """Parse the text at ``path``, checking every line, and write its cache."""
     try:
         raw = path.read_bytes()
         mode = os.stat(path).st_mode & 0o666
@@ -287,6 +378,48 @@ def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
     table = EmbeddingTable(name=path.stem, matrix=matrix, index=index, source_path=str(path))
     _write_cache(cache_path(path), source_sha256, table, duplicates, mode)
     return table
+
+
+def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]:
+    """Load tables in order, each from its cache if every check passes, else
+    by a parse.  All caches and texts are opened first and their digests
+    computed together (``_sha256_all``); then each table is checked, and
+    warns or is parsed, in table order.  Every text mapping, and every
+    cache mapping no table views, is closed before this returns."""
+    paths = [Path(p) for p in paths]
+    caches = [_open_cache(p, expected_dim) for p in paths]
+    viewed = set()
+    try:
+        digests = iter(_sha256_all([job for c in caches if c is not None
+                                    for job in ((c.text, 0), (c.buf, _DIGEST_END))]))
+        tables = []
+        for i, (path, cache) in enumerate(zip(paths, caches)):
+            table = None
+            if cache is not None:
+                table = _cached_table(path, cache, next(digests), next(digests))
+            if table is None:
+                table = _parse_table(path, expected_dim)
+            else:
+                viewed.add(i)
+            tables.append(table)
+        return tables
+    finally:
+        for i, cache in enumerate(caches):
+            if cache is not None:
+                cache.text.close()
+                if i not in viewed:
+                    cache.buf.close()
+
+
+def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
+    """Load a word-vector text file into an immutable table.
+
+    The first load parses the text, checking every line, and writes the
+    parsed form beside the file (``cache_path``).  A later load whose
+    text has the same SHA-256 memory-maps that cache instead of parsing;
+    the cache is used only if its own digest checks out as well.
+    """
+    return _load_tables([path], expected_dim)[0]
 
 
 @dataclass
@@ -379,4 +512,4 @@ class FusedLexicon:
 
 def load_lexicon(paths, oov_scale: float = 0.1, seed: int = 0) -> FusedLexicon:
     """Load tables from a sequence of paths into one fused lexicon."""
-    return FusedLexicon(tables=[load_table(p) for p in paths], oov_scale=oov_scale, seed=seed)
+    return FusedLexicon(tables=_load_tables(paths), oov_scale=oov_scale, seed=seed)

@@ -74,6 +74,15 @@ def test_config_fingerprint_tracks_content(workdir):
     assert fingerprint(a) == fingerprint(load_config(workdir / "desk.cfg"))
 
 
+def test_a_config_that_is_not_utf8_exits_1_naming_the_file_and_byte(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"task = sts\n# caf\xe9\n")
+    code, out, err = run(capsys, "gradcheck", "--config", cfg)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == (f"error: config {cfg} is not UTF-8 at byte offset 16: "
+                   "invalid continuation byte\n")
+
+
 def test_shipped_presets_parse():
     import pathlib
     here = pathlib.Path(__file__).resolve().parents[1] / "configs"

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -468,3 +469,132 @@ def test_unwritable_directory_loads_and_leaves_no_temp_file(tmp_path, monkeypatc
         assert len(cache_msgs) == 2 and all(warning.fullmatch(m) for m in cache_msgs)
     finally:
         d.chmod(0o755)
+
+
+# ---------------------------------------------------------------------------
+# digests computed on threads
+
+def _filler(tmp_path, name, rows=60, dim=8):
+    """A table whose text and cache are each about one page."""
+    values = stream(6, "filler", name).normal(size=(rows, dim))
+    return write(tmp_path, f"{name}.txt", "".join(
+        f"{name}{i} " + " ".join("%.5f" % v for v in row) + "\n" for i, row in enumerate(values)))
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """A one-page hash window and two CPUs, so that toy lexicons are
+    hashed on threads; lists the name of each thread started."""
+    monkeypatch.setattr(emb, "_HASH_WINDOW", mmap.PAGESIZE)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def no_parse(*args):
+    raise AssertionError("a cache hit must not parse")
+
+
+def test_lexicon_hashed_on_threads_equals_parse_bit_for_bit(tmp_path, threads_started,
+                                                            monkeypatch):
+    paths = [write(tmp_path, "t.txt", TABLE), _filler(tmp_path, "f"), _filler(tmp_path, "g")]
+    want = [parsed(p) for p in paths]
+    load_lexicon(paths)
+    monkeypatch.setattr(emb, "_parse", no_parse)
+    threads_started.clear()
+    before = threading.active_count()
+    got = load_lexicon(paths)
+    assert threads_started == ["pairsim-sha256"] * 2
+    assert threading.active_count() == before
+    for table, parse in zip(got.tables, want):
+        assert_same_table(table, parse)
+
+
+@pytest.mark.parametrize("spoil", [_flip_last_byte, _flip_word_byte, _truncate,
+                                   _garbage_header, _other_files_cache,
+                                   _earlier_version, _fewer_words_than_rows,
+                                   _repeated_word, _a_row_missing_from_the_matrix,
+                                   _wrong_dim, _trailing_bytes])
+def test_spoiled_cache_is_never_used_when_hashed_on_threads(tmp_path, threads_started, spoil):
+    p = write(tmp_path, "t.txt", TABLE)
+    other = write(tmp_path, "u.txt", TABLE.replace("cat", "cow"))
+    paths = [_filler(tmp_path, "f"), p]
+    want = parsed(p)
+    load_lexicon(paths)
+    clean = cache_path(p).read_bytes()
+    spoil(cache_path(p), other)
+    threads_started.clear()
+    assert_same_table(load_lexicon(paths).tables[1], want)
+    assert threads_started
+    # the load rewrote the cache, and the next load is a hit on it
+    assert cache_path(p).read_bytes() == clean
+    assert_same_table(load_lexicon(paths).tables[1], want)
+
+
+def test_a_hashing_job_that_raises_falls_back_to_a_parse(tmp_path, threads_started,
+                                                         monkeypatch):
+    paths = [_filler(tmp_path, "f"), write(tmp_path, "t.txt", TABLE), _filler(tmp_path, "g")]
+    want = [parsed(p) for p in paths]
+    load_lexicon(paths)
+    clean = cache_path(paths[1]).read_bytes()
+    sha256, parse = emb._sha256, emb._parse
+
+    def failing(buf, start=0):
+        if buf[:len(TABLE)] == TABLE.encode():
+            raise OSError("read error")
+        return sha256(buf, start)
+
+    parses = []
+
+    def counted(path, *args):
+        parses.append(path)
+        return parse(path, *args)
+    monkeypatch.setattr(emb, "_sha256", failing)
+    monkeypatch.setattr(emb, "_parse", counted)
+    threads_started.clear()
+    before = threading.active_count()
+    got = load_lexicon(paths)
+    assert threads_started and threading.active_count() == before
+    assert parses == [paths[1]]
+    for table, parse in zip(got.tables, want):
+        assert_same_table(table, parse)
+    assert cache_path(paths[1]).read_bytes() == clean
+
+
+def _desk_sized(tmp_path):
+    """Two tables the size of the desk benchmark's: 800 words of 24 and 16 values."""
+    paths = []
+    for name, dim in (("d24", 24), ("d16", 16)):
+        rows = stream(8, "desk", name).normal(size=(800, dim))
+        paths.append(write(tmp_path, f"{name}.txt", "".join(
+            f"w{i} " + " ".join("%.5f" % v for v in row) + "\n" for i, row in enumerate(rows))))
+    return paths
+
+
+@pytest.mark.parametrize("case", ["one CPU", "one window"])
+def test_one_cpu_or_a_lexicon_of_one_window_is_hashed_inline(tmp_path, monkeypatch, case):
+    if case == "one CPU":
+        monkeypatch.setattr(emb, "_HASH_WINDOW", mmap.PAGESIZE)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        paths = [_filler(tmp_path, "f"), _filler(tmp_path, "g")]
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        paths = _desk_sized(tmp_path)
+    want = [parsed(p) for p in paths]
+    load_lexicon(paths)
+    if case == "one window":
+        size = sum(os.path.getsize(p) + os.path.getsize(cache_path(p)) for p in paths)
+        assert mmap.PAGESIZE < size <= emb._HASH_WINDOW
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(emb, "_parse", no_parse)
+    for table, parse in zip(load_lexicon(paths).tables, want):
+        assert_same_table(table, parse)
