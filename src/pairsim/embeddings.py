@@ -387,9 +387,9 @@ def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]
     warns or is parsed, in table order.  Every text mapping, and every
     cache mapping no table views, is closed before this returns."""
     paths = [Path(p) for p in paths]
-    caches = [_open_cache(p, expected_dim) for p in paths]
-    viewed = set()
+    caches, viewed = [], set()
     try:
+        caches.extend(_open_cache(p, expected_dim) for p in paths)
         digests = iter(_sha256_all([job for c in caches if c is not None
                                     for job in ((c.text, 0), (c.buf, _DIGEST_END))]))
         tables = []
