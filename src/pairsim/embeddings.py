@@ -194,7 +194,7 @@ def _sha256(buf: mmap.mmap, start: int = 0):
     return digest
 
 
-def _cpus() -> list:
+def cpus() -> list:
     """The CPUs this process may run on; None for each where no call says which."""
     try:
         return sorted(os.sched_getaffinity(0))
@@ -202,33 +202,34 @@ def _cpus() -> list:
         return [None] * (os.cpu_count() or 1)
 
 
-def _sha256_all(jobs):
-    """``_sha256(buf, start)`` of every (buf, start) job, in job order; a
-    job that raised holds its exception instead.
+def run_pinned(jobs, cpus: list, name: str) -> list:
+    """Call every job, a function of no arguments; return what each
+    returned, in job order, or the exception it raised instead.
 
-    hashlib releases the interpreter lock while it hashes a window, so
-    the jobs run in parallel on one thread per CPU, up to one thread per
-    job, each thread taking the largest job left.  A lexicon of at most
-    one window is hashed inline: threads would cost more than they save.
-    Every thread is joined before this returns, whatever happened, so no
-    mapping is closed while a thread still reads it."""
+    The jobs run on one thread per CPU of ``cpus``, up to one thread per
+    job, each thread taking the first job left, so the largest should
+    come first.  With fewer than two threads to start they run inline,
+    on the caller's thread, in order.  Threads only pay when each job
+    spends most of its time in calls that release the interpreter lock
+    (hashlib, numpy ufuncs).  Every thread is joined before this
+    returns, whatever happened, so no job outlives it.  The threads are
+    named ``name``."""
     results = [None] * len(jobs)
-    sizes = [len(buf) - start for buf, start in jobs]
 
     def run(i):
         try:
-            results[i] = _sha256(*jobs[i])
-        except Exception as exc:    # raised again where the digest is read
+            results[i] = jobs[i]()
+        except Exception as exc:    # raised again by the caller
             results[i] = exc
 
-    cpus = _cpus()[:len(jobs)]
-    if len(cpus) < 2 or sum(sizes) <= _HASH_WINDOW:
+    cpus = cpus[:len(jobs)]
+    if len(cpus) < 2:
         for i in range(len(jobs)):
             run(i)
         return results
     import threading
     from collections import deque
-    pending = deque(sorted(range(len(jobs)), key=sizes.__getitem__, reverse=True))
+    pending = deque(range(len(jobs)))
 
     def drain(cpu):
         # Each thread keeps to a CPU of its own.  Unpinned, a new thread
@@ -249,15 +250,33 @@ def _sha256_all(jobs):
     threads = []
     try:
         for cpu in cpus:
-            thread = threading.Thread(target=drain, args=(cpu,), name="pairsim-sha256")
+            thread = threading.Thread(target=drain, args=(cpu,), name=name)
             thread.start()
             threads.append(thread)
     except BaseException:
-        pending.clear()             # the load fails: each thread ends after its job
+        pending.clear()             # the caller fails: each thread ends after its job
         raise
     finally:
         for thread in threads:
             thread.join()
+    return results
+
+
+def _sha256_all(jobs):
+    """``_sha256(buf, start)`` of every (buf, start) job, in job order; a
+    job that raised holds its exception instead.
+
+    hashlib releases the interpreter lock while it hashes a window, so
+    the jobs run in parallel (``run_pinned``), largest first.  A lexicon
+    of at most one window is hashed inline: threads would cost more than
+    they save."""
+    sizes = [len(buf) - start for buf, start in jobs]
+    order = sorted(range(len(jobs)), key=sizes.__getitem__, reverse=True)
+    done = run_pinned([lambda job=jobs[i]: _sha256(*job) for i in order],
+                      cpus() if sum(sizes) > _HASH_WINDOW else [], "pairsim-sha256")
+    results = [None] * len(jobs)
+    for i, digest in zip(order, done):
+        results[i] = digest
     return results
 
 

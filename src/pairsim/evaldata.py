@@ -35,7 +35,7 @@ LABEL_NAMES = {
     "paraphrase": ["0", "1"],
 }
 
-_PUNCT = set(string.punctuation)
+_PUNCT = frozenset(string.punctuation)
 
 
 def tokenize(text: str) -> list[str]:
@@ -46,18 +46,18 @@ def tokenize(text: str) -> list[str]:
     """
     tokens = []
     for chunk in text.lower().split():
-        lead = []
-        while chunk and chunk[0] in _PUNCT:
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        trail = []
-        while chunk and chunk[-1] in _PUNCT:
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        if chunk:
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
             tokens.append(chunk)
-        tokens.extend(reversed(trail))
+            continue
+        lo, hi = 0, len(chunk)
+        while lo < hi and chunk[lo] in _PUNCT:
+            lo += 1
+        while hi > lo and chunk[hi - 1] in _PUNCT:
+            hi -= 1
+        tokens.extend(chunk[:lo])
+        if lo < hi:
+            tokens.append(chunk[lo:hi])
+        tokens.extend(chunk[hi:])
     return tokens
 
 
@@ -114,11 +114,16 @@ def load_pairs(path, task: str, lenient: bool = False, score_range=None) -> Pair
         raise DataError(f"unknown task {task!r}; choose from {TASKS}")
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"dataset {path} is not UTF-8: {exc}") from exc
+        # the bytes before the bad one decode, and are counted in lines
+        # as the loop below counts them
+        lineno = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        raise DataError(f"{path} line {lineno}: not UTF-8: {exc}") from None
 
     examples = []
     vocab = set()

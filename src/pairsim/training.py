@@ -20,10 +20,14 @@ canonical order of ``model.parameter_shapes``, one after another
 ``AdaDeltaState.grad_flat``).  The tape accumulates each leaf's gradient
 straight into its view of the gradient buffer, and an update is one
 sweep over the four buffers in chunks of ``CHUNK`` elements, small
-enough that a chunk of each stays in L2 across the rule's sixteen ufunc
+enough that a chunk of each stays in L2 across the rule's fifteen ufunc
 passes.  Every element gets the same operations in the same order as
 when each array was updated whole, so the results are bit-identical to
-that.
+that.  The sweep runs on up to one thread per CPU this process may run
+on, each over a contiguous range of whole chunks; a model of fewer than
+``THREAD_MIN`` parameters (the desk shape's 49 K) is swept inline, as
+is any model on one CPU.  At the paper shape's 6.17 M parameters a
+sweep takes 66-69 ms on one CPU and 41-42 ms on two (2 vCPUs).
 
 Checkpoints are a versioned binary format: magic ``PSIM``, a uint32
 format version, a uint64-length-prefixed canonical JSON metadata block
@@ -56,10 +60,12 @@ import mmap
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import embeddings as emb
 from . import model as md
 from . import numcore as nc
 from . import objectives as obj
@@ -73,12 +79,19 @@ FORMAT_VERSION = 2
 ALIGN = 64          # the payload's offset in a checkpoint is a multiple of this
 
 
-# elements per chunk of the update sweep: 128 KiB of each of the four
-# buffers.  Over the 6.17 M parameters of the paper shape a sweep took
-# 98 ms at 4K elements, 84 at 8K, 75 at 16K, 79 at 32K, 100 at 128K and
-# 118 at 1M, against 117-134 ms for whole-array passes (medians of 12
-# interleaved steps, 2 vCPUs).
-CHUNK = 1 << 14
+# elements per chunk of the update sweep: 192 KiB of each of the four
+# buffers.  Over the 6.17 M parameters of the paper shape, one thread
+# swept in 92 ms at 4K elements, 75 at 8K, 67-70 at 16K, 66-69 at 24K,
+# 66-74 at 32K, 84 at 64K and 92 at 128K; two threads, each pinned to a
+# CPU, in 130, 78, 46-50, 42, 41-42, 46 and 49 ms.  Each ufunc call
+# hands the interpreter lock back, so small chunks starve the threads.
+# (Medians of 12-22 interleaved sweeps, 2 vCPUs.)
+CHUNK = 3 << 13
+
+# a model of fewer parameters is swept inline.  On 2 vCPUs two threads
+# took 0.8 ms against 0.3 inline at 49 K parameters (the desk shape),
+# 5.0 against 4.1 ms at 512 K and 7.4 against 10.8 ms at 1 M.
+THREAD_MIN = 1 << 20
 
 
 @dataclass
@@ -126,11 +139,13 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
     ``build_model`` or ``load_checkpoint``); anything else raises
     ConfigError before any buffer changes.
 
-    The sweep runs over CHUNK elements of the four buffers at a time.
-    Two chunk-sized scratch arrays hold every intermediate; the
-    operations and their order are exactly those of the update rule as
-    written above, so the result is bit-identical to computing it with
-    temporaries.  Each gradient chunk is zeroed once it is used.
+    The four buffers are split into contiguous ranges of whole chunks,
+    one per CPU this process may run on, and each range is swept on a
+    thread of its own (``embeddings.run_pinned``).  A model of fewer
+    than ``THREAD_MIN`` parameters, or a process on one CPU, sweeps
+    inline.  The rule is elementwise, so the result does not depend on
+    the split.  A range that raises is raised again here once every
+    thread has ended.
     """
     if not md.is_flat(params):
         raise ConfigError("adadelta_step needs parameters that are views of "
@@ -139,7 +154,30 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
     if E.size != P.size:
         raise ConfigError(f"optimizer state holds {E.size} entries, the model {P.size}")
 
-    rho, eps = state.rho, state.epsilon
+    n = P.size
+    cpus = emb.cpus() if n >= THREAD_MIN else []
+    chunks = -(-n // CHUNK)
+    parts = max(1, min(len(cpus), chunks))
+    bounds = [min(n, CHUNK * (chunks * j // parts)) for j in range(parts + 1)]
+    for result in emb.run_pinned(
+            [partial(_sweep, state.rho, state.epsilon, P[lo:hi], E[lo:hi], D[lo:hi], G[lo:hi])
+             for lo, hi in zip(bounds, bounds[1:])], cpus, "pairsim-adadelta"):
+        if isinstance(result, BaseException):
+            raise result
+
+
+def _sweep(rho: float, eps: float, P, E, D, G):
+    """The update rule over one range of the four buffers, CHUNK elements
+    at a time.
+
+    Two chunk-sized scratch arrays hold every intermediate; the
+    operations and their order are exactly those of the update rule as
+    written above, so the result is bit-identical to computing it with
+    temporaries.  Instead of negating sqrt(Edx2 + eps) the step is
+    subtracted, which is exact: (1 - rho) (-x) (-x) = (1 - rho) x x and
+    theta + (-dx) = theta - dx in IEEE arithmetic.  Each gradient chunk
+    is zeroed once it is used.
+    """
     scratch_a, scratch_b = np.empty(CHUNK), np.empty(CHUNK)
     for lo in range(0, P.size, CHUNK):
         hi = min(lo + CHUNK, P.size)
@@ -151,16 +189,15 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
         Eg2 += a                                  # Eg2 = rho Eg2 + (1 - rho) g g
         np.add(Edx2, eps, out=a)
         np.sqrt(a, out=a)
-        np.negative(a, out=a)
         np.add(Eg2, eps, out=b)
         np.sqrt(b, out=b)
         a /= b
-        a *= g                                    # dx = -sqrt(Edx2 + eps) / sqrt(Eg2 + eps) g
+        a *= g                                    # a = -dx = sqrt(Edx2 + eps) / sqrt(Eg2 + eps) g
         Edx2 *= rho
         np.multiply(1.0 - rho, a, out=b)
         b *= a
         Edx2 += b                                 # Edx2 = rho Edx2 + (1 - rho) dx dx
-        arr += a
+        arr -= a
         g.fill(0.0)
 
 

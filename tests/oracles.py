@@ -6,6 +6,7 @@ must not share any code path with the library they are checking.
 """
 
 import math
+import string
 
 import numpy as np
 
@@ -110,3 +111,24 @@ def scalar_pearson(x, y):
     dx = math.sqrt(sum((a - mx) ** 2 for a in x))
     dy = math.sqrt(sum((b - my) ** 2 for b in y))
     return num / (dx * dy)
+
+
+def reference_tokenize(text):
+    """The tokenizer as first written: edge punctuation peeled off one
+    character at a time into lists."""
+    punct = set(string.punctuation)
+    tokens = []
+    for chunk in text.lower().split():
+        lead = []
+        while chunk and chunk[0] in punct:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        trail = []
+        while chunk and chunk[-1] in punct:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(lead)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trail))
+    return tokens

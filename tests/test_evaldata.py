@@ -1,3 +1,5 @@
+import string
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from pairsim import evaldata as ed
 from pairsim.errors import DataError
 
-from oracles import scalar_pearson
+from oracles import reference_tokenize, scalar_pearson
 
 
 def test_tokenize_sentence_with_period():
@@ -34,6 +36,19 @@ def test_tokenize_idempotent_on_joined_output():
         assert ed.tokenize(" ".join(once)) == once
 
 
+# letters, ASCII punctuation, non-ASCII letters and whitespace, ASCII or not
+TOKENIZER_TEXT = st.text(st.one_of(
+    st.sampled_from(string.ascii_letters), st.sampled_from(string.punctuation),
+    st.characters(whitelist_categories=("Lu", "Ll", "Lo"), min_codepoint=128),
+    st.sampled_from(" \t\n\u00a0\u2003")), max_size=60)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(TOKENIZER_TEXT)
+def test_tokenize_matches_the_reference_tokenizer(text):
+    assert ed.tokenize(text) == reference_tokenize(text)
+
+
 def write(tmp_path, text, name="data.tsv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -51,6 +66,13 @@ def test_load_sts_scores_exact(tmp_path):
 def test_load_missing_field_names_line(tmp_path):
     p = write(tmp_path, "only two\tfields\n")
     with pytest.raises(DataError, match="line 1"):
+        ed.load_pairs(p, "sts")
+
+
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
+    p = tmp_path / "latin1.tsv"
+    p.write_bytes("a\tb\t1.0\r\nc\td\t2.0\n\ncaf\u00e9\te\t3.0\n".encode("latin-1"))
+    with pytest.raises(DataError, match=r"latin1.tsv line 4: not UTF-8: .* position 21"):
         ed.load_pairs(p, "sts")
 
 

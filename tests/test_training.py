@@ -6,6 +6,8 @@ import math
 import mmap
 import os
 import struct
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -152,6 +154,148 @@ def test_adadelta_sweep_is_bit_identical_to_whole_array_updates(rho, eps):
             np.testing.assert_array_equal(state.Eg2[name], ref_Eg2[name])
             np.testing.assert_array_equal(state.Edx2[name], ref_Edx2[name])
         assert not state.grad_flat.any()    # each gradient chunk is zeroed once used
+
+
+# ---------------------------------------------------------------------------
+# the sweep on threads
+
+
+def fake_cpus(monkeypatch, cpus):
+    """Make the process seem to run on ``cpus``; pinning a thread to one
+    it cannot run on fails, and the runner ignores that."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """No size threshold, so that any model of two chunks or more is
+    swept on threads; lists the name of each thread started."""
+    monkeypatch.setattr(tr, "THREAD_MIN", 0)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def sweep_against_oracle(params, steps=3, rho=0.95, eps=1e-6):
+    """Run ``steps`` updates of ``params`` and of a whole-array copy of it
+    with the same random gradients; the two must agree bit for bit."""
+    state = tr.AdaDeltaState.zeros(params, rho, eps)
+    ref = {n: a.copy() for n, a in params.w.items()}
+    ref_Eg2 = {n: np.zeros_like(a) for n, a in ref.items()}
+    ref_Edx2 = {n: np.zeros_like(a) for n, a in ref.items()}
+    rng = np.random.default_rng(12)
+    for _ in range(steps):
+        grads = {n: rng.normal(size=a.shape) * 10.0 ** rng.integers(-3, 4, size=a.shape)
+                 for n, a in ref.items()}
+        for name, g in grads.items():
+            state.grad[name][...] = g
+        tr.adadelta_step(state, params)
+        whole_array_adadelta_step(ref, ref_Eg2, ref_Edx2, grads, rho, eps)
+        for name, a in params.w.items():
+            np.testing.assert_array_equal(a, ref[name])
+            np.testing.assert_array_equal(state.Eg2[name], ref_Eg2[name])
+            np.testing.assert_array_equal(state.Edx2[name], ref_Edx2[name])
+        assert not state.grad_flat.any()
+
+
+# ORACLE_SIZES hold 6 CHUNK + 18 elements: seven chunks, split on two CPUs
+# at 3 CHUNK, inside the fourth array.  The next layout holds exactly two
+# chunks, split between its second and third arrays, and then one of a
+# chunk and one element, whose second range is that element alone.
+SPLIT_SIZES = [
+    ORACLE_SIZES,
+    [3, tr.CHUNK - 3, 1, 2, tr.CHUNK - 6, 1, 1, 1],
+    [tr.CHUNK - 6, 1, 1, 1, 1, 1, 1, 1],
+]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 16])
+@pytest.mark.parametrize("sizes", SPLIT_SIZES, ids=["oracle", "two-chunks", "one-chunk-and-one"])
+def test_the_sweep_on_threads_is_bit_identical_to_whole_array_updates(
+        monkeypatch, threads_started, cpus, sizes):
+    fake_cpus(monkeypatch, range(cpus))
+    params = layout_of_sizes(sizes)
+    sweep_against_oracle(params)
+    chunks = -(-params.flat.size // tr.CHUNK)
+    assert threads_started == ["pairsim-adadelta"] * (3 * min(cpus, chunks))
+
+
+@pytest.mark.parametrize("cpus", [2, 16])
+def test_a_model_smaller_than_the_cpu_count_is_swept_inline(monkeypatch, threads_started,
+                                                            cpus):
+    fake_cpus(monkeypatch, range(cpus))
+    params = layout_of_sizes([1] * 8 if cpus > 8 else [1, 0, 0, 0, 0, 0, 0, 0])
+    assert params.flat.size < cpus
+    sweep_against_oracle(params)
+    assert threads_started == []
+
+
+def test_a_range_that_raises_is_raised_once_every_thread_has_ended(monkeypatch,
+                                                                   threads_started):
+    fake_cpus(monkeypatch, [0, 1])
+    params = layout_of_sizes(ORACLE_SIZES)
+    state = tr.AdaDeltaState.zeros(params)
+    sweep, finished = tr._sweep, []
+
+    def failing(rho, eps, P, *rest):
+        if address(P) == address(params.flat):
+            raise FloatingPointError("first range")
+        time.sleep(0.1)             # still running when the first range fails
+        sweep(rho, eps, P, *rest)
+        finished.append(P.size)
+    monkeypatch.setattr(tr, "_sweep", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="first range"):
+        tr.adadelta_step(state, params)
+    assert finished == [params.flat.size - 3 * tr.CHUNK]
+    assert threading.active_count() == before
+    assert threads_started == ["pairsim-adadelta"] * 2
+
+
+def desk_spec():
+    """The model of the desk benchmark: 40-d lexicon, H = l = 16, L = 4."""
+    return md.ModelSpec(task="sts", encoder="maxlstm", comparison="multi",
+                        total_dim=40, H=16, l=16, L=4, d_neu=8, C=5,
+                        score=obj.ScoreSpec(5, 0, 5))
+
+
+@pytest.mark.parametrize("case", ["one CPU", "desk-sized model"])
+def test_one_cpu_or_a_desk_sized_model_is_swept_inline(monkeypatch, case):
+    if case == "one CPU":
+        monkeypatch.setattr(tr, "THREAD_MIN", 0)
+        fake_cpus(monkeypatch, [0])
+        params = layout_of_sizes(ORACLE_SIZES)
+    else:
+        fake_cpus(monkeypatch, [0, 1])
+        params = md.build_model(desk_spec(), seed=1)
+        assert params.flat.size == 49108 and tr.CHUNK < params.flat.size < tr.THREAD_MIN
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    sweep_against_oracle(params)
+
+
+def test_training_with_the_sweep_on_threads_is_bit_identical_to_inline(lex, monkeypatch,
+                                                                     threads_started):
+    batch = sts_overfit_dataset().examples[:6]
+    spec = dataclasses.replace(maxlstm_spec(dropout=0.5), H=48, l=48)
+    runs = []
+    for cpus in ([0], [0, 1]):          # inline, then on two threads
+        fake_cpus(monkeypatch, cpus)
+        params = md.build_model(spec, seed=9)
+        state = tr.AdaDeltaState.zeros(params)
+        rng = stream(9, "dropout")
+        for _ in range(4):
+            tr.train_step(params, state, lex, batch, rng)
+        runs.append((params.flat.tobytes(), state.flat.tobytes()))
+    assert threads_started == ["pairsim-adadelta"] * 8
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
