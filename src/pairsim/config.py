@@ -82,6 +82,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown configuration key {key!r}")
     kind = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
@@ -96,20 +98,25 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if kind == "float" or kind is float:
             return float(raw)
+        if key == "embeddings" and ("\0" in raw or not raw.replace(",", " ").strip()):
+            raise ValueError("expected file names, without NUL bytes")
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from None
 
 
 def _set(cfg: RunConfig, key: str, raw: str):
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown configuration key {key!r}")
     setattr(cfg, key, _parse_value(key, raw))
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
-    """Defaults, then the file (or $PAIRSIM_CONFIG), then overrides."""
-    cfg = RunConfig()
+    """Defaults, then the file (or $PAIRSIM_CONFIG), then overrides.
+
+    A configuration that ``validate`` refuses is blamed on the line of
+    the file after which its settings, with the overrides, never
+    validate again; on no line if the overrides alone do not.
+    """
+    linenos, values = [], []            # the file's settings: (key, value)
     if path is None:
         path = os.environ.get(ENV_CONFIG) or None
     if path is not None:
@@ -120,7 +127,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config {path} is not UTF-8 at byte offset {exc.start}: "
                               f"{exc.reason}") from None
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        # only "\n" ends a line; strip() drops a "\r" before it
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -128,12 +136,21 @@ def load_config(path=None, overrides=None) -> RunConfig:
                 raise ConfigError(f"{path} line {lineno}: expected key = value")
             key, _, raw = line.partition("=")
             try:
-                _set(cfg, key.strip(), raw)
+                values.append((key.strip(), _parse_value(key.strip(), raw)))
             except ConfigError as exc:
                 raise ConfigError(f"{path} line {lineno}: {exc}") from None
-    for key, raw in (overrides or {}).items():
-        _set(cfg, key, raw)
-    return cfg.validate()
+            linenos.append(lineno)
+    cli = [(key, _parse_value(key, raw)) for key, raw in (overrides or {}).items()]
+    try:
+        return RunConfig(**dict(values + cli)).validate()
+    except ConfigError as exc:
+        for n in range(len(values) - 1, -1, -1):
+            try:
+                RunConfig(**dict(values[:n] + cli)).validate()
+            except ConfigError:
+                continue
+            raise ConfigError(f"{path} line {linenos[n]}: {exc}") from None
+        raise
 
 
 def echo_lines(cfg: RunConfig) -> list[str]:

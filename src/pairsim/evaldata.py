@@ -1,6 +1,7 @@
 """Sentence-pair datasets, tokenization, and evaluation metrics.
 
-Datasets are UTF-8 TSV files, one example per line:
+Datasets are UTF-8 TSV files, one example per line.  Only a line feed
+ends a line, and a carriage return before it is dropped:
 
     sentence1 <TAB> sentence2 <TAB> gold
 
@@ -120,14 +121,13 @@ def load_pairs(path, task: str, lenient: bool = False, score_range=None) -> Pair
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode, and are counted in lines
-        # as the loop below counts them
-        lineno = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        lineno = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path} line {lineno}: not UTF-8: {exc}") from None
 
     examples = []
     vocab = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         try:

@@ -168,27 +168,21 @@ def glorot(rng: np.random.Generator, rows: int, cols: int, blocks: int = 1) -> n
     return rng.uniform(-limit, limit, size=(blocks * rows, cols))
 
 
-def build_model(spec: ModelSpec, seed: Optional[int]) -> ModelParams:
+def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     """All parameters as views of one flat buffer, initialized from the
-    seed's "init" stream in ``_DRAW_ORDER``.
-
-    With seed None nothing is drawn and the buffer is left unset, its
-    pages untouched, for a caller that overwrites every parameter
-    (checkpoint loading).
-    """
+    seed's "init" stream in ``_DRAW_ORDER``; every other parameter
+    starts at 0, the LSTM's forget-gate biases at 1."""
     shapes = parameter_shapes(spec)
-    size = sum(math.prod(shape) for _, shape in shapes)
-    flat = np.empty(size) if seed is None else np.zeros(size)
+    flat = np.zeros(sum(math.prod(shape) for _, shape in shapes))
     w = flat_views(shapes, flat)
-    if seed is not None:
-        rng = stream(seed, "init")
-        for name in _DRAW_ORDER:
-            if name in w:
-                blocks = 4 if name in _GATED else 1
-                rows, cols = w[name].shape
-                w[name][...] = glorot(rng, rows // blocks, cols, blocks)
-        if "encoder.b_lstm" in w:
-            w["encoder.b_lstm"][spec.l:2 * spec.l] = 1.0      # forget gate
+    rng = stream(seed, "init")
+    for name in _DRAW_ORDER:
+        if name in w:
+            blocks = 4 if name in _GATED else 1
+            rows, cols = w[name].shape
+            w[name][...] = glorot(rng, rows // blocks, cols, blocks)
+    if "encoder.b_lstm" in w:
+        w["encoder.b_lstm"][spec.l:2 * spec.l] = 1.0      # forget gate
     return ModelParams(spec, w, flat)
 
 

@@ -50,6 +50,14 @@ files written before the padding) or not native-endian is copied
 instead.  A program that truncates or rewrites a checkpoint in place
 while a process has it loaded can change that process's parameters or
 end it with SIGBUS.
+
+``train`` leaves the caller's parameters, and the state it returns, at
+the best epoch, kept with a validation set in one (3, n) buffer of
+parameters and both accumulators, overwritten at each improvement;
+without one nothing is copied.  At H = l = 400 over a 600-d lexicon
+(rows of 12.3 MiB), 4 epochs peak at 7.6 rows traced (136 MB resident)
+with a validation set and at 4.6 (99 MB) without, against 12.0 (175 MB)
+for a new model and state kept at each improvement.
 """
 
 from __future__ import annotations
@@ -210,23 +218,11 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
-    params: md.ModelParams          # best checkpointed parameters
-    state: AdaDeltaState
+    params: md.ModelParams          # the caller's parameters, at the best epoch
+    state: AdaDeltaState            # the accumulators of the best epoch
     history: list[EpochRecord]
     best_epoch: int
     best_metric: Optional[float]
-
-
-def _snapshot_params(params: md.ModelParams) -> md.ModelParams:
-    snap = md.build_model(params.spec, seed=None)
-    snap.flat[...] = params.flat
-    return snap
-
-
-def _snapshot_state(state: AdaDeltaState, params: md.ModelParams) -> AdaDeltaState:
-    snap = AdaDeltaState.zeros(params, state.rho, state.epsilon)
-    snap.flat[...] = state.flat             # the gradient row stays zero and untouched
-    return snap
 
 
 def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
@@ -284,7 +280,9 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
     improvement.  ``on_epoch`` is called with each EpochRecord as it
     completes.  Before the first step, DataError refuses an empty
     training set, a validation set ``check_valid`` refuses, and an sts
-    gold outside the spec's raw range in either set.
+    gold outside the spec's raw range in either set.  ``params`` is
+    trained in place and returned; it and the state returned end at the
+    best epoch.
     """
     cfg.validate()
     if not data.examples:
@@ -305,7 +303,9 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
     shuffle_rng = stream(cfg.seed, "shuffle")
 
     history: list[EpochRecord] = []
-    best = None  # (metric, epoch, params, state)
+    best = None  # (metric, epoch)
+    # with a validation set, the best epoch's parameters, Eg2 and Edx2
+    kept = None if valid is None else np.empty((3, state.flat.shape[1]))
     stale = 0
     n = len(data.examples)
     for epoch in range(1, cfg.epochs + 1):
@@ -327,15 +327,18 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
             on_epoch(record)
 
         if valid is None or best is None or metric > best[0]:
-            best = (metric, epoch, _snapshot_params(params),
-                    _snapshot_state(state, params))
+            best = (metric, epoch)
             stale = 0
+            if kept is not None:
+                kept[0], kept[1:] = params.flat, state.flat
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    metric, epoch, best_params, best_state = best
-    return TrainResult(params=best_params, state=best_state, history=history,
+    if kept is not None:
+        params.flat[...], state.flat[...] = kept[0], kept[1:]
+    metric, epoch = best
+    return TrainResult(params=params, state=state, history=history,
                        best_epoch=epoch, best_metric=metric)
 
 

@@ -83,6 +83,40 @@ def test_a_config_that_is_not_utf8_exits_1_naming_the_file_and_byte(tmp_path, ca
                    "invalid continuation byte\n")
 
 
+def test_a_line_separator_in_a_config_value_does_not_end_its_line(tmp_path):
+    cfg = tmp_path / "sep.cfg"
+    cfg.write_text("embeddings = a.txt\u2028seed = 14\nnot a setting\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"sep.cfg line 2: expected key = value"):
+        load_config(cfg)
+    cfg.write_text("embeddings = a.txt\u2028seed = 14\n", encoding="utf-8")
+    loaded = load_config(cfg)
+    assert (loaded.embeddings, loaded.seed) == ("a.txt\u2028seed = 14", 13)
+
+
+def test_a_config_that_does_not_validate_names_the_line_it_stops_validating_at(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    # line 2 alone does not validate (comparison is still multi), line 3 mends it
+    head = "# tiny\nencoder = word_avg\ncomparison = sent\n"
+    cfg.write_text(head + "raw_min = 9\nraw_max = 5\nepochs = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"bad.cfg line 4: raw score range is empty"):
+        load_config(cfg)
+    cfg.write_text(head + "encoder = wor_avg\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"bad.cfg line 4: unknown encoder 'wor_avg'"):
+        load_config(cfg)
+    # a file that validates without the overrides is not blamed for them
+    cfg.write_text(head, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^dropout must be in \[0, 1\), got 2.0$"):
+        load_config(cfg, {"dropout": "2"})
+
+
+@pytest.mark.parametrize("value", ["", " , ", "a.txt,b\0.txt"])
+def test_an_embeddings_value_must_name_files_without_nul_bytes(tmp_path, value):
+    cfg = tmp_path / "tables.cfg"
+    cfg.write_text(f"seed = 1\nembeddings = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="tables.cfg line 2: bad value for embeddings"):
+        load_config(cfg)
+
+
 def test_shipped_presets_parse():
     import pathlib
     here = pathlib.Path(__file__).resolve().parents[1] / "configs"

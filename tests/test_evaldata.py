@@ -76,6 +76,23 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
         ed.load_pairs(p, "sts")
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
+                                 "\x1c", "\x1d", "\x1e", "\r"])
+def test_only_a_line_feed_ends_a_line(tmp_path, sep):
+    p = tmp_path / "sep.tsv"
+    p.write_bytes(f"the cat{sep}sat\ta dog\t1.0\r\nbig\tdog\t2.0\n".encode("utf-8"))
+    ds = ed.load_pairs(p, "sts")
+    assert [ex.tokens1 for ex in ds.examples] == [["the", "cat", "sat"], ["big"]]
+    assert [ex.gold_score for ex in ds.examples] == [1.0, 2.0]
+    # later lines are numbered by line feeds alone, a bad byte's too
+    p.write_bytes(f"the cat{sep}sat\ta dog\t1.0\nbig\tdog\n".encode("utf-8"))
+    with pytest.raises(DataError, match="sep.tsv line 2: expected 3"):
+        ed.load_pairs(p, "sts")
+    p.write_bytes(f"the cat{sep}sat\ta dog\t1.0\ncaf".encode("utf-8") + b"\xe9\n")
+    with pytest.raises(DataError, match="sep.tsv line 2: not UTF-8"):
+        ed.load_pairs(p, "sts")
+
+
 def test_load_label_case_insensitive(tmp_path):
     p = write(tmp_path, "a\tb\tENTAILMENT\nc\td\tNeutral\n")
     ds = ed.load_pairs(p, "entailment")

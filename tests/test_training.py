@@ -465,6 +465,54 @@ def test_validation_selects_best_and_early_stops(lex):
     assert len(result.history) <= result.best_epoch + 3
 
 
+def test_validation_leaves_params_and_state_at_the_best_epoch(lex):
+    # validation draws from no stream, so the first k epochs of this run
+    # are a run of k epochs without validation
+    ds = sts_overfit_dataset()
+    cfg = RunConfig(batch_size=4, epochs=6, seed=2, patience=2)
+    params = md.build_model(maxlstm_spec(dropout=0.5), seed=2)
+    result = tr.train(params, lex, ds, cfg, valid=ds)
+    k = result.best_epoch
+    assert 1 < k < len(result.history)
+    plain = md.build_model(maxlstm_spec(dropout=0.5), seed=2)
+    short = tr.train(plain, lex, ds, dataclasses.replace(cfg, epochs=k))
+    assert [r.train_loss for r in result.history[:k]] == [r.train_loss for r in short.history]
+    assert result.params is params and short.params is plain
+    assert params.flat.tobytes() == plain.flat.tobytes()
+    assert result.state.flat.tobytes() == short.state.flat.tobytes()
+    assert not result.state.grad_flat.any()
+
+
+def wide_proj_spec():
+    """A proj_avg model of 0.53 M parameters (4.1 MiB) whose largest
+    array, W_proj, is half of them, so that no step's temporary comes
+    near a whole row."""
+    return md.ModelSpec(task="sts", encoder="proj_avg", comparison="sent",
+                        total_dim=512, H=1, l=1, L=1, d_neu=256, C=5,
+                        dropout_p=0.0, score=obj.ScoreSpec(5, 0, 5))
+
+
+@pytest.mark.parametrize("with_valid", [True, False])
+def test_train_keeps_the_best_epoch_in_one_buffer_of_three_rows(with_valid):
+    # live: the parameters and the three state rows; with a validation
+    # set, one (3, n) buffer more; the slack of one row covers a step's
+    # temporaries and the tape
+    wide = toy_lexicon(seed=7, dims=(512,))
+    ds = sts_overfit_dataset()
+    tracemalloc.start()
+    try:
+        params = md.build_model(wide_proj_spec(), seed=3)
+        result = tr.train(params, wide, ds, RunConfig(batch_size=8, epochs=4, seed=3,
+                                                      patience=4),
+                          valid=ds if with_valid else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = params.flat.nbytes
+    assert result.best_epoch > 1 and len(result.history) == 4
+    assert peak < (4 + 3 * with_valid + 1) * row, peak / row
+
+
 def with_gold(ds, i, gold):
     examples = list(ds.examples)
     examples[i] = dataclasses.replace(examples[i], gold_score=gold)
