@@ -21,7 +21,7 @@ from dataclasses import asdict, fields
 
 from . import model as md
 from . import training as tr
-from .config import RunConfig, echo_lines, fingerprint, load_config
+from .config import ENV_CONFIG, RunConfig, echo_lines, fingerprint, load_config
 from .config import _set as set_value
 from .embeddings import load_lexicon
 from .encoder import WORD_FEATURE_KINDS
@@ -52,12 +52,22 @@ def _echo(cfg: RunConfig):
         print(line)
 
 
-def _lexicon(cfg: RunConfig, total_dim: int | None = None):
+def _config_source(path) -> str:
+    """Where ``load_config(path)`` took its settings from, for messages."""
+    if path is not None:
+        return f"in config {path}"
+    if os.environ.get(ENV_CONFIG):
+        return f"in config {os.environ[ENV_CONFIG]}, named by ${ENV_CONFIG}"
+    return "and no config file"
+
+
+def _lexicon(cfg: RunConfig, source: str, total_dim: int | None = None):
     """Load the configured tables; given a checkpoint's total_dim, the
-    fused width must equal it."""
+    fused width must equal it.  ``source`` says where the configuration
+    came from (``_config_source``, or the checkpoint)."""
     paths = cfg.embedding_paths()
     if not paths:
-        raise ConfigError("no embedding tables configured; set 'embeddings' "
+        raise ConfigError(f"no embedding tables configured {source}; set 'embeddings' "
                           "to a comma-separated list of word-vector files")
     lex = load_lexicon(paths, oov_scale=cfg.oov_scale, seed=cfg.seed)
     if total_dim is not None and lex.total_dim != total_dim:
@@ -86,7 +96,7 @@ def cmd_train(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
     _check_out(args.out)
     _echo(cfg)
-    lex = _lexicon(cfg)
+    lex = _lexicon(cfg, _config_source(args.config))
     # training maps each gold onto the score levels, so it must lie in range
     golds = (cfg.raw_min, cfg.raw_max) if cfg.task == "sts" else None
     data = load_pairs(args.train, cfg.task, lenient=cfg.lenient, score_range=golds)
@@ -150,7 +160,7 @@ def cmd_eval(args, overrides) -> int:
     if args.task and args.task != task:
         raise ConfigError(
             f"checkpoint was trained for task {task!r}, dataset is {args.task!r}")
-    lex = _lexicon(cfg, params.spec.total_dim)
+    lex = _lexicon(cfg, f"in checkpoint {args.checkpoint}", params.spec.total_dim)
     ds = load_pairs(args.test, task, lenient=cfg.lenient)
     preds = md.predict(params, lex, [(ex.tokens1, ex.tokens2) for ex in ds.examples],
                        cfg.batch_size)
@@ -171,7 +181,7 @@ def cmd_score(args, overrides) -> int:
     t1, t2 = tokenize(args.sentence1), tokenize(args.sentence2)
     if not t1 or not t2:
         raise DataError("both sentences must be nonempty after tokenization")
-    lex = _lexicon(cfg, params.spec.total_dim)
+    lex = _lexicon(cfg, f"in checkpoint {args.checkpoint}", params.spec.total_dim)
     out = md.predict_example(params, lex, t1, t2)
     if params.spec.task == "sts":
         print(f"{out:.4f}")
@@ -183,7 +193,7 @@ def cmd_score(args, overrides) -> int:
 def cmd_gradcheck(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
     _echo(cfg)
-    lex = (_lexicon(cfg) if cfg.embedding_paths()
+    lex = (_lexicon(cfg, _config_source(args.config)) if cfg.embedding_paths()
            else synthetic_lexicon(cfg.seed))
     print("task\tgroup\tmax_rel_err")
     failures = []
@@ -209,7 +219,7 @@ def cmd_gradcheck(args, overrides) -> int:
 def cmd_coverage(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
     _echo(cfg)
-    lex = _lexicon(cfg)
+    lex = _lexicon(cfg, _config_source(args.config))
     vocab = set()
     for path in args.data:
         vocab |= load_pairs(path, cfg.task, lenient=cfg.lenient).vocab
@@ -226,7 +236,7 @@ def cmd_bench(args, overrides) -> int:
     plus the word-feature encoders with multi-level comparison."""
     cfg = load_config(args.config, overrides)
     _echo(cfg)
-    lex = _lexicon(cfg)
+    lex = _lexicon(cfg, _config_source(args.config))
     data = load_pairs(args.train, cfg.task, lenient=cfg.lenient)
     encoders = [e.strip() for e in cfg.bench_encoders.split(",") if e.strip()]
     rows = [("sent", e) for e in encoders]

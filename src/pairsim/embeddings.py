@@ -18,36 +18,36 @@ writes to them after load.
 File format: optional first header line of two integers "count dim"
 (a header only when the next non-blank line has dim + 1 fields),
 then one word per line: ``word v1 v2 ... v_dim`` with ASCII decimal
-floats (finite: nan and inf are rejected), whitespace separated, UTF-8 words.
+floats (finite: nan and inf are rejected), UTF-8 words.  Only a line
+feed ends a line (a carriage return before it is dropped), and only
+ASCII spaces and tabs separate fields, so a word may hold any other
+character, U+2028 or U+00A0 among them.
 
 Parsing a large table in Python takes seconds, so ``load_table`` keeps
 the parsed form beside the text file (``<file>.pairsim-cache``, about
-8 bytes per value) and memory-maps it on later loads.  The cache is
-keyed by the SHA-256 of the text and carries a SHA-256 of its own
-bytes; both are checked on every load, and any cache that fails a check
-is ignored and rewritten from a full parse.  Deleting it is always safe.
-A lexicon's load computes the digests of all its texts and caches at
-once, on up to one thread per CPU; a lexicon of at most one hash window
-(4 MiB of text and cache) is hashed inline, on the caller's thread.
+8 bytes per value) and memory-maps it on later loads.  The cache is a
+``store`` container, as checkpoints are.  The SHA-256 of the text is
+its identity, and each section's CRC-32 detects damage to it; both are
+checked on every load, and a cache that fails a check is ignored and
+rewritten from a full parse.  Deleting it is always safe.  A lexicon's
+load checks all its texts and caches in one ``store.batch``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
-import mmap
 import os
-import struct
-import tempfile
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
+from . import store
 from .errors import ConfigError, DataError
 from .rng import stream
 
@@ -81,6 +81,14 @@ class EmbeddingTable:
         return len(self.index)
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of a table line: its runs of characters other than an
+    ASCII space or tab.  (``str.split()`` would also split a word at
+    U+00A0, U+0085, U+2028 or U+001C-U+001F.)"""
+    fields = line.replace("\t", " ").split(" ")
+    return [f for f in fields if f] if "" in fields else fields
+
+
 def _header_dim(lines: list[str]) -> int | None:
     """The dim a first line "count dim" declares, or None if it is data.
 
@@ -88,7 +96,7 @@ def _header_dim(lines: list[str]) -> int | None:
     dim + 1 fields, so a one-line file, or a 1-d table whose first word
     is a number ("1 2"), is data.
     """
-    fields = lines[0].split() if lines else []
+    fields = _fields(lines[0]) if lines else []
     if len(fields) != 2:
         return None
     try:
@@ -96,8 +104,8 @@ def _header_dim(lines: list[str]) -> int | None:
         dim = int(fields[1])
     except ValueError:
         return None
-    following = next((line for line in islice(lines, 1, None) if line.strip()), None)
-    if following is None or len(following.split()) != dim + 1:
+    following = next(filter(None, map(_fields, islice(lines, 1, None))), None)
+    if following is None or len(following) != dim + 1:
         return None
     return dim
 
@@ -115,7 +123,7 @@ def _parse(path: Path, text: str, expected_dim: int | None):
     duplicates: list[tuple[int, str]] = []
     dim = expected_dim
     start = 1
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").split("\n")      # only a line feed ends a line
     header_dim = _header_dim(lines)
     if header_dim is not None:
         start = 2
@@ -125,9 +133,9 @@ def _parse(path: Path, text: str, expected_dim: int | None):
         dim = header_dim
         lines = lines[1:]
     for lineno, line in enumerate(lines, start=start):
-        if not line.strip():
+        fields = _fields(line)
+        if not fields:
             continue
-        fields = line.split()
         word = normalize_word(fields[0])
         try:
             values = list(map(float, fields[1:]))
@@ -154,18 +162,14 @@ def _parse(path: Path, text: str, expected_dim: int | None):
 
 
 # ---------------------------------------------------------------------------
-# the parsed-table cache
-#
-# Layout: _CACHE_MAGIC, the 32-byte SHA-256 of every byte after it, a
-# uint64 length, a canonical JSON block (the source file's SHA-256, dim,
-# rows, the byte length of the word list, the duplicate lines), the
-# words joined by "\n" in UTF-8 (a word never holds whitespace), zero
-# padding to a multiple of 8 bytes, then the (rows, dim) matrix as
-# little-endian float64.
+# the parsed-table cache: its header holds the text's SHA-256, dim, rows
+# and duplicate lines; its sections are the (rows, dim) matrix as
+# little-endian float64, first so that it is aligned, and the words
+# joined by "\n" in UTF-8
 
-_CACHE_MAGIC = b"PSIMLEX1"
-_DIGEST_END = len(_CACHE_MAGIC) + 32
-_HASH_WINDOW = 1 << 22          # a multiple of the page size
+_CACHE_MAGIC = b"PSLX"
+_CACHE_VERSION = 1
+_SECTIONS = ("matrix", "words")
 
 
 def cache_path(path) -> Path:
@@ -174,177 +178,52 @@ def cache_path(path) -> Path:
     return path.with_name(path.name + ".pairsim-cache")
 
 
-def _map(path) -> mmap.mmap:
-    """A read-only mapping of a whole file; ValueError if it is empty."""
-    with open(path, "rb") as fh:
-        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+_CACHE_ERRORS = (OSError, ValueError, LookupError, TypeError)
 
 
-def _sha256(buf: mmap.mmap, start: int = 0):
-    """SHA-256 of buf[start:], hashed in place, without a copy.
-
-    Each window's pages are dropped from this process once hashed (the
-    file's page cache keeps them), so each hashing thread raises its
-    resident set by one window, not by the size of the file."""
-    digest = hashlib.sha256()
-    with memoryview(buf) as view:
-        for lo in range(0, len(buf), _HASH_WINDOW):
-            digest.update(view[max(lo, start):lo + _HASH_WINDOW])
-            buf.madvise(mmap.MADV_DONTNEED, lo, min(_HASH_WINDOW, len(buf) - lo))
-    return digest
-
-
-def cpus() -> list:
-    """The CPUs this process may run on; None for each where no call says which."""
+def _open_cache(path: Path, expected_dim: int | None):
+    """(cache, jobs) if the cache beside ``path``, mapped read-only, is a
+    container of the expected dim whose section table fits its header;
+    else None, with nothing left open.  The jobs, for ``store.batch``,
+    compute the SHA-256 of the text at ``path``, then the CRC-32s of the
+    cache's sections (``Container.checks``)."""
     try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity calls outside Linux
-        return [None] * (os.cpu_count() or 1)
-
-
-def run_pinned(jobs, cpus: list, name: str) -> list:
-    """Call every job, a function of no arguments; return what each
-    returned, in job order, or the exception it raised instead.
-
-    The jobs run on one thread per CPU of ``cpus``, up to one thread per
-    job, each thread taking the first job left, so the largest should
-    come first.  With fewer than two threads to start they run inline,
-    on the caller's thread, in order.  Threads only pay when each job
-    spends most of its time in calls that release the interpreter lock
-    (hashlib, numpy ufuncs).  Every thread is joined before this
-    returns, whatever happened, so no job outlives it.  The threads are
-    named ``name``."""
-    results = [None] * len(jobs)
-
-    def run(i):
-        try:
-            results[i] = jobs[i]()
-        except Exception as exc:    # raised again by the caller
-            results[i] = exc
-
-    cpus = cpus[:len(jobs)]
-    if len(cpus) < 2:
-        for i in range(len(jobs)):
-            run(i)
-        return results
-    import threading
-    from collections import deque
-    pending = deque(range(len(jobs)))
-
-    def drain(cpu):
-        # Each thread keeps to a CPU of its own.  Unpinned, a new thread
-        # may share its parent's CPU for up to a second before the
-        # scheduler moves it, and then the jobs run one after another.
-        if cpu is not None:
-            try:
-                os.sched_setaffinity(0, {cpu})
-            except OSError:
-                pass
-        while True:
-            try:
-                i = pending.popleft()
-            except IndexError:
-                return
-            run(i)
-
-    threads = []
-    try:
-        for cpu in cpus:
-            thread = threading.Thread(target=drain, args=(cpu,), name=name)
-            thread.start()
-            threads.append(thread)
-    except BaseException:
-        pending.clear()             # the caller fails: each thread ends after its job
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    return results
-
-
-def _sha256_all(jobs):
-    """``_sha256(buf, start)`` of every (buf, start) job, in job order; a
-    job that raised holds its exception instead.
-
-    hashlib releases the interpreter lock while it hashes a window, so
-    the jobs run in parallel (``run_pinned``), largest first.  A lexicon
-    of at most one window is hashed inline: threads would cost more than
-    they save."""
-    sizes = [len(buf) - start for buf, start in jobs]
-    order = sorted(range(len(jobs)), key=sizes.__getitem__, reverse=True)
-    done = run_pinned([lambda job=jobs[i]: _sha256(*job) for i in order],
-                      cpus() if sum(sizes) > _HASH_WINDOW else [], "pairsim-sha256")
-    results = [None] * len(jobs)
-    for i, digest in zip(order, done):
-        results[i] = digest
-    return results
-
-
-def _checked(digest):
-    """A digest from _sha256_all, or the exception its job raised."""
-    if isinstance(digest, BaseException):
-        raise digest
-    return digest
-
-
-_CACHE_ERRORS = (OSError, ValueError, LookupError, TypeError, struct.error)
-
-
-@dataclass
-class _OpenCache:
-    """A cache whose head has been read, and the text it claims to parse."""
-
-    buf: mmap.mmap
-    meta: dict
-    words_at: int
-    text: mmap.mmap
-
-
-def _open_cache(path: Path, expected_dim: int | None) -> _OpenCache | None:
-    """Map the cache beside ``path`` and the text at ``path`` read-only, if
-    the cache starts with its magic and a readable header of the expected
-    dim; else None, with nothing left open."""
-    try:
-        buf = _map(cache_path(path))
+        text_bytes = os.path.getsize(path)
+        cache = store.load(cache_path(path), _CACHE_MAGIC, (_CACHE_VERSION,))
     except _CACHE_ERRORS:
         return None
     try:
-        if len(buf) >= _DIGEST_END + 8 and buf[:len(_CACHE_MAGIC)] == _CACHE_MAGIC:
-            (meta_len,) = struct.unpack_from("<Q", buf, _DIGEST_END)
-            pos = _DIGEST_END + 8
-            meta = json.loads(buf[pos:pos + meta_len])
-            if expected_dim in (None, meta["dim"]):
-                # an emptied text cannot be mapped: it is parsed
-                return _OpenCache(buf, meta, pos + meta_len, _map(path))
+        dim, rows = cache.header["dim"], cache.header["rows"]
+        if type(dim) is type(rows) is int and expected_dim in (None, dim):
+            cache.expect([("matrix", 8 * rows * dim), ("words", None)])
+            return cache, [(text_bytes, partial(store.sha256, path)), *cache.checks(_SECTIONS)]
     except _CACHE_ERRORS:
         pass
-    buf.close()
+    cache.buf.close()
     return None
 
 
-def _cached_table(path: Path, cache: _OpenCache, text_sha, cache_sha) -> EmbeddingTable | None:
-    """The table in an opened cache, if that cache carries the SHA-256 of
-    the text (``text_sha``), holds exactly one distinct word per row and
-    one matrix of the recorded size, and its own digest (``cache_sha``)
-    checks out; else None.  The matrix is a view of the cache's mapping."""
-    buf, meta, pos = cache.buf, cache.meta, cache.words_at
+def _cached_table(path: Path, cache: store.Container, results) -> EmbeddingTable | None:
+    """The table in an opened cache, if the jobs of ``_open_cache``
+    succeeded, the text has the SHA-256 that the cache records, the
+    sections pass their checks and they hold exactly one distinct word
+    per row; else None.  The matrix is a view of the cache's mapping."""
+    meta = cache.header
+    text_sha, *crcs = results
     try:
-        dim, rows = meta["dim"], meta["rows"]
-        if _checked(text_sha).hexdigest() != meta["source_sha256"]:
+        if isinstance(text_sha, BaseException):
+            raise text_sha
+        if text_sha.hexdigest() != meta["source_sha256"]:
             return None
-        words = buf[pos:pos + meta["words_bytes"]].decode("utf-8").split()
+        cache.verify(_SECTIONS, crcs)
+        words = str(cache.section("words"), "utf-8").split("\n")
         index = dict(zip(words, range(len(words))))
-        offset = -(-(pos + meta["words_bytes"]) // 8) * 8
-        if (len(words) != rows or len(index) != rows
-                or offset + 8 * rows * dim != len(buf)):
+        if len(words) != meta["rows"] or len(index) != meta["rows"]:
             return None
         duplicates = [(int(lineno), str(word)) for lineno, word in meta["duplicates"]]
-        if _checked(cache_sha).digest() != buf[len(_CACHE_MAGIC):_DIGEST_END]:
-            return None
-        matrix = np.frombuffer(buf, dtype="<f8", count=rows * dim,
-                               offset=offset).reshape(rows, dim)
     except _CACHE_ERRORS:
         return None
+    matrix = np.frombuffer(cache.section("matrix"), "<f8").reshape(meta["rows"], meta["dim"])
     for lineno, word in duplicates:
         _warn_duplicate(path, lineno, word)
     return EmbeddingTable(name=path.stem, matrix=matrix, index=index, source_path=str(path))
@@ -352,31 +231,15 @@ def _cached_table(path: Path, cache: _OpenCache, text_sha, cache_sha) -> Embeddi
 
 def _write_cache(cache: Path, source_sha256: str, table: EmbeddingTable, duplicates, mode):
     """Write the cache atomically; a failed write leaves no file behind."""
-    words = "\n".join(table.index).encode("utf-8")
-    meta = json.dumps({"source_sha256": source_sha256, "dim": table.dim, "rows": len(table),
-                       "words_bytes": len(words), "duplicates": duplicates},
-                      sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head = struct.pack("<Q", len(meta)) + meta + words
-    head += bytes(-(_DIGEST_END + len(head)) % 8)
-    matrix = table.matrix.astype("<f8", copy=False)
-    tmp = None
+    meta = {"source_sha256": source_sha256, "dim": table.dim, "rows": len(table),
+            "duplicates": duplicates}
     try:
-        fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=cache.name + ".")
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), mode)
-            digest = hashlib.sha256(head)
-            digest.update(matrix)
-            fh.write(_CACHE_MAGIC + digest.digest() + head)
-            fh.write(matrix)
-        os.replace(tmp, cache)
+        store.write(cache, _CACHE_MAGIC, _CACHE_VERSION, meta,
+                    [("matrix", table.matrix.astype("<f8", copy=False)),
+                     ("words", "\n".join(table.index).encode("utf-8"))], mode)
     except OSError as exc:
         log.warning("cannot write embedding cache %s (%s); the table will be parsed "
                     "again on every load", cache, exc)
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
 
 def _parse_table(path: Path, expected_dim: int | None) -> EmbeddingTable:
@@ -401,21 +264,23 @@ def _parse_table(path: Path, expected_dim: int | None) -> EmbeddingTable:
 
 def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]:
     """Load tables in order, each from its cache if every check passes, else
-    by a parse.  All caches and texts are opened first and their digests
-    computed together (``_sha256_all``); then each table is checked, and
-    warns or is parsed, in table order.  Every text mapping, and every
-    cache mapping no table views, is closed before this returns."""
+    by a parse.  All caches are opened first, and the SHA-256 of every
+    text and the CRC-32 of every cache section computed in one batch
+    (``store.batch``); then each table is checked, and warns or is
+    parsed, in table order.  Every cache mapping no table views is
+    closed before this returns."""
     paths = [Path(p) for p in paths]
-    caches, viewed = [], set()
+    opened, viewed = [], set()
     try:
-        caches.extend(_open_cache(p, expected_dim) for p in paths)
-        digests = iter(_sha256_all([job for c in caches if c is not None
-                                    for job in ((c.text, 0), (c.buf, _DIGEST_END))]))
+        opened.extend(_open_cache(p, expected_dim) for p in paths)
+        groups = [jobs for _, jobs in filter(None, opened)]
+        done = iter(store.batch([job for group in groups for job in group], "pairsim-digest"))
+        results = iter([[next(done) for _ in group] for group in groups])
         tables = []
-        for i, (path, cache) in enumerate(zip(paths, caches)):
+        for i, (path, cache) in enumerate(zip(paths, opened)):
             table = None
             if cache is not None:
-                table = _cached_table(path, cache, next(digests), next(digests))
+                table = _cached_table(path, cache[0], next(results))
             if table is None:
                 table = _parse_table(path, expected_dim)
             else:
@@ -423,11 +288,9 @@ def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]
             tables.append(table)
         return tables
     finally:
-        for i, cache in enumerate(caches):
-            if cache is not None:
-                cache.text.close()
-                if i not in viewed:
-                    cache.buf.close()
+        for i, cache in enumerate(opened):
+            if cache is not None and i not in viewed:
+                cache[0].buf.close()
 
 
 def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
@@ -436,7 +299,8 @@ def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
     The first load parses the text, checking every line, and writes the
     parsed form beside the file (``cache_path``).  A later load whose
     text has the same SHA-256 memory-maps that cache instead of parsing;
-    the cache is used only if its own digest checks out as well.
+    the cache is used only if its sections pass their CRC-32 checks as
+    well.
     """
     return _load_tables([path], expected_dim)[0]
 

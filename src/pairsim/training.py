@@ -29,27 +29,26 @@ on, each over a contiguous range of whole chunks; a model of fewer than
 is any model on one CPU.  At the paper shape's 6.17 M parameters a
 sweep takes 66-69 ms on one CPU and 41-42 ms on two (2 vCPUs).
 
-Checkpoints are a versioned binary format: magic ``PSIM``, a uint32
-format version, a uint64-length-prefixed canonical JSON metadata block
-(model spec, parameter shapes, config echo, epoch, embedding hash),
-padded with trailing spaces so that what follows starts at a multiple
-of ``ALIGN`` bytes, then every parameter array as little-endian float64
-in the canonical order of ``model.parameter_shapes``, then optionally
-the two optimizer accumulators per parameter in the same order.  Format
-version 2 stores the LSTM as the fused
-``encoder.W_lstm``/``U_lstm``/``b_lstm`` arrays; the loader rejects any
-other version, and any header whose parameter names, order or shapes
-differ from those of its spec, or whose file size differs from theirs.
+A checkpoint is a ``store`` container, the file format of lexicon
+caches too: magic ``PSIM``, format version 3, a JSON header (model
+spec, parameter shapes, config echo, epoch, embedding hash), then the
+section ``parameters`` (every parameter array as little-endian float64
+in the canonical order of ``model.parameter_shapes``) and optionally
+``accumulators`` (both accumulators in the same order).  Format 3 is
+format 2's bytes plus the section table, which gives each section's
+CRC-32: a load checks the sections it reads, and raises
+CheckpointError naming a damaged one.  Format 2 files load unchecked.
+The loader rejects any other version, and any header whose parameter
+names, order or shapes differ from those of its spec, or whose file
+size or sections differ from theirs.
 
-A checkpoint is written to a temporary file beside it and renamed over
-it, so readers see the old file or the new one, whole.  A load maps the
-file copy-on-write: the parameters and accumulators are views of the
-mapping, read from the page cache when first used, and a page is copied
-only when training first writes it.  A payload that is not aligned (the
-files written before the padding) or not native-endian is copied
-instead.  A program that truncates or rewrites a checkpoint in place
-while a process has it loaded can change that process's parameters or
-end it with SIGBUS.
+A load maps the file copy-on-write: the parameters and accumulators are
+views of the mapping, and a page is copied only when training first
+writes it.  A payload that is not aligned (format 2 files written
+before the header was padded) or not native-endian is copied instead.
+A program that truncates or rewrites a checkpoint in place while a
+process has it loaded can change that process's parameters or end it
+with SIGBUS; ``save_checkpoint`` replaces the file instead.
 
 ``train`` leaves the caller's parameters, and the state it returns, at
 the best epoch, kept with a validation set in one (3, n) buffer of
@@ -62,29 +61,25 @@ for a new model and state kept at each improvement.
 
 from __future__ import annotations
 
-import json
 import math
-import mmap
 import os
-import struct
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from . import embeddings as emb
 from . import model as md
 from . import numcore as nc
 from . import objectives as obj
+from . import store
 from .config import RunConfig
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaldata import PairDataset
 from .rng import stream
 
 MAGIC = b"PSIM"
-FORMAT_VERSION = 2
-ALIGN = 64          # the payload's offset in a checkpoint is a multiple of this
+FORMAT_VERSION = 3
 
 
 # elements per chunk of the update sweep: 192 KiB of each of the four
@@ -149,7 +144,7 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
 
     The four buffers are split into contiguous ranges of whole chunks,
     one per CPU this process may run on, and each range is swept on a
-    thread of its own (``embeddings.run_pinned``).  A model of fewer
+    thread of its own (``store.run_pinned``).  A model of fewer
     than ``THREAD_MIN`` parameters, or a process on one CPU, sweeps
     inline.  The rule is elementwise, so the result does not depend on
     the split.  A range that raises is raised again here once every
@@ -163,11 +158,11 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
         raise ConfigError(f"optimizer state holds {E.size} entries, the model {P.size}")
 
     n = P.size
-    cpus = emb.cpus() if n >= THREAD_MIN else []
+    cpus = store.cpus() if n >= THREAD_MIN else []
     chunks = -(-n // CHUNK)
     parts = max(1, min(len(cpus), chunks))
     bounds = [min(n, CHUNK * (chunks * j // parts)) for j in range(parts + 1)]
-    for result in emb.run_pinned(
+    for result in store.run_pinned(
             [partial(_sweep, state.rho, state.epsilon, P[lo:hi], E[lo:hi], D[lo:hi], G[lo:hi])
              for lo, hi in zip(bounds, bounds[1:])], cpus, "pairsim-adadelta"):
         if isinstance(result, BaseException):
@@ -352,25 +347,12 @@ def _fields_of(cls, block: dict) -> dict:
     return {f.name: block[f.name] for f in fields(cls)}
 
 
-def _canonical_json(obj_) -> bytes:
-    return json.dumps(obj_, sort_keys=True, separators=(",", ":"),
-                      default=_json_default).encode("utf-8")
-
-
-def _json_default(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.integer, np.floating)):
-        return x.item()
-    raise TypeError(f"not serializable: {type(x)}")
-
-
 def save_checkpoint(path, params: md.ModelParams,
                     state: Optional[AdaDeltaState] = None,
                     meta: Optional[dict] = None):
     """Write a deterministic, bit-reproducible checkpoint file, one write
     per section, atomically: into a temporary file beside ``path``, which
-    then replaces it.
+    then replaces it (``store.write``).
 
     Parameters that are not the views of ``params.flat``, or a state of
     another size, raise ConfigError before any write.  A failed write
@@ -399,30 +381,17 @@ def save_checkpoint(path, params: md.ModelParams,
         header["rho"] = state.rho
         header["epsilon"] = state.epsilon
     header.update(meta or {})
-    blob = _canonical_json(header)
-    blob += b" " * (-(16 + len(blob)) % ALIGN)      # JSON ignores trailing spaces
-    sections = [params.flat] if state is None else [params.flat, state.flat]
-    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    sections = [("parameters", params.flat)]
+    if state is not None:
+        sections.append(("accumulators", state.flat))
     try:
         try:
             mode = os.stat(path).st_mode & 0o7777
         except FileNotFoundError:
-            mode = None                     # os.open applies the umask to 0o666
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with open(fd, "wb") as fh:
-                if mode is not None:
-                    os.fchmod(fd, mode)
-                fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
-                for arr in sections:
-                    fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            mode = None
+        store.write(path, MAGIC, FORMAT_VERSION, header,
+                    [(name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in sections],
+                    mode)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -430,44 +399,26 @@ def save_checkpoint(path, params: md.ModelParams,
 def load_checkpoint(path, with_state: bool = True):
     """Read (params, state, meta); bit-exact round trip of save_checkpoint.
 
-    The header and the file size are checked before anything is mapped.
-    The parameters, and the accumulators, are then views of a
-    copy-on-write mapping of the file (copies of it when the payload is
-    not aligned or not native-endian); the gradient row is a new zeroed
-    buffer.  With ``with_state`` False the accumulators are not used and
-    state is None.
+    The header, the file size and, in format 3, the section table are
+    checked first; then the CRC-32 of each section read (the parameters,
+    and with ``with_state`` the accumulators), and a damaged section
+    raises CheckpointError naming it.  The parameters, and the
+    accumulators, are views of a copy-on-write mapping of the file
+    (copies of it when the payload is not aligned or not native-endian);
+    the gradient row is a new zeroed buffer.  With ``with_state`` False
+    the accumulators are neither checked nor used and state is None.
     """
     try:
-        with open(path, "rb") as fh:
-            return _read_checkpoint(fh, path, with_state)
+        return _read_checkpoint(store.load(path, MAGIC, (2, FORMAT_VERSION), copy=True),
+                                path, with_state)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    except store.FormatError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
-def _payload(buf, offset: int, count: int) -> np.ndarray:
-    """``count`` float64s of ``buf`` from byte ``offset``: a writeable view
-    when they are aligned and native-endian, otherwise a copy."""
-    return np.require(np.frombuffer(buf, "<f8", count, offset), np.float64,
-                      ["ALIGNED", "WRITEABLE"])
-
-
-def _read_checkpoint(fh, path, with_state: bool):
-    size = os.fstat(fh.fileno()).st_size
-    prefix = fh.read(16)
-    if len(prefix) < 16 or prefix[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version = struct.unpack("<I", prefix[4:8])[0]
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version}, this build reads {FORMAT_VERSION}")
-    (meta_len,) = struct.unpack("<Q", prefix[8:16])
-    if size < 16 + meta_len:
-        raise CheckpointError(f"{path}: truncated metadata block")
-    try:
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: corrupt metadata ({exc})") from exc
-
+def _read_checkpoint(ckpt: store.Container, path, with_state: bool):
+    meta = ckpt.header
     try:
         block = dict(meta["spec"])
         if block.setdefault("score", None) is not None:
@@ -484,7 +435,7 @@ def _read_checkpoint(fh, path, with_state: bool):
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed metadata ({exc})") from None
     # the stored names and shapes must be exactly those of the spec's
-    # model, and the file size theirs, before anything is mapped
+    # model, and the file size theirs, before any section is read
     if have != want:
         i = next(i for i in range(max(len(have), len(want)))
                  if have[i:i + 1] != want[i:i + 1])
@@ -493,17 +444,23 @@ def _read_checkpoint(fh, path, with_state: bool):
         raise CheckpointError(f"{path}: parameter {i} is {got}, the model spec needs {need}")
 
     n = sum(math.prod(shape) for _, shape in shapes)
-    sections = 3 if has_state else 1          # parameters, then Eg2 and Edx2
-    start = 16 + meta_len
-    expected = start + sections * 8 * n
+    layout = [("parameters", 8 * n)] + ([("accumulators", 16 * n)] if has_state else [])
+    size, expected = len(ckpt.buf), ckpt.start + sum(nbytes for _, nbytes in layout)
     if size < expected:
         raise CheckpointError(f"{path}: truncated parameter data")
     if size > expected:
         raise CheckpointError(f"{path}: {size - expected} trailing bytes")
-    buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    flat = _payload(buf, start, n)
+    if ckpt.version == 2:               # written without a section table: unchecked
+        ckpt.assume(layout)
+    else:
+        ckpt.expect(layout)
+    names = [name for name, _ in layout][:2 if with_state else 1]
+    ckpt.check(names)                   # both sections in one batch
+    # each a view of the mapping where it is aligned and native-endian, else a copy
+    flat, *rows = [np.require(np.frombuffer(ckpt.section(name), "<f8"), np.float64,
+                              ["ALIGNED", "WRITEABLE"]) for name in names]
     params = md.ModelParams(spec, md.flat_views(shapes, flat), flat)
-    if not (has_state and with_state):
+    if not rows:
         return params, None, meta
-    rows = _payload(buf, start + 8 * n, 2 * n).reshape(2, n)
-    return params, AdaDeltaState.over(params, rows, np.zeros(n), rho, epsilon), meta
+    return params, AdaDeltaState.over(params, rows[0].reshape(2, n), np.zeros(n),
+                                      rho, epsilon), meta

@@ -4,9 +4,11 @@
 
 One small checkpoint per task, ``<task>.ckpt``, each with its optimizer
 state after two training steps on a toy set and the metadata block that
-``pairsim train`` writes.  A later version must read these files and
-write them again unchanged; rerun this script only when the checkpoint
-format changes on purpose, and bump ``training.FORMAT_VERSION`` then.
+``pairsim train`` writes.  The committed files are format 2, written
+before the header was padded, and stand for the files of earlier
+versions: a later version must read them, and write the same payload
+again.  Rerunning this script writes the current format instead, so
+keep the committed files unless that is the point.
 """
 
 import dataclasses

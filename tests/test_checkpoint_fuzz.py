@@ -6,6 +6,7 @@ The toy checkpoint is the smallest model the spec allows (about 17 KB
 of parameters), so every truncation offset can be tried.
 """
 
+import json
 import os
 import tracemalloc
 
@@ -43,6 +44,16 @@ def toy_checkpoint(path, with_state: bool) -> bytes:
 def header_end(raw: bytes) -> int:
     """Offset of the first parameter byte: the prefix plus the JSON block."""
     return 16 + int.from_bytes(raw[8:16], "little")
+
+
+def section_span(raw: bytes, name: str) -> tuple[int, int]:
+    """The byte range of section ``name``, from the header's section table."""
+    lo = header_end(raw)
+    for section in json.loads(raw[16:lo])["sections"]:
+        if section["name"] == name:
+            return lo, lo + section["bytes"]
+        lo += section["bytes"]
+    raise KeyError(name)
 
 
 @pytest.mark.parametrize("with_state", [False, True], ids=["params", "with-state"])
@@ -143,3 +154,45 @@ def test_a_huge_header_through_score_exits_1(tmp_path, capsys):
     assert main(["score", str(path), "a b", "c d"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "parameter 0 is" in err
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+def test_a_flipped_parameter_byte_through_score_exits_1_naming_the_section(tmp_path, capsys,
+                                                                            end):
+    path = tmp_path / "flip.ckpt"
+    raw = bytearray(toy_checkpoint(path, True))
+    raw[range(*section_span(raw, "parameters"))[end]] ^= 0x10
+    path.write_bytes(raw)
+    assert main(["score", str(path), "a b", "c d"]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: section 'parameters' fails its "
+                                       f"CRC-32 check (the file is damaged)\n")
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+def test_a_flipped_accumulator_byte_raises_checkpoint_error(tmp_path, end):
+    path = tmp_path / "flip.ckpt"
+    raw = bytearray(toy_checkpoint(path, True))
+    clean = tr.load_checkpoint(path)[0].flat.tobytes()
+    raw[range(*section_span(raw, "accumulators"))[end]] ^= 0x01
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match=f"{path}: section 'accumulators' fails its CRC-32"):
+        tr.load_checkpoint(path)
+    # without the accumulators only the parameters are read, and checked
+    assert tr.load_checkpoint(path, with_state=False)[0].flat.tobytes() == clean
+
+
+@pytest.mark.parametrize("with_state", [False, True], ids=["params", "with-state"])
+def test_every_payload_byte_flip_raises_checkpoint_error(tmp_path, with_state):
+    path = tmp_path / "flip.ckpt"
+    raw = toy_checkpoint(path, with_state)
+
+    @FUZZ
+    @given(offset=st.integers(header_end(raw), len(raw) - 1), xor=st.integers(1, 255))
+    def flip(offset, xor):
+        bad = bytearray(raw)
+        bad[offset] ^= xor
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match="fails its CRC-32 check"):
+            tr.load_checkpoint(path)
+
+    flip()

@@ -155,6 +155,31 @@ def test_train_missing_embeddings_names_key(workdir, capsys, tmp_path):
     assert "embeddings" in err
 
 
+@pytest.mark.parametrize("source", ["--config", "PAIRSIM_CONFIG", "none", "checkpoint"])
+def test_no_embedding_tables_names_where_the_configuration_came_from(
+        workdir, capsys, tmp_path, monkeypatch, source):
+    cfg = tmp_path / "noemb.cfg"
+    cfg.write_text("task = sts\nfilters = 6\nlstm_dim = 6\n", encoding="utf-8")
+    monkeypatch.delenv("PAIRSIM_CONFIG", raising=False)
+    argv = ["coverage", workdir / "sts.tsv"]
+    where = {"--config": f"in config {cfg}",
+             "PAIRSIM_CONFIG": f"in config {cfg}, named by $PAIRSIM_CONFIG",
+             "none": "and no config file"}.get(source)
+    if source == "--config":
+        argv += ["--config", cfg]
+    elif source == "PAIRSIM_CONFIG":
+        monkeypatch.setenv("PAIRSIM_CONFIG", str(cfg))
+    elif source == "checkpoint":
+        ckpt = tmp_path / "noemb.ckpt"
+        edit_checkpoint_header(FIXTURES / "sts.ckpt", ckpt,
+                               lambda m: m["config"].update(embeddings=""))
+        argv, where = ["score", ckpt, "a b", "c d"], f"in checkpoint {ckpt}"
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == (f"error: no embedding tables configured {where}; set 'embeddings' "
+                   f"to a comma-separated list of word-vector files\n")
+
+
 def test_train_missing_data_exits_2(workdir, capsys, tmp_path):
     code, out, err = run(capsys, "train", workdir / "absent.tsv",
                          "--config", workdir / "desk.cfg",
@@ -478,10 +503,14 @@ FIXTURES = Path(__file__).parent / "data"
 
 @pytest.mark.parametrize("task", ["sts", "entailment", "paraphrase"])
 def test_committed_checkpoints_score(workdir, capsys, task):
+    # format 2 files, without a section table: they load unchecked, and
+    # score as they did before format 3
     emb = ",".join(str(workdir / f"toy{i}.txt") for i in range(2))
     code, out, err = run(capsys, "score", FIXTURES / f"{task}.ckpt", "bob likes mary",
                          "mary likes bob", "--embeddings", emb)
     assert code == 0 and err == ""
+    assert out.splitlines()[-1] == {"sts": "2.6693", "entailment": "contradiction",
+                                    "paraphrase": "0"}[task]
 
 
 def test_a_config_block_that_describes_another_model_exits_1(workdir, capsys, tmp_path):

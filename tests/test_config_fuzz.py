@@ -91,7 +91,8 @@ def test_coverage_on_a_damaged_config_or_table_exits_0_1_or_2_naming_the_file(
             else:
                 assert (re.match(r"error: config run\.cfg is not UTF-8 at byte offset \d+: ", err)
                         # a config that sets no table has no line to name
-                        or err.startswith("error: no embedding tables configured")
+                        or err.startswith("error: no embedding tables configured in config "
+                                          "run.cfg; ")
                         # the tables it names share a name
                         or re.match(r"error: embedding tables \S+ and \S+ share the name", err)), err
         elif code == 2:

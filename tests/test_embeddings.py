@@ -7,11 +7,13 @@ import shutil
 import struct
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from pairsim import embeddings as emb
+from pairsim import store
 from pairsim.embeddings import FusedLexicon, cache_path, load_lexicon, load_table
 from pairsim.errors import ConfigError, DataError
 from pairsim.rng import stream
@@ -283,6 +285,40 @@ def test_cache_hit_equals_parse_bit_for_bit(tmp_path, caplog, monkeypatch):
         assert a.lookup_all([w])[0].tobytes() == b.lookup_all([w])[0].tobytes()
 
 
+def test_only_ascii_spaces_and_tabs_split_a_line_and_only_line_feeds_end_one(
+        tmp_path, monkeypatch):
+    # str.splitlines ends a line at U+2028, U+0085 and \x1c, and str.split
+    # splits a word at each of these and at U+00A0 too
+    words = ["a\u2028b", "c\x85d", "e\xa0f", "g\x1ch"]
+    p = write(tmp_path, "t.txt", "".join(f"{w} {i}\t{-i} \r\n" for i, w in enumerate(words)))
+    first = load_table(p)
+    assert list(first.index) == words
+    assert first.matrix.tolist() == [[i, -i] for i in range(len(words))]
+    monkeypatch.setattr(emb, "_parse", no_parse)
+    assert_same_table(load_table(p), first)
+
+
+def test_a_cache_in_the_format_before_store_is_ignored_and_rewritten(tmp_path, monkeypatch):
+    p = write(tmp_path, "t.txt", TABLE)
+    want = parsed(p)
+    # the PSIMLEX1 layout: magic, the SHA-256 of every byte after it, a
+    # uint64 length, a JSON block, the words, zero padding to a multiple
+    # of 8 bytes and the matrix; a valid cache of the text
+    meta = json.dumps({"dim": 4, "duplicates": [[4, "cat"]], "rows": 3, "words_bytes": 12,
+                       "source_sha256": hashlib.sha256(TABLE.encode()).hexdigest()},
+                      sort_keys=True, separators=(",", ":")).encode()
+    head = struct.pack("<Q", len(meta)) + meta + b"cat\ndog\nbird"
+    body = head + bytes(-(40 + len(head)) % 8) + want.matrix.astype("<f8").tobytes()
+    cache_path(p).write_bytes(b"PSIMLEX1" + hashlib.sha256(body).digest() + body)
+    parses = []
+    parse = emb._parse
+    monkeypatch.setattr(emb, "_parse", lambda *args: parses.append(args) or parse(*args))
+    assert_same_table(load_table(p), want)
+    assert len(parses) == 1 and cache_path(p).read_bytes()[:4] == emb._CACHE_MAGIC
+    assert_same_table(load_table(p), want)
+    assert len(parses) == 1
+
+
 def _flip_last_byte(cache, other):
     data = bytearray(cache.read_bytes())
     data[-1] ^= 0x01
@@ -306,27 +342,21 @@ def _garbage_header(cache, other):
     cache.write_bytes(bytes(data))
 
 
-def _cache_bytes(meta, words, matrix, tail=b""):
-    """A cache file laid out as _write_cache lays it out, digest included."""
-    meta = dict(meta, words_bytes=len(words))
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head = struct.pack("<Q", len(blob)) + blob + words
-    body = head + bytes(-(40 + len(head)) % 8) + matrix + tail
-    return b"PSIMLEX1" + hashlib.sha256(body).digest() + body
-
-
 def _forge(cache, meta_edit=lambda meta: None, words=None, tail=b""):
-    """Rewrite the cache with its layout changed and its own digest
+    """Rewrite the cache with its layout changed and its section table
     recomputed, so that only the layout checks can refuse it."""
     data = cache.read_bytes()
-    (n,) = struct.unpack("<Q", data[40:48])
-    meta = json.loads(data[48:48 + n])
-    old_words = data[48 + n:48 + n + meta["words_bytes"]]
-    matrix = data[len(data) - 8 * meta["rows"] * meta["dim"]:]
-    assert _cache_bytes(meta, old_words, matrix) == data
+    old = store.load(cache, emb._CACHE_MAGIC, (emb._CACHE_VERSION,))
+    meta, matrix, old_words = old.header, bytes(old.section("matrix")), bytes(old.section("words"))
+    old.buf.close()
+    store.write(cache, emb._CACHE_MAGIC, emb._CACHE_VERSION, meta,
+                [("matrix", matrix), ("words", old_words)])
+    assert cache.read_bytes() == data
     meta_edit(meta)
-    cache.write_bytes(_cache_bytes(meta, old_words if words is None else words,
-                                   matrix, tail))
+    store.write(cache, emb._CACHE_MAGIC, emb._CACHE_VERSION, meta,
+                [("matrix", matrix), ("words", old_words if words is None else words)])
+    with open(cache, "ab") as fh:
+        fh.write(tail)
 
 
 def _fewer_words_than_rows(cache, other):
@@ -408,13 +438,15 @@ def test_emptied_text_raises_despite_a_cache_of_the_old_text(tmp_path):
 
 
 def test_windowed_hash_equals_one_pass(tmp_path, monkeypatch):
-    monkeypatch.setattr(emb, "_HASH_WINDOW", mmap.PAGESIZE)
+    monkeypatch.setattr(store, "WINDOW", mmap.PAGESIZE)
     data = stream(3, "test").bytes(7 * mmap.PAGESIZE // 2)
     p = tmp_path / "blob"
     p.write_bytes(data)
-    with emb._map(p) as buf:
-        for start in (0, 40, mmap.PAGESIZE + 1):
-            assert emb._sha256(buf, start).digest() == hashlib.sha256(data[start:]).digest()
+    assert store.sha256(p).digest() == hashlib.sha256(data).digest()
+    with open(p, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
+        for lo, hi in ((0, len(data)), (40, len(data)), (mmap.PAGESIZE + 1, len(data) - 3),
+                       (5, 9), (7, 7)):
+            assert store.crc32(buf, lo, hi) == zlib.crc32(data[lo:hi])
         assert buf[:] == data        # pages dropped after hashing read back the same
 
 
@@ -483,9 +515,9 @@ def _filler(tmp_path, name, rows=60, dim=8):
 
 @pytest.fixture
 def threads_started(monkeypatch):
-    """A one-page hash window and two CPUs, so that toy lexicons are
-    hashed on threads; lists the name of each thread started."""
-    monkeypatch.setattr(emb, "_HASH_WINDOW", mmap.PAGESIZE)
+    """A one-page window and two CPUs, so that toy lexicons are checked
+    on threads; lists the name of each thread started."""
+    monkeypatch.setattr(store, "WINDOW", mmap.PAGESIZE)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     started = []
     start = threading.Thread.start
@@ -510,7 +542,7 @@ def test_lexicon_hashed_on_threads_equals_parse_bit_for_bit(tmp_path, threads_st
     threads_started.clear()
     before = threading.active_count()
     got = load_lexicon(paths)
-    assert threads_started == ["pairsim-sha256"] * 2
+    assert threads_started == ["pairsim-digest"] * 2
     assert threading.active_count() == before
     for table, parse in zip(got.tables, want):
         assert_same_table(table, parse)
@@ -543,19 +575,19 @@ def test_a_hashing_job_that_raises_falls_back_to_a_parse(tmp_path, threads_start
     want = [parsed(p) for p in paths]
     load_lexicon(paths)
     clean = cache_path(paths[1]).read_bytes()
-    sha256, parse = emb._sha256, emb._parse
+    sha256, parse = store.sha256, emb._parse
 
-    def failing(buf, start=0):
-        if buf[:len(TABLE)] == TABLE.encode():
+    def failing(path):
+        if path == paths[1]:
             raise OSError("read error")
-        return sha256(buf, start)
+        return sha256(path)
 
     parses = []
 
     def counted(path, *args):
         parses.append(path)
         return parse(path, *args)
-    monkeypatch.setattr(emb, "_sha256", failing)
+    monkeypatch.setattr(store, "sha256", failing)
     monkeypatch.setattr(emb, "_parse", counted)
     threads_started.clear()
     before = threading.active_count()
@@ -580,7 +612,7 @@ def _desk_sized(tmp_path):
 @pytest.mark.parametrize("case", ["one CPU", "one window"])
 def test_one_cpu_or_a_lexicon_of_one_window_is_hashed_inline(tmp_path, monkeypatch, case):
     if case == "one CPU":
-        monkeypatch.setattr(emb, "_HASH_WINDOW", mmap.PAGESIZE)
+        monkeypatch.setattr(store, "WINDOW", mmap.PAGESIZE)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         paths = [_filler(tmp_path, "f"), _filler(tmp_path, "g")]
     else:
@@ -590,7 +622,7 @@ def test_one_cpu_or_a_lexicon_of_one_window_is_hashed_inline(tmp_path, monkeypat
     load_lexicon(paths)
     if case == "one window":
         size = sum(os.path.getsize(p) + os.path.getsize(cache_path(p)) for p in paths)
-        assert mmap.PAGESIZE < size <= emb._HASH_WINDOW
+        assert mmap.PAGESIZE < size <= store.WINDOW
 
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")

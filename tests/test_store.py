@@ -1,0 +1,185 @@
+"""The checked file container behind checkpoints and lexicon caches."""
+
+import json
+import mmap
+import os
+import threading
+import zlib
+
+import numpy as np
+import pytest
+
+from pairsim import store
+from pairsim.rng import stream
+
+MAGIC = b"TEST"
+
+
+def payload(name, size):
+    return stream(2, "store", name).bytes(size)
+
+
+def write(path, sections, header=None, version=1):
+    store.write(path, MAGIC, version, header or {"kind": "test"}, sections)
+    return path.read_bytes()
+
+
+def test_a_container_round_trips_its_header_and_sections(tmp_path):
+    path = tmp_path / "c.bin"
+    sections = [("a", payload("a", 100)), ("b", payload("b", 0)), ("c", payload("c", 9000))]
+    raw = write(path, sections, {"kind": "test", "n": [1, 2]}, version=7)
+    c = store.load(path, MAGIC, (6, 7))
+    assert (c.version, c.header) == (7, {"kind": "test", "n": [1, 2]})
+    assert c.start % store.ALIGN == 0 and raw[c.start:] == b"".join(d for _, d in sections)
+    table = json.loads(raw[16:c.start])["sections"]
+    assert [(s["name"], s["bytes"]) for s in table] == [("a", 100), ("b", 0), ("c", 9000)]
+    c.expect([("a", 100), ("b", None), ("c", 9000)])
+    for name, data in sections:
+        assert bytes(c.section(name)) == data
+    assert c.section("a").readonly
+    assert not store.load(path, MAGIC, (7,), copy=True).section("a").readonly
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: b"XXXX" + raw[4:], "not a TEST file (bad magic)"),
+    (lambda raw: raw[:4] + (9).to_bytes(4, "little") + raw[8:],
+     "format version 9, this build reads 1"),
+    (lambda raw: raw[:40], "truncated metadata block"),
+    (lambda raw: raw[:16] + b"[" + raw[17:], "corrupt metadata"),
+    (lambda raw: raw.replace(b'"crc32":', b'"crc33":', 1), "malformed metadata"),
+    (lambda raw: raw.replace(b'"name":"b"', b'"name":"a"', 1), "malformed section table"),
+], ids=["magic", "version", "truncated-header", "json", "table-key", "table-names"])
+def test_a_damaged_head_raises_format_error(tmp_path, edit, message):
+    path = tmp_path / "c.bin"
+    raw = write(path, [("a", payload("a", 100)), ("b", payload("b", 50))])
+    path.write_bytes(edit(raw))
+    with pytest.raises(store.FormatError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        store.load(path, MAGIC, (1,))
+
+
+@pytest.mark.parametrize("edit, layout, message", [
+    (lambda raw: raw[:-1], [("a", 100), ("b", 50)], "the sections end at byte"),
+    (lambda raw: raw + b"\0", [("a", 100), ("b", 50)], "the sections end at byte"),
+    (lambda raw: raw, [("a", 100), ("b", 51)], "section table"),
+    (lambda raw: raw, [("a", 100)], "section table"),
+    (lambda raw: raw, [("b", 50), ("a", 100)], "section table"),
+], ids=["truncated", "trailing", "length", "missing", "order"])
+def test_sections_other_than_expected_raise_format_error(tmp_path, edit, layout, message):
+    path = tmp_path / "c.bin"
+    path.write_bytes(edit(write(path, [("a", payload("a", 100)), ("b", payload("b", 50))])))
+    with pytest.raises(store.FormatError, match=message):
+        store.load(path, MAGIC, (1,)).expect(layout)
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 0), (5, 0), (0, 5), (1, 1), (7, 4096), (4096, 9999),
+                                    (3, 1 << 20)])
+def test_crc32_combine_equals_the_crc32_of_the_whole(n1, n2):
+    a, b = payload("a", n1), payload("b", n2)
+    assert store.crc32_combine(zlib.crc32(a), zlib.crc32(b), n2) == zlib.crc32(a + b)
+
+
+def test_a_damaged_section_raises_only_when_asked_for(tmp_path):
+    path = tmp_path / "c.bin"
+    raw = bytearray(write(path, [("a", payload("a", 100)), ("b", payload("b", 50))]))
+    raw[-1] ^= 0x80
+    path.write_bytes(raw)
+    c = store.load(path, MAGIC, (1,))
+    assert bytes(c.section("a")) == payload("a", 100)
+    for _ in range(2):              # a failed check is not remembered as passed
+        with pytest.raises(store.FormatError, match="section 'b' fails its CRC-32 check"):
+            c.section("b")
+
+
+def test_a_file_without_a_section_table_is_read_unchecked(tmp_path):
+    path = tmp_path / "old.bin"
+    head = b'{"kind":"old"}'
+    path.write_bytes(MAGIC + (1).to_bytes(4, "little") + len(head).to_bytes(8, "little")
+                     + head + payload("a", 8) + payload("b", 16))
+    c = store.load(path, MAGIC, (1,))
+    with pytest.raises(store.FormatError, match="no section table"):
+        c.expect([("a", 8), ("b", 16)])
+    c.assume([("a", 8), ("b", 16)])
+    assert bytes(c.section("b")) == payload("b", 16)
+
+
+def test_a_check_keeps_what_was_written_to_a_page_another_section_shares(tmp_path,
+                                                                       monkeypatch):
+    # in a copy-on-write mapping, dropping a page discards the writes to it
+    monkeypatch.setattr(store, "WINDOW", mmap.PAGESIZE)
+    path = tmp_path / "c.bin"
+    a, b = payload("a", mmap.PAGESIZE + 100), payload("b", 3 * mmap.PAGESIZE)
+    write(path, [("a", a), ("b", b)])
+    c = store.load(path, MAGIC, (1,), copy=True)
+    first = np.frombuffer(c.section("a"), np.uint8)
+    first[-1] ^= 0xff                  # on the page that b's first bytes share
+    assert bytes(c.section("b")) == b
+    assert first[-1] == a[-1] ^ 0xff and first[:-1].tobytes() == a[:-1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sections_are_checked_on_one_thread_per_cpu_or_inline(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(store, "WINDOW", mmap.PAGESIZE)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread.name) or start(thread))
+    path = tmp_path / "c.bin"
+    sections = [(name, payload(name, 3 * mmap.PAGESIZE + 7)) for name in "abc"]
+    raw = bytearray(write(path, sections))
+    c = store.load(path, MAGIC, (1,))
+    c.check(["a", "b", "c"])
+    assert started == ["pairsim-check"] * (cpus if cpus > 1 else 0)
+    raw[-1] ^= 1
+    path.write_bytes(raw)
+    c = store.load(path, MAGIC, (1,))
+    with pytest.raises(store.FormatError, match="section 'c'"):
+        c.check(["a", "b", "c"])
+    assert bytes(c.section("a")) == sections[0][1]
+
+
+def test_checks_take_the_cpus_this_process_has(tmp_path, monkeypatch):
+    # under ``taskset -c 0`` every check runs inline, on the caller's thread
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread.name) or start(thread))
+    path = tmp_path / "c.bin"
+    sections = [(name, payload(name, store.WINDOW)) for name in "ab"]
+    write(path, sections)
+    before = threading.active_count()
+    c = store.load(path, MAGIC, (1,))
+    c.check(["a", "b"])
+    assert len(started) == (2 if len(store.cpus()) > 1 else 0)
+    assert threading.active_count() == before
+    for name, data in sections:
+        assert bytes(c.section(name)) == data
+
+
+def _rss_file_kb():
+    with open("/proc/self/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return int(fields["RssFile"].split()[0])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.parametrize("copy", [False, True], ids=["read-only", "copy-on-write"])
+def test_a_check_does_not_keep_the_file_resident(tmp_path, copy):
+    path = tmp_path / "c.bin"
+    write(path, [("a", payload("a", 4 * store.WINDOW + 5))])
+    c = store.load(path, MAGIC, (1,), copy=copy)
+    before = _rss_file_kb()
+    c.check(["a"])
+    assert _rss_file_kb() - before < 1024
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.bin"
+    old = write(path, [("a", payload("a", 10))])
+
+    def refuse(*args):
+        raise OSError("no room")
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="no room"):
+        write(path, [("a", payload("b", 10))])
+    assert path.read_bytes() == old and os.listdir(tmp_path) == ["c.bin"]

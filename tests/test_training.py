@@ -17,6 +17,7 @@ import pytest
 from pairsim import model as md
 from pairsim import numcore as nc
 from pairsim import objectives as obj
+from pairsim import store
 from pairsim import training as tr
 from pairsim.config import RunConfig
 from pairsim.errors import CheckpointError, ConfigError, DataError, NumericError
@@ -642,7 +643,7 @@ def test_checkpoint_version_1_rejected(tmp_path, lex):
     path, old = tmp_path / "model.ckpt", tmp_path / "v1.ckpt"
     tr.save_checkpoint(path, md.build_model(maxlstm_spec(), seed=1))
     edit_checkpoint_header(path, old, version=1)
-    with pytest.raises(CheckpointError, match="format version 1, this build reads 2"):
+    with pytest.raises(CheckpointError, match="format version 1, this build reads 2 or 3"):
         tr.load_checkpoint(old)
 
 
@@ -700,24 +701,47 @@ def test_checkpoint_bytes_pinned(tmp_path, lex, encoder):
     assert hashlib.sha256(raw[16 + n:]).hexdigest() == PINNED[encoder]
 
 
+# SHA-256 of the format 3 file that each committed format 2 checkpoint
+# saves again as
+RESAVED = {
+    "sts": "2e98a6880074ea69a69fd7573540ce97362f3da4ca8ee53727f2206c6c69dc7a",
+    "entailment": "f2016f5b3f452c4978351012d862defc6e0c56f13345109a742c92b7098cd9f0",
+    "paraphrase": "4a3a6093a9f9ca538bc55d31ed9cad709eaf61e94f86f1e516b0d41c78406f43",
+}
+
+
 @pytest.mark.parametrize("task", ["sts", "entailment", "paraphrase"])
 def test_checkpoints_written_by_earlier_versions_save_again_unchanged(tmp_path, task):
     # tests/data holds checkpoints that record_checkpoint_fixtures.py wrote
-    # with format version 2, before the metadata block was padded; the
-    # writer rebuilds the whole header from the loaded model, so this pins
-    # the header bytes as well as the payload.  The new file differs only
-    # in the spaces that move the payload to a multiple of 64 bytes.
+    # with format version 2, before the metadata block was padded and
+    # before the section table.  They load unchecked; the writer rebuilds
+    # the whole header from the loaded model, so the digest pins the
+    # header bytes as well as the payload, which is the committed one.
     committed = Path(__file__).parent / "data" / f"{task}.ckpt"
     params, state, meta = tr.load_checkpoint(committed)
     assert params.spec.task == task and state is not None
     again = tmp_path / "again.ckpt"
     tr.save_checkpoint(again, params, state, {k: meta[k] for k in USER_KEYS})
-    raw = committed.read_bytes()
+    raw, new = committed.read_bytes(), again.read_bytes()
     (n,) = struct.unpack("<Q", raw[8:16])
-    pad = -(16 + n) % 64
-    assert pad > 0          # the fixture's payload is unaligned, so the load copied it
-    assert again.read_bytes() == (raw[:8] + struct.pack("<Q", n + pad) + raw[16:16 + n]
-                                  + b" " * pad + raw[16 + n:])
+    (m,) = struct.unpack("<Q", new[8:16])
+    assert (16 + n) % 64 and not (16 + m) % 64  # the fixture's payload is unaligned: copied
+    assert raw[:4] == new[:4] and raw[4:8] == struct.pack("<I", 2) != new[4:8]
+    assert new[16 + m:] == raw[16 + n:]
+    assert hashlib.sha256(new).hexdigest() == RESAVED[task]
+
+
+def test_committed_format_2_checkpoints_load_unchecked(tmp_path):
+    # format 2 has no section table, so a damaged payload byte still loads
+    committed = Path(__file__).parent / "data" / "sts.ckpt"
+    params, state, _ = tr.load_checkpoint(committed)
+    raw = bytearray(committed.read_bytes())
+    raw[-1] ^= 0x01
+    damaged = tmp_path / "damaged.ckpt"
+    damaged.write_bytes(raw)
+    _, damaged_state, _ = tr.load_checkpoint(damaged)
+    assert damaged_state.flat.tobytes()[:-1] == state.flat.tobytes()[:-1]
+    assert damaged_state.flat.tobytes()[-1] == state.flat.tobytes()[-1] ^ 0x01
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +860,7 @@ def test_a_failed_save_leaves_the_old_file_and_no_temporary_file(tmp_path, monke
     params = md.build_model(small_spec(), seed=1)
     tr.save_checkpoint(path, params, tr.AdaDeltaState.zeros(params))
     old = path.read_bytes()
-    monkeypatch.setattr(tr, "open", lambda fd, mode: FullDisk(fd, mode), raising=False)
+    monkeypatch.setattr(store, "open", lambda fd, mode: FullDisk(fd, mode), raising=False)
     with pytest.raises(CheckpointError, match="cannot write checkpoint .*No space left"):
         tr.save_checkpoint(path, md.build_model(small_spec(), seed=2))
     assert path.read_bytes() == old
