@@ -144,6 +144,12 @@ def _load_for_inference(args, overrides, allowed: tuple[str, ...]):
         if given != stored:
             raise CheckpointError(f"{ckpt_path}: the configuration block gives "
                                   f"{f.name} = {given!r}, the model spec {stored!r}")
+    # the header has no checksum of its own; the stored fingerprint stands in
+    stored = meta.get("config_fingerprint")
+    if stored is not None and stored != fingerprint(cfg):
+        raise CheckpointError(f"{ckpt_path}: the configuration block's fingerprint is "
+                              f"{fingerprint(cfg)}, the checkpoint stores {stored} "
+                              f"(the header is damaged)")
     for key, value in overrides.items():
         if key not in allowed:
             raise ConfigError(f"{args.command} accepts only "

@@ -34,7 +34,8 @@ U (4l, l) and b (4l,), with the four gates as row blocks in i/f/o/u
 order, so neither direction restacks or slices them.  A forward step
 over 2-7 running sequences reads U once, in L2-sized row blocks, where
 one GEMM would read it about twice (window and sizes from a sweep on
-OpenBLAS 0.3.31; see ``lstm_last_state``).
+OpenBLAS 0.3.31; see ``lstm_last_state``), and with one BLAS thread
+and two CPUs it splits the blocks with one pinned helper thread.
 
 The logistic, ``expit``, is 0.5 * tanh(0.5 * x) + 0.5 in four in-place
 ufuncs, so numpy alone serves it.  It never overflows (so it needs no
@@ -50,7 +51,9 @@ differentiated.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -493,12 +496,39 @@ _STREAM_BWD_BLOCK_BYTES = 1 << 18
 _STREAM_BWD_MAX_K = 8
 
 
+def _row_blocks_into(U, h, rows: int, z) -> np.ndarray:
+    """z = U @ h, rows of U at a time: the whole blocks as one stacked
+    product (one call, which BLAS runs block by block), then the short
+    block that ends U, if any."""
+    n = U.shape[0] // rows * rows
+    if n:
+        np.matmul(U[:n].reshape(-1, rows, U.shape[1]), h,
+                  out=z[:n].reshape(-1, rows, z.shape[1]))
+    if n < U.shape[0]:
+        np.matmul(U[n:], h, out=z[n:])
+    return z
+
+
 def _row_blocks_matmul(U, h, rows: int) -> np.ndarray:
     """U @ h as a (4l, k) array, rows of U at a time."""
-    z = np.empty((U.shape[0], h.shape[1]))
-    for lo in range(0, U.shape[0], rows):
-        np.matmul(U[lo:lo + rows], h, out=z[lo:lo + rows])
-    return z
+    return _row_blocks_into(U, h, rows, np.empty((U.shape[0], h.shape[1])))
+
+
+def _forward_helper(ks: list):
+    """A ``store.PinnedThread`` for the blocked forward steps of one call,
+    or None where a second thread would not pay: fewer than two such
+    steps, one CPU, or a BLAS that may run threads of its own.  It is
+    pinned to a CPU other than the one the caller runs on: the scheduler
+    may leave the caller where it is, and on the caller's CPU the two
+    halves would run by turns."""
+    if sum(1 for k in ks[1:] if 2 <= k <= _STREAM_MAX_K) < 2:
+        return None
+    from . import store
+    cpus = store.cpus()
+    if len(cpus) < 2 or not store.blas_single_threaded():
+        return None
+    here = store.current_cpu()
+    return store.PinnedThread(next((c for c in cpus if c != here), None), "pairsim-lstm")
 
 
 def _row_blocks_tmatmul(U, dz, rows: int) -> np.ndarray:
@@ -551,6 +581,23 @@ def lstm_last_state(S, lengths, W, U, b):
     k = 8-15 at 0.6-0.9x.  The blocked product differs from the one
     GEMM only in summation order: by at most 5.1e-15 absolute for a
     Glorot-scale U at l = 800.
+
+    The whole blocks are one stacked matmul over a (blocks, rows, l)
+    view of U, which BLAS runs block by block, then the short last
+    block: one call per run of blocks, which releases the interpreter
+    lock.  When the call has at least two blocked steps, the process may
+    run on two CPUs or more and BLAS runs one thread
+    (``store.blas_single_threaded``), one helper thread, pinned to a
+    CPU other than the caller's, multiplies the second half of each
+    blocked step's blocks while the caller multiplies the first; it is
+    joined before this returns.  The block boundaries stay those of the
+    inline product, so the result is bit-identical to it.
+    At l = 800 on 2 vCPUs with one OpenBLAS thread, a step over k = 2
+    took 0.44 ms instead of 0.76 ms, k = 4 0.43 instead of 0.79-0.81 ms,
+    and k = 7 0.48 instead of 0.93-0.96 ms.  With a threaded BLAS, its
+    own threads contend for the second CPU (a prototype lost paper eval
+    throughput there), so the steps run inline; so do k = 1 steps, whose
+    GEMV differs in its last bits from a blocked product.
 
     The backward step's U.T dz reads U the same way, so a step t >= 1
     over 2 <= k_t <= 8 sequences sums it over row blocks of 256 KiB of U
@@ -605,27 +652,38 @@ def lstm_last_state(S, lengths, W, U, b):
     # work runs on contiguous (l, k) gate blocks, which matters at small l.
     # The blocked product (see above) is gate-major already.
     rows = max(1, _STREAM_BLOCK_BYTES // (8 * l))
+    helper = _forward_helper(ks) if rows < 4 * l else None
     Z, C, H = [], [], []            # gate activations, cells, states
     out = np.empty((ns.size, l))
-    for t, k in enumerate(ks):
-        if t and 2 <= k <= _STREAM_MAX_K and rows < 4 * l:
-            z = _row_blocks_matmul(Uv, H[-1][:, :k], rows)
-            z += X[off[t]:off[t + 1]].T
-        else:
-            zr = X[off[t]:off[t + 1]]
-            if t:
-                zr = zr + H[-1][:, :k].T @ Uv.T
-            z = np.ascontiguousarray(zr.T)
-        expit(z[:3 * l], out=z[:3 * l])
-        np.tanh(z[3 * l:], out=z[3 * l:])
-        i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
-        c = f * C[-1][:, :k] + i * u if t else i * u
-        Z.append(z)
-        C.append(c)
-        H.append(o * np.tanh(c))
-        done = ks[t + 1] if t + 1 < len(ks) else 0     # slots done..k-1 end at step t
-        if done < k:
-            out[order[done:k]] = H[-1][:, done:k].T
+    with helper or nullcontext():
+        for t, k in enumerate(ks):
+            if t and 2 <= k <= _STREAM_MAX_K and rows < 4 * l:
+                h = H[-1][:, :k]
+                if helper is None:
+                    z = _row_blocks_matmul(Uv, h, rows)
+                else:       # the helper multiplies the second half of the blocks;
+                            # still one _row_blocks_matmul call per blocked step
+                    cut = (-(-4 * l // rows) + 1) // 2 * rows
+                    z = np.empty((4 * l, k))
+                    helper.start(partial(_row_blocks_into, Uv[cut:], h, rows, z[cut:]))
+                    z[:cut] = _row_blocks_matmul(Uv[:cut], h, rows)
+                    helper.wait()
+                z += X[off[t]:off[t + 1]].T
+            else:
+                zr = X[off[t]:off[t + 1]]
+                if t:
+                    zr = zr + H[-1][:, :k].T @ Uv.T
+                z = np.ascontiguousarray(zr.T)
+            expit(z[:3 * l], out=z[:3 * l])
+            np.tanh(z[3 * l:], out=z[3 * l:])
+            i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
+            c = f * C[-1][:, :k] + i * u if t else i * u
+            Z.append(z)
+            C.append(c)
+            H.append(o * np.tanh(c))
+            done = ks[t + 1] if t + 1 < len(ks) else 0     # slots done..k-1 end at step t
+            if done < k:
+                out[order[done:k]] = H[-1][:, done:k].T
 
     def backward(G):
         G = G[order].T                                  # (l, n_seq), longest first

@@ -254,6 +254,27 @@ def cpus() -> list:
         return [None] * (os.cpu_count() or 1)
 
 
+def current_cpu():
+    """The CPU the calling thread runs on now (field 39 of its
+    ``/proc`` stat line); None where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _pin(cpu):
+    """Keep the calling thread to ``cpu`` (None: leave it as it is).
+    Unpinned, a new thread may share its parent's CPU for up to a second
+    before the scheduler moves it, and then the two run by turns."""
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            pass
+
+
 def run_pinned(jobs, cpus: list, name: str) -> list:
     """Call every job, a function of no arguments; return what each
     returned, in job order, or the exception it raised instead.
@@ -284,14 +305,7 @@ def run_pinned(jobs, cpus: list, name: str) -> list:
     pending = deque(range(len(jobs)))
 
     def drain(cpu):
-        # Each thread keeps to a CPU of its own.  Unpinned, a new thread
-        # may share its parent's CPU for up to a second before the
-        # scheduler moves it, and then the jobs run one after another.
-        if cpu is not None:
-            try:
-                os.sched_setaffinity(0, {cpu})
-            except OSError:
-                pass
+        _pin(cpu)
         while True:
             try:
                 i = pending.popleft()
@@ -312,6 +326,75 @@ def run_pinned(jobs, cpus: list, name: str) -> list:
         for thread in threads:
             thread.join()
     return results
+
+
+class PinnedThread:
+    """One helper thread, pinned to ``cpu`` (None: unpinned) and named
+    ``name``, that runs one job at a time for the thread that owns it:
+    ``start(job)`` hands it a function of no arguments, and ``wait()``
+    blocks until that job ends and returns what it returned, or raises
+    what it raised.  A context manager: the thread starts on entry, and
+    on exit it finishes a job still running and is joined, whatever
+    happened.  The owner's own affinity is never changed."""
+
+    def __init__(self, cpu, name: str):
+        import threading
+        self.cpu, self.job, self.result, self.busy = cpu, None, None, False
+        # two locks used as binary semaphores, the cheapest hand-off there is
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.thread = threading.Thread(target=self._serve, name=name)
+
+    def _serve(self):
+        _pin(self.cpu)
+        while True:
+            self.go.acquire()
+            if self.job is None:
+                return
+            try:
+                self.result = (True, self.job())
+            except BaseException as exc:    # raised again by wait()
+                self.result = (False, exc)
+            self.done.release()
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def start(self, job):
+        self.job, self.busy = job, True
+        self.go.release()
+
+    def wait(self):
+        self.done.acquire()
+        (ok, value), self.result, self.busy = self.result, None, False
+        if not ok:
+            raise value
+        return value
+
+    def __exit__(self, *exc_info):
+        if self.busy:               # the owner failed between start and wait
+            self.done.acquire()
+            self.result = None
+        self.job = None
+        self.go.release()
+        self.thread.join()
+
+
+def blas_single_threaded() -> bool:
+    """Whether BLAS runs one thread, as OpenBLAS reads the environment:
+    the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS that is set must be 1.  With none set OpenBLAS runs
+    one thread per core; a value that is not a number counts as not 1."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var)
+        if value is not None:
+            try:
+                return int(value) == 1
+            except ValueError:
+                return False
+    return False
 
 
 def batch(jobs, name: str) -> list:

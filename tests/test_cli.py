@@ -7,8 +7,9 @@ import pytest
 
 import pairsim
 from pairsim import evaldata as ed
+from pairsim import training as tr
 from pairsim.cli import main
-from pairsim.config import fingerprint, load_config
+from pairsim.config import RunConfig, fingerprint, load_config
 from pairsim.errors import ConfigError
 
 from toys import (cls3_dataset, edit_checkpoint_header, sts_overfit_dataset,
@@ -524,6 +525,31 @@ def test_a_config_block_that_describes_another_model_exits_1(workdir, capsys, tm
         assert code == 1 and out == ""
         assert err == (f"error: {bad}: the configuration block gives encoder = "
                        f"'maxcnn_only', the model spec 'maxlstm'\n")
+
+
+def test_a_config_block_that_fails_its_fingerprint_exits_1(workdir, capsys, tmp_path):
+    # a container header has no checksum: in a format 3 re-save of the
+    # fixture, oov_scale 0.1 -> 0.7 describes the same model, scores a pair
+    # with an OOV word differently, and is caught by the stored fingerprint
+    params, state, meta = tr.load_checkpoint(FIXTURES / "sts.ckpt")
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    tr.save_checkpoint(good, params, state, {key: meta[key] for key in (
+        "config", "config_fingerprint", "epoch", "embedding_hash")})
+    raw = good.read_bytes()
+    assert raw.count(b'"oov_scale":0.1,') == 1
+    bad.write_bytes(raw.replace(b'"oov_scale":0.1,', b'"oov_scale":0.7,'))
+    edited = fingerprint(RunConfig(**dict(meta["config"], oov_scale=0.7)))
+    emb = ",".join(str(workdir / f"toy{i}.txt") for i in range(2))
+    code, out, err = run(capsys, "score", good, "bob likes zebra", "mary likes bob",
+                         "--embeddings", emb)
+    assert code == 0 and err == ""
+    for argv in (["score", bad, "bob likes zebra", "mary likes bob"],
+                 ["eval", bad, workdir / "sts.tsv"]):
+        code, out, err = run(capsys, *argv, "--embeddings", emb)
+        assert code == 1 and out == ""
+        assert err == (f"error: {bad}: the configuration block's fingerprint is {edited}, "
+                       f"the checkpoint stores {meta['config_fingerprint']} "
+                       f"(the header is damaged)\n")
 
 
 @pytest.mark.parametrize("out", ["missing/model.ckpt", "."], ids=["missing-dir", "a-dir"])

@@ -496,6 +496,179 @@ def test_lstm_backward_peak_is_saved_state_plus_one_dz():
         np.testing.assert_array_equal(x.grad, want)
 
 
+# A step over 2..7 sequences runs on the caller's thread and one pinned
+# helper when BLAS runs one thread and there are two CPUs; steps after
+# t = 0 over 8, 7, 6, 5, 4, 3, 2 and 1 sequences.
+SPLIT_LENGTHS = [9, 1, 4, 6, 2, 7, 3, 5, 8, 2]
+
+
+def lstm_split(monkeypatch, on: bool, here=0):
+    """Let lstm_last_state use a helper thread (two CPUs, one BLAS
+    thread) or not (one CPU), with the caller on CPU ``here``; returns
+    the (CPU, name) of each helper it starts."""
+    from pairsim import store
+    monkeypatch.setattr(store, "cpus", lambda: [0, 1] if on else [0])
+    monkeypatch.setattr(store, "current_cpu", lambda: here)
+    monkeypatch.setattr(store, "blas_single_threaded", lambda: True)
+    helpers = []
+    pinned = store.PinnedThread
+
+    def spy(cpu, name):
+        helpers.append((cpu, name))
+        return pinned(cpu, name)
+
+    monkeypatch.setattr(store, "PinnedThread", spy)
+    return helpers
+
+
+@pytest.mark.parametrize("l", [200, 400])
+def test_lstm_split_forward_is_bit_identical_to_inline(monkeypatch, l):
+    """At l = 200 U is two blocks (655 and 145 rows), at l = 400 five (four
+    of 327 and one of 292): the halves keep the inline block boundaries."""
+    k_in = 5
+    rng = stream(19, "test")
+    limit = np.sqrt(6.0 / (2 * l))
+    W = rng.uniform(-limit, limit, size=(4 * l, k_in))
+    U = rng.uniform(-limit, limit, size=(4 * l, l))
+    b = rng.uniform(-0.3, 0.3, size=4 * l)
+    S = rng.normal(size=(sum(SPLIT_LENGTHS), k_in))
+    w = rng.normal(size=(len(SPLIT_LENGTHS), l))
+    results = []
+    for on in (True, False):
+        with monkeypatch.context() as m:
+            helpers = lstm_split(m, on)
+            ks = spy_on_row_blocks(m)
+            got = nc.lstm_last_state(S, SPLIT_LENGTHS, W, U, b)
+            grads = lstm_grads(S, SPLIT_LENGTHS, W, U, b, w)
+        assert helpers == ([(1, "pairsim-lstm")] * 2 if on else [])
+        assert [k for k, _ in ks] == [7, 6, 5, 4, 3, 2] * 2
+        results.append([got, *grads])
+    for split, inline in zip(*results):
+        np.testing.assert_array_equal(split, inline)
+
+
+class HelperFailure(Exception):
+    pass
+
+
+def lstm_split_case():
+    rng = stream(23, "test")
+    W, U, b = lstm_param_arrays(rng, 200, 3)
+    return rng.normal(size=(sum(SPLIT_LENGTHS), 3)), SPLIT_LENGTHS, W, U, b
+
+
+@pytest.mark.parametrize("here, cpu", [(0, 1), (1, 0), (None, 0)])
+def test_lstm_helper_is_pinned_away_from_the_callers_cpu(monkeypatch, here, cpu):
+    helpers = lstm_split(monkeypatch, True, here)
+    nc.lstm_last_state(*lstm_split_case())
+    assert helpers == [(cpu, "pairsim-lstm")]
+
+
+def test_lstm_helper_failure_is_raised_after_the_callers_half(monkeypatch):
+    import threading
+    import time
+    lstm_split(monkeypatch, True)
+    events = []
+    into, blocked = nc._row_blocks_into, nc._row_blocks_matmul
+
+    def helper_half(U, h, rows, z):
+        if threading.current_thread().name == "pairsim-lstm":
+            events.append("helper raises")
+            raise HelperFailure("helper")
+        return into(U, h, rows, z)
+
+    def caller_half(U, h, rows):
+        time.sleep(0.05)            # the helper raises long before this ends
+        z = blocked(U, h, rows)
+        events.append("caller's half ends")
+        return z
+
+    monkeypatch.setattr(nc, "_row_blocks_into", helper_half)
+    monkeypatch.setattr(nc, "_row_blocks_matmul", caller_half)
+    before = threading.active_count()
+    with pytest.raises(HelperFailure, match="helper"):
+        nc.lstm_last_state(*lstm_split_case())
+    assert events == ["helper raises", "caller's half ends"]
+    assert threading.active_count() == before
+
+
+def test_lstm_callers_failure_waits_for_the_helpers_half(monkeypatch):
+    import threading
+    import time
+    lstm_split(monkeypatch, True)
+    events = []
+    into = nc._row_blocks_into
+
+    def helper_half(U, h, rows, z):
+        if threading.current_thread().name == "pairsim-lstm":
+            time.sleep(0.05)        # still running when the caller fails
+            events.append("helper's half ends")
+        return into(U, h, rows, z)
+
+    def caller_half(U, h, rows):
+        raise HelperFailure("caller")
+
+    monkeypatch.setattr(nc, "_row_blocks_into", helper_half)
+    monkeypatch.setattr(nc, "_row_blocks_matmul", caller_half)
+    before = threading.active_count()
+    with pytest.raises(HelperFailure, match="caller"):
+        nc.lstm_last_state(*lstm_split_case())
+    assert events == ["helper's half ends"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "threaded-blas", "one-blocked-step", "split"])
+def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
+    import threading
+    from pairsim import store
+    started = []
+
+    def no_thread(*args, **kwargs):
+        started.append(kwargs.get("name"))
+        raise HelperFailure("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(store, "cpus", lambda: [0] if case == "one-cpu" else [0, 1])
+    monkeypatch.setattr(store, "blas_single_threaded", lambda: case != "threaded-blas")
+    S, lengths, W, U, b = lstm_split_case()
+    if case == "one-blocked-step":  # t = 1 over 3 sequences, then t = 2 over 1
+        S, lengths = S[:7], [3, 2, 2]
+    if case == "split":
+        with pytest.raises(HelperFailure):
+            nc.lstm_last_state(S, lengths, W, U, b)
+        assert started == ["pairsim-lstm"]
+    else:
+        nc.lstm_last_state(S, lengths, W, U, b)
+        assert started == []
+
+
+@pytest.mark.parametrize("env, single", [
+    ({}, False),                                    # OpenBLAS: one thread per core
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OPENBLAS_NUM_THREADS": "many"}, False),
+    ({"OPENBLAS_NUM_THREADS": ""}, False),
+    ({"GOTO_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "2"}, False),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "2"}, False),
+    ({"OMP_NUM_THREADS": "x1"}, False),
+    ({"OMP_NUM_THREADS": " 1 "}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, False),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "garbage", "OMP_NUM_THREADS": "1"}, False),
+])
+def test_lstm_blas_thread_rule_reads_the_first_variable_set(monkeypatch, env, single):
+    from pairsim import store
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert store.blas_single_threaded() is single
+
+
 # ---------------------------------------------------------------------------
 # backward consistency against finite differences
 

@@ -3,6 +3,7 @@
 import json
 import mmap
 import os
+import sys
 import threading
 import zlib
 
@@ -183,3 +184,54 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
     with pytest.raises(OSError, match="no room"):
         write(path, [("a", payload("b", 10))])
     assert path.read_bytes() == old and os.listdir(tmp_path) == ["c.bin"]
+
+
+def test_a_pinned_thread_runs_each_job_on_its_cpu_and_is_joined():
+    cpu = store.cpus()[-1]
+    before = threading.active_count()
+    with store.PinnedThread(cpu, "pairsim-test") as helper:
+        for i in range(3):
+            helper.start(lambda i=i: (i, threading.current_thread().name,
+                                      os.sched_getaffinity(0), store.current_cpu()))
+            assert helper.wait() == (i, "pairsim-test", {cpu}, cpu)
+        helper.start(lambda: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            helper.wait()
+        helper.start(lambda: "after a failure")
+        assert helper.wait() == "after a failure"
+        assert os.sched_getaffinity(0) == set(store.cpus())    # the owner's is unchanged
+    assert threading.active_count() == before
+
+
+def test_a_pinned_thread_finishes_its_job_when_the_owner_fails():
+    done = threading.Event()
+    with pytest.raises(KeyError):
+        with store.PinnedThread(None, "pairsim-test") as helper:
+            helper.start(lambda: done.wait(0.05) or done.set())
+            raise KeyError("the owner fails")
+    assert done.is_set() and not helper.thread.is_alive()
+
+
+def test_pinned_threads_hand_each_owner_the_result_of_its_own_job():
+    # four owners, each with its own helper, on fewer cores than threads,
+    # switching as often as the interpreter allows
+    failures = []
+
+    def owner(n):
+        with store.PinnedThread(None, "pairsim-test") as helper:
+            for i in range(500):
+                helper.start(lambda i=i: (n, i))
+                if helper.wait() != (n, i):
+                    failures.append((n, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        owners = [threading.Thread(target=owner, args=(n,)) for n in range(4)]
+        for thread in owners:
+            thread.start()
+        for thread in owners:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in owners) and failures == []
