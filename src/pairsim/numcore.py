@@ -34,8 +34,9 @@ U (4l, l) and b (4l,), with the four gates as row blocks in i/f/o/u
 order, so neither direction restacks or slices them.  A forward step
 over 2-7 running sequences reads U once, in L2-sized row blocks, where
 one GEMM would read it about twice (window and sizes from a sweep on
-OpenBLAS 0.3.31; see ``lstm_last_state``), and with one BLAS thread
-and two CPUs it splits the blocks with one pinned helper thread.
+OpenBLAS 0.3.31; see ``lstm_last_state``).  With one BLAS thread and
+two CPUs, each large pass splits its blocks and its large products
+with one pinned helper thread.
 
 The logistic, ``expit``, is 0.5 * tanh(0.5 * x) + 0.5 in four in-place
 ufuncs, so numpy alone serves it.  It never overflows (so it needs no
@@ -494,6 +495,10 @@ _STREAM_BLOCK_BYTES = 1 << 20
 _STREAM_MAX_K = 7
 _STREAM_BWD_BLOCK_BYTES = 1 << 18
 _STREAM_BWD_MAX_K = 8
+# The fewest multiply-adds of a pass that opens a helper thread, and of a
+# product that it splits: about 0.15 ms of one-thread GEMM here, near the
+# 0.1 ms a helper takes to start and join (see ``lstm_last_state``).
+_SPLIT_MIN = 1 << 22
 
 
 def _row_blocks_into(U, h, rows: int, z) -> np.ndarray:
@@ -514,14 +519,14 @@ def _row_blocks_matmul(U, h, rows: int) -> np.ndarray:
     return _row_blocks_into(U, h, rows, np.empty((U.shape[0], h.shape[1])))
 
 
-def _forward_helper(ks: list):
-    """A ``store.PinnedThread`` for the blocked forward steps of one call,
-    or None where a second thread would not pay: fewer than two such
-    steps, one CPU, or a BLAS that may run threads of its own.  It is
-    pinned to a CPU other than the one the caller runs on: the scheduler
-    may leave the caller where it is, and on the caller's CPU the two
-    halves would run by turns."""
-    if sum(1 for k in ks[1:] if 2 <= k <= _STREAM_MAX_K) < 2:
+def _lstm_helper(work: int):
+    """A ``store.PinnedThread`` to split one pass's products with, or None
+    where a second thread would not pay: under ``_SPLIT_MIN`` multiply-adds
+    of GEMM ``work``, one CPU, or a BLAS that may run threads of its own.
+    It is pinned to a CPU other than the one the caller runs on: the
+    scheduler may leave the caller where it is, and on the caller's CPU
+    the two halves would run by turns."""
+    if work < _SPLIT_MIN:
         return None
     from . import store
     cpus = store.cpus()
@@ -529,6 +534,35 @@ def _forward_helper(ks: list):
         return None
     here = store.current_cpu()
     return store.PinnedThread(next((c for c in cpus if c != here), None), "pairsim-lstm")
+
+
+def _cut(m: int, k: int, n: int) -> int:
+    """Where ``_split_matmul`` cuts an (m, k) @ (k, n) product: a row
+    index if m >= n, else a column index, at a multiple of 8 near the
+    middle, which keeps OpenBLAS's register tiles whole; 0 under
+    ``_SPLIT_MIN`` multiply-adds or where a half would have fewer than 8
+    rows or columns (k = 1 products among them)."""
+    if m * k * n < _SPLIT_MIN or min(m, n) < 8 or max(m, n) < 16:
+        return 0
+    return (max(m, n) + 8) // 16 * 8
+
+
+def _split_matmul(A, B, helper, out) -> np.ndarray:
+    """out = A @ B, the helper computing the rows (or columns) from
+    ``_cut`` on while the caller computes the rest; inline without a
+    helper or a cut.  Bit-identical to the one product."""
+    (m, k), n = A.shape, B.shape[1]
+    cut = _cut(m, k, n) if helper is not None else 0
+    if not cut:
+        return np.matmul(A, B, out=out)
+    if m >= n:
+        helper.start(partial(np.matmul, A[cut:], B, out=out[cut:]))
+        np.matmul(A[:cut], B, out=out[:cut])
+    else:
+        helper.start(partial(np.matmul, A, B[:, cut:], out=out[:, cut:]))
+        np.matmul(A, B[:, :cut], out=out[:, :cut])
+    helper.wait()
+    return out
 
 
 def _row_blocks_tmatmul(U, dz, rows: int) -> np.ndarray:
@@ -585,19 +619,7 @@ def lstm_last_state(S, lengths, W, U, b):
     The whole blocks are one stacked matmul over a (blocks, rows, l)
     view of U, which BLAS runs block by block, then the short last
     block: one call per run of blocks, which releases the interpreter
-    lock.  When the call has at least two blocked steps, the process may
-    run on two CPUs or more and BLAS runs one thread
-    (``store.blas_single_threaded``), one helper thread, pinned to a
-    CPU other than the caller's, multiplies the second half of each
-    blocked step's blocks while the caller multiplies the first; it is
-    joined before this returns.  The block boundaries stay those of the
-    inline product, so the result is bit-identical to it.
-    At l = 800 on 2 vCPUs with one OpenBLAS thread, a step over k = 2
-    took 0.44 ms instead of 0.76 ms, k = 4 0.43 instead of 0.79-0.81 ms,
-    and k = 7 0.48 instead of 0.93-0.96 ms.  With a threaded BLAS, its
-    own threads contend for the second CPU (a prototype lost paper eval
-    throughput there), so the steps run inline; so do k = 1 steps, whose
-    GEMV differs in its last bits from a blocked product.
+    lock.
 
     The backward step's U.T dz reads U the same way, so a step t >= 1
     over 2 <= k_t <= 8 sequences sums it over row blocks of 256 KiB of U
@@ -606,6 +628,27 @@ def lstm_last_state(S, lengths, W, U, b):
     k = 2..8 at l = 400 and 800, and at 0.99-1.25x at l = 1600; 1 MiB
     blocks lost from k = 8 on (0.6x), and k = 1 lost with any block size.
     Step 0 passes no gradient back, since h_0 is the constant zero.
+
+    Each pass, forward and backward, of at least ``_SPLIT_MIN`` (2^22)
+    multiply-adds of GEMM work opens one helper thread when the process
+    may run on two CPUs or more and BLAS runs one thread
+    (``store.blas_single_threaded``); it is pinned to a CPU other than
+    the caller's and joined before the pass ends.  The helper takes the
+    second half of each blocked forward step's blocks, and one half of
+    every other product of at least ``_SPLIT_MIN`` multiply-adds
+    (``_split_matmul``): the input projection, the forward steps over
+    k >= 8, the backward steps over k >= 9 and the dS, dW and dU
+    products.  The results are bit-identical to inline; a cut 3 rows
+    past a multiple of 8 was not.  The blocked backward steps and the
+    k = 1 GEMVs stay inline, and so does everything under a threaded
+    BLAS, whose own threads contend for the second CPU (a prototype lost
+    paper eval throughput there).  A helper takes about 0.1 ms to start
+    and join.  At l = 800 on 2 vCPUs with one OpenBLAS thread, a blocked
+    step over k = 2 took 0.44 ms instead of 0.76 ms, k = 4 0.43 instead
+    of 0.79-0.81 ms and k = 7 0.48 instead of 0.93-0.96 ms; a random
+    batch of 60 sentences (1,044 packed rows, k = 800) took 148-194 ms
+    instead of 207-249 ms forward, and 426-518 ms instead of 609-693 ms
+    forward and backward (medians of 7, four runs each).
 
     The tape record keeps only what backward reads: per step the gate
     activations (4l, k_t), the cells and the states (l, k_t).  Backward
@@ -645,17 +688,20 @@ def lstm_last_state(S, lengths, W, U, b):
     t_of, p_of = np.nonzero(np.arange(len(ks))[:, None] < ns[order])  # each packed row's
     perm = (np.cumsum(ns) - ns)[order][p_of] + t_of                   # step, slot, row in S
 
-    X = Sv[perm] @ Wv.T + bv        # (N, 4l) input projections, rows packed time-major
+    N = off[-1]
+    work = 4 * l * (N * k_in + (N - ks[0]) * l)     # multiply-adds of the forward GEMMs
 
     # A step's GEMM yields (k, 4l) rows, the layout BLAS fills fastest;
     # one transposed copy makes it gate-major, so that the elementwise
     # work runs on contiguous (l, k) gate blocks, which matters at small l.
     # The blocked product (see above) is gate-major already.
     rows = max(1, _STREAM_BLOCK_BYTES // (8 * l))
-    helper = _forward_helper(ks) if rows < 4 * l else None
     Z, C, H = [], [], []            # gate activations, cells, states
     out = np.empty((ns.size, l))
-    with helper or nullcontext():
+    with _lstm_helper(work) or nullcontext() as helper:
+        # (N, 4l) input projections, rows packed time-major
+        X = _split_matmul(Sv[perm], Wv.T, helper, np.empty((N, 4 * l)))
+        X += bv
         for t, k in enumerate(ks):
             if t and 2 <= k <= _STREAM_MAX_K and rows < 4 * l:
                 h = H[-1][:, :k]
@@ -672,7 +718,7 @@ def lstm_last_state(S, lengths, W, U, b):
             else:
                 zr = X[off[t]:off[t + 1]]
                 if t:
-                    zr = zr + H[-1][:, :k].T @ Uv.T
+                    zr = _split_matmul(H[-1][:, :k].T, Uv.T, helper, np.empty((k, 4 * l))) + zr
                 z = np.ascontiguousarray(zr.T)
             expit(z[:3 * l], out=z[:3 * l])
             np.tanh(z[3 * l:], out=z[3 * l:])
@@ -688,42 +734,44 @@ def lstm_last_state(S, lengths, W, U, b):
     def backward(G):
         G = G[order].T                                  # (l, n_seq), longest first
         dh = dc = np.zeros((l, 0))
-        dZ = np.empty((4 * l, off[-1]))                 # (4l, N), packed
+        dZ = np.empty((4 * l, N))                       # (4l, N), packed
         bwd_rows = max(1, _STREAM_BWD_BLOCK_BYTES // (8 * l))
-        for t in range(len(ks) - 1, -1, -1):
-            k = ks[t]
-            if dh.shape[1] < k:     # the sequences whose last step is t join
-                dh = np.hstack([dh, G[:, dh.shape[1]:k]])
-                dc = np.hstack([dc, np.zeros((l, k - dc.shape[1]))])
-            z = Z[t]
-            i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
-            tc = np.tanh(C[t])
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            dz = np.empty((4 * l, k))   # contiguous for the GEMM; copied into dZ
-            dz[:l] = (dc * u) * i * (1.0 - i)
-            dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
-            dz[2 * l:3 * l] = do * o * (1.0 - o)
-            dz[3 * l:] = (dc * i) * (1.0 - u * u)
-            dZ[:, off[t]:off[t + 1]] = dz
-            Z[t] = C[t] = None          # step t read them last
-            if t == 0:
-                break
-            if 2 <= k <= _STREAM_BWD_MAX_K and bwd_rows < 4 * l:
-                dh = _row_blocks_tmatmul(Uv, dz, bwd_rows)
-            else:
-                dh = np.ascontiguousarray((dz.T @ Uv).T)   # rows GEMM, as above
-            dc = dc * f
-        if type(S) is Node:
-            _grad(S)[perm] += dZ.T @ Wv
-        if type(W) is Node:
-            _acc(W, dZ @ Sv[perm])
-        if type(U) is Node:
-            # h_t of the sequences running at step t + 1, packed like dZ[:, ks[0]:]
-            Hprev = np.hstack([np.zeros((l, 0)),
-                               *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
-            H.clear()
-            _acc(U, dZ[:, ks[0]:] @ Hprev.T)
+        with _lstm_helper(work) or nullcontext() as helper:
+            for t in range(len(ks) - 1, -1, -1):
+                k = ks[t]
+                if dh.shape[1] < k:     # the sequences whose last step is t join
+                    dh = np.hstack([dh, G[:, dh.shape[1]:k]])
+                    dc = np.hstack([dc, np.zeros((l, k - dc.shape[1]))])
+                z = Z[t]
+                i, f, o, u = z[:l], z[l:2 * l], z[2 * l:3 * l], z[3 * l:]
+                tc = np.tanh(C[t])
+                do = dh * tc
+                dc = dc + dh * o * (1.0 - tc * tc)
+                dz = np.empty((4 * l, k))   # contiguous for the GEMM; copied into dZ
+                dz[:l] = (dc * u) * i * (1.0 - i)
+                dz[l:2 * l] = (dc * C[t - 1][:, :k]) * f * (1.0 - f) if t else 0.0
+                dz[2 * l:3 * l] = do * o * (1.0 - o)
+                dz[3 * l:] = (dc * i) * (1.0 - u * u)
+                dZ[:, off[t]:off[t + 1]] = dz
+                Z[t] = C[t] = None          # step t read them last
+                if t == 0:
+                    break
+                if 2 <= k <= _STREAM_BWD_MAX_K and bwd_rows < 4 * l:
+                    dh = _row_blocks_tmatmul(Uv, dz, bwd_rows)
+                else:                       # rows GEMM, as above
+                    dh = np.ascontiguousarray(
+                        _split_matmul(dz.T, Uv, helper, np.empty((k, l))).T)
+                dc = dc * f
+            if type(S) is Node:
+                _grad(S)[perm] += _split_matmul(dZ.T, Wv, helper, np.empty((N, k_in)))
+            if type(W) is Node:
+                _acc(W, _split_matmul(dZ, Sv[perm], helper, np.empty((4 * l, k_in))))
+            if type(U) is Node:
+                # h_t of the sequences running at step t + 1, packed like dZ[:, ks[0]:]
+                Hprev = np.hstack([np.zeros((l, 0)),
+                                   *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
+                H.clear()
+                _acc(U, _split_matmul(dZ[:, ks[0]:], Hprev.T, helper, np.empty((4 * l, l))))
         if type(b) is Node:
             _acc(b, dZ.sum(axis=1))
 

@@ -540,7 +540,9 @@ def test_lstm_split_forward_is_bit_identical_to_inline(monkeypatch, l):
             ks = spy_on_row_blocks(m)
             got = nc.lstm_last_state(S, SPLIT_LENGTHS, W, U, b)
             grads = lstm_grads(S, SPLIT_LENGTHS, W, U, b, w)
-        assert helpers == ([(1, "pairsim-lstm")] * 2 if on else [])
+        # one helper for the plain forward pass, one each for the taped
+        # forward and backward passes
+        assert helpers == ([(1, "pairsim-lstm")] * 3 if on else [])
         assert [k for k, _ in ks] == [7, 6, 5, 4, 3, 2] * 2
         results.append([got, *grads])
     for split, inline in zip(*results):
@@ -617,7 +619,152 @@ def test_lstm_callers_failure_waits_for_the_helpers_half(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("case", ["one-cpu", "threaded-blas", "one-blocked-step", "split"])
+@pytest.mark.parametrize("l", [200, 400])
+def test_lstm_split_products_are_bit_identical_to_inline(monkeypatch, l):
+    """33 sequences of lengths 1..33 run steps over k = 33, 32, ..., 1, so
+    every product the helper splits is split at least once: the input
+    projection, the forward steps over k >= 8 and the backward steps over
+    k >= 9 (both from k = 27 on at l = 200, where smaller steps stay
+    under ``_SPLIT_MIN``), and the products of S's, W's and U's
+    gradients."""
+    k_in = 16
+    rng = stream(27, "test")
+    W, U, b = lstm_param_arrays(rng, l, k_in)
+    lengths = [int(n) for n in rng.permutation(np.arange(1, 34))]
+    N = sum(lengths)                # 561
+    S, w = rng.normal(size=(N, k_in)), rng.normal(size=(len(lengths), l))
+    results = []
+    for on in (True, False):
+        with monkeypatch.context() as m:
+            helpers = lstm_split(m, on)
+            cuts = spy_on_cuts(m)
+            got = nc.lstm_last_state(S, lengths, W, U, b)
+            grads = lstm_grads(S, lengths, W, U, b, w)
+        assert helpers == ([(1, "pairsim-lstm")] * 3 if on else [])
+        results.append([got, *grads])
+        if on:
+            splits = set(cuts)
+    assert {(N, k_in, 4 * l), (N, 4 * l, k_in), (4 * l, N, k_in),
+            (4 * l, N - 33, l)} <= splits
+    assert {m for m, k, n in splits if (k, n) == (l, 4 * l)} \
+        == set(range(8 if l == 400 else 27, 33))
+    assert {m for m, k, n in splits if (k, n) == (4 * l, l)} \
+        == set(range(9 if l == 400 else 27, 33))
+    for split, inline in zip(*results):
+        np.testing.assert_array_equal(split, inline)
+
+
+def spy_on_cuts(monkeypatch):
+    """The (m, k, n) of each product that ``_split_matmul`` splits."""
+    splits = []
+    cut = nc._cut
+
+    def spy(m, k, n):
+        at = cut(m, k, n)
+        if at:
+            splits.append((m, k, n))
+        return at
+
+    monkeypatch.setattr(nc, "_cut", spy)
+    return splits
+
+
+def test_lstm_split_cut_leaves_no_half_under_8_rows_or_columns():
+    big = nc._SPLIT_MIN
+    for m in range(1, 80):
+        for n in range(1, 80):
+            at = nc._cut(m, -(-big // (m * n)), n)
+            along, across = max(m, n), min(m, n)
+            if at:
+                assert at % 8 == 0 and at >= 8 and along - at >= 8 and across >= 8
+                assert abs(along - 2 * at) <= 8
+            else:
+                assert across < 8 or along < 16
+    for m, k, n in [(1, 800, 3200), (3200, 800, 1), (7, 3200, 800), (1, 4096, 4096)]:
+        assert nc._cut(m, k, n) == 0        # k = 1 steps are GEMVs; 7 rows do not halve
+    assert nc._cut(64, 64, 64) == 0        # under _SPLIT_MIN
+    assert nc._cut(997, 800, 3200) == 1600 and nc._cut(3200, 937, 800) == 1600
+    assert nc._cut(401, 800, 401) == 200
+
+
+class MatmulSpy:
+    """Wraps np.matmul during one LSTM backward pass, to make one half of a
+    split product raise: the helper's half runs on the "pairsim-lstm"
+    thread, and the caller's half is the caller's one product into a view
+    of a larger output (every other product in backward fills an array of
+    its own)."""
+
+    def __init__(self, monkeypatch, helper_half, caller_half):
+        self.monkeypatch, self.events = monkeypatch, []
+        self.helper_half, self.caller_half = helper_half, caller_half
+
+    def backward(self):
+        import threading
+        matmul = np.matmul
+
+        def spy(A, B, out=None):
+            if threading.current_thread().name == "pairsim-lstm":
+                return self.helper_half(matmul, A, B, out)
+            if out is not None and out.base is not None:
+                return self.caller_half(matmul, A, B, out)
+            return matmul(A, B, out=out)
+
+        S, lengths, W, U, b = lstm_split_case()
+        w = np.ones((len(lengths), U.shape[1]))
+        with nc.GradTape() as tape:
+            leaves = [tape.leaf(x) for x in (S, W, U, b)]
+            loss = nc.vsum(nc.elementwise_mul(
+                nc.lstm_last_state(leaves[0], lengths, *leaves[1:]), w))
+            self.monkeypatch.setattr(np, "matmul", spy)
+            tape.backward(loss)
+
+
+def test_lstm_backward_helper_failure_is_raised_after_the_callers_half(monkeypatch):
+    import threading
+    import time
+    lstm_split(monkeypatch, True)
+
+    def helper_half(matmul, A, B, out):
+        spy.events.append("helper raises")
+        raise HelperFailure("helper")
+
+    def caller_half(matmul, A, B, out):
+        time.sleep(0.05)            # the helper raises long before this ends
+        matmul(A, B, out=out)
+        spy.events.append("caller's half ends")
+        return out
+
+    spy = MatmulSpy(monkeypatch, helper_half, caller_half)
+    before = threading.active_count()
+    with pytest.raises(HelperFailure, match="helper"):
+        spy.backward()
+    assert spy.events == ["helper raises", "caller's half ends"]
+    assert threading.active_count() == before
+
+
+def test_lstm_backward_callers_failure_waits_for_the_helpers_half(monkeypatch):
+    import threading
+    import time
+    lstm_split(monkeypatch, True)
+
+    def helper_half(matmul, A, B, out):
+        time.sleep(0.05)            # still running when the caller fails
+        matmul(A, B, out=out)
+        spy.events.append("helper's half ends")
+        return out
+
+    def caller_half(matmul, A, B, out):
+        raise HelperFailure("caller")
+
+    spy = MatmulSpy(monkeypatch, helper_half, caller_half)
+    before = threading.active_count()
+    with pytest.raises(HelperFailure, match="caller"):
+        spy.backward()
+    assert spy.events == ["helper's half ends"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "threaded-blas", "one-blocked-step", "split", "desk"])
 def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
     import threading
     from pairsim import store
@@ -631,14 +778,19 @@ def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
     monkeypatch.setattr(store, "cpus", lambda: [0] if case == "one-cpu" else [0, 1])
     monkeypatch.setattr(store, "blas_single_threaded", lambda: case != "threaded-blas")
     S, lengths, W, U, b = lstm_split_case()
-    if case == "one-blocked-step":  # t = 1 over 3 sequences, then t = 2 over 1
-        S, lengths = S[:7], [3, 2, 2]
+    if case == "one-blocked-step":  # t = 1 over 3 sequences, then t = 2 over 1:
+        S, lengths = S[:7], [3, 2, 2]   # 0.66 M multiply-adds, under _SPLIT_MIN
+    if case == "desk":              # l = 16, batches of 60 sentences of 3-12 words
+        rng = stream(28, "test")
+        W, U, b = lstm_param_arrays(rng, 16, 16)
+        lengths = [int(n) for n in rng.integers(3, 13, size=60)]
+        S = rng.normal(size=(sum(lengths), 16))
     if case == "split":
         with pytest.raises(HelperFailure):
             nc.lstm_last_state(S, lengths, W, U, b)
         assert started == ["pairsim-lstm"]
-    else:
-        nc.lstm_last_state(S, lengths, W, U, b)
+    else:                           # neither the forward nor the backward pass
+        lstm_grads(S, lengths, W, U, b, np.ones((len(lengths), U.shape[1])))
         assert started == []
 
 

@@ -622,6 +622,54 @@ def test_checkpoint_same_bytes_for_same_run(tmp_path, lex):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_lstm_split_leaves_a_trained_checkpoint_byte_identical(tmp_path):
+    """``pairsim train`` at one BLAS thread writes the same bytes on two
+    CPUs, where each LSTM pass splits its products with a helper thread,
+    as confined to one CPU, where it runs them inline.  At l = 256, H = 48
+    and one batch of 32 sentences (99 words) a pass holds about 22 M
+    multiply-adds, and the input projection, the steps over k >= 16 and
+    all three gradient products are split.  Two BLAS threads sum some products in
+    another order, so that checkpoint is compared within 1e-12."""
+    import subprocess
+    import sys
+    from pairsim import evaldata as ed
+    from toys import write_lexicon_files
+    if len(store.cpus()) < 2:
+        pytest.skip("one CPU: the LSTM never starts a helper thread")
+    paths = write_lexicon_files(toy_lexicon(seed=7, dims=(5, 3)), tmp_path)
+    (tmp_path / "sts.tsv").write_text(ed.serialize_pairs(sts_overfit_dataset()),
+                                      encoding="utf-8")
+    (tmp_path / "lstm.cfg").write_text(
+        "embeddings = {}\n".format(",".join(str(p) for p in paths))
+        + "seed = 13\nencoder = maxlstm\ncomparison = multi\n"
+        + "filters = 48\nlstm_dim = 256\nmax_len = 8\nd_neu = 4\ndropout = 0.0\n"
+        + "task = sts\nscore_k = 5\nraw_min = 0\nraw_max = 5\n"
+        + "batch_size = 16\nepochs = 3\npatience = 10\n", encoding="utf-8")
+    src = str(Path(tr.__file__).resolve().parent.parent)
+    prog = ("import os, sys\n"
+            "if sys.argv[1] != 'all':\n"
+            "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
+            "from pairsim.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+
+    def train(cpus, blas_threads):
+        out = tmp_path / f"{cpus}-{blas_threads}.ckpt"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", prog, cpus, "train", str(tmp_path / "sts.tsv"),
+                        "--config", str(tmp_path / "lstm.cfg"), "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=120)
+        return out
+
+    split, inline = train("all", 1), train(str(store.cpus()[0]), 1)
+    assert split.read_bytes() == inline.read_bytes()
+    threaded, _, _ = tr.load_checkpoint(train("all", 2))
+    np.testing.assert_allclose(threaded.flat, tr.load_checkpoint(split)[0].flat,
+                               rtol=1e-12, atol=0)
+
+
 def test_checkpoint_truncated_and_bad_magic(tmp_path, lex):
     result = trained(lex)
     path = tmp_path / "model.ckpt"
