@@ -34,9 +34,11 @@ U (4l, l) and b (4l,), with the four gates as row blocks in i/f/o/u
 order, so neither direction restacks or slices them.  A forward step
 over 2-7 running sequences reads U once, in L2-sized row blocks, where
 one GEMM would read it about twice (window and sizes from a sweep on
-OpenBLAS 0.3.31; see ``lstm_last_state``).  With one BLAS thread and
-two CPUs, each large pass splits its blocks and its large products
-with one pinned helper thread.
+OpenBLAS 0.3.31; see ``lstm_last_state``).  With one BLAS thread,
+each large pass cuts its blocks and its large products in two, by
+shape alone: a pinned helper thread computes one half on a second CPU,
+or the caller computes both on one, so the results do not depend on
+the CPU count.
 
 The logistic, ``expit``, is 0.5 * tanh(0.5 * x) + 0.5 in four in-place
 ufuncs, so numpy alone serves it.  It never overflows (so it needs no
@@ -489,14 +491,11 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None):
 # recurrent unit
 
 # The bytes of U per row block, and the most running sequences, of the
-# blocked recurrent products, forward and backward; all four from the
-# sweeps ``lstm_last_state`` cites.
+# blocked recurrent product; both from the sweep ``lstm_last_state`` cites.
 _STREAM_BLOCK_BYTES = 1 << 20
 _STREAM_MAX_K = 7
-_STREAM_BWD_BLOCK_BYTES = 1 << 18
-_STREAM_BWD_MAX_K = 8
-# The fewest multiply-adds of a pass that opens a helper thread, and of a
-# product that it splits: about 0.15 ms of one-thread GEMM here, near the
+# The fewest multiply-adds of a pass that cuts its products, and of a
+# product that is cut: about 0.15 ms of one-thread GEMM here, near the
 # 0.1 ms a helper takes to start and join (see ``lstm_last_state``).
 _SPLIT_MIN = 1 << 22
 
@@ -514,65 +513,49 @@ def _row_blocks_into(U, h, rows: int, z) -> np.ndarray:
     return z
 
 
-def _row_blocks_matmul(U, h, rows: int) -> np.ndarray:
-    """U @ h as a (4l, k) array, rows of U at a time."""
-    return _row_blocks_into(U, h, rows, np.empty((U.shape[0], h.shape[1])))
-
-
 def _lstm_helper(work: int):
-    """A ``store.PinnedThread`` to split one pass's products with, or None
-    where a second thread would not pay: under ``_SPLIT_MIN`` multiply-adds
-    of GEMM ``work``, one CPU, or a BLAS that may run threads of its own.
-    It is pinned to a CPU other than the one the caller runs on: the
-    scheduler may leave the caller where it is, and on the caller's CPU
-    the two halves would run by turns."""
-    if work < _SPLIT_MIN:
-        return None
+    """A context manager of the one helper a pass cuts its products with:
+    [None] (nothing is cut) under ``_SPLIT_MIN`` multiply-adds of GEMM
+    ``work`` or under a threaded BLAS, else ``store.helpers``' one."""
     from . import store
-    cpus = store.cpus()
-    if len(cpus) < 2 or not store.blas_single_threaded():
-        return None
-    here = store.current_cpu()
-    return store.PinnedThread(next((c for c in cpus if c != here), None), "pairsim-lstm")
+    if work < _SPLIT_MIN or not store.blas_single_threaded():
+        return nullcontext([None])
+    return store.helpers(1, store.cpus(), "pairsim-lstm")
 
 
 def _cut(m: int, k: int, n: int) -> int:
-    """Where ``_split_matmul`` cuts an (m, k) @ (k, n) product: a row
+    """Where a pass with a helper cuts an (m, k) @ (k, n) product: a row
     index if m >= n, else a column index, at a multiple of 8 near the
     middle, which keeps OpenBLAS's register tiles whole; 0 under
-    ``_SPLIT_MIN`` multiply-adds or where a half would have fewer than 8
-    rows or columns (k = 1 products among them)."""
-    if m * k * n < _SPLIT_MIN or min(m, n) < 8 or max(m, n) < 16:
+    ``_SPLIT_MIN`` multiply-adds, for a product of one row or column (a
+    GEMV) or where a half would have fewer than 8 rows or columns."""
+    if m * k * n < _SPLIT_MIN or min(m, n) < 2 or max(m, n) < 16:
         return 0
     return (max(m, n) + 8) // 16 * 8
 
 
+def _halves(helper, cut: int, job):
+    """job(cut, None) on the helper beside job(0, cut) on the caller, or
+    job(0, None) alone without a helper or a cut."""
+    if helper is None or not cut:
+        return job(0, None)
+    helper.start(partial(job, cut, None))
+    job(0, cut)
+    helper.wait()
+
+
 def _split_matmul(A, B, helper, out) -> np.ndarray:
-    """out = A @ B, the helper computing the rows (or columns) from
-    ``_cut`` on while the caller computes the rest; inline without a
-    helper or a cut.  Bit-identical to the one product."""
+    """out = A @ B, cut where ``_cut`` says into rows (or columns) for the
+    caller and the helper.  A cut product may differ from the uncut one
+    in its last bits (OpenBLAS may sum a narrower product in another
+    order), so a cut depends on the shape alone, never on the CPUs."""
     (m, k), n = A.shape, B.shape[1]
     cut = _cut(m, k, n) if helper is not None else 0
-    if not cut:
-        return np.matmul(A, B, out=out)
     if m >= n:
-        helper.start(partial(np.matmul, A[cut:], B, out=out[cut:]))
-        np.matmul(A[:cut], B, out=out[:cut])
+        _halves(helper, cut, lambda lo, hi: np.matmul(A[lo:hi], B, out=out[lo:hi]))
     else:
-        helper.start(partial(np.matmul, A, B[:, cut:], out=out[:, cut:]))
-        np.matmul(A, B[:, :cut], out=out[:, :cut])
-    helper.wait()
+        _halves(helper, cut, lambda lo, hi: np.matmul(A, B[:, lo:hi], out=out[:, lo:hi]))
     return out
-
-
-def _row_blocks_tmatmul(U, dz, rows: int) -> np.ndarray:
-    """U.T @ dz as an (l, k) array, summed over row blocks of U."""
-    dh = U[:rows].T @ dz[:rows]
-    part = np.empty_like(dh)
-    for lo in range(rows, U.shape[0], rows):
-        np.matmul(U[lo:lo + rows].T, dz[lo:lo + rows], out=part)
-        dh += part
-    return dh
 
 
 def lstm_last_state(S, lengths, W, U, b):
@@ -621,34 +604,31 @@ def lstm_last_state(S, lengths, W, U, b):
     block: one call per run of blocks, which releases the interpreter
     lock.
 
-    The backward step's U.T dz reads U the same way, so a step t >= 1
-    over 2 <= k_t <= 8 sequences sums it over row blocks of 256 KiB of U
-    when U is larger than one block.  In a sweep at l = 400, 800 and 1600
-    (same library, one thread) that ran at 1.2-1.7x the one GEMM for
-    k = 2..8 at l = 400 and 800, and at 0.99-1.25x at l = 1600; 1 MiB
-    blocks lost from k = 8 on (0.6x), and k = 1 lost with any block size.
-    Step 0 passes no gradient back, since h_0 is the constant zero.
+    The backward step t >= 1 forms U.T dz as one GEMM, (k_t, 4l) @
+    (4l, l); step 0 passes no gradient back, since h_0 is the constant
+    zero.
 
     Each pass, forward and backward, of at least ``_SPLIT_MIN`` (2^22)
-    multiply-adds of GEMM work opens one helper thread when the process
-    may run on two CPUs or more and BLAS runs one thread
-    (``store.blas_single_threaded``); it is pinned to a CPU other than
-    the caller's and joined before the pass ends.  The helper takes the
-    second half of each blocked forward step's blocks, and one half of
-    every other product of at least ``_SPLIT_MIN`` multiply-adds
-    (``_split_matmul``): the input projection, the forward steps over
-    k >= 8, the backward steps over k >= 9 and the dS, dW and dU
-    products.  The results are bit-identical to inline; a cut 3 rows
-    past a multiple of 8 was not.  The blocked backward steps and the
-    k = 1 GEMVs stay inline, and so does everything under a threaded
+    multiply-adds of GEMM work cuts its large products in two when BLAS
+    runs one thread (``store.blas_single_threaded``); under a threaded
     BLAS, whose own threads contend for the second CPU (a prototype lost
-    paper eval throughput there).  A helper takes about 0.1 ms to start
-    and join.  At l = 800 on 2 vCPUs with one OpenBLAS thread, a blocked
-    step over k = 2 took 0.44 ms instead of 0.76 ms, k = 4 0.43 instead
-    of 0.79-0.81 ms and k = 7 0.48 instead of 0.93-0.96 ms; a random
-    batch of 60 sentences (1,044 packed rows, k = 800) took 148-194 ms
-    instead of 207-249 ms forward, and 426-518 ms instead of 609-693 ms
-    forward and backward (medians of 7, four runs each).
+    paper eval throughput there), nothing is cut.  Each blocked forward
+    step is cut at its middle block boundary, and every other product of
+    at least ``_SPLIT_MIN`` multiply-adds but a k = 1 GEMV where ``_cut``
+    says: the input projection, the forward steps over k >= 8, the
+    backward steps over k >= 2 and the dS, dW and dU products.  The
+    caller computes one half and the pass's helper (``store.helpers``)
+    the other: a thread on another CPU, or on one CPU the inline
+    stand-in, through the same calls.  A cut product may differ from the
+    uncut one in its last bits (at l = 300 a column cut of a k >= 12
+    step did), so the cuts depend on the shapes alone, and the results
+    are bit-identical on any number of CPUs.  A helper takes about 0.1 ms
+    to start and join.  At l = 800 on 2 vCPUs with one OpenBLAS thread,
+    a blocked step over k = 2 took 0.44 ms instead of 0.76 ms, k = 4
+    0.43 instead of 0.79-0.81 ms and k = 7 0.48 instead of 0.93-0.96 ms;
+    a random batch of 60 sentences (1,044 packed rows, k = 800) took
+    148-194 ms instead of 207-249 ms forward, and 426-518 ms instead of
+    609-693 ms forward and backward (medians of 7, four runs each).
 
     The tape record keeps only what backward reads: per step the gate
     activations (4l, k_t), the cells and the states (l, k_t).  Backward
@@ -698,22 +678,16 @@ def lstm_last_state(S, lengths, W, U, b):
     rows = max(1, _STREAM_BLOCK_BYTES // (8 * l))
     Z, C, H = [], [], []            # gate activations, cells, states
     out = np.empty((ns.size, l))
-    with _lstm_helper(work) or nullcontext() as helper:
+    with _lstm_helper(work) as (helper,):
         # (N, 4l) input projections, rows packed time-major
         X = _split_matmul(Sv[perm], Wv.T, helper, np.empty((N, 4 * l)))
         X += bv
         for t, k in enumerate(ks):
             if t and 2 <= k <= _STREAM_MAX_K and rows < 4 * l:
-                h = H[-1][:, :k]
-                if helper is None:
-                    z = _row_blocks_matmul(Uv, h, rows)
-                else:       # the helper multiplies the second half of the blocks;
-                            # still one _row_blocks_matmul call per blocked step
-                    cut = (-(-4 * l // rows) + 1) // 2 * rows
-                    z = np.empty((4 * l, k))
-                    helper.start(partial(_row_blocks_into, Uv[cut:], h, rows, z[cut:]))
-                    z[:cut] = _row_blocks_matmul(Uv[:cut], h, rows)
-                    helper.wait()
+                h, z = H[-1][:, :k], np.empty((4 * l, k))
+                # the helper multiplies the second half of the blocks
+                _halves(helper, (-(-4 * l // rows) + 1) // 2 * rows,
+                        lambda lo, hi: _row_blocks_into(Uv[lo:hi], h, rows, z[lo:hi]))
                 z += X[off[t]:off[t + 1]].T
             else:
                 zr = X[off[t]:off[t + 1]]
@@ -735,8 +709,7 @@ def lstm_last_state(S, lengths, W, U, b):
         G = G[order].T                                  # (l, n_seq), longest first
         dh = dc = np.zeros((l, 0))
         dZ = np.empty((4 * l, N))                       # (4l, N), packed
-        bwd_rows = max(1, _STREAM_BWD_BLOCK_BYTES // (8 * l))
-        with _lstm_helper(work) or nullcontext() as helper:
+        with _lstm_helper(work) as (helper,):
             for t in range(len(ks) - 1, -1, -1):
                 k = ks[t]
                 if dh.shape[1] < k:     # the sequences whose last step is t join
@@ -756,11 +729,8 @@ def lstm_last_state(S, lengths, W, U, b):
                 Z[t] = C[t] = None          # step t read them last
                 if t == 0:
                     break
-                if 2 <= k <= _STREAM_BWD_MAX_K and bwd_rows < 4 * l:
-                    dh = _row_blocks_tmatmul(Uv, dz, bwd_rows)
-                else:                       # rows GEMM, as above
-                    dh = np.ascontiguousarray(
-                        _split_matmul(dz.T, Uv, helper, np.empty((k, l))).T)
+                dh = np.ascontiguousarray(      # rows GEMM, as forward
+                    _split_matmul(dz.T, Uv, helper, np.empty((k, l))).T)
                 dc = dc * f
             if type(S) is Node:
                 _grad(S)[perm] += _split_matmul(dZ.T, Wv, helper, np.empty((N, k_in)))

@@ -11,8 +11,12 @@ a caller pays only for the sections it reads.  Checks read the mapping
 in windows of ``WINDOW`` bytes and drop each window's pages once read
 (the page cache keeps them), so they raise the resident set by one
 window per thread, not by the size of the file.  Each window is a job
-for ``batch``, which spreads jobs over pinned threads, and a section's
-window CRC-32s are combined, so one large section uses every CPU.
+for ``batch``, which spreads jobs over the CPUs, and a section's window
+CRC-32s are combined, so one large section uses every CPU.
+
+Every job pairsim spreads over CPUs (these checks, a lexicon's digests,
+the AdaDelta sweep, the LSTM's large products) runs its caller beside
+``helpers``: a job on N CPUs starts N - 1 threads.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import mmap
 import os
 import struct
 import zlib
+from contextlib import ExitStack, contextmanager
 from functools import lru_cache, partial
 from itertools import accumulate
 
@@ -279,52 +284,37 @@ def run_pinned(jobs, cpus: list, name: str) -> list:
     """Call every job, a function of no arguments; return what each
     returned, in job order, or the exception it raised instead.
 
-    The jobs run on one thread per CPU of ``cpus``, up to one thread per
-    job, each thread taking the first job left, so the largest should
-    come first.  With fewer than two threads to start they run inline,
-    on the caller's thread, in order.  Threads only pay when each job
-    spends most of its time in calls that release the interpreter lock
-    (zlib, hashlib, numpy ufuncs).  Every thread is joined before this
-    returns, whatever happened, so no job outlives it.  The threads are
-    named ``name``."""
-    results = [None] * len(jobs)
-
-    def run(i):
-        try:
-            results[i] = jobs[i]()
-        except Exception as exc:    # raised again by the caller
-            results[i] = exc
-
-    cpus = cpus[:len(jobs)]
-    if len(cpus) < 2:
-        for i in range(len(jobs)):
-            run(i)
-        return results
-    import threading
+    The caller and ``helpers`` named ``name`` for the other CPUs of
+    ``cpus``, at most one per job beyond the first, each take the first
+    job left, so the largest should come first.  Threads only pay when
+    each job spends most of its time in calls that release the
+    interpreter lock (zlib, hashlib, numpy ufuncs).  Every helper is
+    joined before this returns, whatever happened, so no job outlives
+    it."""
     from collections import deque
+    results = [None] * len(jobs)
     pending = deque(range(len(jobs)))
 
-    def drain(cpu):
-        _pin(cpu)
+    def drain():
         while True:
             try:
                 i = pending.popleft()
             except IndexError:
                 return
-            run(i)
+            try:
+                results[i] = jobs[i]()
+            except Exception as exc:    # raised again by the caller
+                results[i] = exc
 
-    threads = []
-    try:
-        for cpu in cpus:
-            thread = threading.Thread(target=drain, args=(cpu,), name=name)
-            thread.start()
-            threads.append(thread)
-    except BaseException:
-        pending.clear()             # the caller fails: each thread ends after its job
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
+    with helpers(min(len(jobs), len(cpus)) - 1, cpus, name) as found:
+        try:
+            for helper in found:
+                helper.start(drain)
+            drain()
+            for helper in found:
+                helper.wait()
+        finally:
+            pending.clear()             # after a failure each helper ends after its job
     return results
 
 
@@ -380,6 +370,41 @@ class PinnedThread:
         self.job = None
         self.go.release()
         self.thread.join()
+
+
+class Inline:
+    """The stand-in for a ``PinnedThread`` where none runs: ``start(job)``
+    keeps the job and ``wait()`` runs it on the caller's thread, so the
+    caller makes the same calls, in the same pieces, as with a thread."""
+
+    def start(self, job):
+        self.job = job
+
+    def wait(self):
+        job, self.job = self.job, None
+        return job()
+
+
+@contextmanager
+def helpers(n: int, cpus: list, name: str):
+    """Yield ``n`` helpers for the calling thread: a ``PinnedThread``
+    named ``name`` on each CPU of ``cpus`` but the caller's (on that CPU
+    the two would run by turns; the last one where it cannot be told),
+    or an ``Inline`` stand-in where no CPU is left or the thread cannot
+    start (RuntimeError, as where the process may start no more
+    threads).  On exit every thread finishes its job and is joined."""
+    others = list(cpus)
+    if others:
+        here = current_cpu()
+        others.remove(here if here in others else others[-1])
+    with ExitStack() as threads:
+        found = []
+        for cpu in others[:max(n, 0)]:
+            try:
+                found.append(threads.enter_context(PinnedThread(cpu, name)))
+            except RuntimeError:
+                found.append(Inline())
+        yield found + [Inline() for _ in range(n - len(found))]
 
 
 def blas_single_threaded() -> bool:

@@ -23,11 +23,13 @@ sweep over the four buffers in chunks of ``CHUNK`` elements, small
 enough that a chunk of each stays in L2 across the rule's fifteen ufunc
 passes.  Every element gets the same operations in the same order as
 when each array was updated whole, so the results are bit-identical to
-that.  The sweep runs on up to one thread per CPU this process may run
-on, each over a contiguous range of whole chunks; a model of fewer than
-``THREAD_MIN`` parameters (the desk shape's 49 K) is swept inline, as
-is any model on one CPU.  At the paper shape's 6.17 M parameters a
-sweep takes 66-69 ms on one CPU and 41-42 ms on two (2 vCPUs).
+that.  The sweep is one contiguous range of whole chunks per CPU this
+process may run on, swept by the caller and one helper thread per other
+CPU; a model of fewer than ``THREAD_MIN`` parameters (the desk shape's
+49 K) is swept by the caller alone, as is any model on one CPU.  At the
+paper shape's 6.17 M parameters a sweep takes 52-59 ms on one CPU and
+30-34 ms on two (quartiles of 30 sweeps in 10 processes after two
+warm-up sweeps each, one BLAS thread, 2 vCPUs).
 
 A checkpoint is a ``store`` container, the file format of lexicon
 caches too: magic ``PSIM``, format version 3, a JSON header (model
@@ -143,12 +145,12 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
     ConfigError before any buffer changes.
 
     The four buffers are split into contiguous ranges of whole chunks,
-    one per CPU this process may run on, and each range is swept on a
-    thread of its own (``store.run_pinned``).  A model of fewer
-    than ``THREAD_MIN`` parameters, or a process on one CPU, sweeps
-    inline.  The rule is elementwise, so the result does not depend on
-    the split.  A range that raises is raised again here once every
-    thread has ended.
+    one per CPU this process may run on, swept by the caller and one
+    helper thread per other range (``store.run_pinned``).  A model of
+    fewer than ``THREAD_MIN`` parameters, or a process on one CPU, is
+    swept by the caller alone.  The rule is elementwise, so the result
+    does not depend on the split.  A range that raises is raised again
+    here once every helper has ended.
     """
     if not md.is_flat(params):
         raise ConfigError("adadelta_step needs parameters that are views of "

@@ -349,25 +349,24 @@ def test_backward_lstm_batch_unused_and_shared_outputs():
 
 
 def spy_on_row_blocks(monkeypatch):
-    """The (k, rows) of each step that takes the blocked recurrent product."""
+    """The (k, rows) of each call of the blocked recurrent product: one
+    per blocked step, or two where a pass cuts its products."""
     calls = []
-    blocked = nc._row_blocks_matmul
+    blocked = nc._row_blocks_into
 
-    def spy(U, h, rows):
+    def spy(U, h, rows, z):
         calls.append((h.shape[1], rows))
-        return blocked(U, h, rows)
+        return blocked(U, h, rows, z)
 
-    monkeypatch.setattr(nc, "_row_blocks_matmul", spy)
+    monkeypatch.setattr(nc, "_row_blocks_into", spy)
     return calls
 
 
 @pytest.fixture
 def row_blocks(monkeypatch):
     """Blocks of 5 rows of U at l = 3 (12 rows as 5, 5, 2), so that toy
-    steps over 2..7 sequences take the blocked recurrent product, and
-    backward steps over 2..8 its blocked transpose."""
+    steps over 2..7 sequences take the blocked recurrent product."""
     monkeypatch.setattr(nc, "_STREAM_BLOCK_BYTES", 5 * 8 * 3)
-    monkeypatch.setattr(nc, "_STREAM_BWD_BLOCK_BYTES", 5 * 8 * 3)
     return spy_on_row_blocks(monkeypatch)
 
 
@@ -409,7 +408,10 @@ def one_gemm_lstm_states(S, n, W, U, b):
 
 def test_lstm_row_blocks_match_one_gemm_at_l400(monkeypatch):
     """At l = 400 U is 5.1 MB (five 1 MiB blocks of 327 rows); the blocked
-    product runs exactly for the steps over 2..7 sequences."""
+    product runs exactly for the steps over 2..7 sequences.  With a
+    threaded BLAS no pass is cut, so each blocked step is one call."""
+    from pairsim import store
+    monkeypatch.setattr(store, "blas_single_threaded", lambda: False)
     l, k_in, n = 400, 3, 3
     rng = stream(16, "test")
     W = rng.uniform(-0.3, 0.3, size=(4 * l, k_in))
@@ -433,31 +435,37 @@ def lstm_grads(S, lengths, W, U, b, w):
     return [x.grad for x in leaves]
 
 
-def test_lstm_backward_row_blocks_match_one_gemm_at_l800(monkeypatch):
-    """At l = 800 U is 20.5 MB (80 blocks of 40 rows, 256 KiB each); the
-    backward steps t >= 1 over 2..8 sequences sum U.T dz over them, and
-    step 0 computes no U.T dz at all."""
+def test_lstm_backward_steps_match_one_gemm_at_l800(monkeypatch):
+    """At l = 800 every backward step t >= 1 forms U.T dz as one product,
+    cut into two column halves over 2 or more sequences (here both by the
+    caller, as on one CPU); step 0 computes no U.T dz at all, since h_0
+    is the constant zero.  The gradients agree with uncut products."""
+    from pairsim import store
+    lstm_split(monkeypatch, False)
     l, k_in, n = 800, 3, 3
     rng = stream(17, "test")
     limit = np.sqrt(6.0 / (2 * l))
     W = rng.uniform(-limit, limit, size=(4 * l, k_in))
     U = rng.uniform(-limit, limit, size=(4 * l, l))
     b = rng.uniform(-0.3, 0.3, size=4 * l)
-    calls = []
-    blocked = nc._row_blocks_tmatmul
+    steps, cuts = [], spy_on_cuts(monkeypatch)
+    split = nc._split_matmul
 
-    def spy(U, dz, rows):
-        calls.append((dz.shape[1], rows))
-        return blocked(U, dz, rows)
+    def spy(A, B, helper, out):
+        if B is U:
+            steps.append(A.shape[0])
+        return split(A, B, helper, out)
 
-    monkeypatch.setattr(nc, "_row_blocks_tmatmul", spy)
+    monkeypatch.setattr(nc, "_split_matmul", spy)
     for k in range(1, 10):
         S, w = rng.normal(size=(k * n, k_in)), rng.normal(size=(k, l))
-        calls.clear()
+        steps.clear()
+        cuts.clear()
         got = lstm_grads(S, [n] * k, W, U, b, w)
-        assert calls == ([(k, 40)] * (n - 1) if 2 <= k <= 8 else [])
+        assert steps == [k] * (n - 1)
+        assert ((k, 4 * l, l) in cuts) == (k >= 2)
         with monkeypatch.context() as m:
-            m.setattr(nc, "_STREAM_BWD_MAX_K", 0)       # every step one GEMM
+            m.setattr(store, "blas_single_threaded", lambda: False)     # nothing cut
             want = lstm_grads(S, [n] * k, W, U, b, w)
         for g, one_gemm in zip(got, want):
             assert rel_err(g, one_gemm) <= 1e-14
@@ -503,9 +511,10 @@ SPLIT_LENGTHS = [9, 1, 4, 6, 2, 7, 3, 5, 8, 2]
 
 
 def lstm_split(monkeypatch, on: bool, here=0):
-    """Let lstm_last_state use a helper thread (two CPUs, one BLAS
-    thread) or not (one CPU), with the caller on CPU ``here``; returns
-    the (CPU, name) of each helper it starts."""
+    """One BLAS thread, so that lstm_last_state cuts its large products,
+    with a helper thread (two CPUs) or the inline stand-in (one CPU), and
+    the caller on CPU ``here``; returns the (CPU, name) of each helper
+    thread it starts."""
     from pairsim import store
     monkeypatch.setattr(store, "cpus", lambda: [0, 1] if on else [0])
     monkeypatch.setattr(store, "current_cpu", lambda: here)
@@ -541,9 +550,9 @@ def test_lstm_split_forward_is_bit_identical_to_inline(monkeypatch, l):
             got = nc.lstm_last_state(S, SPLIT_LENGTHS, W, U, b)
             grads = lstm_grads(S, SPLIT_LENGTHS, W, U, b, w)
         # one helper for the plain forward pass, one each for the taped
-        # forward and backward passes
+        # forward and backward passes; each blocked step in two halves
         assert helpers == ([(1, "pairsim-lstm")] * 3 if on else [])
-        assert [k for k, _ in ks] == [7, 6, 5, 4, 3, 2] * 2
+        assert [k for k, _ in ks] == [7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2] * 2
         results.append([got, *grads])
     for split, inline in zip(*results):
         np.testing.assert_array_equal(split, inline)
@@ -571,22 +580,18 @@ def test_lstm_helper_failure_is_raised_after_the_callers_half(monkeypatch):
     import time
     lstm_split(monkeypatch, True)
     events = []
-    into, blocked = nc._row_blocks_into, nc._row_blocks_matmul
+    into = nc._row_blocks_into
 
-    def helper_half(U, h, rows, z):
+    def halves(U, h, rows, z):
         if threading.current_thread().name == "pairsim-lstm":
             events.append("helper raises")
             raise HelperFailure("helper")
-        return into(U, h, rows, z)
-
-    def caller_half(U, h, rows):
         time.sleep(0.05)            # the helper raises long before this ends
-        z = blocked(U, h, rows)
+        into(U, h, rows, z)
         events.append("caller's half ends")
         return z
 
-    monkeypatch.setattr(nc, "_row_blocks_into", helper_half)
-    monkeypatch.setattr(nc, "_row_blocks_matmul", caller_half)
+    monkeypatch.setattr(nc, "_row_blocks_into", halves)
     before = threading.active_count()
     with pytest.raises(HelperFailure, match="helper"):
         nc.lstm_last_state(*lstm_split_case())
@@ -601,17 +606,14 @@ def test_lstm_callers_failure_waits_for_the_helpers_half(monkeypatch):
     events = []
     into = nc._row_blocks_into
 
-    def helper_half(U, h, rows, z):
-        if threading.current_thread().name == "pairsim-lstm":
-            time.sleep(0.05)        # still running when the caller fails
-            events.append("helper's half ends")
+    def halves(U, h, rows, z):
+        if threading.current_thread().name != "pairsim-lstm":
+            raise HelperFailure("caller")
+        time.sleep(0.05)            # still running when the caller fails
+        events.append("helper's half ends")
         return into(U, h, rows, z)
 
-    def caller_half(U, h, rows):
-        raise HelperFailure("caller")
-
-    monkeypatch.setattr(nc, "_row_blocks_into", helper_half)
-    monkeypatch.setattr(nc, "_row_blocks_matmul", caller_half)
+    monkeypatch.setattr(nc, "_row_blocks_into", halves)
     before = threading.active_count()
     with pytest.raises(HelperFailure, match="caller"):
         nc.lstm_last_state(*lstm_split_case())
@@ -619,21 +621,22 @@ def test_lstm_callers_failure_waits_for_the_helpers_half(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("l", [200, 400])
+@pytest.mark.parametrize("l", [200, 400, 800])
 def test_lstm_split_products_are_bit_identical_to_inline(monkeypatch, l):
     """33 sequences of lengths 1..33 run steps over k = 33, 32, ..., 1, so
-    every product the helper splits is split at least once: the input
-    projection, the forward steps over k >= 8 and the backward steps over
-    k >= 9 (both from k = 27 on at l = 200, where smaller steps stay
-    under ``_SPLIT_MIN``), and the products of S's, W's and U's
-    gradients."""
+    every product a pass cuts is cut at least once: the input
+    projection, the forward steps over k >= 8, the backward steps over
+    k >= 2 (from k = 27 on at l = 200 and k = 7 at l = 400, where
+    smaller steps stay under ``_SPLIT_MIN``), and the products of S's,
+    W's and U's gradients.  A helper thread on two CPUs and the inline
+    stand-in on one cut them in the same places."""
     k_in = 16
     rng = stream(27, "test")
     W, U, b = lstm_param_arrays(rng, l, k_in)
     lengths = [int(n) for n in rng.permutation(np.arange(1, 34))]
     N = sum(lengths)                # 561
     S, w = rng.normal(size=(N, k_in)), rng.normal(size=(len(lengths), l))
-    results = []
+    results, splits = [], []
     for on in (True, False):
         with monkeypatch.context() as m:
             helpers = lstm_split(m, on)
@@ -642,16 +645,87 @@ def test_lstm_split_products_are_bit_identical_to_inline(monkeypatch, l):
             grads = lstm_grads(S, lengths, W, U, b, w)
         assert helpers == ([(1, "pairsim-lstm")] * 3 if on else [])
         results.append([got, *grads])
-        if on:
-            splits = set(cuts)
+        splits.append(cuts)
+    assert splits[0] == splits[1]
+    splits = set(splits[0])
     assert {(N, k_in, 4 * l), (N, 4 * l, k_in), (4 * l, N, k_in),
             (4 * l, N - 33, l)} <= splits
     assert {m for m, k, n in splits if (k, n) == (l, 4 * l)} \
-        == set(range(8 if l == 400 else 27, 33))
+        == set(range(27 if l == 200 else 8, 33))
     assert {m for m, k, n in splits if (k, n) == (4 * l, l)} \
-        == set(range(9 if l == 400 else 27, 33))
+        == set(range({200: 27, 400: 7, 800: 2}[l], 33))
     for split, inline in zip(*results):
         np.testing.assert_array_equal(split, inline)
+
+
+def test_lstm_at_l300_is_bit_identical_on_one_cpu_and_on_two(monkeypatch):
+    """At l = 300 over 300-wide inputs, neither a multiple of 8, a column
+    cut of a step's product is not always bit-equal to the uncut product
+    on OpenBLAS; the one CPU's stand-in makes the same cuts as the
+    helper thread, so the outputs and all four gradients are equal."""
+    l, k_in = 300, 300
+    rng = stream(29, "test")
+    limit = np.sqrt(6.0 / (k_in + l))
+    W = rng.uniform(-limit, limit, size=(4 * l, k_in))
+    U = rng.uniform(-limit, limit, size=(4 * l, l))
+    b = rng.uniform(-0.3, 0.3, size=4 * l)
+    lengths = [int(n) for n in rng.integers(2, 14, size=30)]
+    S, w = rng.normal(size=(sum(lengths), k_in)), rng.normal(size=(len(lengths), l))
+    results = []
+    for on in (True, False):
+        with monkeypatch.context() as m:
+            helpers = lstm_split(m, on)
+            results.append([nc.lstm_last_state(S, lengths, W, U, b),
+                            *lstm_grads(S, lengths, W, U, b, w)])
+        assert helpers == ([(1, "pairsim-lstm")] * 3 if on else [])
+    for two, one in zip(*results):
+        np.testing.assert_array_equal(two, one)
+
+
+def refuse_threads(monkeypatch):
+    """Make every thread start fail as it does where the process may
+    start no more; returns the name of each thread that tried."""
+    import threading
+    tried = []
+
+    def refuse(thread):
+        tried.append(thread.name)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    return tried
+
+
+def test_lstm_helper_that_cannot_start_leaves_its_half_to_the_caller(monkeypatch):
+    import threading
+    S, lengths, W, U, b = lstm_split_case()
+    w = np.ones((len(lengths), U.shape[1]))
+    with monkeypatch.context() as m:
+        lstm_split(m, False)
+        want = [nc.lstm_last_state(S, lengths, W, U, b), *lstm_grads(S, lengths, W, U, b, w)]
+    lstm_split(monkeypatch, True)
+    tried = refuse_threads(monkeypatch)
+    before = threading.active_count()
+    got = [nc.lstm_last_state(S, lengths, W, U, b), *lstm_grads(S, lengths, W, U, b, w)]
+    assert tried == ["pairsim-lstm"] * 3 and threading.active_count() == before
+    for g, one_cpu in zip(got, want):
+        np.testing.assert_array_equal(g, one_cpu)
+
+
+def test_lstm_without_affinity_calls_starts_one_unpinned_helper(monkeypatch):
+    """Where os.sched_getaffinity is missing, ``store.cpus()`` is one None
+    per CPU and the caller's CPU is unknown (None): the helper still
+    starts, unpinned."""
+    import os
+    from pairsim import store
+    cpus = store.cpus
+    helpers = lstm_split(monkeypatch, True, here=None)
+    monkeypatch.setattr(store, "cpus", cpus)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert store.cpus() == [None, None]
+    nc.lstm_last_state(*lstm_split_case())
+    assert helpers == [(None, "pairsim-lstm")]
 
 
 def spy_on_cuts(monkeypatch):
@@ -670,18 +744,23 @@ def spy_on_cuts(monkeypatch):
 
 
 def test_lstm_split_cut_leaves_no_half_under_8_rows_or_columns():
+    """The longer side of the result is cut, at a multiple of 8 and into
+    halves of 8 or more; a product of 2-7 rows (a backward step over few
+    sequences) is cut across its columns, and one of a single row or
+    column (a GEMV) is never cut."""
     big = nc._SPLIT_MIN
     for m in range(1, 80):
         for n in range(1, 80):
             at = nc._cut(m, -(-big // (m * n)), n)
             along, across = max(m, n), min(m, n)
             if at:
-                assert at % 8 == 0 and at >= 8 and along - at >= 8 and across >= 8
+                assert at % 8 == 0 and at >= 8 and along - at >= 8 and across >= 2
                 assert abs(along - 2 * at) <= 8
             else:
-                assert across < 8 or along < 16
-    for m, k, n in [(1, 800, 3200), (3200, 800, 1), (7, 3200, 800), (1, 4096, 4096)]:
-        assert nc._cut(m, k, n) == 0        # k = 1 steps are GEMVs; 7 rows do not halve
+                assert across < 2 or along < 16
+    for m, k, n in [(1, 800, 3200), (3200, 800, 1), (1, 4096, 4096)]:
+        assert nc._cut(m, k, n) == 0        # k = 1 steps are GEMVs
+    assert nc._cut(2, 3200, 800) == 400 and nc._cut(7, 3200, 800) == 400
     assert nc._cut(64, 64, 64) == 0        # under _SPLIT_MIN
     assert nc._cut(997, 800, 3200) == 1600 and nc._cut(3200, 937, 800) == 1600
     assert nc._cut(401, 800, 401) == 200
@@ -690,9 +769,9 @@ def test_lstm_split_cut_leaves_no_half_under_8_rows_or_columns():
 class MatmulSpy:
     """Wraps np.matmul during one LSTM backward pass, to make one half of a
     split product raise: the helper's half runs on the "pairsim-lstm"
-    thread, and the caller's half is the caller's one product into a view
-    of a larger output (every other product in backward fills an array of
-    its own)."""
+    thread, and the caller's half is the caller's one product into part
+    of a larger output (every other product in backward fills a whole
+    array)."""
 
     def __init__(self, monkeypatch, helper_half, caller_half):
         self.monkeypatch, self.events = monkeypatch, []
@@ -705,7 +784,7 @@ class MatmulSpy:
         def spy(A, B, out=None):
             if threading.current_thread().name == "pairsim-lstm":
                 return self.helper_half(matmul, A, B, out)
-            if out is not None and out.base is not None:
+            if out is not None and out.base is not None and out.shape != out.base.shape:
                 return self.caller_half(matmul, A, B, out)
             return matmul(A, B, out=out)
 

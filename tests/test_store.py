@@ -130,7 +130,7 @@ def test_sections_are_checked_on_one_thread_per_cpu_or_inline(tmp_path, monkeypa
     raw = bytearray(write(path, sections))
     c = store.load(path, MAGIC, (1,))
     c.check(["a", "b", "c"])
-    assert started == ["pairsim-check"] * (cpus if cpus > 1 else 0)
+    assert started == ["pairsim-check"] * (cpus - 1)     # the caller checks beside them
     raw[-1] ^= 1
     path.write_bytes(raw)
     c = store.load(path, MAGIC, (1,))
@@ -151,7 +151,7 @@ def test_checks_take_the_cpus_this_process_has(tmp_path, monkeypatch):
     before = threading.active_count()
     c = store.load(path, MAGIC, (1,))
     c.check(["a", "b"])
-    assert len(started) == (2 if len(store.cpus()) > 1 else 0)
+    assert len(started) == min(len(store.cpus()), 2) - 1
     assert threading.active_count() == before
     for name, data in sections:
         assert bytes(c.section(name)) == data
@@ -235,3 +235,98 @@ def test_pinned_threads_hand_each_owner_the_result_of_its_own_job():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in owners) and failures == []
+
+
+def spy_on_helpers(monkeypatch):
+    """The (CPU, name) of each helper thread made."""
+    made = []
+    pinned = store.PinnedThread
+
+    def spy(cpu, name):
+        made.append((cpu, name))
+        return pinned(cpu, name)
+
+    monkeypatch.setattr(store, "PinnedThread", spy)
+    return made
+
+
+def failing_job():
+    raise KeyError("job 2")
+
+
+@pytest.mark.parametrize("cpus, jobs", [(1, 5), (2, 5), (3, 5), (3, 2), (3, 1), (3, 0)])
+def test_run_pinned_runs_the_caller_beside_one_helper_per_other_cpu(monkeypatch, cpus, jobs):
+    monkeypatch.setattr(store, "current_cpu", lambda: 0)
+    made = spy_on_helpers(monkeypatch)
+    calls = []
+    work = [lambda i=i: calls.append(i) or i * i for i in range(jobs)]
+    if jobs > 2:
+        work[2] = failing_job
+    before = threading.active_count()
+    results = store.run_pinned(work, list(range(cpus)), "pairsim-test")
+    assert threading.active_count() == before
+    # the caller is on CPU 0; at most one helper per job beyond the first
+    assert made == [(cpu, "pairsim-test") for cpu in range(1, min(cpus, jobs))]
+    assert sorted(calls) == [i for i in range(jobs) if i != 2 or jobs <= 2]
+    if cpus == 1:
+        assert calls == sorted(calls)       # one queue, taken in job order
+    for i, result in enumerate(results):
+        if i == 2:
+            assert isinstance(result, KeyError)
+        else:
+            assert result == i * i
+
+
+def test_run_pinned_runs_a_helper_that_cannot_start_on_the_caller(monkeypatch):
+    monkeypatch.setattr(store, "current_cpu", lambda: 0)
+    tried = []
+
+    def refuse(thread):
+        tried.append(thread.name)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    calls = []
+    work = [lambda i=i: calls.append(i) or i + 1 for i in range(6)]
+    before = threading.active_count()
+    assert store.run_pinned(work, [0, 1, 2], "pairsim-test") == [1, 2, 3, 4, 5, 6]
+    assert tried == ["pairsim-test"] * 2 and threading.active_count() == before
+    assert calls == list(range(6))          # each job once, in order, as on one CPU
+
+
+def test_run_pinned_without_affinity_calls_starts_unpinned_helpers(monkeypatch):
+    # os.sched_getaffinity is missing outside Linux: every CPU is None, and
+    # so is the caller's, yet only one of them is the caller's
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(store, "current_cpu", lambda: None)
+    made = spy_on_helpers(monkeypatch)
+    assert store.cpus() == [None] * 3
+    assert store.run_pinned([lambda i=i: i for i in range(4)], store.cpus(),
+                            "pairsim-test") == [0, 1, 2, 3]
+    assert made == [(None, "pairsim-test")] * 2
+
+
+@pytest.mark.parametrize("here, pinned", [(0, [1, 2]), (1, [0, 2]), (2, [0, 1]),
+                                          (None, [0, 1]), (7, [0, 1])])
+def test_helpers_are_pinned_away_from_the_callers_cpu(monkeypatch, here, pinned):
+    monkeypatch.setattr(store, "current_cpu", lambda: here)
+    made = spy_on_helpers(monkeypatch)
+    with store.helpers(3, [0, 1, 2], "pairsim-test") as found:
+        assert [type(h).__name__ for h in found] == ["PinnedThread"] * 2 + ["Inline"]
+    assert made == [(cpu, "pairsim-test") for cpu in pinned]
+
+
+def test_run_pinned_runs_each_job_once_with_more_helpers_than_cores(monkeypatch):
+    # four helpers beside the caller share one queue on fewer cores,
+    # switching as often as the interpreter allows
+    monkeypatch.setattr(store, "current_cpu", lambda: None)
+    calls = []
+    jobs = [lambda i=i: calls.append(i) or i for i in range(2000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = store.run_pinned(jobs, [None] * 5, "pairsim-test")
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(2000)) and sorted(calls) == list(range(2000))
