@@ -10,7 +10,8 @@ SemEval_set.  One invocation extracts one split of one task:
 
 Relatedness scores stay in their native [1, 5] range (use score_k = 5,
 raw_min = 1, raw_max = 5); entailment labels become lowercase
-entailment / contradiction / neutral.
+entailment / contradiction / neutral.  A row with fewer fields than the
+header (a blank or truncated line) is skipped with a note on stderr.
 """
 
 import argparse
@@ -32,9 +33,13 @@ def main():
                      "entailment_label", "SemEval_set"):
             if need not in col:
                 sys.exit(f"missing column {need!r} in {args.source}")
-        kept = 0
-        for line in handle:
+        kept = skipped = 0
+        for lineno, line in enumerate(handle, start=2):
             fields = line.rstrip("\n").split("\t")
+            if len(fields) < len(header):
+                print(f"line {lineno}: malformed, skipped", file=sys.stderr)
+                skipped += 1
+                continue
             if fields[col["SemEval_set"]] != args.split:
                 continue
             s1 = fields[col["sentence_A"]]
@@ -45,7 +50,8 @@ def main():
                 gold = fields[col["entailment_label"]].lower()
             print(f"{s1}\t{s2}\t{gold}")
             kept += 1
-    print(f"{kept} pairs written for split {args.split}", file=sys.stderr)
+    print(f"{kept} pairs written for split {args.split}, {skipped} skipped",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

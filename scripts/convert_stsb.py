@@ -6,12 +6,15 @@ The native files are tab-separated with at least seven fields:
 genre, file, year, index, score, sentence1, sentence2 (some rows carry
 extra provenance columns, which are ignored).  Scores stay in their
 native [0, 5] range; the training objective maps them onto integer
-levels internally.
+levels internally.  A row with fewer than seven fields, or a score that
+is not a finite number (nan and inf included), is skipped with a note
+on stderr.
 
 Usage: convert_stsb.py sts-train.csv > train.tsv
 """
 
 import argparse
+import math
 import sys
 
 
@@ -31,8 +34,10 @@ def main():
                 continue
             score, s1, s2 = fields[4], fields[5], fields[6]
             try:
-                float(score)
+                finite = math.isfinite(float(score))
             except ValueError:
+                finite = False
+            if not finite:
                 print(f"line {lineno}: bad score {score!r}, skipped",
                       file=sys.stderr)
                 skipped += 1

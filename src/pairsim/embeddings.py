@@ -30,7 +30,8 @@ the parsed form beside the text file (``<file>.pairsim-cache``, about
 its identity, and each section's CRC-32 detects damage to it; both are
 checked on every load, and a cache that fails a check is ignored and
 rewritten from a full parse.  Deleting it is always safe.  A lexicon's
-load checks all its texts and caches in one ``store.batch``.
+load checks all its texts and caches in one ``store.batch``, on one
+``threads.Crew``.
 """
 
 from __future__ import annotations
@@ -184,9 +185,10 @@ _CACHE_ERRORS = (OSError, ValueError, LookupError, TypeError)
 def _open_cache(path: Path, expected_dim: int | None):
     """(cache, jobs) if the cache beside ``path``, mapped read-only, is a
     container of the expected dim whose section table fits its header;
-    else None, with nothing left open.  The jobs, for ``store.batch``,
-    compute the SHA-256 of the text at ``path``, then the CRC-32s of the
-    cache's sections (``Container.checks``)."""
+    else None, with nothing left open.  The jobs, for ``store.batch``
+    (one ``threads.Crew`` run), compute the SHA-256 of the text at
+    ``path``, then the CRC-32s of the cache's sections
+    (``Container.checks``)."""
     try:
         text_bytes = os.path.getsize(path)
         cache = store.load(cache_path(path), _CACHE_MAGIC, (_CACHE_VERSION,))
@@ -266,7 +268,8 @@ def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]
     """Load tables in order, each from its cache if every check passes, else
     by a parse.  All caches are opened first, and the SHA-256 of every
     text and the CRC-32 of every cache section computed in one batch
-    (``store.batch``); then each table is checked, and warns or is
+    (``store.batch``, one run of a ``threads.Crew`` named
+    ``pairsim-digest``); then each table is checked, and warns or is
     parsed, in table order.  Every cache mapping no table views is
     closed before this returns."""
     paths = [Path(p) for p in paths]

@@ -36,9 +36,9 @@ over 2-7 running sequences reads U once, in L2-sized row blocks, where
 one GEMM would read it about twice (window and sizes from a sweep on
 OpenBLAS 0.3.31; see ``lstm_last_state``).  With one BLAS thread,
 each large pass cuts its blocks and its large products in two, by
-shape alone: a pinned helper thread computes one half on a second CPU,
-or the caller computes both on one, so the results do not depend on
-the CPU count.
+shape alone, and runs both halves on a ``threads.Crew`` of the caller
+and one pinned helper; on one CPU the caller computes both, so the
+results do not depend on the CPU count.
 
 The logistic, ``expit``, is 0.5 * tanh(0.5 * x) + 0.5 in four in-place
 ufuncs, so numpy alone serves it.  It never overflows (so it needs no
@@ -100,7 +100,7 @@ class GradTape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Node, tuple[Node, ...], Callable]] = []
+        self._records: list[tuple[Node, Callable]] = []
 
     def __enter__(self):
         global _ACTIVE
@@ -119,7 +119,9 @@ class GradTape:
         return Node(value)
 
     def record(self, out: Node, inputs: tuple[Node, ...], backward: Callable):
-        self._records.append((out, inputs, backward))
+        """Append ``out`` and its ``backward``; ``inputs``, the nodes it
+        was computed from, are not kept (backward reaches them itself)."""
+        self._records.append((out, backward))
 
     def backward(self, root: Node):
         """Accumulate d(root)/d(leaf) into the .grad of every leaf it reaches.
@@ -136,7 +138,7 @@ class GradTape:
             raise RuntimeError("this GradTape has already run its backward pass")
         root.grad = np.ones_like(root.value)
         while records:
-            out, _, backward = records.pop()
+            out, backward = records.pop()
             if out.grad is not None:
                 backward(out.grad)
                 out.grad = None
@@ -514,13 +516,13 @@ def _row_blocks_into(U, h, rows: int, z) -> np.ndarray:
 
 
 def _lstm_helper(work: int):
-    """A context manager of the one helper a pass cuts its products with:
-    [None] (nothing is cut) under ``_SPLIT_MIN`` multiply-adds of GEMM
-    ``work`` or under a threaded BLAS, else ``store.helpers``' one."""
-    from . import store
-    if work < _SPLIT_MIN or not store.blas_single_threaded():
-        return nullcontext([None])
-    return store.helpers(1, store.cpus(), "pairsim-lstm")
+    """A context manager of the crew a pass cuts its products with: None
+    (nothing is cut) under ``_SPLIT_MIN`` multiply-adds of GEMM ``work``
+    or under a threaded BLAS, else a ``threads.Crew`` of one helper."""
+    from . import threads
+    if work < _SPLIT_MIN or not threads.blas_single_threaded():
+        return nullcontext()
+    return threads.Crew(1, "pairsim-lstm")
 
 
 def _cut(m: int, k: int, n: int) -> int:
@@ -534,27 +536,28 @@ def _cut(m: int, k: int, n: int) -> int:
     return (max(m, n) + 8) // 16 * 8
 
 
-def _halves(helper, cut: int, job):
-    """job(cut, None) on the helper beside job(0, cut) on the caller, or
-    job(0, None) alone without a helper or a cut."""
-    if helper is None or not cut:
+def _halves(crew, cut: int, job):
+    """job(cut, None) and job(0, cut) as one ``crew.run``, raising the
+    first exception once both have ended, or job(0, None) alone without a
+    crew or a cut."""
+    if crew is None or not cut:
         return job(0, None)
-    helper.start(partial(job, cut, None))
-    job(0, cut)
-    helper.wait()
+    for result in crew.run([partial(job, cut, None), partial(job, 0, cut)]):
+        if isinstance(result, BaseException):
+            raise result
 
 
-def _split_matmul(A, B, helper, out) -> np.ndarray:
+def _split_matmul(A, B, crew, out) -> np.ndarray:
     """out = A @ B, cut where ``_cut`` says into rows (or columns) for the
-    caller and the helper.  A cut product may differ from the uncut one
+    crew's caller and helper.  A cut product may differ from the uncut one
     in its last bits (OpenBLAS may sum a narrower product in another
     order), so a cut depends on the shape alone, never on the CPUs."""
     (m, k), n = A.shape, B.shape[1]
-    cut = _cut(m, k, n) if helper is not None else 0
+    cut = _cut(m, k, n) if crew is not None else 0
     if m >= n:
-        _halves(helper, cut, lambda lo, hi: np.matmul(A[lo:hi], B, out=out[lo:hi]))
+        _halves(crew, cut, lambda lo, hi: np.matmul(A[lo:hi], B, out=out[lo:hi]))
     else:
-        _halves(helper, cut, lambda lo, hi: np.matmul(A, B[:, lo:hi], out=out[:, lo:hi]))
+        _halves(crew, cut, lambda lo, hi: np.matmul(A, B[:, lo:hi], out=out[:, lo:hi]))
     return out
 
 
@@ -610,25 +613,26 @@ def lstm_last_state(S, lengths, W, U, b):
 
     Each pass, forward and backward, of at least ``_SPLIT_MIN`` (2^22)
     multiply-adds of GEMM work cuts its large products in two when BLAS
-    runs one thread (``store.blas_single_threaded``); under a threaded
+    runs one thread (``threads.blas_single_threaded``); under a threaded
     BLAS, whose own threads contend for the second CPU (a prototype lost
     paper eval throughput there), nothing is cut.  Each blocked forward
     step is cut at its middle block boundary, and every other product of
     at least ``_SPLIT_MIN`` multiply-adds but a k = 1 GEMV where ``_cut``
     says: the input projection, the forward steps over k >= 8, the
-    backward steps over k >= 2 and the dS, dW and dU products.  The
-    caller computes one half and the pass's helper (``store.helpers``)
-    the other: a thread on another CPU, or on one CPU the inline
-    stand-in, through the same calls.  A cut product may differ from the
-    uncut one in its last bits (at l = 300 a column cut of a k >= 12
-    step did), so the cuts depend on the shapes alone, and the results
-    are bit-identical on any number of CPUs.  A helper takes about 0.1 ms
-    to start and join.  At l = 800 on 2 vCPUs with one OpenBLAS thread,
-    a blocked step over k = 2 took 0.44 ms instead of 0.76 ms, k = 4
-    0.43 instead of 0.79-0.81 ms and k = 7 0.48 instead of 0.93-0.96 ms;
-    a random batch of 60 sentences (1,044 packed rows, k = 800) took
-    148-194 ms instead of 207-249 ms forward, and 426-518 ms instead of
-    609-693 ms forward and backward (medians of 7, four runs each).
+    backward steps over k >= 2 and the dS, dW and dU products.  The two
+    halves of each cut are one ``run`` of the pass's ``threads.Crew``:
+    the caller and a helper thread on another CPU each take one, and on
+    one CPU the caller takes both, through the same calls.  A cut
+    product may differ from the uncut one in its last bits (at l = 300 a
+    column cut of a k >= 12 step did), so the cuts depend on the shapes
+    alone, and the results are bit-identical on any number of CPUs.  A
+    helper takes about 0.1 ms to start and join.  At l = 800 on 2 vCPUs
+    with one OpenBLAS thread, a blocked step over k = 2 took 0.44 ms
+    instead of 0.76 ms, k = 4 0.43 instead of 0.79-0.81 ms and k = 7 0.48
+    instead of 0.93-0.96 ms; a random batch of 60 sentences (1,044
+    packed rows, k = 800) took 148-194 ms instead of 207-249 ms forward,
+    and 426-518 ms instead of 609-693 ms forward and backward (medians of
+    7, four runs each).
 
     The tape record keeps only what backward reads: per step the gate
     activations (4l, k_t), the cells and the states (l, k_t).  Backward
@@ -678,21 +682,20 @@ def lstm_last_state(S, lengths, W, U, b):
     rows = max(1, _STREAM_BLOCK_BYTES // (8 * l))
     Z, C, H = [], [], []            # gate activations, cells, states
     out = np.empty((ns.size, l))
-    with _lstm_helper(work) as (helper,):
+    with _lstm_helper(work) as crew:
         # (N, 4l) input projections, rows packed time-major
-        X = _split_matmul(Sv[perm], Wv.T, helper, np.empty((N, 4 * l)))
+        X = _split_matmul(Sv[perm], Wv.T, crew, np.empty((N, 4 * l)))
         X += bv
         for t, k in enumerate(ks):
             if t and 2 <= k <= _STREAM_MAX_K and rows < 4 * l:
                 h, z = H[-1][:, :k], np.empty((4 * l, k))
-                # the helper multiplies the second half of the blocks
-                _halves(helper, (-(-4 * l // rows) + 1) // 2 * rows,
+                _halves(crew, (-(-4 * l // rows) + 1) // 2 * rows,
                         lambda lo, hi: _row_blocks_into(Uv[lo:hi], h, rows, z[lo:hi]))
                 z += X[off[t]:off[t + 1]].T
             else:
                 zr = X[off[t]:off[t + 1]]
                 if t:
-                    zr = _split_matmul(H[-1][:, :k].T, Uv.T, helper, np.empty((k, 4 * l))) + zr
+                    zr = _split_matmul(H[-1][:, :k].T, Uv.T, crew, np.empty((k, 4 * l))) + zr
                 z = np.ascontiguousarray(zr.T)
             expit(z[:3 * l], out=z[:3 * l])
             np.tanh(z[3 * l:], out=z[3 * l:])
@@ -709,7 +712,7 @@ def lstm_last_state(S, lengths, W, U, b):
         G = G[order].T                                  # (l, n_seq), longest first
         dh = dc = np.zeros((l, 0))
         dZ = np.empty((4 * l, N))                       # (4l, N), packed
-        with _lstm_helper(work) as (helper,):
+        with _lstm_helper(work) as crew:
             for t in range(len(ks) - 1, -1, -1):
                 k = ks[t]
                 if dh.shape[1] < k:     # the sequences whose last step is t join
@@ -730,18 +733,18 @@ def lstm_last_state(S, lengths, W, U, b):
                 if t == 0:
                     break
                 dh = np.ascontiguousarray(      # rows GEMM, as forward
-                    _split_matmul(dz.T, Uv, helper, np.empty((k, l))).T)
+                    _split_matmul(dz.T, Uv, crew, np.empty((k, l))).T)
                 dc = dc * f
             if type(S) is Node:
-                _grad(S)[perm] += _split_matmul(dZ.T, Wv, helper, np.empty((N, k_in)))
+                _grad(S)[perm] += _split_matmul(dZ.T, Wv, crew, np.empty((N, k_in)))
             if type(W) is Node:
-                _acc(W, _split_matmul(dZ, Sv[perm], helper, np.empty((4 * l, k_in))))
+                _acc(W, _split_matmul(dZ, Sv[perm], crew, np.empty((4 * l, k_in))))
             if type(U) is Node:
                 # h_t of the sequences running at step t + 1, packed like dZ[:, ks[0]:]
                 Hprev = np.hstack([np.zeros((l, 0)),
                                    *(H[t][:, :k] for t, k in enumerate(ks[1:]))])
                 H.clear()
-                _acc(U, _split_matmul(dZ[:, ks[0]:], Hprev.T, helper, np.empty((4 * l, l))))
+                _acc(U, _split_matmul(dZ[:, ks[0]:], Hprev.T, crew, np.empty((4 * l, l))))
         if type(b) is Node:
             _acc(b, dZ.sum(axis=1))
 

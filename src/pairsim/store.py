@@ -13,10 +13,6 @@ in windows of ``WINDOW`` bytes and drop each window's pages once read
 window per thread, not by the size of the file.  Each window is a job
 for ``batch``, which spreads jobs over the CPUs, and a section's window
 CRC-32s are combined, so one large section uses every CPU.
-
-Every job pairsim spreads over CPUs (these checks, a lexicon's digests,
-the AdaDelta sweep, the LSTM's large products) runs its caller beside
-``helpers``: a job on N CPUs starts N - 1 threads.
 """
 
 from __future__ import annotations
@@ -27,11 +23,12 @@ import mmap
 import os
 import struct
 import zlib
-from contextlib import ExitStack, contextmanager
 from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
+
+from .threads import Crew
 
 ALIGN = 64
 WINDOW = 1 << 22    # a multiple of the page size
@@ -251,185 +248,14 @@ def sha256(path):
     return digest
 
 
-def cpus() -> list:
-    """The CPUs this process may run on; None for each where no call says which."""
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity calls outside Linux
-        return [None] * (os.cpu_count() or 1)
-
-
-def current_cpu():
-    """The CPU the calling thread runs on now (field 39 of its
-    ``/proc`` stat line); None where that cannot be read."""
-    try:
-        with open("/proc/thread-self/stat", "rb") as fh:
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _pin(cpu):
-    """Keep the calling thread to ``cpu`` (None: leave it as it is).
-    Unpinned, a new thread may share its parent's CPU for up to a second
-    before the scheduler moves it, and then the two run by turns."""
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(0, {cpu})
-        except OSError:
-            pass
-
-
-def run_pinned(jobs, cpus: list, name: str) -> list:
-    """Call every job, a function of no arguments; return what each
-    returned, in job order, or the exception it raised instead.
-
-    The caller and ``helpers`` named ``name`` for the other CPUs of
-    ``cpus``, at most one per job beyond the first, each take the first
-    job left, so the largest should come first.  Threads only pay when
-    each job spends most of its time in calls that release the
-    interpreter lock (zlib, hashlib, numpy ufuncs).  Every helper is
-    joined before this returns, whatever happened, so no job outlives
-    it."""
-    from collections import deque
-    results = [None] * len(jobs)
-    pending = deque(range(len(jobs)))
-
-    def drain():
-        while True:
-            try:
-                i = pending.popleft()
-            except IndexError:
-                return
-            try:
-                results[i] = jobs[i]()
-            except Exception as exc:    # raised again by the caller
-                results[i] = exc
-
-    with helpers(min(len(jobs), len(cpus)) - 1, cpus, name) as found:
-        try:
-            for helper in found:
-                helper.start(drain)
-            drain()
-            for helper in found:
-                helper.wait()
-        finally:
-            pending.clear()             # after a failure each helper ends after its job
-    return results
-
-
-class PinnedThread:
-    """One helper thread, pinned to ``cpu`` (None: unpinned) and named
-    ``name``, that runs one job at a time for the thread that owns it:
-    ``start(job)`` hands it a function of no arguments, and ``wait()``
-    blocks until that job ends and returns what it returned, or raises
-    what it raised.  A context manager: the thread starts on entry, and
-    on exit it finishes a job still running and is joined, whatever
-    happened.  The owner's own affinity is never changed."""
-
-    def __init__(self, cpu, name: str):
-        import threading
-        self.cpu, self.job, self.result, self.busy = cpu, None, None, False
-        # two locks used as binary semaphores, the cheapest hand-off there is
-        self.go, self.done = threading.Lock(), threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.thread = threading.Thread(target=self._serve, name=name)
-
-    def _serve(self):
-        _pin(self.cpu)
-        while True:
-            self.go.acquire()
-            if self.job is None:
-                return
-            try:
-                self.result = (True, self.job())
-            except BaseException as exc:    # raised again by wait()
-                self.result = (False, exc)
-            self.done.release()
-
-    def __enter__(self):
-        self.thread.start()
-        return self
-
-    def start(self, job):
-        self.job, self.busy = job, True
-        self.go.release()
-
-    def wait(self):
-        self.done.acquire()
-        (ok, value), self.result, self.busy = self.result, None, False
-        if not ok:
-            raise value
-        return value
-
-    def __exit__(self, *exc_info):
-        if self.busy:               # the owner failed between start and wait
-            self.done.acquire()
-            self.result = None
-        self.job = None
-        self.go.release()
-        self.thread.join()
-
-
-class Inline:
-    """The stand-in for a ``PinnedThread`` where none runs: ``start(job)``
-    keeps the job and ``wait()`` runs it on the caller's thread, so the
-    caller makes the same calls, in the same pieces, as with a thread."""
-
-    def start(self, job):
-        self.job = job
-
-    def wait(self):
-        job, self.job = self.job, None
-        return job()
-
-
-@contextmanager
-def helpers(n: int, cpus: list, name: str):
-    """Yield ``n`` helpers for the calling thread: a ``PinnedThread``
-    named ``name`` on each CPU of ``cpus`` but the caller's (on that CPU
-    the two would run by turns; the last one where it cannot be told),
-    or an ``Inline`` stand-in where no CPU is left or the thread cannot
-    start (RuntimeError, as where the process may start no more
-    threads).  On exit every thread finishes its job and is joined."""
-    others = list(cpus)
-    if others:
-        here = current_cpu()
-        others.remove(here if here in others else others[-1])
-    with ExitStack() as threads:
-        found = []
-        for cpu in others[:max(n, 0)]:
-            try:
-                found.append(threads.enter_context(PinnedThread(cpu, name)))
-            except RuntimeError:
-                found.append(Inline())
-        yield found + [Inline() for _ in range(n - len(found))]
-
-
-def blas_single_threaded() -> bool:
-    """Whether BLAS runs one thread, as OpenBLAS reads the environment:
-    the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS that is set must be 1.  With none set OpenBLAS runs
-    one thread per core; a value that is not a number counts as not 1."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var)
-        if value is not None:
-            try:
-                return int(value) == 1
-            except ValueError:
-                return False
-    return False
-
-
 def batch(jobs, name: str) -> list:
-    """Run (byte length, job) pairs largest first with ``run_pinned``, and
-    return each job's result or exception in the order given; jobs of at
-    most one window in all run inline, where threads cost more than they
-    save."""
+    """Run (byte length, job) pairs largest first on a ``Crew`` named
+    ``name``, and return each job's result or exception in the order
+    given; jobs of at most one window in all run on the caller alone,
+    where threads cost more than they save."""
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0], reverse=True)
-    done = run_pinned([jobs[i][1] for i in order],
-                      cpus() if sum(n for n, _ in jobs) > WINDOW else [], name)
+    with Crew(len(jobs) - 1 if sum(n for n, _ in jobs) > WINDOW else 0, name) as crew:
+        done = crew.run([jobs[i][1] for i in order])
     results = [None] * len(jobs)
     for i, result in zip(order, done):
         results[i] = result

@@ -24,8 +24,8 @@ enough that a chunk of each stays in L2 across the rule's fifteen ufunc
 passes.  Every element gets the same operations in the same order as
 when each array was updated whole, so the results are bit-identical to
 that.  The sweep is one contiguous range of whole chunks per CPU this
-process may run on, swept by the caller and one helper thread per other
-CPU; a model of fewer than ``THREAD_MIN`` parameters (the desk shape's
+process may run on, swept by a ``threads.Crew``: the caller and one
+helper thread per other CPU; a model of fewer than ``THREAD_MIN`` parameters (the desk shape's
 49 K) is swept by the caller alone, as is any model on one CPU.  At the
 paper shape's 6.17 M parameters a sweep takes 52-59 ms on one CPU and
 30-34 ms on two (quartiles of 30 sweeps in 10 processes after two
@@ -74,7 +74,7 @@ import numpy as np
 from . import model as md
 from . import numcore as nc
 from . import objectives as obj
-from . import store
+from . import store, threads
 from .config import RunConfig
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaldata import PairDataset
@@ -145,12 +145,12 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
     ConfigError before any buffer changes.
 
     The four buffers are split into contiguous ranges of whole chunks,
-    one per CPU this process may run on, swept by the caller and one
-    helper thread per other range (``store.run_pinned``).  A model of
-    fewer than ``THREAD_MIN`` parameters, or a process on one CPU, is
-    swept by the caller alone.  The rule is elementwise, so the result
-    does not depend on the split.  A range that raises is raised again
-    here once every helper has ended.
+    one per member of a ``threads.Crew``, the caller and one helper
+    thread per other CPU this process may run on, which sweeps them.  A
+    model of fewer than ``THREAD_MIN`` parameters, or a process on one
+    CPU, is swept by the caller alone.  The rule is elementwise, so the
+    result does not depend on the split.  A range that raises is raised
+    again here once every helper has ended.
     """
     if not md.is_flat(params):
         raise ConfigError("adadelta_step needs parameters that are views of "
@@ -160,15 +160,14 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
         raise ConfigError(f"optimizer state holds {E.size} entries, the model {P.size}")
 
     n = P.size
-    cpus = store.cpus() if n >= THREAD_MIN else []
     chunks = -(-n // CHUNK)
-    parts = max(1, min(len(cpus), chunks))
-    bounds = [min(n, CHUNK * (chunks * j // parts)) for j in range(parts + 1)]
-    for result in store.run_pinned(
-            [partial(_sweep, state.rho, state.epsilon, P[lo:hi], E[lo:hi], D[lo:hi], G[lo:hi])
-             for lo, hi in zip(bounds, bounds[1:])], cpus, "pairsim-adadelta"):
-        if isinstance(result, BaseException):
-            raise result
+    with threads.Crew(chunks - 1 if n >= THREAD_MIN else 0, "pairsim-adadelta") as crew:
+        parts = len(crew.helpers) + 1
+        bounds = [min(n, CHUNK * (chunks * j // parts)) for j in range(parts + 1)]
+        for result in crew.run([partial(_sweep, state.rho, state.epsilon, P[lo:hi], E[lo:hi],
+                                        D[lo:hi], G[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]):
+            if isinstance(result, BaseException):
+                raise result
 
 
 def _sweep(rho: float, eps: float, P, E, D, G):

@@ -410,8 +410,8 @@ def test_lstm_row_blocks_match_one_gemm_at_l400(monkeypatch):
     """At l = 400 U is 5.1 MB (five 1 MiB blocks of 327 rows); the blocked
     product runs exactly for the steps over 2..7 sequences.  With a
     threaded BLAS no pass is cut, so each blocked step is one call."""
-    from pairsim import store
-    monkeypatch.setattr(store, "blas_single_threaded", lambda: False)
+    from pairsim import threads
+    monkeypatch.setattr(threads, "blas_single_threaded", lambda: False)
     l, k_in, n = 400, 3, 3
     rng = stream(16, "test")
     W = rng.uniform(-0.3, 0.3, size=(4 * l, k_in))
@@ -440,7 +440,7 @@ def test_lstm_backward_steps_match_one_gemm_at_l800(monkeypatch):
     cut into two column halves over 2 or more sequences (here both by the
     caller, as on one CPU); step 0 computes no U.T dz at all, since h_0
     is the constant zero.  The gradients agree with uncut products."""
-    from pairsim import store
+    from pairsim import threads
     lstm_split(monkeypatch, False)
     l, k_in, n = 800, 3, 3
     rng = stream(17, "test")
@@ -451,10 +451,10 @@ def test_lstm_backward_steps_match_one_gemm_at_l800(monkeypatch):
     steps, cuts = [], spy_on_cuts(monkeypatch)
     split = nc._split_matmul
 
-    def spy(A, B, helper, out):
+    def spy(A, B, crew, out):
         if B is U:
             steps.append(A.shape[0])
-        return split(A, B, helper, out)
+        return split(A, B, crew, out)
 
     monkeypatch.setattr(nc, "_split_matmul", spy)
     for k in range(1, 10):
@@ -465,7 +465,7 @@ def test_lstm_backward_steps_match_one_gemm_at_l800(monkeypatch):
         assert steps == [k] * (n - 1)
         assert ((k, 4 * l, l) in cuts) == (k >= 2)
         with monkeypatch.context() as m:
-            m.setattr(store, "blas_single_threaded", lambda: False)     # nothing cut
+            m.setattr(threads, "blas_single_threaded", lambda: False)   # nothing cut
             want = lstm_grads(S, [n] * k, W, U, b, w)
         for g, one_gemm in zip(got, want):
             assert rel_err(g, one_gemm) <= 1e-14
@@ -512,21 +512,22 @@ SPLIT_LENGTHS = [9, 1, 4, 6, 2, 7, 3, 5, 8, 2]
 
 def lstm_split(monkeypatch, on: bool, here=0):
     """One BLAS thread, so that lstm_last_state cuts its large products,
-    with a helper thread (two CPUs) or the inline stand-in (one CPU), and
-    the caller on CPU ``here``; returns the (CPU, name) of each helper
-    thread it starts."""
-    from pairsim import store
-    monkeypatch.setattr(store, "cpus", lambda: [0, 1] if on else [0])
-    monkeypatch.setattr(store, "current_cpu", lambda: here)
-    monkeypatch.setattr(store, "blas_single_threaded", lambda: True)
+    on a crew of the caller and a helper thread (two CPUs) or the caller
+    alone (one CPU), with the caller on CPU ``here``; returns the (CPU,
+    name) of each helper thread started, as it pins itself."""
+    import threading
+    from pairsim import threads
+    monkeypatch.setattr(threads, "cpus", lambda: [0, 1] if on else [0])
+    monkeypatch.setattr(threads, "current_cpu", lambda: here)
+    monkeypatch.setattr(threads, "blas_single_threaded", lambda: True)
     helpers = []
-    pinned = store.PinnedThread
+    pin = threads._pin
 
-    def spy(cpu, name):
-        helpers.append((cpu, name))
-        return pinned(cpu, name)
+    def spy(cpu):
+        helpers.append((cpu, threading.current_thread().name))
+        pin(cpu)
 
-    monkeypatch.setattr(store, "PinnedThread", spy)
+    monkeypatch.setattr(threads, "_pin", spy)
     return helpers
 
 
@@ -603,12 +604,14 @@ def test_lstm_callers_failure_waits_for_the_helpers_half(monkeypatch):
     import threading
     import time
     lstm_split(monkeypatch, True)
-    events = []
+    events, helping = [], threading.Event()
     into = nc._row_blocks_into
 
     def halves(U, h, rows, z):
         if threading.current_thread().name != "pairsim-lstm":
+            helping.wait(10)        # else the caller takes both halves
             raise HelperFailure("caller")
+        helping.set()
         time.sleep(0.05)            # still running when the caller fails
         events.append("helper's half ends")
         return into(U, h, rows, z)
@@ -628,8 +631,8 @@ def test_lstm_split_products_are_bit_identical_to_inline(monkeypatch, l):
     projection, the forward steps over k >= 8, the backward steps over
     k >= 2 (from k = 27 on at l = 200 and k = 7 at l = 400, where
     smaller steps stay under ``_SPLIT_MIN``), and the products of S's,
-    W's and U's gradients.  A helper thread on two CPUs and the inline
-    stand-in on one cut them in the same places."""
+    W's and U's gradients.  A helper thread on two CPUs and the caller
+    alone on one cut them in the same places."""
     k_in = 16
     rng = stream(27, "test")
     W, U, b = lstm_param_arrays(rng, l, k_in)
@@ -661,8 +664,9 @@ def test_lstm_split_products_are_bit_identical_to_inline(monkeypatch, l):
 def test_lstm_at_l300_is_bit_identical_on_one_cpu_and_on_two(monkeypatch):
     """At l = 300 over 300-wide inputs, neither a multiple of 8, a column
     cut of a step's product is not always bit-equal to the uncut product
-    on OpenBLAS; the one CPU's stand-in makes the same cuts as the
-    helper thread, so the outputs and all four gradients are equal."""
+    on OpenBLAS; the caller alone on one CPU makes the same cuts as the
+    caller and its helper thread on two, so the outputs and all four
+    gradients are equal."""
     l, k_in = 300, 300
     rng = stream(29, "test")
     limit = np.sqrt(6.0 / (k_in + l))
@@ -713,17 +717,17 @@ def test_lstm_helper_that_cannot_start_leaves_its_half_to_the_caller(monkeypatch
 
 
 def test_lstm_without_affinity_calls_starts_one_unpinned_helper(monkeypatch):
-    """Where os.sched_getaffinity is missing, ``store.cpus()`` is one None
-    per CPU and the caller's CPU is unknown (None): the helper still
+    """Where os.sched_getaffinity is missing, ``threads.cpus()`` is one
+    None per CPU and the caller's CPU is unknown (None): the helper still
     starts, unpinned."""
     import os
-    from pairsim import store
-    cpus = store.cpus
+    from pairsim import threads
+    cpus = threads.cpus
     helpers = lstm_split(monkeypatch, True, here=None)
-    monkeypatch.setattr(store, "cpus", cpus)
+    monkeypatch.setattr(threads, "cpus", cpus)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert store.cpus() == [None, None]
+    assert threads.cpus() == [None, None]
     nc.lstm_last_state(*lstm_split_case())
     assert helpers == [(None, "pairsim-lstm")]
 
@@ -826,13 +830,17 @@ def test_lstm_backward_callers_failure_waits_for_the_helpers_half(monkeypatch):
     import time
     lstm_split(monkeypatch, True)
 
+    helping = threading.Event()
+
     def helper_half(matmul, A, B, out):
+        helping.set()
         time.sleep(0.05)            # still running when the caller fails
         matmul(A, B, out=out)
         spy.events.append("helper's half ends")
         return out
 
     def caller_half(matmul, A, B, out):
+        helping.wait(10)            # else the caller takes both halves
         raise HelperFailure("caller")
 
     spy = MatmulSpy(monkeypatch, helper_half, caller_half)
@@ -846,7 +854,7 @@ def test_lstm_backward_callers_failure_waits_for_the_helpers_half(monkeypatch):
 @pytest.mark.parametrize("case", ["one-cpu", "threaded-blas", "one-blocked-step", "split", "desk"])
 def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
     import threading
-    from pairsim import store
+    from pairsim import threads
     started = []
 
     def no_thread(*args, **kwargs):
@@ -854,8 +862,8 @@ def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
         raise HelperFailure("a thread was started")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(store, "cpus", lambda: [0] if case == "one-cpu" else [0, 1])
-    monkeypatch.setattr(store, "blas_single_threaded", lambda: case != "threaded-blas")
+    monkeypatch.setattr(threads, "cpus", lambda: [0] if case == "one-cpu" else [0, 1])
+    monkeypatch.setattr(threads, "blas_single_threaded", lambda: case != "threaded-blas")
     S, lengths, W, U, b = lstm_split_case()
     if case == "one-blocked-step":  # t = 1 over 3 sequences, then t = 2 over 1:
         S, lengths = S[:7], [3, 2, 2]   # 0.66 M multiply-adds, under _SPLIT_MIN
@@ -892,12 +900,12 @@ def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
     ({"OPENBLAS_NUM_THREADS": "garbage", "OMP_NUM_THREADS": "1"}, False),
 ])
 def test_lstm_blas_thread_rule_reads_the_first_variable_set(monkeypatch, env, single):
-    from pairsim import store
+    from pairsim import threads
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert store.blas_single_threaded() is single
+    assert threads.blas_single_threaded() is single
 
 
 # ---------------------------------------------------------------------------
@@ -1126,7 +1134,7 @@ def test_backward_drops_each_record_and_runs_once():
     with nc.GradTape() as tape:
         x = tape.leaf(np.array([0.5, -1.0]))
         root = nc.vsum(nc.sigmoid(nc.scale(x, 3.0)))
-        closures = [weakref.ref(backward) for _, _, backward in tape._records]
+        closures = [weakref.ref(backward) for _, backward in tape._records]
         assert len(closures) == 3
         tape.backward(root)
         assert [ref() for ref in closures] == [None, None, None]

@@ -5,12 +5,14 @@ import mmap
 import os
 import sys
 import threading
+import time
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
 
-from pairsim import store
+from pairsim import store, threads
 from pairsim.rng import stream
 
 MAGIC = b"TEST"
@@ -151,7 +153,7 @@ def test_checks_take_the_cpus_this_process_has(tmp_path, monkeypatch):
     before = threading.active_count()
     c = store.load(path, MAGIC, (1,))
     c.check(["a", "b"])
-    assert len(started) == min(len(store.cpus()), 2) - 1
+    assert len(started) == min(len(threads.cpus()), 2) - 1
     assert threading.active_count() == before
     for name, data in sections:
         assert bytes(c.section(name)) == data
@@ -186,42 +188,96 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
     assert path.read_bytes() == old and os.listdir(tmp_path) == ["c.bin"]
 
 
-def test_a_pinned_thread_runs_each_job_on_its_cpu_and_is_joined():
-    cpu = store.cpus()[-1]
+# ---------------------------------------------------------------------------
+# threads.Crew, which runs every threaded job (the checks above among
+# them).  Tests named for ``run_pinned``, ``PinnedThread`` and
+# ``helpers`` test what those did before ``Crew`` took their place.
+
+
+class OwnerFailure(BaseException):
+    """A failure that is not an Exception, which ``run`` does not hand back."""
+
+
+def both_started():
+    """A barrier that keeps each of two jobs waiting for the other, so that
+    the caller and a helper take one each."""
+    return threading.Barrier(2, timeout=10)
+
+
+def spy_on_helpers(monkeypatch):
+    """The (CPU, name) of each helper thread started, as it pins itself."""
+    made = []
+    pin = threads._pin
+
+    def spy(cpu):
+        made.append((cpu, threading.current_thread().name))
+        pin(cpu)
+
+    monkeypatch.setattr(threads, "_pin", spy)
+    return made
+
+
+def test_a_pinned_thread_runs_each_job_on_its_cpu_and_is_joined(monkeypatch):
+    cpu, where = threads.cpus()[-1], threads.current_cpu
+    monkeypatch.setattr(threads, "current_cpu", lambda: -1)     # the caller's CPU
+    barrier = both_started()
+
+    def job(i):
+        barrier.wait()
+        return (i, threading.current_thread().name, os.sched_getaffinity(0), where())
+
     before = threading.active_count()
-    with store.PinnedThread(cpu, "pairsim-test") as helper:
+    with threads.Crew(1, "pairsim-test", [-1, cpu]) as crew:
         for i in range(3):
-            helper.start(lambda i=i: (i, threading.current_thread().name,
-                                      os.sched_getaffinity(0), store.current_cpu()))
-            assert helper.wait() == (i, "pairsim-test", {cpu}, cpu)
-        helper.start(lambda: 1 // 0)
-        with pytest.raises(ZeroDivisionError):
-            helper.wait()
-        helper.start(lambda: "after a failure")
-        assert helper.wait() == "after a failure"
-        assert os.sched_getaffinity(0) == set(store.cpus())    # the owner's is unchanged
+            results = crew.run([partial(job, i), partial(job, -i)])
+            helper = [r for r in results if r[1] == "pairsim-test"]
+            assert len(helper) == 1 and helper[0][2:] == ({cpu}, cpu)
+            assert {r[0] for r in results} == {i, -i}
+        failed = crew.run([lambda: 1 // 0, lambda: "beside a failure"])
+        assert isinstance(failed[0], ZeroDivisionError) and failed[1] == "beside a failure"
+        assert crew.run([lambda: "after a failure"] * 2) == ["after a failure"] * 2
+        assert os.sched_getaffinity(0) == set(threads.cpus())  # the owner's is unchanged
     assert threading.active_count() == before
 
 
+def crew_of_two_jobs(fails: str):
+    """Run two jobs, one on the caller and one on a helper, where the
+    ``fails`` one raises OwnerFailure while the other is still running;
+    return the names of the threads whose jobs ended."""
+    barrier, ended = both_started(), []
+
+    def job():
+        barrier.wait()
+        if (threading.current_thread().name == "pairsim-test") == (fails == "helper"):
+            raise OwnerFailure(fails)
+        time.sleep(0.05)                # still running when the other fails
+        ended.append(threading.current_thread().name)
+
+    before = threading.active_count()
+    with pytest.raises(OwnerFailure, match=fails):
+        with threads.Crew(1, "pairsim-test", [None, None]) as crew:
+            crew.run([job, job])
+    assert threading.active_count() == before
+    return ended
+
+
 def test_a_pinned_thread_finishes_its_job_when_the_owner_fails():
-    done = threading.Event()
-    with pytest.raises(KeyError):
-        with store.PinnedThread(None, "pairsim-test") as helper:
-            helper.start(lambda: done.wait(0.05) or done.set())
-            raise KeyError("the owner fails")
-    assert done.is_set() and not helper.thread.is_alive()
+    assert crew_of_two_jobs("caller") == ["pairsim-test"]
+
+
+def test_a_helper_failure_that_is_no_exception_is_raised_once_the_caller_ends():
+    assert crew_of_two_jobs("helper") == ["MainThread"]
 
 
 def test_pinned_threads_hand_each_owner_the_result_of_its_own_job():
-    # four owners, each with its own helper, on fewer cores than threads,
+    # four owners, each with its own crew, on fewer cores than threads,
     # switching as often as the interpreter allows
     failures = []
 
     def owner(n):
-        with store.PinnedThread(None, "pairsim-test") as helper:
+        with threads.Crew(1, "pairsim-test", [None, None]) as crew:
             for i in range(500):
-                helper.start(lambda i=i: (n, i))
-                if helper.wait() != (n, i):
+                if crew.run([lambda i=i: (n, i), lambda i=i: (n, -i)]) != [(n, i), (n, -i)]:
                     failures.append((n, i))
 
     interval = sys.getswitchinterval()
@@ -237,36 +293,24 @@ def test_pinned_threads_hand_each_owner_the_result_of_its_own_job():
     assert not any(thread.is_alive() for thread in owners) and failures == []
 
 
-def spy_on_helpers(monkeypatch):
-    """The (CPU, name) of each helper thread made."""
-    made = []
-    pinned = store.PinnedThread
-
-    def spy(cpu, name):
-        made.append((cpu, name))
-        return pinned(cpu, name)
-
-    monkeypatch.setattr(store, "PinnedThread", spy)
-    return made
-
-
 def failing_job():
     raise KeyError("job 2")
 
 
 @pytest.mark.parametrize("cpus, jobs", [(1, 5), (2, 5), (3, 5), (3, 2), (3, 1), (3, 0)])
 def test_run_pinned_runs_the_caller_beside_one_helper_per_other_cpu(monkeypatch, cpus, jobs):
-    monkeypatch.setattr(store, "current_cpu", lambda: 0)
+    monkeypatch.setattr(threads, "current_cpu", lambda: 0)
     made = spy_on_helpers(monkeypatch)
     calls = []
     work = [lambda i=i: calls.append(i) or i * i for i in range(jobs)]
     if jobs > 2:
         work[2] = failing_job
     before = threading.active_count()
-    results = store.run_pinned(work, list(range(cpus)), "pairsim-test")
+    with threads.Crew(jobs - 1, "pairsim-test", list(range(cpus))) as crew:
+        results = crew.run(work)
     assert threading.active_count() == before
     # the caller is on CPU 0; at most one helper per job beyond the first
-    assert made == [(cpu, "pairsim-test") for cpu in range(1, min(cpus, jobs))]
+    assert sorted(made) == [(cpu, "pairsim-test") for cpu in range(1, min(cpus, jobs))]
     assert sorted(calls) == [i for i in range(jobs) if i != 2 or jobs <= 2]
     if cpus == 1:
         assert calls == sorted(calls)       # one queue, taken in job order
@@ -278,7 +322,7 @@ def test_run_pinned_runs_the_caller_beside_one_helper_per_other_cpu(monkeypatch,
 
 
 def test_run_pinned_runs_a_helper_that_cannot_start_on_the_caller(monkeypatch):
-    monkeypatch.setattr(store, "current_cpu", lambda: 0)
+    monkeypatch.setattr(threads, "current_cpu", lambda: 0)
     tried = []
 
     def refuse(thread):
@@ -289,7 +333,9 @@ def test_run_pinned_runs_a_helper_that_cannot_start_on_the_caller(monkeypatch):
     calls = []
     work = [lambda i=i: calls.append(i) or i + 1 for i in range(6)]
     before = threading.active_count()
-    assert store.run_pinned(work, [0, 1, 2], "pairsim-test") == [1, 2, 3, 4, 5, 6]
+    with threads.Crew(5, "pairsim-test", [0, 1, 2]) as crew:
+        assert crew.helpers == []
+        assert crew.run(work) == [1, 2, 3, 4, 5, 6]
     assert tried == ["pairsim-test"] * 2 and threading.active_count() == before
     assert calls == list(range(6))          # each job once, in order, as on one CPU
 
@@ -299,34 +345,36 @@ def test_run_pinned_without_affinity_calls_starts_unpinned_helpers(monkeypatch):
     # so is the caller's, yet only one of them is the caller's
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(store, "current_cpu", lambda: None)
+    monkeypatch.setattr(threads, "current_cpu", lambda: None)
     made = spy_on_helpers(monkeypatch)
-    assert store.cpus() == [None] * 3
-    assert store.run_pinned([lambda i=i: i for i in range(4)], store.cpus(),
-                            "pairsim-test") == [0, 1, 2, 3]
+    assert threads.cpus() == [None] * 3
+    with threads.Crew(3, "pairsim-test") as crew:
+        assert crew.run([lambda i=i: i for i in range(4)]) == [0, 1, 2, 3]
     assert made == [(None, "pairsim-test")] * 2
 
 
 @pytest.mark.parametrize("here, pinned", [(0, [1, 2]), (1, [0, 2]), (2, [0, 1]),
                                           (None, [0, 1]), (7, [0, 1])])
 def test_helpers_are_pinned_away_from_the_callers_cpu(monkeypatch, here, pinned):
-    monkeypatch.setattr(store, "current_cpu", lambda: here)
+    monkeypatch.setattr(threads, "current_cpu", lambda: here)
     made = spy_on_helpers(monkeypatch)
-    with store.helpers(3, [0, 1, 2], "pairsim-test") as found:
-        assert [type(h).__name__ for h in found] == ["PinnedThread"] * 2 + ["Inline"]
-    assert made == [(cpu, "pairsim-test") for cpu in pinned]
+    with threads.Crew(3, "pairsim-test", [0, 1, 2]) as crew:
+        assert len(crew.helpers) == 2
+    assert sorted(made) == [(cpu, "pairsim-test") for cpu in pinned]
 
 
 def test_run_pinned_runs_each_job_once_with_more_helpers_than_cores(monkeypatch):
     # four helpers beside the caller share one queue on fewer cores,
     # switching as often as the interpreter allows
-    monkeypatch.setattr(store, "current_cpu", lambda: None)
+    monkeypatch.setattr(threads, "current_cpu", lambda: None)
     calls = []
     jobs = [lambda i=i: calls.append(i) or i for i in range(2000)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = store.run_pinned(jobs, [None] * 5, "pairsim-test")
+        with threads.Crew(4, "pairsim-test", [None] * 5) as crew:
+            assert len(crew.helpers) == 4
+            results = crew.run(jobs)
     finally:
         sys.setswitchinterval(interval)
     assert results == list(range(2000)) and sorted(calls) == list(range(2000))

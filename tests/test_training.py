@@ -17,7 +17,7 @@ import pytest
 from pairsim import model as md
 from pairsim import numcore as nc
 from pairsim import objectives as obj
-from pairsim import store
+from pairsim import store, threads
 from pairsim import training as tr
 from pairsim.config import RunConfig
 from pairsim.errors import CheckpointError, ConfigError, DataError, NumericError
@@ -242,11 +242,13 @@ def test_a_range_that_raises_is_raised_once_every_thread_has_ended(monkeypatch,
     fake_cpus(monkeypatch, [0, 1])
     params = layout_of_sizes(ORACLE_SIZES)
     state = tr.AdaDeltaState.zeros(params)
-    sweep, finished = tr._sweep, []
+    sweep, finished, second = tr._sweep, [], threading.Event()
 
     def failing(rho, eps, P, *rest):
         if address(P) == address(params.flat):
+            second.wait(10)         # else the caller sweeps the second range too
             raise FloatingPointError("first range")
+        second.set()
         time.sleep(0.1)             # still running when the first range fails
         sweep(rho, eps, P, *rest)
         finished.append(P.size)
@@ -639,7 +641,7 @@ def test_lstm_split_leaves_a_trained_checkpoint_byte_identical(tmp_path):
     import sys
     from pairsim import evaldata as ed
     from toys import write_lexicon_files
-    if len(store.cpus()) < 2:
+    if len(threads.cpus()) < 2:
         pytest.skip("one CPU: the LSTM never starts a helper thread")
     paths = write_lexicon_files(toy_lexicon(seed=7, dims=(5, 3)), tmp_path)
     (tmp_path / "sts.tsv").write_text(ed.serialize_pairs(sts_overfit_dataset()),
@@ -670,7 +672,7 @@ def test_lstm_split_leaves_a_trained_checkpoint_byte_identical(tmp_path):
             + f"filters = {filters}\nlstm_dim = {lstm_dim}\nmax_len = 8\nd_neu = 4\n"
             + "dropout = 0.0\ntask = sts\nscore_k = 5\nraw_min = 0\nraw_max = 5\n"
             + "batch_size = 16\nepochs = 3\npatience = 10\n", encoding="utf-8")
-        split, inline = train(cfg, "all", 1), train(cfg, str(store.cpus()[0]), 1)
+        split, inline = train(cfg, "all", 1), train(cfg, str(threads.cpus()[0]), 1)
         assert split.read_bytes() == inline.read_bytes()
         threaded, _, _ = tr.load_checkpoint(train(cfg, "all", 2))
         np.testing.assert_allclose(threaded.flat, tr.load_checkpoint(split)[0].flat,
