@@ -23,7 +23,8 @@ OUT=${OUT:-runs/full-stsb}
 mkdir -p "$OUT"
 
 for f in data/word2vec.txt data/fasttext.txt data/glove.txt \
-         data/baroni.txt data/sl999.txt "$STSB_DIR/sts-train.csv"; do
+         data/baroni.txt data/sl999.txt "$STSB_DIR/sts-train.csv" \
+         "$STSB_DIR/sts-dev.csv" "$STSB_DIR/sts-test.csv"; do
     [ -f "$f" ] || { echo "missing $f (see header comment)"; exit 1; }
 done
 

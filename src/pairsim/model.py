@@ -32,6 +32,7 @@ from . import comparison as cmp
 from . import encoder
 from . import numcore as nc
 from . import objectives as obj
+from . import threads
 from .errors import ConfigError, NumericError
 from .evaldata import LABEL_NAMES, TASKS, PairDataset
 from .rng import stream
@@ -268,17 +269,19 @@ def predict(params: ModelParams, lex, pairs, block: int) -> list:
     pass: decoded raw-range scores (sts) or class indices.
 
     Raises NumericError when a logit is not finite, instead of returning
-    a nan score or an arbitrary class.
+    a nan score or an arbitrary class.  The call runs OpenBLAS at one
+    thread (``threads.one_blas_thread``).
     """
     out = []
-    for lo in range(0, len(pairs), block):
-        logits = np.asarray(nc._value(pair_logits(params, lex, pairs[lo:lo + block])))
-        if not np.isfinite(logits).all():
-            raise NumericError(f"non-finite logits {logits.tolist()}")
-        if params.spec.task == "sts":
-            out += [obj.decode_score(z, params.spec.score) for z in logits]
-        else:
-            out += logits.argmax(axis=1).tolist()
+    with threads.one_blas_thread():
+        for lo in range(0, len(pairs), block):
+            logits = np.asarray(nc._value(pair_logits(params, lex, pairs[lo:lo + block])))
+            if not np.isfinite(logits).all():
+                raise NumericError(f"non-finite logits {logits.tolist()}")
+            if params.spec.task == "sts":
+                out += [obj.decode_score(z, params.spec.score) for z in logits]
+            else:
+                out += logits.argmax(axis=1).tolist()
     return out
 
 

@@ -34,11 +34,12 @@ U (4l, l) and b (4l,), with the four gates as row blocks in i/f/o/u
 order, so neither direction restacks or slices them.  A forward step
 over 2-7 running sequences reads U once, in L2-sized row blocks, where
 one GEMM would read it about twice (window and sizes from a sweep on
-OpenBLAS 0.3.31; see ``lstm_last_state``).  With one BLAS thread,
-each large pass cuts its blocks and its large products in two, by
-shape alone, and runs both halves on a ``threads.Crew`` of the caller
-and one pinned helper; on one CPU the caller computes both, so the
-results do not depend on the CPU count.
+OpenBLAS 0.3.31; see ``lstm_last_state``).  Each large pass cuts its
+blocks and its large products in two, by shape alone, and runs both
+halves on a ``threads.Crew`` of the caller and one pinned helper; on
+one CPU the caller computes both.  The train step and ``predict`` run
+OpenBLAS at one thread (``threads.one_blas_thread``), so there the
+results depend neither on the CPU count nor on the BLAS thread setting.
 
 The logistic, ``expit``, is 0.5 * tanh(0.5 * x) + 0.5 in four in-place
 ufuncs, so numpy alone serves it.  It never overflows (so it needs no
@@ -61,6 +62,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import threads
 from .errors import ConfigError, ShapeError
 
 _NORM_GUARD = 1e-12
@@ -118,8 +120,8 @@ class GradTape:
         """Wrap an array so gradients accumulate on it."""
         return Node(value)
 
-    def record(self, out: Node, inputs: tuple[Node, ...], backward: Callable):
-        """Append ``out`` and its ``backward``; ``inputs``, the nodes it
+    def record(self, out: Node, inputs: tuple, backward: Callable):
+        """Append ``out`` and its ``backward``; ``inputs``, the values it
         was computed from, are not kept (backward reaches them itself)."""
         self._records.append((out, backward))
 
@@ -157,11 +159,10 @@ def _finish(value, inputs, backward):
     tape = _ACTIVE
     if tape is None:
         return value
-    nodes = tuple(x for x in inputs if isinstance(x, Node))
-    if not nodes:
+    if not any(isinstance(x, Node) for x in inputs):
         return value
     out = Node(value)
-    tape.record(out, nodes, backward)
+    tape.record(out, inputs, backward)
     return out
 
 
@@ -515,16 +516,6 @@ def _row_blocks_into(U, h, rows: int, z) -> np.ndarray:
     return z
 
 
-def _lstm_helper(work: int):
-    """A context manager of the crew a pass cuts its products with: None
-    (nothing is cut) under ``_SPLIT_MIN`` multiply-adds of GEMM ``work``
-    or under a threaded BLAS, else a ``threads.Crew`` of one helper."""
-    from . import threads
-    if work < _SPLIT_MIN or not threads.blas_single_threaded():
-        return nullcontext()
-    return threads.Crew(1, "pairsim-lstm")
-
-
 def _cut(m: int, k: int, n: int) -> int:
     """Where a pass with a helper cuts an (m, k) @ (k, n) product: a row
     index if m >= n, else a column index, at a multiple of 8 near the
@@ -612,17 +603,19 @@ def lstm_last_state(S, lengths, W, U, b):
     zero.
 
     Each pass, forward and backward, of at least ``_SPLIT_MIN`` (2^22)
-    multiply-adds of GEMM work cuts its large products in two when BLAS
-    runs one thread (``threads.blas_single_threaded``); under a threaded
-    BLAS, whose own threads contend for the second CPU (a prototype lost
-    paper eval throughput there), nothing is cut.  Each blocked forward
-    step is cut at its middle block boundary, and every other product of
-    at least ``_SPLIT_MIN`` multiply-adds but a k = 1 GEMV where ``_cut``
-    says: the input projection, the forward steps over k >= 8, the
-    backward steps over k >= 2 and the dS, dW and dU products.  The two
-    halves of each cut are one ``run`` of the pass's ``threads.Crew``:
-    the caller and a helper thread on another CPU each take one, and on
-    one CPU the caller takes both, through the same calls.  A cut
+    multiply-adds of GEMM work cuts its large products in two, whatever
+    the BLAS thread setting.  The train step and ``predict`` run OpenBLAS
+    at one thread (``threads.one_blas_thread``): two OpenBLAS threads
+    sum some products in another order (a trained checkpoint's bytes
+    differed, cut or not), and would contend with the helper.  Each
+    blocked forward step is cut at its middle block boundary, and every
+    other product of at least ``_SPLIT_MIN`` multiply-adds but a k = 1
+    GEMV where ``_cut`` says: the input projection, the forward steps
+    over k >= 8, the backward steps over k >= 2 and the dS, dW and dU
+    products.  The two halves of each cut are one ``run`` of the pass's
+    ``threads.Crew``: the caller and a helper thread on another CPU each
+    take one, and on one CPU the caller takes both, through the same
+    calls.  A cut
     product may differ from the uncut one in its last bits (at l = 300 a
     column cut of a k >= 12 step did), so the cuts depend on the shapes
     alone, and the results are bit-identical on any number of CPUs.  A
@@ -674,6 +667,8 @@ def lstm_last_state(S, lengths, W, U, b):
 
     N = off[-1]
     work = 4 * l * (N * k_in + (N - ks[0]) * l)     # multiply-adds of the forward GEMMs
+    # what each pass cuts its products with: nothing under _SPLIT_MIN multiply-adds
+    helper = threads.Crew(1, "pairsim-lstm") if work >= _SPLIT_MIN else nullcontext()
 
     # A step's GEMM yields (k, 4l) rows, the layout BLAS fills fastest;
     # one transposed copy makes it gate-major, so that the elementwise
@@ -682,7 +677,7 @@ def lstm_last_state(S, lengths, W, U, b):
     rows = max(1, _STREAM_BLOCK_BYTES // (8 * l))
     Z, C, H = [], [], []            # gate activations, cells, states
     out = np.empty((ns.size, l))
-    with _lstm_helper(work) as crew:
+    with helper as crew:
         # (N, 4l) input projections, rows packed time-major
         X = _split_matmul(Sv[perm], Wv.T, crew, np.empty((N, 4 * l)))
         X += bv
@@ -712,7 +707,7 @@ def lstm_last_state(S, lengths, W, U, b):
         G = G[order].T                                  # (l, n_seq), longest first
         dh = dc = np.zeros((l, 0))
         dZ = np.empty((4 * l, N))                       # (4l, N), packed
-        with _lstm_helper(work) as crew:
+        with helper as crew:
             for t in range(len(ks) - 1, -1, -1):
                 k = ks[t]
                 if dh.shape[1] < k:     # the sequences whose last step is t join

@@ -4,14 +4,18 @@ runs work on more than one thread.
 Every job pairsim spreads over CPUs (a lexicon's digests and cache
 checks, a checkpoint's section checks, the AdaDelta sweep, the LSTM's
 large products) runs its caller beside the helpers of a ``Crew``: a job
-on N CPUs starts at most N - 1 threads, and on one CPU none.
+on N CPUs starts at most N - 1 threads, and on one CPU none.  Each
+train step and each ``predict`` call runs inside ``one_blas_thread``, so
+the BLAS behind numpy runs one thread of its own there.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from collections import deque
+from contextlib import contextmanager
 
 
 def cpus() -> list:
@@ -43,19 +47,51 @@ def _pin(cpu):
             pass
 
 
-def blas_single_threaded() -> bool:
-    """Whether BLAS runs one thread, as OpenBLAS reads the environment:
-    the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS that is set must be 1.  With none set OpenBLAS runs
-    one thread per core; a value that is not a number counts as not 1."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var)
-        if value is not None:
-            try:
-                return int(value) == 1
-            except ValueError:
-                return False
-    return False
+# The thread-count getters OpenBLAS builds export, numpy's first: its
+# wheels build OpenBLAS with 64-bit integers, and a scipy wheel may map
+# another OpenBLAS beside it.  Each has a setter, "set" for "get".
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads")
+
+
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS mapped into
+    this process (numpy's, once numpy has loaded: a mapped file with
+    "openblas" in its path), looked up on the first call; where there is
+    none (a numpy on MKL or Accelerate, or no ``/proc``), a getter of 1
+    and a setter that does nothing."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({path for path in (line[line.find("/"):].rstrip() for line in fh)
+                            if "openblas" in path})
+    except OSError:
+        paths = []
+    libs = []
+    for path in paths:
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:             # not a library it can open
+            pass
+    found = [(getattr(lib, get), getattr(lib, get.replace("_get_", "_set_")))
+             for get in _BLAS_GETTERS for lib in libs if hasattr(lib, get)]
+    return found[0] if found else ((lambda: 1), (lambda n: None))
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with OpenBLAS at one thread, and give the caller its
+    own count back on exit, whatever happened.  So BLAS never contends
+    with a ``Crew``, and a product's bits do not follow the BLAS thread
+    setting.  Without OpenBLAS it does nothing."""
+    get, put = _openblas()
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 class Crew:

@@ -229,24 +229,26 @@ def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
     buffer as its gradient, so the backward pass accumulates there and
     the update reads it in place.  A step that raises leaves the
     parameters, the accumulators and the zeroed buffer as they were.
+    The step runs OpenBLAS at one thread (``threads.one_blas_thread``).
     """
-    try:
-        with nc.GradTape() as tape:
-            leaves = {}
-            for name, arr in params.w.items():
-                leaves[name] = tape.leaf(arr)
-                leaves[name].grad = state.grad[name]
-            loss = md.batch_loss(md.ModelParams(params.spec, leaves), lex, batch,
-                                 training=True, rng=dropout_rng)
-            loss_value = float(nc._value(loss))
-            if np.isfinite(loss_value):
-                tape.backward(loss)
-        if not np.isfinite(loss_value):
-            raise NumericError(f"non-finite loss {loss_value}", batch_index=None)
-        adadelta_step(state, params)
-    except BaseException:
-        state.grad_flat.fill(0.0)
-        raise
+    with threads.one_blas_thread():
+        try:
+            with nc.GradTape() as tape:
+                leaves = {}
+                for name, arr in params.w.items():
+                    leaves[name] = tape.leaf(arr)
+                    leaves[name].grad = state.grad[name]
+                loss = md.batch_loss(md.ModelParams(params.spec, leaves), lex, batch,
+                                     training=True, rng=dropout_rng)
+                loss_value = float(nc._value(loss))
+                if np.isfinite(loss_value):
+                    tape.backward(loss)
+            if not np.isfinite(loss_value):
+                raise NumericError(f"non-finite loss {loss_value}", batch_index=None)
+            adadelta_step(state, params)
+        except BaseException:
+            state.grad_flat.fill(0.0)
+            raise
     return loss_value
 
 

@@ -408,6 +408,28 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_reads_no_memory_map_and_opens_no_library():
+    """Importing ``pairsim.cli`` neither reads ``/proc/self/maps`` nor
+    opens a library through ctypes (ctypes' own handle on the program,
+    which numpy's import opens, has no name); the BLAS lookup waits for
+    the first pin, where the hook sees it."""
+    src = str(Path(pairsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    prog = ("import sys\n"
+            "seen = []\n"
+            "sys.addaudithook(lambda event, args: seen.append(str(args[0])) if\n"
+            "    event == 'ctypes.dlopen' and args[0] is not None or\n"
+            "    event == 'open' and str(args[0]).endswith('/maps') else None)\n"
+            "import pairsim.cli\n"
+            "print(seen)\n"
+            "with pairsim.threads.one_blas_thread():\n"
+            "    print(any(name.endswith('/maps') for name in seen))\n")
+    proc = subprocess.run([sys.executable, "-c", prog], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 def test_paraphrase_end_to_end(workdir, capsys, tmp_path):
     rows = ["the cat sat\ta cat was sitting\t1",
             "dogs bark loudly\tbirds fly south\t0",

@@ -132,3 +132,18 @@ def test_mrpc_reads_past_a_byte_order_mark_and_skips_malformed_rows(tmp_path):
     assert data.examples[0].tokens1 == ["amrozi", "accused", "his", "brother", "."]
     assert err == ["line 4: malformed, skipped", "line 5: malformed, skipped",
                    "3 pairs written, 2 skipped"]
+
+
+@pytest.mark.parametrize("script", ["convert_stsb.py", "convert_sick.py", "convert_mrpc.py"])
+@pytest.mark.parametrize("case", ["missing", "not-utf8"])
+def test_a_source_that_cannot_be_read_exits_1_with_one_line(tmp_path, script, case):
+    source = tmp_path / "release.txt"
+    if case == "not-utf8":
+        source.write_bytes(b"Quality\tsentence_A\n\xff\xfe\tbad\n")
+    args = ["--task", "sts", "--split", "TRAIN"] if script == "convert_sick.py" else []
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), str(source), *args],
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
+    reason = ("No such file or directory" if case == "missing"
+              else "not UTF-8 (invalid start byte)")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"cannot read {source}: {reason}\n"

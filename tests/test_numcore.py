@@ -408,10 +408,9 @@ def one_gemm_lstm_states(S, n, W, U, b):
 
 def test_lstm_row_blocks_match_one_gemm_at_l400(monkeypatch):
     """At l = 400 U is 5.1 MB (five 1 MiB blocks of 327 rows); the blocked
-    product runs exactly for the steps over 2..7 sequences.  With a
-    threaded BLAS no pass is cut, so each blocked step is one call."""
-    from pairsim import threads
-    monkeypatch.setattr(threads, "blas_single_threaded", lambda: False)
+    product runs exactly for the steps over 2..7 sequences.  With no pass
+    large enough to cut, each blocked step is one call."""
+    monkeypatch.setattr(nc, "_SPLIT_MIN", 1 << 62)
     l, k_in, n = 400, 3, 3
     rng = stream(16, "test")
     W = rng.uniform(-0.3, 0.3, size=(4 * l, k_in))
@@ -440,7 +439,6 @@ def test_lstm_backward_steps_match_one_gemm_at_l800(monkeypatch):
     cut into two column halves over 2 or more sequences (here both by the
     caller, as on one CPU); step 0 computes no U.T dz at all, since h_0
     is the constant zero.  The gradients agree with uncut products."""
-    from pairsim import threads
     lstm_split(monkeypatch, False)
     l, k_in, n = 800, 3, 3
     rng = stream(17, "test")
@@ -465,7 +463,7 @@ def test_lstm_backward_steps_match_one_gemm_at_l800(monkeypatch):
         assert steps == [k] * (n - 1)
         assert ((k, 4 * l, l) in cuts) == (k >= 2)
         with monkeypatch.context() as m:
-            m.setattr(threads, "blas_single_threaded", lambda: False)   # nothing cut
+            m.setattr(nc, "_SPLIT_MIN", 1 << 62)    # nothing cut
             want = lstm_grads(S, [n] * k, W, U, b, w)
         for g, one_gemm in zip(got, want):
             assert rel_err(g, one_gemm) <= 1e-14
@@ -505,21 +503,20 @@ def test_lstm_backward_peak_is_saved_state_plus_one_dz():
 
 
 # A step over 2..7 sequences runs on the caller's thread and one pinned
-# helper when BLAS runs one thread and there are two CPUs; steps after
-# t = 0 over 8, 7, 6, 5, 4, 3, 2 and 1 sequences.
+# helper when there are two CPUs; steps after t = 0 over 8, 7, 6, 5, 4,
+# 3, 2 and 1 sequences.
 SPLIT_LENGTHS = [9, 1, 4, 6, 2, 7, 3, 5, 8, 2]
 
 
 def lstm_split(monkeypatch, on: bool, here=0):
-    """One BLAS thread, so that lstm_last_state cuts its large products,
-    on a crew of the caller and a helper thread (two CPUs) or the caller
-    alone (one CPU), with the caller on CPU ``here``; returns the (CPU,
-    name) of each helper thread started, as it pins itself."""
+    """lstm_last_state cuts its large products on a crew of the caller
+    and a helper thread (two CPUs) or the caller alone (one CPU), with
+    the caller on CPU ``here``; returns the (CPU, name) of each helper
+    thread started, as it pins itself."""
     import threading
     from pairsim import threads
     monkeypatch.setattr(threads, "cpus", lambda: [0, 1] if on else [0])
     monkeypatch.setattr(threads, "current_cpu", lambda: here)
-    monkeypatch.setattr(threads, "blas_single_threaded", lambda: True)
     helpers = []
     pin = threads._pin
 
@@ -851,7 +848,7 @@ def test_lstm_backward_callers_failure_waits_for_the_helpers_half(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("case", ["one-cpu", "threaded-blas", "one-blocked-step", "split", "desk"])
+@pytest.mark.parametrize("case", ["one-cpu", "one-blocked-step", "split", "desk"])
 def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
     import threading
     from pairsim import threads
@@ -863,7 +860,6 @@ def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     monkeypatch.setattr(threads, "cpus", lambda: [0] if case == "one-cpu" else [0, 1])
-    monkeypatch.setattr(threads, "blas_single_threaded", lambda: case != "threaded-blas")
     S, lengths, W, U, b = lstm_split_case()
     if case == "one-blocked-step":  # t = 1 over 3 sequences, then t = 2 over 1:
         S, lengths = S[:7], [3, 2, 2]   # 0.66 M multiply-adds, under _SPLIT_MIN
@@ -879,33 +875,6 @@ def test_lstm_starts_a_thread_only_where_the_split_pays(monkeypatch, case):
     else:                           # neither the forward nor the backward pass
         lstm_grads(S, lengths, W, U, b, np.ones((len(lengths), U.shape[1])))
         assert started == []
-
-
-@pytest.mark.parametrize("env, single", [
-    ({}, False),                                    # OpenBLAS: one thread per core
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2"}, False),
-    ({"OPENBLAS_NUM_THREADS": "many"}, False),
-    ({"OPENBLAS_NUM_THREADS": ""}, False),
-    ({"GOTO_NUM_THREADS": "1"}, True),
-    ({"GOTO_NUM_THREADS": "2"}, False),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "2"}, False),
-    ({"OMP_NUM_THREADS": "x1"}, False),
-    ({"OMP_NUM_THREADS": " 1 "}, True),
-    ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, False),
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
-    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "garbage", "OMP_NUM_THREADS": "1"}, False),
-])
-def test_lstm_blas_thread_rule_reads_the_first_variable_set(monkeypatch, env, single):
-    from pairsim import threads
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert threads.blas_single_threaded() is single
 
 
 # ---------------------------------------------------------------------------

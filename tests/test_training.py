@@ -626,23 +626,21 @@ def test_checkpoint_same_bytes_for_same_run(tmp_path, lex):
 
 
 def test_lstm_split_leaves_a_trained_checkpoint_byte_identical(tmp_path):
-    """``pairsim train`` at one BLAS thread writes the same bytes on two
-    CPUs, where each LSTM pass cuts its large products between the caller
-    and a helper thread, as confined to one CPU, where the caller computes
-    both halves of each cut.  At l = 256, H = 48 and one batch of 32
-    sentences (99 words) a pass holds about 22 M multiply-adds, and the
-    input projection, the steps over k >= 16 and all three gradient
-    products are cut.  At H = l = 300, neither a multiple of 8, a column
-    cut is not always bit-equal to the uncut product, so only cutting in
-    the same places on one CPU keeps the bytes.  Two BLAS threads sum
-    some products in another order and cut none, so that checkpoint is
-    compared within 1e-12."""
+    """``pairsim train`` writes the same bytes with BLAS unset, at one and
+    at two OpenBLAS threads, on every CPU and confined to one: the train
+    step runs OpenBLAS at one thread whatever the setting, and each LSTM
+    pass cuts its large products by shape alone, between the caller and a
+    helper thread or, on one CPU, on the caller alone.  At l = 256, H = 48
+    and one batch of 32 sentences (99 words) a pass holds about 22 M
+    multiply-adds, and the input projection, the steps over k >= 16 and
+    all three gradient products are cut.  At H = l = 300, neither a
+    multiple of 8, a column cut is not always bit-equal to the uncut
+    product, so only cutting in the same places keeps the bytes; and two
+    OpenBLAS threads sum some products in another order, cut or not."""
     import subprocess
     import sys
     from pairsim import evaldata as ed
     from toys import write_lexicon_files
-    if len(threads.cpus()) < 2:
-        pytest.skip("one CPU: the LSTM never starts a helper thread")
     paths = write_lexicon_files(toy_lexicon(seed=7, dims=(5, 3)), tmp_path)
     (tmp_path / "sts.tsv").write_text(ed.serialize_pairs(sts_overfit_dataset()),
                                       encoding="utf-8")
@@ -656,14 +654,17 @@ def test_lstm_split_leaves_a_trained_checkpoint_byte_identical(tmp_path):
     def train(cfg, cpus, blas_threads):
         out = tmp_path / f"{cfg.stem}-{cpus}-{blas_threads}.ckpt"
         env = {k: v for k, v in os.environ.items()
-               if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        env.update(OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if blas_threads != "unset":
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         subprocess.run([sys.executable, "-c", prog, cpus, "train", str(tmp_path / "sts.tsv"),
                         "--config", str(cfg), "--out", str(out)],
                        env=env, capture_output=True, check=True, timeout=120)
-        return out
+        return out.read_bytes()
 
+    one = str(threads.cpus()[0])
+    settings = [("all", "unset"), ("all", "1"), ("all", "2"), (one, "1"), (one, "2")]
     for filters, lstm_dim in [(48, 256), (300, 300)]:
         cfg = tmp_path / f"lstm{filters}x{lstm_dim}.cfg"
         cfg.write_text(
@@ -672,11 +673,84 @@ def test_lstm_split_leaves_a_trained_checkpoint_byte_identical(tmp_path):
             + f"filters = {filters}\nlstm_dim = {lstm_dim}\nmax_len = 8\nd_neu = 4\n"
             + "dropout = 0.0\ntask = sts\nscore_k = 5\nraw_min = 0\nraw_max = 5\n"
             + "batch_size = 16\nepochs = 3\npatience = 10\n", encoding="utf-8")
-        split, inline = train(cfg, "all", 1), train(cfg, str(threads.cpus()[0]), 1)
-        assert split.read_bytes() == inline.read_bytes()
-        threaded, _, _ = tr.load_checkpoint(train(cfg, "all", 2))
-        np.testing.assert_allclose(threaded.flat, tr.load_checkpoint(split)[0].flat,
-                                   rtol=1e-12, atol=0)
+        bytes_of = {setting: train(cfg, *setting) for setting in settings}
+        differ = [s for s, b in bytes_of.items() if b != bytes_of[settings[0]]]
+        assert differ == [], f"{cfg.stem}: {differ} differ from {settings[0]}"
+
+
+def blas_counts(monkeypatch, get):
+    """The BLAS thread count ``get`` reads at each ``pair_logits`` call
+    from here on: once per block of a prediction or a train step."""
+    seen = []
+    forward = md.pair_logits
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(md, "pair_logits", spy)
+    return seen
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads, set through the setter pairsim found; its
+    getter, and the count it had before put back afterwards."""
+    get, put = threads._openblas()
+    before = get()
+    put(2)
+    if get() != 2:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    yield get
+    put(before)
+
+
+def test_train_steps_and_predict_pin_one_blas_thread_and_give_the_count_back(
+        lex, monkeypatch, two_blas_threads):
+    """Each ``predict`` call (of two blocks here) and each train step, also
+    one that raises, sets OpenBLAS to one thread once and sets the
+    caller's two threads again on its way out."""
+    get = two_blas_threads
+    put, puts = threads._openblas()[1], []
+    monkeypatch.setattr(threads, "_openblas", lambda: (get, lambda n: (puts.append(n), put(n))))
+    seen = blas_counts(monkeypatch, get)
+    batch = sts_overfit_dataset().examples[:4]
+    params = md.build_model(maxlstm_spec(), seed=5)
+    state = tr.AdaDeltaState.zeros(params)
+    md.predict(params, lex, [(ex.tokens1, ex.tokens2) for ex in batch], 3)
+    assert (get(), puts) == (2, [1, 2])
+    tr.train_step(params, state, lex, batch, stream(5, "dropout"))
+    assert (get(), puts) == (2, [1, 2] * 2)
+    nan_loss(monkeypatch)
+    with pytest.raises(NumericError):
+        tr.train_step(params, state, lex, batch, stream(5, "dropout"))
+    assert (get(), puts) == (2, [1, 2] * 3)
+    assert seen == [1] * 4
+
+
+def test_without_openblas_train_steps_and_predict_leave_the_blas_threads_alone(
+        lex, monkeypatch, two_blas_threads):
+    """Where no mapped library can be opened, as where numpy runs on
+    another BLAS, the lookup finds nothing, and the train step and
+    ``predict`` run at the caller's thread count."""
+    import ctypes
+
+    def cannot_open(path, *args, **kwargs):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    get = two_blas_threads
+    monkeypatch.setattr(ctypes, "CDLL", cannot_open)
+    threads._openblas.cache_clear()
+    try:
+        assert threads._openblas()[0]() == 1
+        seen = blas_counts(monkeypatch, get)
+        batch = sts_overfit_dataset().examples[:4]
+        params = md.build_model(maxlstm_spec(), seed=5)
+        md.predict(params, lex, [(ex.tokens1, ex.tokens2) for ex in batch], 4)
+        tr.train_step(params, tr.AdaDeltaState.zeros(params), lex, batch, stream(5, "dropout"))
+        assert (get(), seen) == (2, [2, 2])
+    finally:
+        threads._openblas.cache_clear()
 
 
 def test_checkpoint_truncated_and_bad_magic(tmp_path, lex):
