@@ -7,6 +7,8 @@ max+LSTM encoder can.  All variants share the comparison stack and
 objective, so the table isolates the encoder.
 """
 
+import math
+
 from pairsim import model as md
 from pairsim import training as tr
 from pairsim.config import RunConfig
@@ -44,11 +46,9 @@ for mode, kind in [("sent", "word_avg"), ("sent", "proj_avg"),
                         C=6, dropout_p=0.0, score=ScoreSpec(6, 0.0, 5.0))
     params = md.build_model(spec, seed=13)
     result = tr.train(params, lex, data, RunConfig(batch_size=30, epochs=100, seed=13))
-    try:
-        metric = md.dataset_metric(result.params, lex, data, 30)
-        shown = f"{metric:13.4f}"
-    except Exception:
-        shown = "    undefined"  # constant predictions have no correlation
+    metric = md.dataset_metric(result.params, lex, data, 30)
+    # nan: constant predictions have no correlation
+    shown = "    undefined" if math.isnan(metric) else f"{metric:13.4f}"
     label = ("S" if mode == "sent" else "M") + "-" + kind
     print(f"{label:16s} {result.history[-1].train_loss:10.4f} {shown}")
 

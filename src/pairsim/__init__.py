@@ -7,7 +7,7 @@ The package is organized as a library:
 * ``embeddings``  word-vector tables, fusion, OOV handling, coverage
 * ``encoder``     multi-aspect word features; max-pool + LSTM sentence encoders
 * ``comparison``  word-word / sentence-sentence / word-sentence comparison head
-* ``objectives``  score regression (sparse-target KL) and cross-entropy losses
+* ``objectives``  the one KL loss: sparse score targets, one-hot class targets
 * ``model``       parameter container and end-to-end pair forward passes
 * ``training``    AdaDelta, mini-batch loop, checkpoints
 * ``evaldata``    pair datasets, tokenizer, Pearson/accuracy/F1

@@ -1,6 +1,7 @@
 """Run configuration: key = value files, overrides, validation, echo.
 
-A configuration file holds ``key = value`` lines with ``#`` comments.
+A configuration file holds ``key = value`` lines with ``#`` comments,
+in UTF-8 (a leading byte-order mark is dropped).
 Command-line overrides are ``--key value`` pairs applied on top.
 Unknown keys are fatal.  Every command echoes the fully resolved
 configuration as ``# key = value`` lines so that a run is reproducible
@@ -121,7 +122,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         path = os.environ.get(ENV_CONFIG) or None
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except UnicodeDecodeError as exc:

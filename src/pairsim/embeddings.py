@@ -18,7 +18,8 @@ writes to them after load.
 File format: optional first header line of two integers "count dim"
 (a header only when the next non-blank line has dim + 1 fields),
 then one word per line: ``word v1 v2 ... v_dim`` with ASCII decimal
-floats (finite: nan and inf are rejected), UTF-8 words.  Only a line
+floats (finite: nan and inf are rejected), UTF-8 words, after an
+optional byte-order mark.  Only a line
 feed ends a line (a carriage return before it is dropped), and only
 ASCII spaces and tabs separate fields, so a word may hold any other
 character, U+2028 or U+00A0 among them.
@@ -116,22 +117,17 @@ def _warn_duplicate(path, lineno: int, word: str):
                 path, lineno, word)
 
 
-def _parse(path: Path, text: str, expected_dim: int | None):
+def _parse(path: Path, text: str):
     """(matrix, index, duplicates) of a table's text, checking every line;
     duplicates lists the (line number, word) of each repeated word."""
     flat = array("d")
     index: dict[str, int] = {}
     duplicates: list[tuple[int, str]] = []
-    dim = expected_dim
     start = 1
     lines = text.replace("\r\n", "\n").split("\n")      # only a line feed ends a line
-    header_dim = _header_dim(lines)
-    if header_dim is not None:
+    dim = _header_dim(lines)
+    if dim is not None:
         start = 2
-        if expected_dim is not None and header_dim != expected_dim:
-            raise DataError(
-                f"{path}: header declares dim {header_dim}, expected {expected_dim}")
-        dim = header_dim
         lines = lines[1:]
     for lineno, line in enumerate(lines, start=start):
         fields = _fields(line)
@@ -169,7 +165,7 @@ def _parse(path: Path, text: str, expected_dim: int | None):
 # joined by "\n" in UTF-8
 
 _CACHE_MAGIC = b"PSLX"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2      # 2: a leading byte-order mark is not part of the first word
 _SECTIONS = ("matrix", "words")
 
 
@@ -182,12 +178,21 @@ def cache_path(path) -> Path:
 _CACHE_ERRORS = (OSError, ValueError, LookupError, TypeError)
 
 
-def _open_cache(path: Path, expected_dim: int | None):
+def _text_sha256(path: Path):
+    """The SHA-256 (a hashlib object) of the text at ``path``; None if it
+    cannot be read or is empty, for its parse to report."""
+    try:
+        return store.sha256(path)
+    except (OSError, ValueError):
+        return None
+
+
+def _open_cache(path: Path):
     """(cache, jobs) if the cache beside ``path``, mapped read-only, is a
-    container of the expected dim whose section table fits its header;
-    else None, with nothing left open.  The jobs, for ``store.batch``
-    (one ``threads.Crew`` run), compute the SHA-256 of the text at
-    ``path``, then the CRC-32s of the cache's sections
+    container whose section table fits its header; else None, with
+    nothing left open.  The jobs, for ``store.batch`` (one
+    ``threads.Crew`` run), compute the SHA-256 of the text at ``path``
+    (``_text_sha256``), then the CRC-32s of the cache's sections
     (``Container.checks``)."""
     try:
         text_bytes = os.path.getsize(path)
@@ -196,9 +201,9 @@ def _open_cache(path: Path, expected_dim: int | None):
         return None
     try:
         dim, rows = cache.header["dim"], cache.header["rows"]
-        if type(dim) is type(rows) is int and expected_dim in (None, dim):
+        if type(dim) is type(rows) is int:
             cache.expect([("matrix", 8 * rows * dim), ("words", None)])
-            return cache, [(text_bytes, partial(store.sha256, path)), *cache.checks(_SECTIONS)]
+            return cache, [(text_bytes, partial(_text_sha256, path)), *cache.checks(_SECTIONS)]
     except _CACHE_ERRORS:
         pass
     cache.buf.close()
@@ -206,16 +211,15 @@ def _open_cache(path: Path, expected_dim: int | None):
 
 
 def _cached_table(path: Path, cache: store.Container, results) -> EmbeddingTable | None:
-    """The table in an opened cache, if the jobs of ``_open_cache``
-    succeeded, the text has the SHA-256 that the cache records, the
-    sections pass their checks and they hold exactly one distinct word
-    per row; else None.  The matrix is a view of the cache's mapping."""
+    """The table in an opened cache, if the text has the SHA-256 that the
+    cache records, the sections pass their checks and they hold exactly
+    one distinct word per row; else None.  ``results`` are what the jobs
+    of ``_open_cache`` returned.  The matrix is a view of the cache's
+    mapping."""
     meta = cache.header
     text_sha, *crcs = results
     try:
-        if isinstance(text_sha, BaseException):
-            raise text_sha
-        if text_sha.hexdigest() != meta["source_sha256"]:
+        if text_sha is None or text_sha.hexdigest() != meta["source_sha256"]:
             return None
         cache.verify(_SECTIONS, crcs)
         words = str(cache.section("words"), "utf-8").split("\n")
@@ -244,7 +248,7 @@ def _write_cache(cache: Path, source_sha256: str, table: EmbeddingTable, duplica
                     "again on every load", cache, exc)
 
 
-def _parse_table(path: Path, expected_dim: int | None) -> EmbeddingTable:
+def _parse_table(path: Path) -> EmbeddingTable:
     """Parse the text at ``path``, checking every line, and write its cache."""
     try:
         raw = path.read_bytes()
@@ -253,18 +257,18 @@ def _parse_table(path: Path, expected_dim: int | None) -> EmbeddingTable:
         raise DataError(f"cannot read embedding file {path}: {exc}") from exc
     source_sha256 = hashlib.sha256(raw).hexdigest()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8").removeprefix("\ufeff")    # offsets stay the file's
     except UnicodeDecodeError as exc:
         raise DataError(f"embedding file {path} is not UTF-8: {exc}") from exc
     del raw
-    matrix, index, duplicates = _parse(path, text, expected_dim)
+    matrix, index, duplicates = _parse(path, text)
     del text
     table = EmbeddingTable(name=path.stem, matrix=matrix, index=index, source_path=str(path))
     _write_cache(cache_path(path), source_sha256, table, duplicates, mode)
     return table
 
 
-def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]:
+def _load_tables(paths) -> list[EmbeddingTable]:
     """Load tables in order, each from its cache if every check passes, else
     by a parse.  All caches are opened first, and the SHA-256 of every
     text and the CRC-32 of every cache section computed in one batch
@@ -275,7 +279,7 @@ def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]
     paths = [Path(p) for p in paths]
     opened, viewed = [], set()
     try:
-        opened.extend(_open_cache(p, expected_dim) for p in paths)
+        opened.extend(_open_cache(p) for p in paths)
         groups = [jobs for _, jobs in filter(None, opened)]
         done = iter(store.batch([job for group in groups for job in group], "pairsim-digest"))
         results = iter([[next(done) for _ in group] for group in groups])
@@ -285,7 +289,7 @@ def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]
             if cache is not None:
                 table = _cached_table(path, cache[0], next(results))
             if table is None:
-                table = _parse_table(path, expected_dim)
+                table = _parse_table(path)
             else:
                 viewed.add(i)
             tables.append(table)
@@ -296,7 +300,7 @@ def _load_tables(paths, expected_dim: int | None = None) -> list[EmbeddingTable]
                 cache[0].buf.close()
 
 
-def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
+def load_table(path) -> EmbeddingTable:
     """Load a word-vector text file into an immutable table.
 
     The first load parses the text, checking every line, and writes the
@@ -305,7 +309,7 @@ def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
     the cache is used only if its sections pass their CRC-32 checks as
     well.
     """
-    return _load_tables([path], expected_dim)[0]
+    return _load_tables([path])[0]
 
 
 @dataclass

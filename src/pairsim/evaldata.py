@@ -1,7 +1,8 @@
 """Sentence-pair datasets, tokenization, and evaluation metrics.
 
-Datasets are UTF-8 TSV files, one example per line.  Only a line feed
-ends a line, and a carriage return before it is dropped:
+Datasets are UTF-8 TSV files (a leading byte-order mark is dropped),
+one example per line.  Only a line feed ends a line, and a carriage
+return before it is dropped:
 
     sentence1 <TAB> sentence2 <TAB> gold
 
@@ -119,7 +120,7 @@ def load_pairs(path, task: str, lenient: bool = False, score_range=None) -> Pair
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8").removeprefix("\ufeff")    # offsets stay the file's
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path} line {lineno}: not UTF-8: {exc}") from None

@@ -33,7 +33,7 @@ from . import encoder
 from . import numcore as nc
 from . import objectives as obj
 from . import threads
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .evaldata import LABEL_NAMES, TASKS, PairDataset
 from .rng import stream
 
@@ -242,15 +242,16 @@ def pair_logits(params: ModelParams, lex, pairs, training: bool = False, rng=Non
 
 
 def loss_from_logits(params: ModelParams, logits, batch):
-    """Mean example loss of (B, C) logits: KL for sts, cross entropy otherwise."""
+    """Mean example loss of (B, C) logits: the KL divergence of their
+    softmax from each example's target, sparse over the score levels for
+    sts and one-hot on the gold class (cross entropy) otherwise."""
     spec = params.spec
     if spec.task == "sts":
-        targets = np.array([obj.sparse_target(spec.score.map_raw(ex.gold_score),
-                                              spec.score.K) for ex in batch])
-        losses = obj.kl_loss(targets, logits)
+        targets = [obj.sparse_target(spec.score.map_raw(ex.gold_score), spec.score.K)
+                   for ex in batch]
     else:
-        losses = obj.ce_loss(np.array([ex.gold_label for ex in batch]), logits)
-    return nc.scale(nc.vsum(losses), 1.0 / len(batch))
+        targets = [obj.one_hot_target(ex.gold_label, spec.C) for ex in batch]
+    return nc.scale(nc.vsum(obj.kl_loss(np.array(targets), logits)), 1.0 / len(batch))
 
 
 def batch_loss(params: ModelParams, lex, batch, training: bool = False, rng=None):
@@ -292,10 +293,14 @@ def predict_example(params: ModelParams, lex, tokens1, tokens2):
 
 def dataset_metric(params: ModelParams, lex, ds: PairDataset, block: int) -> float:
     """Pearson for sts, accuracy otherwise, over a whole dataset predicted
-    ``block`` pairs at a time."""
+    ``block`` pairs at a time; nan where Pearson is undefined (constant
+    predictions or golds)."""
     from .evaldata import classification_metrics, pearson
     preds = predict(params, lex, [(ex.tokens1, ex.tokens2) for ex in ds.examples], block)
     if params.spec.task == "sts":
-        return pearson(preds, [ex.gold_score for ex in ds.examples])
+        try:
+            return pearson(preds, [ex.gold_score for ex in ds.examples])
+        except DataError:
+            return math.nan
     return classification_metrics([ex.gold_label for ex in ds.examples],
                                   preds).accuracy

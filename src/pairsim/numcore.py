@@ -528,14 +528,11 @@ def _cut(m: int, k: int, n: int) -> int:
 
 
 def _halves(crew, cut: int, job):
-    """job(cut, None) and job(0, cut) as one ``crew.run``, raising the
-    first exception once both have ended, or job(0, None) alone without a
-    crew or a cut."""
+    """job(cut, None) and job(0, cut) as one ``crew.run``, or job(0, None)
+    alone without a crew or a cut."""
     if crew is None or not cut:
         return job(0, None)
-    for result in crew.run([partial(job, cut, None), partial(job, 0, cut)]):
-        if isinstance(result, BaseException):
-            raise result
+    crew.run([partial(job, cut, None), partial(job, 0, cut)])
 
 
 def _split_matmul(A, B, crew, out) -> np.ndarray:
@@ -747,46 +744,24 @@ def lstm_last_state(S, lengths, W, U, b):
 
 
 # ---------------------------------------------------------------------------
-# losses on logits
-
-
-def _log_softmax(zv):
-    z = zv - zv.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+# the loss on logits
 
 
 def kl_from_logits(p, logits):
     """KL(p || softmax(logits)) over the last axis, with 0*ln(0) = 0: a
-    scalar for one (K,) row, a (B,) vector for (B, K) rows."""
+    scalar for one (K,) row, a (B,) vector for (B, K) rows.  Against a
+    one-hot p it is the cross entropy -log softmax(logits)[class]."""
     pv = as_f64(p)
     zv = _value(logits)
     if pv.shape != zv.shape:
         raise ShapeError(f"kl_from_logits: shapes {pv.shape} and {zv.shape} differ")
-    logq = _log_softmax(zv)
+    z = zv - zv.max(axis=-1, keepdims=True)
+    logq = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     pos = pv > 0.0
     y = np.where(pos, pv * (np.log(np.where(pos, pv, 1.0)) - logq), 0.0).sum(axis=-1)
 
     def backward(g):
         _acc(logits, g[..., None] * (np.exp(logq) - pv))
-
-    return _finish(y, (logits,), backward)
-
-
-def ce_from_logits(gold, logits):
-    """Cross entropy -log softmax(logits)[gold] over the last axis: one
-    class for one (K,) row, or a (B,) class array for (B, K) rows."""
-    zv = _value(logits)
-    gv = np.asarray(gold)
-    K = zv.shape[-1]
-    if gv.shape != zv.shape[:-1] or not np.all((0 <= gv) & (gv < K)):
-        raise ShapeError(f"ce_from_logits: classes {gv.tolist()} do not fit "
-                         f"logits of shape {zv.shape}")
-    logq = _log_softmax(zv)
-    onehot = np.arange(K) == gv[..., None]
-    y = -np.take_along_axis(logq, gv[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        _acc(logits, g[..., None] * (np.exp(logq) - onehot))
 
     return _finish(y, (logits,), backward)
 

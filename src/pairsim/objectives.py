@@ -1,18 +1,17 @@
-"""Task objectives and decoders.
+"""The one training objective, its targets, and the score decoder.
 
-Similarity scoring treats a real-valued score as an expectation over K
-integer levels 1..K: the gold score y becomes a sparse distribution p
-with mass on the two adjacent levels floor(y) and floor(y)+1 such that
-sum_i i * p_i = y, the model's logits become a softmax distribution,
-and training minimizes the mean KL divergence between the two.  The
-predicted score is the softmax expectation, mapped back to the
-dataset's native range.
+Every task trains on one loss: the mean KL divergence of the softmax of
+the model's logits from a target distribution.  Similarity scoring
+treats a real-valued score as an expectation over K integer levels
+1..K: the gold score y becomes a sparse distribution p with mass on the
+two adjacent levels floor(y) and floor(y)+1 such that sum_i i * p_i = y.
+The predicted score is the softmax expectation, mapped back to the
+dataset's native range.  A classification target is one-hot on the gold
+class, which makes the KL divergence the softmax cross entropy.
 
 Datasets whose native range is not [1, K] (for example [0, 5]) are
 affine-mapped into [1, K] and inverted for reporting; Pearson
 correlation is unaffected by this map.
-
-Classification tasks use plain softmax cross-entropy.
 """
 
 from __future__ import annotations
@@ -74,6 +73,15 @@ def sparse_target(y: float, K: int) -> np.ndarray:
     return p
 
 
+def one_hot_target(label: int, C: int) -> np.ndarray:
+    """Distribution over C classes with all mass on class ``label``."""
+    if not 0 <= label < C:
+        raise DataError(f"class label {label} outside [0, {C})")
+    p = np.zeros(C)
+    p[label] = 1.0
+    return p
+
+
 def _check_target(p: np.ndarray):
     if np.any(p < 0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
         raise DataError("target is not a probability distribution")
@@ -85,11 +93,6 @@ def kl_loss(p: np.ndarray, logits):
     p = np.asarray(p, dtype=np.float64)
     _check_target(p)
     return nc.kl_from_logits(p, logits)
-
-
-def ce_loss(gold, logits):
-    """Cross entropy of the gold classes against softmax(logits), per row."""
-    return nc.ce_from_logits(gold, logits)
 
 
 def decode_score(logits, spec: ScoreSpec) -> float:

@@ -130,13 +130,12 @@ class Container:
         return [(hi - lo, partial(crc32, self.buf, lo, hi)) for _, lo, hi in self._parts(names)]
 
     def verify(self, names, results):
-        """Combine the CRC-32s of the parts that ``checks(names)`` returned
-        (or raise the exception a job raised), and compare each section's
-        with the table; FormatError names a damaged section."""
+        """Combine the CRC-32s that the jobs of ``checks(names)`` returned
+        (a job that raised has raised in ``batch``, by ``Crew``'s rule),
+        and compare each section's with the table; FormatError names a
+        damaged section."""
         crcs = {}
         for (name, lo, hi), crc in zip(self._parts(names), results, strict=True):
-            if isinstance(crc, BaseException):
-                raise crc
             crcs[name] = crc32_combine(crcs[name], crc, hi - lo) if name in crcs else crc
         for name, crc in crcs.items():
             if crc != self.sections[name][2]:
@@ -250,9 +249,9 @@ def sha256(path):
 
 def batch(jobs, name: str) -> list:
     """Run (byte length, job) pairs largest first on a ``Crew`` named
-    ``name``, and return each job's result or exception in the order
-    given; jobs of at most one window in all run on the caller alone,
-    where threads cost more than they save."""
+    ``name``, and return each job's result in the order given, or raise
+    the first failure; jobs of at most one window in all run on the
+    caller alone, where threads cost more than they save."""
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0], reverse=True)
     with Crew(len(jobs) - 1 if sum(n for n, _ in jobs) > WINDOW else 0, name) as crew:
         done = crew.run([jobs[i][1] for i in order])

@@ -106,17 +106,18 @@ class Crew:
     changed.
 
     ``run(jobs)`` calls every job, a function of no arguments, and
-    returns what each returned, in job order, or the exception it raised
-    instead.  The caller and the helpers, at most one per job beyond the
-    first, each take the first job left from one queue, so the largest
-    should come first.  Threads only pay when each job spends most of
-    its time in calls that release the interpreter lock (zlib, hashlib,
-    numpy).  Every helper has ended its jobs before ``run`` returns or
-    raises, so no job outlives it."""
+    returns what each returned, in job order.  The caller and the
+    helpers, at most one per job beyond the first, each take the first
+    job left from one queue, so the largest should come first.  Threads
+    only pay when each job spends most of its time in calls that release
+    the interpreter lock (zlib, hashlib, numpy).  Once a job raises
+    (anything, an Exception or not), no job starts; ``run`` raises that
+    first failure once every job that started has ended.  No job
+    outlives ``run``."""
 
     def __init__(self, n: int, name: str, cpus: list | None = None):
         self.n, self.name, self.cpus = n, name, cpus
-        self.helpers, self.work, self.failure = [], None, None
+        self.helpers, self.work = [], None
 
     def __enter__(self):
         if self.n > 0:
@@ -147,13 +148,13 @@ class Crew:
         while go.acquire() and self.work is not None:
             try:
                 self.work()
-            except BaseException as exc:    # not an Exception: raised again by run
-                self.failure = exc
-            done.release()
+            finally:
+                done.release()
 
     def run(self, jobs) -> list:
         results = [None] * len(jobs)
         pending = deque(enumerate(jobs))
+        failures = []
 
         def drain():
             while True:
@@ -163,8 +164,10 @@ class Crew:
                     return
                 try:
                     results[i] = job()
-                except Exception as exc:    # handed to the caller
-                    results[i] = exc
+                except BaseException as exc:
+                    failures.append(exc)
+                    pending.clear()         # each other thread ends after its job
+                    return
 
         busy = self.helpers[:max(len(jobs) - 1, 0)]
         self.work = drain
@@ -173,13 +176,11 @@ class Crew:
                 go.release()
             drain()
         finally:
-            pending.clear()                 # after a failure each helper ends after its job
             for _, _, done in busy:
                 done.acquire()
             self.work = None
-        if self.failure is not None:
-            failure, self.failure = self.failure, None
-            raise failure
+        if failures:
+            raise failures[0]
         return results
 
     def __exit__(self, *exc_info):

@@ -149,8 +149,9 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
     thread per other CPU this process may run on, which sweeps them.  A
     model of fewer than ``THREAD_MIN`` parameters, or a process on one
     CPU, is swept by the caller alone.  The rule is elementwise, so the
-    result does not depend on the split.  A range that raises is raised
-    again here once every helper has ended.
+    result does not depend on the split.  A range that raises stops the
+    sweep, and the failure is raised here once every helper has ended
+    (``threads.Crew``).
     """
     if not md.is_flat(params):
         raise ConfigError("adadelta_step needs parameters that are views of "
@@ -164,10 +165,8 @@ def adadelta_step(state: AdaDeltaState, params: md.ModelParams):
     with threads.Crew(chunks - 1 if n >= THREAD_MIN else 0, "pairsim-adadelta") as crew:
         parts = len(crew.helpers) + 1
         bounds = [min(n, CHUNK * (chunks * j // parts)) for j in range(parts + 1)]
-        for result in crew.run([partial(_sweep, state.rho, state.epsilon, P[lo:hi], E[lo:hi],
-                                        D[lo:hi], G[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]):
-            if isinstance(result, BaseException):
-                raise result
+        crew.run([partial(_sweep, state.rho, state.epsilon, P[lo:hi], E[lo:hi], D[lo:hi],
+                          G[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def _sweep(rho: float, eps: float, P, E, D, G):
@@ -273,7 +272,9 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
     ``cfg`` is validated, then supplies batch_size, epochs, patience,
     rho, epsilon, seed and shuffle.  The best checkpoint is the epoch
     with the highest validation metric (Pearson for sts, accuracy
-    otherwise); without a validation set the final epoch wins.  Training
+    otherwise; an epoch whose Pearson is undefined reports nan, which
+    any defined metric beats); without a validation set the final epoch
+    wins.  Training
     stops early after ``patience`` consecutive epochs without
     improvement.  ``on_epoch`` is called with each EpochRecord as it
     completes.  Before the first step, DataError refuses an empty
@@ -324,7 +325,8 @@ def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,
         if on_epoch is not None:
             on_epoch(record)
 
-        if valid is None or best is None or metric > best[0]:
+        if valid is None or best is None or metric > best[0] or (
+                math.isnan(best[0]) and not math.isnan(metric)):
             best = (metric, epoch)
             stale = 0
             if kept is not None:

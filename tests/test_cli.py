@@ -84,6 +84,18 @@ def test_a_config_that_is_not_utf8_exits_1_naming_the_file_and_byte(tmp_path, ca
                    "invalid continuation byte\n")
 
 
+def test_a_byte_order_mark_does_not_start_the_first_key(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 5\ntask = sts\n")
+    assert load_config(cfg).seed == 5
+    # byte offsets still count the mark
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 5\n# caf\xe9\n")
+    code, out, err = run(capsys, "gradcheck", "--config", cfg)
+    assert code == 1 and out == ""
+    assert err == (f"error: config {cfg} is not UTF-8 at byte offset 17: "
+                   "invalid continuation byte\n")
+
+
 def test_a_line_separator_in_a_config_value_does_not_end_its_line(tmp_path):
     cfg = tmp_path / "sep.cfg"
     cfg.write_text("embeddings = a.txt\u2028seed = 14\nnot a setting\n", encoding="utf-8")
@@ -207,6 +219,21 @@ def test_train_refuses_a_too_small_valid_set_before_any_epoch(workdir, capsys, t
     assert f"{valid}: {count} usable validation examples" in err
     assert "epoch\t" not in out
     assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_train_reports_nan_for_an_undefined_validation_pearson(workdir, capsys, tmp_path):
+    # check_valid accepts two golds, but one pair twice gets one
+    # prediction twice, on which Pearson is undefined
+    valid = tmp_path / "valid.tsv"
+    valid.write_text("bob likes mary\tmary likes bob\t1.0\n"
+                     "bob likes mary\tmary likes bob\t4.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "train", workdir / "sts.tsv", "--config", workdir / "desk.cfg",
+                         "--valid", valid, "--out", tmp_path / "x.ckpt", "--epochs", "2")
+    assert code == 0, err
+    rows = [line.split("\t") for line in out.splitlines()[out.splitlines().index(
+        "epoch\ttrain_loss\tvalid_metric") + 1:]]
+    assert [(epoch, metric) for epoch, _, metric in rows] == [("1", "nan"), ("2", "nan")]
+    assert "(best epoch 1)" in err and (tmp_path / "x.ckpt").exists()
 
 
 @pytest.mark.parametrize("gold, message", [

@@ -223,7 +223,7 @@ def test_comparison_backward_through_all_levels(params):
             cmp.word_word(p, s_pair),
             cmp.sentence_sentence(p, e_pair),
             cmp.word_sentence(p, e_pair, s_pair), 0.0)
-        return nc.ce_from_logits(1, logits)
+        return obj.kl_loss(obj.one_hot_target(1, 3), logits)
 
     report = nc.grad_check(loss, params)
     assert report.max_rel_err < 1e-4

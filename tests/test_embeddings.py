@@ -80,10 +80,38 @@ def test_load_table_keeps_finite_values_whose_sum_overflows(tmp_path):
     np.testing.assert_array_equal(t.matrix[t.index["a"]], [1e308, 1e308])
 
 
-def test_load_table_expected_dim(tmp_path):
-    p = write(tmp_path, "t.txt", "a 1 2 3\n")
-    with pytest.raises(DataError):
-        load_table(p, expected_dim=4)
+@pytest.mark.parametrize("text, dim", [("the 1 2\ncat 3 4\n", 2),
+                                       ("2 3\nthe 1 2 3\ncat 4 5 6\n", 3)],
+                         ids=["no-header", "header"])
+def test_a_byte_order_mark_is_not_part_of_the_first_word(tmp_path, text, dim):
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for _ in range(2):                  # the parse, then the cache
+        t = load_table(p)
+        assert list(t.index) == ["the", "cat"] and t.dim == dim
+
+
+def test_a_byte_order_mark_keeps_line_numbers_and_byte_offsets(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"\xef\xbb\xbfthe 1 2\ncat 3\n")
+    with pytest.raises(DataError, match="line 2: expected 2 values, found 1"):
+        load_table(p)
+    p.write_bytes(b"\xef\xbb\xbfthe 1 2\nc\xff 3 4\n")
+    with pytest.raises(DataError, match="position 12"):     # the byte's offset in the file
+        load_table(p)
+
+
+def test_a_cache_of_the_version_that_kept_the_byte_order_mark_is_parsed_again(tmp_path):
+    # version 1 parsed a leading byte-order mark into the first word, and
+    # the cache is keyed by the SHA-256 of the raw bytes, which keeps it
+    p = tmp_path / "t.txt"
+    raw = b"\xef\xbb\xbfthe 1 2\n"
+    p.write_bytes(raw)
+    store.write(cache_path(p), b"PSLX", 1,
+                {"source_sha256": hashlib.sha256(raw).hexdigest(), "dim": 2, "rows": 1,
+                 "duplicates": []},
+                [("matrix", np.array([[1.0, 2.0]])), ("words", "\ufeffthe".encode())])
+    assert list(load_table(p).index) == ["the"]
 
 
 def test_load_table_duplicates_keep_first(tmp_path, caplog):
@@ -471,9 +499,9 @@ def test_cached_load_does_not_keep_the_files_resident(tmp_path):
 def test_cache_dim_mismatch_raises_the_parse_error(tmp_path):
     p = write(tmp_path, "t.txt", "a 1 2 3\n")
     load_table(p)
-    with pytest.raises(DataError, match="line 1: expected 4 values, found 3"):
-        load_table(p, expected_dim=4)
-    assert load_table(p, expected_dim=3).dim == 3
+    write(tmp_path, "t.txt", "a 1 2 3\nb 1 2 3 4\n")   # the cached dim fits no longer
+    with pytest.raises(DataError, match="line 2: expected 3 values, found 4"):
+        load_table(p)
 
 
 def test_unwritable_directory_loads_and_leaves_no_temp_file(tmp_path, monkeypatch, caplog):
@@ -597,6 +625,26 @@ def test_a_hashing_job_that_raises_falls_back_to_a_parse(tmp_path, threads_start
     for table, parse in zip(got.tables, want):
         assert_same_table(table, parse)
     assert cache_path(paths[1]).read_bytes() == clean
+
+
+def test_a_text_emptied_after_caching_raises_its_parse_error(tmp_path, threads_started,
+                                                              monkeypatch):
+    # its digest job finds an empty file, which cannot be mapped, and
+    # returns no digest; only that table is parsed, the others are hits
+    paths = [_filler(tmp_path, "f"), _filler(tmp_path, "g"), write(tmp_path, "t.txt", TABLE)]
+    want = [parsed(p) for p in paths[:2]]
+    load_lexicon(paths)
+    paths[2].write_bytes(b"")
+    parse, parses = emb._parse, []
+    monkeypatch.setattr(emb, "_parse", lambda path, *args: parses.append(path)
+                        or parse(path, *args))
+    threads_started.clear()
+    with pytest.raises(DataError, match="no word vectors found"):
+        load_lexicon(paths)
+    assert threads_started and parses == [paths[2]]
+    for table, parse in zip(load_lexicon(paths[:2]).tables, want):
+        assert_same_table(table, parse)
+    assert parses == [paths[2]]
 
 
 def _desk_sized(tmp_path):

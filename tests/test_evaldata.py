@@ -76,6 +76,16 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
         ed.load_pairs(p, "sts")
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_token(tmp_path):
+    p = tmp_path / "bom.tsv"
+    p.write_bytes(b"\xef\xbb\xbfthe cat\ta cat\t1.0\n")
+    assert ed.load_pairs(p, "sts").examples[0].tokens1 == ["the", "cat"]
+    # line numbers and byte offsets still count the mark
+    p.write_bytes(b"\xef\xbb\xbfthe cat\ta cat\t1.0\nc\xff\td\t2.0\n")
+    with pytest.raises(DataError, match=r"bom.tsv line 2: not UTF-8: .* position 22"):
+        ed.load_pairs(p, "sts")
+
+
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
                                  "\x1c", "\x1d", "\x1e", "\r"])
 def test_only_a_line_feed_ends_a_line(tmp_path, sep):

@@ -4,7 +4,7 @@ import pytest
 from pairsim import model as md
 from pairsim import numcore as nc
 from pairsim import objectives as obj
-from pairsim.errors import ConfigError
+from pairsim.errors import ConfigError, DataError
 from pairsim.evaldata import SentencePairExample
 from pairsim.rng import stream
 
@@ -139,6 +139,19 @@ def test_example_loss_sts_uses_mapped_target(lex):
     ex = SentencePairExample(["bob"], ["mary"], gold_score=2.5)
     loss = md.batch_loss(params, lex, [ex])
     assert float(nc._value(loss)) > 0
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_a_class_label_outside_the_heads_classes_raises_data_error(lex, label):
+    # the loss builds one-hot targets over the C classes; a label outside
+    # them is bad data, reported as such, not a shape failure
+    spec = sts_spec(task="entailment", C=3, score=None,
+                    label_names=["entailment", "contradiction", "neutral"])
+    params = md.build_model(spec, seed=3)
+    batch = [SentencePairExample(["bob"], ["mary"], gold_label=1),
+             SentencePairExample(["dogs"], ["cats"], gold_label=label)]
+    with pytest.raises(DataError, match=f"class label {label} outside \\[0, 3\\)"):
+        md.batch_loss(params, lex, batch)
 
 
 def test_batch_loss_is_mean(lex):

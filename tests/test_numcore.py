@@ -1028,7 +1028,7 @@ def test_backward_losses():
     z = rng.normal(size=5)
     p = np.array([0.0, 0.0, 0.6, 0.4, 0.0])
     assert_grads_close(lambda z: nc.kl_from_logits(p, z), [z.copy()])
-    assert_grads_close(lambda z: nc.ce_from_logits(2, z), [z.copy()])
+    assert_grads_close(lambda z: nc.kl_from_logits(np.eye(5)[2], z), [z.copy()])   # one-hot
     # (B, K) rows give (B,) losses
     Z = rng.normal(size=(3, 5))
     P = np.array([p, [0.2, 0.8, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
@@ -1036,7 +1036,7 @@ def test_backward_losses():
     assert_grads_close(lambda Z: nc.vsum(nc.elementwise_mul(nc.kl_from_logits(P, Z), w)),
                        [Z.copy()])
     assert_grads_close(
-        lambda Z: nc.vsum(nc.elementwise_mul(nc.ce_from_logits(np.array([2, 0, 4]), Z), w)),
+        lambda Z: nc.vsum(nc.elementwise_mul(nc.kl_from_logits(np.eye(5)[[2, 0, 4]], Z), w)),
         [Z.copy()])
 
 
@@ -1045,14 +1045,14 @@ def test_losses_on_rows_equal_losses_on_each_row():
     Z = rng.normal(size=(4, 5))
     P = rng.dirichlet(np.ones(5), size=4)
     P[1] = [0.0, 0.3, 0.7, 0.0, 0.0]
-    gold = np.array([0, 4, 2, 2])
-    kl, ce = nc.kl_from_logits(P, Z), nc.ce_from_logits(gold, Z)
+    onehot = np.eye(5)[[0, 4, 2, 2]]
+    kl, ce = nc.kl_from_logits(P, Z), nc.kl_from_logits(onehot, Z)
     assert kl.shape == ce.shape == (4,)
     for i in range(4):
         assert abs(kl[i] - float(nc.kl_from_logits(P[i], Z[i]))) <= 1e-15
-        assert abs(ce[i] - float(nc.ce_from_logits(int(gold[i]), Z[i]))) <= 1e-15
+        assert abs(ce[i] - float(nc.kl_from_logits(onehot[i], Z[i]))) <= 1e-15
     with pytest.raises(ShapeError):
-        nc.ce_from_logits(np.array([0, 5, 1, 1]), Z)
+        nc.kl_from_logits(onehot[:3], Z)
 
 
 def test_backward_shared_input_accumulates():

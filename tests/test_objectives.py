@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from pairsim import numcore as nc
 from pairsim import objectives as obj
 from pairsim.errors import ConfigError, DataError
 from pairsim.rng import stream
+
+from oracles import reference_cross_entropy
 
 
 def test_sparse_target_fractional():
@@ -72,13 +75,43 @@ def test_kl_rejects_bad_target():
 
 
 def test_ce_values():
+    # cross entropy is the KL loss against a one-hot target
     big = np.array([50.0, 0.0, 0.0])
-    assert float(obj.ce_loss(0, big)) < 1e-12
-    assert abs(float(obj.ce_loss(1, np.zeros(3))) - math.log(3)) < 1e-12
+    assert float(obj.kl_loss(obj.one_hot_target(0, 3), big)) < 1e-12
+    assert abs(float(obj.kl_loss(obj.one_hot_target(1, 3), np.zeros(3)))
+               - math.log(3)) < 1e-12
     rng = stream(42, "test")
     for _ in range(200):
         logits = rng.normal(size=4)
-        assert float(obj.ce_loss(int(rng.integers(0, 4)), logits)) >= 0
+        assert float(obj.kl_loss(obj.one_hot_target(int(rng.integers(0, 4)), 4), logits)) >= 0
+
+
+@pytest.mark.parametrize("label", [-1, 3, 7])
+def test_a_class_label_outside_the_classes_raises_data_error(label):
+    with pytest.raises(DataError, match=f"class label {label} outside"):
+        obj.one_hot_target(label, 3)
+
+
+def test_kl_against_one_hot_targets_is_the_old_cross_entropy():
+    # byte-equal gradients; losses equal but for the sign of an exact 0,
+    # which a saturated row gives: -0.0 from the negated log, +0.0 from KL
+    rng = stream(43, "test")
+    signed_zeros = 0
+    for case in range(1200):
+        B, C = int(rng.integers(1, 41)), int(rng.integers(2, 6))
+        Z = rng.normal(size=(B, C)) * [0.1, 1.0, 10.0, 60.0, 1000.0][case % 5]
+        gold = rng.integers(0, C, size=B)
+        want, want_grad = reference_cross_entropy(gold, Z)
+        with nc.GradTape() as tape:
+            z = tape.leaf(Z)
+            loss = obj.kl_loss(np.array([obj.one_hot_target(g, C) for g in gold]), z)
+            tape.backward(nc.vsum(loss))
+        got = np.asarray(nc._value(loss))
+        assert z.grad.tobytes() == want_grad.tobytes()
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.int64)[want != 0], want.view(np.int64)[want != 0])
+        signed_zeros += int(np.sum(np.signbit(got) != np.signbit(want)))
+    assert signed_zeros > 0         # saturated rows were met
 
 
 def test_decode_score_peaked_and_uniform():

@@ -195,7 +195,7 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
 
 
 class OwnerFailure(BaseException):
-    """A failure that is not an Exception, which ``run`` does not hand back."""
+    """A failure that is not an Exception, which ``run`` raises like any other."""
 
 
 def both_started():
@@ -233,32 +233,37 @@ def test_a_pinned_thread_runs_each_job_on_its_cpu_and_is_joined(monkeypatch):
             helper = [r for r in results if r[1] == "pairsim-test"]
             assert len(helper) == 1 and helper[0][2:] == ({cpu}, cpu)
             assert {r[0] for r in results} == {i, -i}
-        failed = crew.run([lambda: 1 // 0, lambda: "beside a failure"])
-        assert isinstance(failed[0], ZeroDivisionError) and failed[1] == "beside a failure"
+        with pytest.raises(ZeroDivisionError):
+            crew.run([lambda: 1 // 0, lambda: "beside a failure"])
         assert crew.run([lambda: "after a failure"] * 2) == ["after a failure"] * 2
         assert os.sched_getaffinity(0) == set(threads.cpus())  # the owner's is unchanged
     assert threading.active_count() == before
 
 
-def crew_of_two_jobs(fails: str):
+def crew_of_two_jobs(fails: str, failure=OwnerFailure):
     """Run two jobs, one on the caller and one on a helper, where the
-    ``fails`` one raises OwnerFailure while the other is still running;
-    return the names of the threads whose jobs ended."""
+    ``fails`` one raises ``failure`` while the other is still running,
+    followed by jobs that must never start; return the names of the
+    threads whose jobs had ended when ``run`` raised."""
     barrier, ended = both_started(), []
 
     def job():
         barrier.wait()
         if (threading.current_thread().name == "pairsim-test") == (fails == "helper"):
-            raise OwnerFailure(fails)
+            raise failure(fails)
         time.sleep(0.05)                # still running when the other fails
         ended.append(threading.current_thread().name)
 
+    def never():
+        ended.append("a job queued after the failure")
+
     before = threading.active_count()
-    with pytest.raises(OwnerFailure, match=fails):
-        with threads.Crew(1, "pairsim-test", [None, None]) as crew:
-            crew.run([job, job])
-    assert threading.active_count() == before
-    return ended
+    with threads.Crew(1, "pairsim-test", [None, None]) as crew:
+        with pytest.raises(failure, match=fails):
+            crew.run([job, job, never, never])
+        at_raise = list(ended)
+    assert threading.active_count() == before and ended == at_raise
+    return at_raise
 
 
 def test_a_pinned_thread_finishes_its_job_when_the_owner_fails():
@@ -267,6 +272,27 @@ def test_a_pinned_thread_finishes_its_job_when_the_owner_fails():
 
 def test_a_helper_failure_that_is_no_exception_is_raised_once_the_caller_ends():
     assert crew_of_two_jobs("helper") == ["MainThread"]
+
+
+@pytest.mark.parametrize("fails, other", [("caller", "pairsim-test"), ("helper", "MainThread")])
+def test_an_exception_is_raised_once_the_other_running_job_has_ended(fails, other):
+    assert crew_of_two_jobs(fails, KeyError) == [other]
+
+
+def test_run_raises_the_first_of_two_failures():
+    barrier = both_started()
+
+    def job():
+        barrier.wait()
+        if threading.current_thread().name == "pairsim-test":
+            raise KeyError("first")
+        time.sleep(0.05)
+        raise ValueError("second")
+
+    with threads.Crew(1, "pairsim-test", [None, None]) as crew:
+        with pytest.raises(KeyError, match="first"):
+            crew.run([job, job])
+        assert crew.run([lambda: 1, lambda: 2]) == [1, 2]
 
 
 def test_pinned_threads_hand_each_owner_the_result_of_its_own_job():
@@ -307,18 +333,22 @@ def test_run_pinned_runs_the_caller_beside_one_helper_per_other_cpu(monkeypatch,
         work[2] = failing_job
     before = threading.active_count()
     with threads.Crew(jobs - 1, "pairsim-test", list(range(cpus))) as crew:
-        results = crew.run(work)
+        if jobs > 2:
+            with pytest.raises(KeyError, match="job 2"):
+                crew.run(work)
+        else:
+            assert crew.run(work) == [i * i for i in range(jobs)]
     assert threading.active_count() == before
     # the caller is on CPU 0; at most one helper per job beyond the first
     assert sorted(made) == [(cpu, "pairsim-test") for cpu in range(1, min(cpus, jobs))]
-    assert sorted(calls) == [i for i in range(jobs) if i != 2 or jobs <= 2]
-    if cpus == 1:
-        assert calls == sorted(calls)       # one queue, taken in job order
-    for i, result in enumerate(results):
-        if i == 2:
-            assert isinstance(result, KeyError)
-        else:
-            assert result == i * i
+    if jobs <= 2:
+        assert sorted(calls) == list(range(jobs))
+    elif cpus == 1:
+        assert calls == [0, 1]              # one queue, taken in job order, none after job 2
+    else:
+        # jobs 0 and 1 were taken before job 2 and ended; 3 and 4 were
+        # taken only if another thread came to the queue before job 2 failed
+        assert {0, 1} <= set(calls) <= {0, 1, 3, 4} and len(set(calls)) == len(calls)
 
 
 def test_run_pinned_runs_a_helper_that_cannot_start_on_the_caller(monkeypatch):

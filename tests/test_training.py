@@ -21,12 +21,13 @@ from pairsim import store, threads
 from pairsim import training as tr
 from pairsim.config import RunConfig
 from pairsim.errors import CheckpointError, ConfigError, DataError, NumericError
+from pairsim.evaldata import LABEL_NAMES
 
 from oracles import scalar_adadelta_steps, whole_array_adadelta_step
 from pairsim.rng import stream
 
 from record_checkpoint_fixtures import USER_KEYS
-from toys import edit_checkpoint_header, sts_overfit_dataset, toy_lexicon
+from toys import cls3_dataset, edit_checkpoint_header, sts_overfit_dataset, toy_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -469,6 +470,24 @@ def test_validation_selects_best_and_early_stops(lex):
     assert len(result.history) <= result.best_epoch + 3
 
 
+@pytest.mark.parametrize("metrics, best, epochs", [
+    ([math.nan, 0.2, math.nan, 0.1], 2, 4),     # a defined metric beats nan
+    ([0.3, math.nan, math.nan], 1, 3),          # nan is no improvement
+    ([math.nan, math.nan, math.nan], 1, 3),     # nor is it over nan
+    ([0.3, math.nan, math.nan, 0.5], 1, 3),     # and counts towards patience
+])
+def test_an_undefined_validation_metric_is_no_improvement(lex, monkeypatch, metrics, best,
+                                                          epochs):
+    given = iter(metrics)
+    monkeypatch.setattr(md, "dataset_metric", lambda *args: next(given))
+    ds = sts_overfit_dataset()
+    cfg = RunConfig(batch_size=8, epochs=len(metrics), seed=2, patience=2)
+    result = tr.train(md.build_model(small_spec(), seed=2), lex, ds, cfg, valid=ds)
+    assert result.best_epoch == best and len(result.history) == epochs
+    assert [r.valid_metric for r in result.history] == pytest.approx(metrics[:epochs],
+                                                                     nan_ok=True)
+
+
 def test_validation_leaves_params_and_state_at_the_best_epoch(lex):
     # validation draws from no stream, so the first k epochs of this run
     # are a run of k epochs without validation
@@ -830,6 +849,40 @@ def test_checkpoint_bytes_pinned(tmp_path, lex, encoder):
     raw = path.read_bytes()
     (n,) = struct.unpack("<Q", raw[8:16])
     assert hashlib.sha256(raw[16 + n:]).hexdigest() == PINNED[encoder]
+
+
+# The same bytes for the classification tasks after three dropout-0.5
+# steps over batches mixing the classes.  Recorded while classification
+# still trained on a separate softmax cross entropy; the KL loss against
+# one-hot targets that replaced it gives the same gradients, bit for bit.
+PINNED_CLASSIFICATION = {
+    ("entailment", "maxlstm"): "adc99e9cc16c482dbc50024c750ef9698ab5e147732b3ec21677255aefe39413",
+    ("paraphrase", "maxlstm"): "f2fc02006440d65e31ad2e509b993f9f81531cfa4ae2a6c194dcf9dbd28db979",
+    ("entailment", "lstm_only"): "4f23d556123deb316a7a61e8005611503ffbf5b02cddf12aab09e44c570834be",
+}
+
+
+@pytest.mark.parametrize("task, encoder", sorted(PINNED_CLASSIFICATION))
+def test_classification_checkpoint_bytes_pinned(tmp_path, lex, task, encoder):
+    labels = LABEL_NAMES[task]
+    spec = md.ModelSpec(task=task, encoder=encoder,
+                        comparison="multi" if encoder == "maxlstm" else "sent",
+                        total_dim=8, H=6, l=6, L=4, d_neu=4, C=len(labels), dropout_p=0.5,
+                        label_names=labels)
+    params = md.build_model(spec, seed=17)
+    state = tr.AdaDeltaState.zeros(params)
+    rng = stream(17, "dropout")
+    examples = cls3_dataset().examples      # classes 0, 1 and 2 in runs
+    if task == "paraphrase":                # containment is a paraphrase, the rest not
+        examples = [dataclasses.replace(ex, gold_label=int(ex.gold_label == 0))
+                    for ex in examples]
+    for k in range(3):
+        tr.train_step(params, state, lex, examples[k::4], rng)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, params, state)
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    assert hashlib.sha256(raw[16 + n:]).hexdigest() == PINNED_CLASSIFICATION[task, encoder]
 
 
 # SHA-256 of the format 3 file that each committed format 2 checkpoint

@@ -1,15 +1,16 @@
 """Byte-level fuzzing of the pair-file surface through ``cli.main``.
 
-``pairsim eval`` on a damaged TSV must exit 0, or exit 2 with a
-``data error`` line that names the file and a line number; no exception
-may escape ``main``.  The checkpoint is a toy word-average model, so
-each run takes a few milliseconds.
+``pairsim eval`` on a damaged TSV, and ``pairsim train`` on a damaged
+training or validation TSV, must exit 0, or exit 2 with a ``data error``
+line that names the file and a line number (or, for ``train``, one of
+its whole-file messages); no exception may escape ``main``.  The model
+is a toy word-average one, so each run takes a few milliseconds.
 """
 
 import re
 from dataclasses import asdict
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairsim import model as md
@@ -73,5 +74,44 @@ def test_eval_on_a_damaged_pair_file_exits_0_or_2_naming_file_and_line(tmp_path,
         if code == 2:
             assert err.startswith(f"data error: {data} line ")
             assert re.match(r"data error: .* line [1-9][0-9]*: ", err), err
+
+    damage()
+
+
+# what ``train`` says of a whole file rather than of one of its lines
+WHOLE_FILE = (r"no usable examples",
+              r"\d+ usable validation examples with \d+ distinct gold scores; "
+              r"pearson needs at least 2")
+
+
+def test_train_on_a_damaged_pair_file_exits_0_or_2_naming_file_and_line(tmp_path, capsys):
+    tables = write_lexicon_files(toy_lexicon(seed=7, dims=(5, 3)), tmp_path)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(f"embeddings = {','.join(str(p) for p in tables)}\n"
+                   "encoder = word_avg\ncomparison = sent\nfilters = 4\nlstm_dim = 4\n"
+                   "max_len = 4\nd_neu = 3\ndropout = 0.0\nscore_k = 5\n"
+                   "raw_min = 0\nraw_max = 5\nbatch_size = 4\nepochs = 1\n", encoding="utf-8")
+    good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "toy.ckpt"
+    good.write_bytes(PAIRS)
+    assert main(["train", str(good), "--valid", str(good), "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    @FUZZ
+    @given(text=st.lists(EDIT, min_size=1, max_size=3).map(mutated),
+           damaged=st.sampled_from(["train", "valid"]))
+    # one pair twice with two golds: Pearson is undefined on its predictions
+    @example(text=b"the cat\ta cat\t1.0\nthe cat\ta cat\t4.0\n", damaged="valid")
+    def damage(text, damaged):
+        bad.write_bytes(text)
+        train, valid = (bad, good) if damaged == "train" else (good, bad)
+        code = main(["train", str(train), "--valid", str(valid), "--config", str(cfg),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if code == 2:
+            assert (re.match(rf"data error: {re.escape(str(bad))} line [1-9][0-9]*: ", err)
+                    or re.fullmatch(rf"data error: {re.escape(str(bad))}: "
+                                    rf"({'|'.join(WHOLE_FILE)})\n", err)), err
 
     damage()
