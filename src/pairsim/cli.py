@@ -168,6 +168,7 @@ def cmd_eval(args, overrides) -> int:
             f"checkpoint was trained for task {task!r}, dataset is {args.task!r}")
     lex = _lexicon(cfg, f"in checkpoint {args.checkpoint}", params.spec.total_dim)
     ds = load_pairs(args.test, task, lenient=cfg.lenient)
+    tr.check_valid(args.test, ds)
     preds = md.predict(params, lex, [(ex.tokens1, ex.tokens2) for ex in ds.examples],
                        cfg.batch_size)
     if task == "sts":

@@ -1,7 +1,8 @@
 """Run configuration: key = value files, overrides, validation, echo.
 
 A configuration file holds ``key = value`` lines with ``#`` comments,
-in UTF-8 (a leading byte-order mark is dropped).
+read as every text input is (``evaldata.text_lines``: UTF-8, a leading
+byte-order mark dropped, only a line feed ending a line).
 Command-line overrides are ``--key value`` pairs applied on top.
 Unknown keys are fatal.  Every command echoes the fully resolved
 configuration as ``# key = value`` lines so that a run is reproducible
@@ -21,9 +22,9 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .errors import ConfigError
+from .evaldata import text_lines
 from .model import spec_from_config
 
 ENV_CONFIG = "PAIRSIM_CONFIG"
@@ -88,16 +89,16 @@ def _parse_value(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
-        if kind == "bool" or kind is bool:
+        if kind == "bool":
             low = raw.lower()
             if low in ("true", "yes", "1", "on"):
                 return True
             if low in ("false", "no", "0", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "int" or kind is int:
+        if kind == "int":
             return int(raw)
-        if kind == "float" or kind is float:
+        if kind == "float":
             return float(raw)
         if key == "embeddings" and ("\0" in raw or not raw.replace(",", " ").strip()):
             raise ValueError("expected file names, without NUL bytes")
@@ -121,15 +122,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if path is None:
         path = os.environ.get(ENV_CONFIG) or None
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config {path} is not UTF-8 at byte offset {exc.start}: "
-                              f"{exc.reason}") from None
-        # only "\n" ends a line; strip() drops a "\r" before it
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        for lineno, line in enumerate(text_lines(path, ConfigError), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

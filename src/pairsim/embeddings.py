@@ -18,11 +18,11 @@ writes to them after load.
 File format: optional first header line of two integers "count dim"
 (a header only when the next non-blank line has dim + 1 fields),
 then one word per line: ``word v1 v2 ... v_dim`` with ASCII decimal
-floats (finite: nan and inf are rejected), UTF-8 words, after an
-optional byte-order mark.  Only a line
-feed ends a line (a carriage return before it is dropped), and only
-ASCII spaces and tabs separate fields, so a word may hold any other
-character, U+2028 or U+00A0 among them.
+floats (finite: nan and inf are rejected).  The text is read as every
+text input is (``evaldata.text_lines``: UTF-8, a leading byte-order
+mark dropped, only a line feed ending a line), and only ASCII spaces
+and tabs separate fields, so a word may hold any other character,
+U+2028 or U+00A0 among them.
 
 Parsing a large table in Python takes seconds, so ``load_table`` keeps
 the parsed form beside the text file (``<file>.pairsim-cache``, about
@@ -51,6 +51,7 @@ import numpy as np
 
 from . import store
 from .errors import ConfigError, DataError
+from .evaldata import text_lines
 from .rng import stream
 
 log = logging.getLogger(__name__)
@@ -117,14 +118,14 @@ def _warn_duplicate(path, lineno: int, word: str):
                 path, lineno, word)
 
 
-def _parse(path: Path, text: str):
-    """(matrix, index, duplicates) of a table's text, checking every line;
-    duplicates lists the (line number, word) of each repeated word."""
+def _parse(path: Path, lines: list[str]):
+    """(matrix, index, duplicates) of a table's lines (``text_lines``),
+    checking every line; duplicates lists the (line number, word) of each
+    repeated word."""
     flat = array("d")
     index: dict[str, int] = {}
     duplicates: list[tuple[int, str]] = []
     start = 1
-    lines = text.replace("\r\n", "\n").split("\n")      # only a line feed ends a line
     dim = _header_dim(lines)
     if dim is not None:
         start = 2
@@ -235,36 +236,29 @@ def _cached_table(path: Path, cache: store.Container, results) -> EmbeddingTable
     return EmbeddingTable(name=path.stem, matrix=matrix, index=index, source_path=str(path))
 
 
-def _write_cache(cache: Path, source_sha256: str, table: EmbeddingTable, duplicates, mode):
-    """Write the cache atomically; a failed write leaves no file behind."""
+def _write_cache(path: Path, source_sha256: str, table: EmbeddingTable, duplicates):
+    """Write the cache of the text at ``path`` atomically, with the text's
+    mode; a failed write leaves no file behind."""
+    cache = cache_path(path)
     meta = {"source_sha256": source_sha256, "dim": table.dim, "rows": len(table),
             "duplicates": duplicates}
     try:
         store.write(cache, _CACHE_MAGIC, _CACHE_VERSION, meta,
                     [("matrix", table.matrix.astype("<f8", copy=False)),
-                     ("words", "\n".join(table.index).encode("utf-8"))], mode)
+                     ("words", "\n".join(table.index).encode("utf-8"))],
+                    os.stat(path).st_mode & 0o666)
     except OSError as exc:
         log.warning("cannot write embedding cache %s (%s); the table will be parsed "
                     "again on every load", cache, exc)
 
 
 def _parse_table(path: Path) -> EmbeddingTable:
-    """Parse the text at ``path``, checking every line, and write its cache."""
-    try:
-        raw = path.read_bytes()
-        mode = os.stat(path).st_mode & 0o666
-    except OSError as exc:
-        raise DataError(f"cannot read embedding file {path}: {exc}") from exc
-    source_sha256 = hashlib.sha256(raw).hexdigest()
-    try:
-        text = raw.decode("utf-8").removeprefix("\ufeff")    # offsets stay the file's
-    except UnicodeDecodeError as exc:
-        raise DataError(f"embedding file {path} is not UTF-8: {exc}") from exc
-    del raw
-    matrix, index, duplicates = _parse(path, text)
-    del text
+    """Parse the text at ``path``, checking every line, and write its cache,
+    which records the SHA-256 of exactly the bytes parsed."""
+    digest = hashlib.sha256()
+    matrix, index, duplicates = _parse(path, text_lines(path, digest=digest))
     table = EmbeddingTable(name=path.stem, matrix=matrix, index=index, source_path=str(path))
-    _write_cache(cache_path(path), source_sha256, table, duplicates, mode)
+    _write_cache(path, digest.hexdigest(), table, duplicates)
     return table
 
 

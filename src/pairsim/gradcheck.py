@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model as md
+from . import threads
 from .evaldata import SentencePairExample
 from .numcore import GradCheckReport, grad_check
 
@@ -61,7 +62,8 @@ def model_grad_check(params: md.ModelParams, lex, batch, h: float = 1e-5,
     """Check every parameter entry of the model on the given batch.
 
     ``only`` restricts the run to the named parameter groups (all by
-    default).
+    default).  The check runs OpenBLAS at one thread
+    (``threads.one_blas_thread``).
     """
     tiers = {part: {n: a for n, a in params.w.items()
                     if n.startswith(part + ".") and (only is None or n in only)}
@@ -85,14 +87,15 @@ def model_grad_check(params: md.ModelParams, lex, batch, h: float = 1e-5,
     # the encoder tier has nothing upstream to cache; the comparison tier
     # takes the encodings as constants, the head tier the similarity vectors
     groups = []
-    if tiers["encoder"]:
-        groups += grad_check(f_full, tiers["encoder"], h, rel_floor).groups
-    if tiers["comparison"]:
-        enc = md.encode_pairs(params, lex, pairs)
-        groups += grad_check(f_cmp, tiers["comparison"], h, rel_floor).groups
-    if tiers["head"]:
-        sims = md.pair_sims(params, md.encode_pairs(params, lex, pairs))
-        groups += grad_check(f_head, tiers["head"], h, rel_floor).groups
+    with threads.one_blas_thread():
+        if tiers["encoder"]:
+            groups += grad_check(f_full, tiers["encoder"], h, rel_floor).groups
+        if tiers["comparison"]:
+            enc = md.encode_pairs(params, lex, pairs)
+            groups += grad_check(f_cmp, tiers["comparison"], h, rel_floor).groups
+        if tiers["head"]:
+            sims = md.pair_sims(params, md.encode_pairs(params, lex, pairs))
+            groups += grad_check(f_head, tiers["head"], h, rel_floor).groups
     return GradCheckReport(groups, h)
 
 

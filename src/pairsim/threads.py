@@ -5,8 +5,9 @@ Every job pairsim spreads over CPUs (a lexicon's digests and cache
 checks, a checkpoint's section checks, the AdaDelta sweep, the LSTM's
 large products) runs its caller beside the helpers of a ``Crew``: a job
 on N CPUs starts at most N - 1 threads, and on one CPU none.  Each
-train step and each ``predict`` call runs inside ``one_blas_thread``, so
-the BLAS behind numpy runs one thread of its own there.
+train step, each ``predict`` call and each whole-model gradient check
+runs inside ``one_blas_thread``, so the BLAS behind numpy runs one
+thread of its own there.
 """
 
 from __future__ import annotations

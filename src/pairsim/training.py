@@ -252,17 +252,18 @@ def train_step(params: md.ModelParams, state: AdaDeltaState, lex, batch,
 
 
 def check_valid(name, ds: PairDataset):
-    """Refuse a validation set whose metric is undefined: Pearson needs
-    two distinct gold scores, accuracy one example.  ``name``, a path
-    or "validation set", starts the DataError's message."""
+    """Refuse a validation or test set whose metric can never be defined:
+    Pearson needs two distinct gold scores, accuracy one example.
+    ``name``, a path or "validation set", starts the DataError's
+    message."""
     n = len(ds.examples)
     if ds.task == "sts":
         distinct = len({ex.gold_score for ex in ds.examples})
         if distinct < 2:
-            raise DataError(f"{name}: {n} usable validation examples with {distinct} "
+            raise DataError(f"{name}: {n} usable examples with {distinct} "
                             f"distinct gold scores; pearson needs at least 2")
     elif n == 0:
-        raise DataError(f"{name}: 0 usable validation examples; accuracy needs at least 1")
+        raise DataError(f"{name}: 0 usable examples; accuracy needs at least 1")
 
 
 def train(params: md.ModelParams, lex, data: PairDataset, cfg: RunConfig,

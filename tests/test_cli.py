@@ -80,7 +80,7 @@ def test_a_config_that_is_not_utf8_exits_1_naming_the_file_and_byte(tmp_path, ca
     cfg.write_bytes(b"task = sts\n# caf\xe9\n")
     code, out, err = run(capsys, "gradcheck", "--config", cfg)
     assert code == 1 and out == "" and "Traceback" not in err
-    assert err == (f"error: config {cfg} is not UTF-8 at byte offset 16: "
+    assert err == (f"error: {cfg} line 2: not UTF-8 at byte offset 16: "
                    "invalid continuation byte\n")
 
 
@@ -92,8 +92,16 @@ def test_a_byte_order_mark_does_not_start_the_first_key(tmp_path, capsys):
     cfg.write_bytes(b"\xef\xbb\xbfseed = 5\n# caf\xe9\n")
     code, out, err = run(capsys, "gradcheck", "--config", cfg)
     assert code == 1 and out == ""
-    assert err == (f"error: config {cfg} is not UTF-8 at byte offset 17: "
+    assert err == (f"error: {cfg} line 2: not UTF-8 at byte offset 17: "
                    "invalid continuation byte\n")
+
+
+def test_a_lone_carriage_return_does_not_end_a_config_line(tmp_path, capsys):
+    cfg = tmp_path / "cr.cfg"
+    cfg.write_bytes(b"seed = 5\rfilters = 7\n")
+    code, out, err = run(capsys, "gradcheck", "--config", cfg)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cfg} line 1: bad value for seed: ")
 
 
 def test_a_line_separator_in_a_config_value_does_not_end_its_line(tmp_path):
@@ -216,7 +224,7 @@ def test_train_refuses_a_too_small_valid_set_before_any_epoch(workdir, capsys, t
                          "--valid", valid, "--out", tmp_path / "x.ckpt",
                          "--task", task, "--lenient", lenient)
     assert code == 2
-    assert f"{valid}: {count} usable validation examples" in err
+    assert f"{valid}: {count} usable examples" in err
     assert "epoch\t" not in out
     assert not (tmp_path / "x.ckpt").exists()
 
@@ -498,13 +506,13 @@ def test_train_non_utf8_inputs_exit_2(workdir, capsys, tmp_path):
                          "--config", workdir / "desk.cfg", "--out", tmp_path / "x.ckpt",
                          "--embeddings", table)
     assert code == 2
-    assert str(table) in err and "position 15" in err
+    assert f"{table} line 2: not UTF-8 at byte offset 15: " in err
     data = tmp_path / "latin1.tsv"
     data.write_bytes("caf\u00e9 au lait\tbob likes mary\t3.0\n".encode("latin-1"))
     code, out, err = run(capsys, "train", data,
                          "--config", workdir / "desk.cfg", "--out", tmp_path / "x.ckpt")
     assert code == 2
-    assert str(data) in err and "position 3" in err
+    assert f"{data} line 1: not UTF-8 at byte offset 3: " in err
 
 
 def test_nonfinite_logits_exit_3(workdir, trained_ckpt, capsys, tmp_path):
@@ -551,11 +559,45 @@ def test_malformed_checkpoint_exits_1(trained_ckpt, capsys, tmp_path, edit, vers
 FIXTURES = Path(__file__).parent / "data"
 
 
+def toy_tables(workdir) -> str:
+    """The ``--embeddings`` value of the committed checkpoints' tables."""
+    return ",".join(str(workdir / f"toy{i}.txt") for i in range(2))
+
+
+def test_eval_prints_nan_where_pearson_is_undefined_on_the_predictions(workdir, capsys,
+                                                                       tmp_path):
+    # one pair twice with two golds: one prediction twice
+    data = tmp_path / "twice.tsv"
+    data.write_text("bob likes mary\tmary likes bob\t1.0\n"
+                    "bob likes mary\tmary likes bob\t4.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", FIXTURES / "sts.ckpt", data,
+                         "--embeddings", toy_tables(workdir))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "pearson_x100\tnan"
+
+
+@pytest.mark.parametrize("task, rows, message", [
+    ("sts", ["bob likes mary\tmary likes bob\t3.0", "dogs eats food\tthe red car\t3.0"],
+     "2 usable examples with 1 distinct gold scores; pearson needs at least 2"),
+    ("sts", [], "0 usable examples with 0 distinct gold scores; pearson needs at least 2"),
+    ("entailment", [], "0 usable examples; accuracy needs at least 1"),
+], ids=["constant-golds", "empty-sts", "empty-entailment"])
+def test_eval_on_a_test_set_without_a_metric_exits_2_naming_the_file(workdir, capsys,
+                                                                     tmp_path, task, rows,
+                                                                     message):
+    data = tmp_path / "test.tsv"
+    data.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    code, out, err = run(capsys, "eval", FIXTURES / f"{task}.ckpt", data,
+                         "--embeddings", toy_tables(workdir))
+    assert (code, err) == (2, f"data error: {data}: {message}\n")
+    assert all(line.startswith("# ") for line in out.splitlines())
+
+
 @pytest.mark.parametrize("task", ["sts", "entailment", "paraphrase"])
 def test_committed_checkpoints_score(workdir, capsys, task):
     # format 2 files, without a section table: they load unchecked, and
     # score as they did before format 3
-    emb = ",".join(str(workdir / f"toy{i}.txt") for i in range(2))
+    emb = toy_tables(workdir)
     code, out, err = run(capsys, "score", FIXTURES / f"{task}.ckpt", "bob likes mary",
                          "mary likes bob", "--embeddings", emb)
     assert code == 0 and err == ""
@@ -567,7 +609,7 @@ def test_a_config_block_that_describes_another_model_exits_1(workdir, capsys, tm
     bad = tmp_path / "bad.ckpt"
     edit_checkpoint_header(FIXTURES / "sts.ckpt", bad,
                            lambda m: m["config"].update(encoder="maxcnn_only", filters=99))
-    emb = ",".join(str(workdir / f"toy{i}.txt") for i in range(2))
+    emb = toy_tables(workdir)
     for argv in (["score", bad, "bob likes mary", "mary likes bob"],
                  ["eval", bad, workdir / "sts.tsv"]):
         code, out, err = run(capsys, *argv, "--embeddings", emb)
@@ -588,7 +630,7 @@ def test_a_config_block_that_fails_its_fingerprint_exits_1(workdir, capsys, tmp_
     assert raw.count(b'"oov_scale":0.1,') == 1
     bad.write_bytes(raw.replace(b'"oov_scale":0.1,', b'"oov_scale":0.7,'))
     edited = fingerprint(RunConfig(**dict(meta["config"], oov_scale=0.7)))
-    emb = ",".join(str(workdir / f"toy{i}.txt") for i in range(2))
+    emb = toy_tables(workdir)
     code, out, err = run(capsys, "score", good, "bob likes zebra", "mary likes bob",
                          "--embeddings", emb)
     assert code == 0 and err == ""

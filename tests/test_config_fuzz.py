@@ -82,17 +82,22 @@ def test_coverage_on_a_damaged_config_or_table_exits_0_1_or_2_naming_the_file(
         err = capsys.readouterr().err
         assert code in (0, 1, 2), err
         if code == 1:
-            named = re.match(r"error: run\.cfg line ([1-9][0-9]*): ", err)
+            named = re.match(r"error: run\.cfg line ([1-9][0-9]*): "
+                             r"(not UTF-8 at byte offset (\d+): )?", err)
             if named:
-                # lines are counted in line feeds, and the one named holds a setting
+                # lines are counted in line feeds
                 lines = config.split(b"\n")
                 assert int(named[1]) <= len(lines), err
-                assert lines[int(named[1]) - 1].split(b"#")[0].strip(), err
+                if named[2]:
+                    # the line named holds the byte
+                    assert config.count(b"\n", 0, int(named[3])) + 1 == int(named[1]), err
+                else:
+                    # the line named holds a setting
+                    assert lines[int(named[1]) - 1].split(b"#")[0].strip(), err
             else:
-                assert (re.match(r"error: config run\.cfg is not UTF-8 at byte offset \d+: ", err)
-                        # a config that sets no table has no line to name
-                        or err.startswith("error: no embedding tables configured in config "
-                                          "run.cfg; ")
+                # a config that sets no table has no line to name
+                assert (err.startswith("error: no embedding tables configured in config "
+                                       "run.cfg; ")
                         # the tables it names share a name
                         or re.match(r"error: embedding tables \S+ and \S+ share the name", err)), err
         elif code == 2:

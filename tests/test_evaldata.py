@@ -1,3 +1,4 @@
+import math
 import string
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsim import evaldata as ed
-from pairsim.errors import DataError
+from pairsim.config import load_config
+from pairsim.embeddings import load_table
+from pairsim.errors import ConfigError, DataError
 
 from oracles import reference_tokenize, scalar_pearson
 
@@ -72,7 +75,8 @@ def test_load_missing_field_names_line(tmp_path):
 def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
     p = tmp_path / "latin1.tsv"
     p.write_bytes("a\tb\t1.0\r\nc\td\t2.0\n\ncaf\u00e9\te\t3.0\n".encode("latin-1"))
-    with pytest.raises(DataError, match=r"latin1.tsv line 4: not UTF-8: .* position 21"):
+    with pytest.raises(DataError, match=r"latin1.tsv line 4: not UTF-8 at byte offset 21: "
+                                        r"invalid continuation byte"):
         ed.load_pairs(p, "sts")
 
 
@@ -82,7 +86,8 @@ def test_a_byte_order_mark_is_not_part_of_the_first_token(tmp_path):
     assert ed.load_pairs(p, "sts").examples[0].tokens1 == ["the", "cat"]
     # line numbers and byte offsets still count the mark
     p.write_bytes(b"\xef\xbb\xbfthe cat\ta cat\t1.0\nc\xff\td\t2.0\n")
-    with pytest.raises(DataError, match=r"bom.tsv line 2: not UTF-8: .* position 22"):
+    with pytest.raises(DataError, match=r"bom.tsv line 2: not UTF-8 at byte offset 22: "
+                                        r"invalid start byte"):
         ed.load_pairs(p, "sts")
 
 
@@ -101,6 +106,63 @@ def test_only_a_line_feed_ends_a_line(tmp_path, sep):
     p.write_bytes(f"the cat{sep}sat\ta dog\t1.0\ncaf".encode("utf-8") + b"\xe9\n")
     with pytest.raises(DataError, match="sep.tsv line 2: not UTF-8"):
         ed.load_pairs(p, "sts")
+
+
+def _config(p):
+    cfg = load_config(p)
+    return cfg.seed, cfg.filters
+
+
+def _pairs(p):
+    return [(ex.tokens1, ex.tokens2, ex.gold_score) for ex in ed.load_pairs(p, "sts").examples]
+
+
+def _table(p):
+    table = load_table(p)
+    return list(table.index), table.matrix.tolist()
+
+
+# Every text input under the one line policy of ``text_lines``: its
+# loader, its error, two good lines, the first of them with a lone
+# carriage return where it is harmless unless it ends the line, and a
+# third line the loader refuses.
+LINE_POLICY_INPUTS = {
+    "config": (_config, ConfigError, [b"seed = 5  # a seed", b"filters = 7"],
+               b"seed = 5  # a\rseed", b"filters = x"),
+    "pairs": (_pairs, DataError, [b"the cat sat\ta cat\t1.0", b"big dog\tdog\t2.0"],
+              b"the cat\rsat\ta cat\t1.0", b"big\tdog"),
+    "table": (_table, DataError, [b"the 1 2", b"cat 3 4"], b"th\re 1 2", b"dog 5"),
+}
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("case", ["crlf", "lone-cr", "bom", "bad-byte-after-bom"])
+@pytest.mark.parametrize("kind", sorted(LINE_POLICY_INPUTS))
+def test_every_text_input_reads_lines_under_one_policy(tmp_path, kind, case):
+    load, error, good, with_cr, bad = LINE_POLICY_INPUTS[kind]
+    lf = tmp_path / "lf.txt"
+    lf.write_bytes(b"".join(line + b"\n" for line in good))
+    want = load(lf)
+    p = tmp_path / "case.txt"
+    if case == "crlf":
+        p.write_bytes(b"".join(line + b"\r\n" for line in good))
+        assert load(p) == want
+    elif case == "bom":
+        p.write_bytes(BOM + lf.read_bytes())
+        assert load(p) == want
+    elif case == "lone-cr":
+        # a carriage return that ended its line would move the refused one
+        p.write_bytes(b"\n".join([with_cr, good[1], bad]) + b"\n")
+        with pytest.raises(error) as exc:
+            load(p)
+        assert str(exc.value).startswith(f"{p} line 3: "), exc.value
+    else:
+        head = BOM + lf.read_bytes() + b"c"
+        p.write_bytes(head + b"\xff" + bad + b"\n")
+        with pytest.raises(error) as exc:
+            load(p)
+        assert str(exc.value) == (f"{p} line 3: not UTF-8 at byte offset {len(head)}: "
+                                  "invalid start byte")
 
 
 def test_load_label_case_insensitive(tmp_path):
@@ -195,11 +257,12 @@ def test_pearson_symmetry_and_affine_invariance():
 
 
 def test_pearson_errors():
-    with pytest.raises(DataError):
-        ed.pearson([1, 1, 1], [1, 2, 3])
-    with pytest.raises(DataError):
-        ed.pearson([1], [2])
-    with pytest.raises(DataError):
+    # undefined: a constant side, or fewer than two points
+    assert math.isnan(ed.pearson([1, 1, 1], [1, 2, 3]))
+    assert math.isnan(ed.pearson([1, 2, 3], [2, 2, 2]))
+    assert math.isnan(ed.pearson([1], [2]))
+    assert math.isnan(ed.pearson([], []))
+    with pytest.raises(DataError, match="length mismatch: 2 vs 3"):
         ed.pearson([1, 2], [1, 2, 3])
 
 

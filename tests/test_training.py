@@ -22,6 +22,7 @@ from pairsim import training as tr
 from pairsim.config import RunConfig
 from pairsim.errors import CheckpointError, ConfigError, DataError, NumericError
 from pairsim.evaldata import LABEL_NAMES
+from pairsim.gradcheck import model_grad_check
 
 from oracles import scalar_adadelta_steps, whole_array_adadelta_step
 from pairsim.rng import stream
@@ -563,8 +564,8 @@ def test_train_refuses_a_valid_set_without_a_metric_before_any_step(lex, keep, d
                                               for ex in ds.examples[:keep]])
     params = md.build_model(small_spec(), seed=1)
     before = params.flat.copy()
-    with pytest.raises(DataError, match=f"validation set: {keep} usable validation "
-                                        f"examples with {distinct} distinct"):
+    with pytest.raises(DataError, match=f"validation set: {keep} usable examples "
+                                        f"with {distinct} distinct"):
         tr.train(params, lex, ds, RunConfig(batch_size=2, epochs=1), valid,
                  on_epoch=lambda rec: pytest.fail("an epoch ran"))
     np.testing.assert_array_equal(params.flat, before)
@@ -726,9 +727,9 @@ def two_blas_threads():
 
 def test_train_steps_and_predict_pin_one_blas_thread_and_give_the_count_back(
         lex, monkeypatch, two_blas_threads):
-    """Each ``predict`` call (of two blocks here) and each train step, also
-    one that raises, sets OpenBLAS to one thread once and sets the
-    caller's two threads again on its way out."""
+    """Each ``predict`` call (of two blocks here), each train step, also
+    one that raises, and a gradient check set OpenBLAS to one thread once
+    and set the caller's two threads again on their way out."""
     get = two_blas_threads
     put, puts = threads._openblas()[1], []
     monkeypatch.setattr(threads, "_openblas", lambda: (get, lambda n: (puts.append(n), put(n))))
@@ -745,6 +746,11 @@ def test_train_steps_and_predict_pin_one_blas_thread_and_give_the_count_back(
         tr.train_step(params, state, lex, batch, stream(5, "dropout"))
     assert (get(), puts) == (2, [1, 2] * 3)
     assert seen == [1] * 4
+    # the encoder bias (6 entries) alone: full forward passes, one for the
+    # analytic gradient and two per entry
+    model_grad_check(params, lex, batch[:2], only={"encoder.b_r"})
+    assert (get(), puts) == (2, [1, 2] * 4)
+    assert seen == [1] * (4 + 1 + 2 * 6)
 
 
 def test_without_openblas_train_steps_and_predict_leave_the_blas_threads_alone(

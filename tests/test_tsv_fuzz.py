@@ -80,7 +80,7 @@ def test_eval_on_a_damaged_pair_file_exits_0_or_2_naming_file_and_line(tmp_path,
 
 # what ``train`` says of a whole file rather than of one of its lines
 WHOLE_FILE = (r"no usable examples",
-              r"\d+ usable validation examples with \d+ distinct gold scores; "
+              r"\d+ usable examples with \d+ distinct gold scores; "
               r"pearson needs at least 2")
 
 
