@@ -46,8 +46,7 @@ rows = [
 ]
 examples = [SentencePairExample(s1.split(), s2.split(), gold_score=g)
             for s1, s2, g in rows]
-data = PairDataset(examples=examples, task="sts",
-                   vocab={w for ex in examples for w in ex.tokens1 + ex.tokens2})
+data = PairDataset(examples=examples, task="sts")
 
 spec = md.ModelSpec(task="sts", encoder="maxlstm", comparison="multi",
                     total_dim=lex.total_dim, H=16, l=16, L=4, d_neu=8, C=6,

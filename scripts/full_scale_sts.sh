@@ -16,6 +16,10 @@
 # The fused word vector is then 300+300+300+400+300 = 1600 dimensions,
 # matching configs/paper.cfg (1600 filters, 1600 LSTM units, batch 30,
 # dropout 0.5, penultimate width 250).
+#
+# STS Benchmark's sts-{train,dev,test}.csv are converted to pair files by
+# scripts/convert.py stsb, which imports pairsim, so run this from the
+# repository root with pairsim installed.
 set -euo pipefail
 
 STSB_DIR=${STSB_DIR:-data/stsbenchmark}   # sts-train.csv etc. live here
@@ -28,9 +32,9 @@ for f in data/word2vec.txt data/fasttext.txt data/glove.txt \
     [ -f "$f" ] || { echo "missing $f (see header comment)"; exit 1; }
 done
 
-python3 scripts/convert_stsb.py "$STSB_DIR/sts-train.csv" > "$OUT/train.tsv"
-python3 scripts/convert_stsb.py "$STSB_DIR/sts-dev.csv"   > "$OUT/dev.tsv"
-python3 scripts/convert_stsb.py "$STSB_DIR/sts-test.csv"  > "$OUT/test.tsv"
+for split in train dev test; do
+    python3 scripts/convert.py stsb "$STSB_DIR/sts-$split.csv" > "$OUT/$split.tsv"
+done
 
 # sanity: vocabulary coverage of the five tables (the union should be
 # dramatically higher than any single table)

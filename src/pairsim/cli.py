@@ -228,7 +228,10 @@ def cmd_coverage(args, overrides) -> int:
     lex = _lexicon(cfg, _config_source(args.config))
     vocab = set()
     for path in args.data:
-        vocab |= load_pairs(path, cfg.task, lenient=cfg.lenient).vocab
+        for ex in load_pairs(path, cfg.task, lenient=cfg.lenient).examples:
+            vocab.update(ex.tokens1, ex.tokens2)
+    if not vocab:
+        raise DataError(f"{', '.join(args.data)}: no usable examples")
     report = lex.coverage(vocab)
     print(f"# vocabulary size: {report.vocab_size}")
     for name, frac in report.per_table:
@@ -244,6 +247,8 @@ def cmd_bench(args, overrides) -> int:
     _echo(cfg)
     lex = _lexicon(cfg, _config_source(args.config))
     data = load_pairs(args.train, cfg.task, lenient=cfg.lenient)
+    if not data.examples:
+        raise DataError(f"{args.train}: no usable examples")
     encoders = [e.strip() for e in cfg.bench_encoders.split(",") if e.strip()]
     rows = [("sent", e) for e in encoders]
     rows += [("multi", e) for e in encoders if e in WORD_FEATURE_KINDS]

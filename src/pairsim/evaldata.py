@@ -15,8 +15,8 @@ where gold is a decimal score for similarity ("sts") or a label string
 for classification ("entailment": entailment / contradiction / neutral,
 case-insensitive; "paraphrase": 0 / 1).  Label strings map to class
 indices in those fixed orders.  Public benchmark releases are adapted
-to this format by the conversion scripts under scripts/; the parser
-itself stays deliberately small.
+to this format by scripts/convert.py, which reads them with
+``text_lines`` too; the parser itself stays deliberately small.
 
 Malformed lines are fatal and name their line number, unless loading is
 lenient, in which case they are logged and skipped.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -87,7 +87,6 @@ class PairDataset:
     examples: list[SentencePairExample]
     task: str
     label_names: Optional[list[str]] = None
-    vocab: set[str] = field(default_factory=set)
 
     def __len__(self):
         return len(self.examples)
@@ -145,7 +144,7 @@ def text_lines(path, error=DataError, digest=None) -> list[str]:
 
 
 def load_pairs(path, task: str, lenient: bool = False, score_range=None) -> PairDataset:
-    """Parse a TSV pair file; vocab is the union of all tokens.
+    """Parse a TSV pair file.
 
     sts scores must be finite and, given a (low, high) ``score_range``,
     within it.
@@ -154,7 +153,6 @@ def load_pairs(path, task: str, lenient: bool = False, score_range=None) -> Pair
         raise DataError(f"unknown task {task!r}; choose from {TASKS}")
     path = Path(path)
     examples = []
-    vocab = set()
     for lineno, line in enumerate(text_lines(path), start=1):
         if not line.strip():
             continue
@@ -173,10 +171,7 @@ def load_pairs(path, task: str, lenient: bool = False, score_range=None) -> Pair
                 continue
             raise DataError(f"{path} line {lineno}: {exc}") from None
         examples.append(ex)
-        vocab.update(ex.tokens1)
-        vocab.update(ex.tokens2)
-    return PairDataset(examples=examples, task=task,
-                       label_names=LABEL_NAMES.get(task), vocab=vocab)
+    return PairDataset(examples=examples, task=task, label_names=LABEL_NAMES.get(task))
 
 
 def serialize_pairs(ds: PairDataset) -> str:

@@ -1,10 +1,10 @@
 """Models and batches of the per-pair vs batch-major equivalence test.
 
-Shared by ``record_per_pair_reference.py``, which recorded the reference
-with the per-pair code, and ``test_equivalence.py``, which checks the
-batch-major code against it.  Only ``ModelSpec``, ``build_model`` and
-the toy lexicon are used here, so both versions of the code build
-exactly the same parameters and batches.
+``per_pair_reference.npz`` was recorded from these cases with the
+per-pair code, and ``test_equivalence.py`` checks the batch-major code
+against it.  Only ``ModelSpec``, ``build_model`` and the toy lexicon are
+used here, so both versions of the code build exactly the same
+parameters and batches.
 """
 
 from pairsim import model as md

@@ -684,6 +684,39 @@ def test_coverage_fixture_75(capsys, tmp_path):
     assert rows[1] == "union\t75.00"
 
 
+def test_coverage_counts_every_token_of_every_file(capsys, tmp_path):
+    words = ["a", "cat", "the", "big", "dog", "small", "x", "y"]
+    table = tmp_path / "t.txt"
+    table.write_text("".join(f"{w} {i} 1\n" for i, w in enumerate(words)), encoding="utf-8")
+    first, second = tmp_path / "d1.tsv", tmp_path / "d2.tsv"
+    first.write_text("a cat\tthe cat\t0.0\nbig dog\tsmall dog\t2.5\n", encoding="utf-8")
+    second.write_text("x y\tx y\t5.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "coverage", first, second, "--embeddings", table)
+    assert code == 0, err
+    # eight words, all of them in the eight-word table: the vocabulary is the table's
+    lines = out.splitlines()
+    assert "# vocabulary size: 8" in lines
+    assert lines[-1] == "union\t100.00"
+
+
+def test_bench_on_an_empty_pair_file_exits_2_naming_it(workdir, capsys, tmp_path):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "bench", empty, "--config", workdir / "desk.cfg")
+    assert code == 2
+    assert err.splitlines()[-1] == f"data error: {empty}: no usable examples"
+
+
+def test_coverage_of_pair_files_without_an_example_exits_2_naming_them(
+        workdir, capsys, tmp_path):
+    empty, blank = tmp_path / "empty.tsv", tmp_path / "blank.tsv"
+    empty.write_text("", encoding="utf-8")
+    blank.write_text("\n\n", encoding="utf-8")
+    code, out, err = run(capsys, "coverage", empty, blank, "--config", workdir / "desk.cfg")
+    assert code == 2
+    assert err.splitlines()[-1] == f"data error: {empty}, {blank}: no usable examples"
+
+
 # ---------------------------------------------------------------------------
 # identical echoes -> identical outputs
 

@@ -1,9 +1,10 @@
-"""The dataset converters in scripts/, run on small fakes of each release
-written in the format their docstrings describe, and their output read
-back with ``load_pairs`` under the task and score range the docstrings
-name."""
+"""The dataset converter, scripts/convert.py, run on small fakes of each
+release written in the format its docstring describes, and its output
+read back with ``load_pairs`` under the task and score range the
+docstring names."""
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,16 +13,27 @@ import pytest
 
 from pairsim.evaldata import load_pairs
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+CONVERT = ROOT / "scripts" / "convert.py"
 
 
-def convert(script, source, *args):
-    """Run ``script`` on ``source``; (stdout, stderr lines) of a run that exits 0."""
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), str(source), *args],
-                          capture_output=True, text=True, encoding="utf-8", timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    return proc.stdout, proc.stderr.splitlines()
+def run(release, source, *args):
+    """(exit status, stdout, stderr) of ``convert.py RELEASE SOURCE ARGS``,
+    which imports pairsim from this checkout's src/.  The output is decoded
+    without newline translation, so a carriage return in it stays one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(CONVERT), release, str(source), *args],
+                          env=env, capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+def convert(release, source, *args):
+    """Run ``release`` on ``source``; (stdout, stderr lines) of a run that exits 0."""
+    code, out, err = run(release, source, *args)
+    assert code == 0, err
+    assert "Traceback" not in err
+    return out, err.splitlines()
 
 
 def read_back(tmp_path, out, task, score_range=None):
@@ -46,7 +58,7 @@ STSB = "".join("\t".join(row) + "\n" for row in [
 def test_stsb_keeps_rows_with_provenance_columns_and_skips_bad_ones(tmp_path):
     source = tmp_path / "sts-train.csv"
     source.write_text(STSB, encoding="utf-8")
-    out, err = convert("convert_stsb.py", source)
+    out, err = convert("stsb", source)
     data = read_back(tmp_path, out, "sts", score_range=(0, 5))
     assert [ex.gold_score for ex in data.examples] == [5.0, 3.8, 0.25]
     assert data.examples[1].tokens1 == ["a", "man", "is", "playing", "a", "flute", "."]
@@ -59,7 +71,7 @@ def test_stsb_skips_a_score_that_is_not_finite(tmp_path, score):
     assert not math.isfinite(float(score))
     source = tmp_path / "sts-dev.csv"
     source.write_text(STSB.replace("\t0.250\t", f"\t{score}\t"), encoding="utf-8")
-    out, err = convert("convert_stsb.py", source)
+    out, err = convert("stsb", source)
     data = read_back(tmp_path, out, "sts", score_range=(0, 5))
     assert [ex.gold_score for ex in data.examples] == [5.0, 3.8]
     assert f"line 4: bad score {score!r}, skipped" in err
@@ -99,7 +111,7 @@ SICK = "".join("\t".join(row) + "\n" for row in [
 def test_sick_extracts_one_split_of_one_task(tmp_path, task, split, want):
     source = tmp_path / "SICK.txt"
     source.write_text(SICK, encoding="utf-8")
-    out, err = convert("convert_sick.py", source, "--task", task, "--split", split)
+    out, err = convert("sick", source, "--task", task, "--split", split)
     if task == "sts":
         data = read_back(tmp_path, out, "sts", score_range=(1, 5))
         assert [ex.gold_score for ex in data.examples] == want
@@ -126,7 +138,7 @@ def test_mrpc_reads_past_a_byte_order_mark_and_skips_malformed_rows(tmp_path):
     source = tmp_path / "msr_paraphrase_train.txt"
     source.write_text(MRPC, encoding="utf-8")
     assert source.read_bytes().startswith(b"\xef\xbb\xbf")
-    out, err = convert("convert_mrpc.py", source)
+    out, err = convert("mrpc", source)
     data = read_back(tmp_path, out, "paraphrase")
     assert [data.label_names[ex.gold_label] for ex in data.examples] == ["1", "0", "1"]
     assert data.examples[0].tokens1 == ["amrozi", "accused", "his", "brother", "."]
@@ -134,16 +146,54 @@ def test_mrpc_reads_past_a_byte_order_mark_and_skips_malformed_rows(tmp_path):
                    "3 pairs written, 2 skipped"]
 
 
-@pytest.mark.parametrize("script", ["convert_stsb.py", "convert_sick.py", "convert_mrpc.py"])
+# a sentence with a carriage return in it, in the sentence2 column of each
+# release; only a line feed ends a line, so the row stays whole
+LONE_CR = {
+    "stsb": "main-captions\tMSRvid\t2012\t0001\t5.000\tA plane is taking off.\t"
+            "An air plane\rflies.\n",
+    "mrpc": "Quality\t#1 ID\t#2 ID\t#1 String\t#2 String\n"
+            "1\t1\t2\tThe plane took off.\tAn air plane\rflies.\n",
+}
+
+
+@pytest.mark.parametrize("release", ["stsb", "mrpc"])
+def test_a_lone_carriage_return_stays_inside_its_sentence(tmp_path, release):
+    source = tmp_path / "release.txt"
+    source.write_bytes(LONE_CR[release].encode("utf-8"))
+    out, err = convert(release, source)
+    task, score_range = ("sts", (0, 5)) if release == "stsb" else ("paraphrase", None)
+    data = read_back(tmp_path, out, task, score_range)
+    assert len(data) == 1
+    assert data.examples[0].tokens2 == ["an", "air", "plane", "flies", "."]
+    assert err == ["1 pairs written, 0 skipped"]
+
+
+@pytest.mark.parametrize("release, text, args", [
+    ("stsb", STSB, []),
+    ("sick", SICK, ["--task", "entailment", "--split", "TEST"]),
+    ("mrpc", MRPC, []),
+], ids=["stsb", "sick", "mrpc"])
+def test_a_crlf_source_with_a_byte_order_mark_converts_like_its_lf_fake(
+        tmp_path, release, text, args):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_text(text, encoding="utf-8")
+    crlf.write_bytes(b"\xef\xbb\xbf" + text.removeprefix("\ufeff")
+                     .replace("\n", "\r\n").encode("utf-8"))
+    assert convert(release, crlf, *args) == convert(release, lf, *args)
+
+
+# the ids keep these tests' names from when each release had a script of its own
+@pytest.mark.parametrize("release", ["stsb", "sick", "mrpc"],
+                         ids=lambda release: f"convert_{release}.py")
 @pytest.mark.parametrize("case", ["missing", "not-utf8"])
-def test_a_source_that_cannot_be_read_exits_1_with_one_line(tmp_path, script, case):
+def test_a_source_that_cannot_be_read_exits_1_with_one_line(tmp_path, release, case):
     source = tmp_path / "release.txt"
     if case == "not-utf8":
         source.write_bytes(b"Quality\tsentence_A\n\xff\xfe\tbad\n")
-    args = ["--task", "sts", "--split", "TRAIN"] if script == "convert_sick.py" else []
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), str(source), *args],
-                          capture_output=True, text=True, encoding="utf-8", timeout=60)
-    reason = ("No such file or directory" if case == "missing"
-              else "not UTF-8 (invalid start byte)")
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"cannot read {source}: {reason}\n"
+        want = f"{source} line 2: not UTF-8 at byte offset 19: invalid start byte\n"
+    else:
+        with pytest.raises(FileNotFoundError) as missing:
+            source.read_bytes()
+        want = f"cannot read {source}: {missing.value}\n"
+    args = ["--task", "sts", "--split", "TRAIN"] if release == "sick" else []
+    assert run(release, source, *args) == (1, "", want)

@@ -1,8 +1,12 @@
 """The batch-major model against the per-pair reference.
 
-``per_pair_reference.npz`` holds what the per-pair code computed for the
-cases of ``equivalence_cases.py`` (``record_per_pair_reference.py``
-made it).  Running a minibatch as (B, ...) arrays changes only the
+``per_pair_reference.npz`` holds what the per-pair code, which ran the
+filters, pooling, comparisons, head and loss one pair at a time (up to
+commit 31856cc), computed for the cases of ``equivalence_cases.py``: per
+case the training-mode batch loss (dropout 0.5 from the "dropout" stream
+of seed 21), the inference-mode logits and every parameter gradient.
+That code is gone, so the file is a fixed record and cannot be
+regenerated.  Running a minibatch as (B, ...) arrays changes only the
 rounding of the GEMMs and sums, so every array must match to within
 1e-12 of its own largest entry.
 """

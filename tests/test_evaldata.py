@@ -63,7 +63,6 @@ def test_load_sts_scores_exact(tmp_path):
     ds = ed.load_pairs(p, "sts")
     assert len(ds) == 3
     assert [ex.gold_score for ex in ds.examples] == [0.0, 2.5, 5.0]
-    assert ds.vocab == {"a", "cat", "the", "big", "dog", "small", "x", "y"}
 
 
 def test_load_missing_field_names_line(tmp_path):

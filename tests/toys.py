@@ -36,7 +36,6 @@ def toy_lexicon(seed=7, dims=(5, 3), words=TOY_WORDS) -> FusedLexicon:
 def _pairs_to_dataset(rows, task):
     from pairsim.evaldata import LABEL_NAMES, PairDataset, SentencePairExample
     examples = []
-    vocab = set()
     for s1, s2, gold in rows:
         t1, t2 = s1.split(), s2.split()
         if task == "sts":
@@ -44,10 +43,7 @@ def _pairs_to_dataset(rows, task):
         else:
             ex = SentencePairExample(t1, t2, gold_label=int(gold))
         examples.append(ex)
-        vocab.update(t1)
-        vocab.update(t2)
-    return PairDataset(examples=examples, task=task,
-                       label_names=LABEL_NAMES.get(task), vocab=vocab)
+    return PairDataset(examples=examples, task=task, label_names=LABEL_NAMES.get(task))
 
 
 def sts_overfit_dataset():
